@@ -9,7 +9,7 @@ Subcommands:
     gen-suite  generate and write a benchmark suite file
 
 Exit codes: 0 success, 1 generic/partial failure, 2 unreadable or
-invalid config/arguments, 3 divergence (non-finite gradient), 4
+invalid config/suite/arguments, 3 divergence (non-finite gradient), 4
 checkpoint corruption, 5 trace replay divergence.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .config import (
     load_config,
     write_manifest,
 )
-from .errors import CheckpointError, ConfigError, NonFiniteGradient, TraceError
+from .errors import CheckpointError, ConfigError, NonFiniteGradient, SuiteError, TraceError
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row
 from .policy import load_checkpoint, snapshot
 from .rollout import RolloutConfig, parse_trace, serialize_trace, verify_trace
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, SuiteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NonFiniteGradient as e:

@@ -33,11 +33,12 @@ import numpy as np
 from .errors import GroupTooSmall, SnapshotMismatch
 from .oracle import GeodesicField, geodesic_field
 from .policy import (
+    Featurizer,
     GradAccumulator,
     PolicyParams,
     PolicySnapshot,
     PROB_FLOOR,
-    featurize,
+    featurize,  # noqa: F401  (bound here for perfbench/tracer.py)
     forward,
     forward_cached,
     softmax,
@@ -156,21 +157,24 @@ def grpo_loss_and_grad(
     ref_params = snapshot_ref.params
     lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
     n_groups = len(group.trajectories)
+    old_features = Featurizer(old_params)
+    live_features = Featurizer(params)
+    ref_features = Featurizer(ref_params)
     acc = GradAccumulator(params)
     objective = 0.0
     for adv, traj in zip(group.advantages, group.trajectories):
         scale = 1.0 / (n_groups * len(traj.steps))
         for s in traj.steps:
-            recomputed = forward(old_params, featurize(old_params, s.window))
+            recomputed = forward(old_params, old_features(s.window))
             drift = float(np.max(np.abs(recomputed - s.logits)))
             if drift > SNAPSHOT_TOL:
                 raise SnapshotMismatch(
                     f"episode {group.episode_id} step {s.t}: recorded logits drift {drift:g}"
                 )
-            logits, cache = forward_cached(params, s.window)
+            logits, cache = forward_cached(params, s.window, live_features)
             p = softmax(logits / temp)
             p_old = softmax(s.logits / temp)
-            q = softmax(forward(ref_params, featurize(ref_params, s.window)) / temp)
+            q = softmax(forward(ref_params, ref_features(s.window)) / temp)
 
             rho = p[s.action] / p_old[s.action]
             clipped = min(max(rho, lo), hi)

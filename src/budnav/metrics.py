@@ -8,14 +8,14 @@ path-shape fidelity as exp(-DTW / (|R| * threshold)) over Euclidean
 dynamic time warping between the visited cells and the reference cells.
 
 Evaluation rolls the greedy policy with all failure triggers disabled;
-episodes end only on STOP or the step cap.  Reported SR/SPL/OSR/nDTW are
+episodes end only on STOP or the step cap.  It runs serially: one
+rollout is pure-Python work that threads cannot overlap, so parallelism
+belongs at run level (separate processes).  Reported SR/SPL/OSR/nDTW are
 percentages, NE is in meters.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,39 +142,20 @@ def aggregate(results) -> MetricsReport:
     )
 
 
-def thread_cap() -> int:
-    """Rollout parallelism cap from BUDNAV_THREADS (default: machine cores)."""
-    raw = os.environ.get("BUDNAV_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
-
-
 def evaluate(
     snapshot: PolicySnapshot,
     episodes,
     cfg: RolloutConfig = RolloutConfig(),
 ) -> EvalOutcome:
-    """Greedy, trigger-free rollouts over the episode list.
-
-    Episodes are independent, so rollouts may run on a thread pool; the
-    outcome is aggregated in episode order and identical for any cap.
-    """
-    episodes = list(episodes)
-
-    def one(episode: Episode) -> tuple:
+    """Greedy, trigger-free rollouts over the episode list, in order."""
+    trajectories = []
+    results = []
+    for episode in episodes:
         traj = run_greedy(snapshot, episode, cfg, triggers=False)
-        return traj, episode_result(traj, episode)
-
-    workers = min(thread_cap(), max(1, len(episodes)))
-    if workers > 1 and len(episodes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, episodes))
-    else:
-        pairs = [one(ep) for ep in episodes]
-    trajectories = tuple(p[0] for p in pairs)
-    results = tuple(p[1] for p in pairs)
-    return EvalOutcome(report=aggregate(results), results=results, trajectories=trajectories)
+        trajectories.append(traj)
+        results.append(episode_result(traj, episode))
+    results = tuple(results)
+    return EvalOutcome(report=aggregate(results), results=results, trajectories=tuple(trajectories))
 
 
 def format_metrics_row(step: int, report: MetricsReport, route_grpo_frac: float, env_steps_total: int) -> str:

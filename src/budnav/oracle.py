@@ -35,7 +35,7 @@ class GeodesicField:
     """Distances in meters from each cell to a fixed goal; inf = cut off."""
 
     goal: tuple
-    dist: np.ndarray  # [height, width], float64
+    dist: np.ndarray  # [height, width], float64, read-only
     cell_size: float
 
     def at(self, x: int, y: int) -> float:
@@ -43,10 +43,18 @@ class GeodesicField:
 
 
 def geodesic_field(world: GridWorld, goal) -> GeodesicField:
-    """BFS distance field over free cells, 4-connected."""
+    """BFS distance field over free cells, 4-connected.
+
+    Computed once per (world, goal) and memoized on the world; the
+    returned distances are read-only.
+    """
     gx, gy = goal
     if not world.is_free(gx, gy):
         raise InvalidGoal(f"goal cell blocked or out of bounds: {goal}")
+    return world.derived(("geodesic_field", gx, gy), lambda: _bfs_field(world, gx, gy))
+
+
+def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
     dist = np.full((world.height, world.width), math.inf)
     dist[gy, gx] = 0.0
     frontier = deque([(gx, gy)])
@@ -57,7 +65,9 @@ def geodesic_field(world: GridWorld, goal) -> GeodesicField:
             if world.is_free(nx, ny) and math.isinf(dist[ny, nx]):
                 dist[ny, nx] = dist[y, x] + 1.0
                 frontier.append((nx, ny))
-    return GeodesicField(goal=(gx, gy), dist=dist * world.cell_size, cell_size=world.cell_size)
+    dist = dist * world.cell_size
+    dist.flags.writeable = False
+    return GeodesicField(goal=(gx, gy), dist=dist, cell_size=world.cell_size)
 
 
 @dataclass(frozen=True)

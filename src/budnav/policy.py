@@ -165,24 +165,60 @@ class HistoryWindow:
     prev_actions: tuple
 
 
+class Featurizer:
+    """Feature builder for one fixed parameter set, memoizing shared inputs.
+
+    Windows along one rollout or demo share their instruction tuple and
+    their patch arrays (each observation reappears in up to history_k
+    windows), so the instruction mean and each patch's projection are
+    computed once per object, with the same numpy operations as an
+    uncached call; features are identical to the bit.  The params, the
+    instructions and the patches must not be mutated while in use.
+    """
+
+    def __init__(self, params: PolicyParams):
+        self.params = params
+        # id(obj) -> (obj, value); holding obj keeps its id from being reused.
+        self._memo = {}
+
+    def _cached(self, obj, compute):
+        hit = self._memo.get(id(obj))
+        if hit is None:
+            hit = self._memo[id(obj)] = (obj, compute(obj))
+        return hit[1]
+
+    def _instruction_mean(self, instruction) -> np.ndarray:
+        p = self.params
+        for t in instruction:
+            if not 0 <= t < p.cfg.vocab:
+                raise UnknownToken(f"instruction token {t} outside vocabulary {p.cfg.vocab}")
+        return p.instr_embed[list(instruction)].mean(axis=0)
+
+    def _projection(self, patch: np.ndarray) -> np.ndarray:
+        p = self.params
+        if patch.shape != (p.cfg.patch_cells,):
+            raise DimensionMismatch(f"patch shape {patch.shape}, want ({p.cfg.patch_cells},)")
+        return patch @ p.obs_proj
+
+    def __call__(self, window: HistoryWindow) -> np.ndarray:
+        p = self.params
+        k = p.cfg.history_k
+        if len(window.patches) != k or len(window.prev_actions) != k:
+            raise DimensionMismatch(f"window has {len(window.patches)} slots, want {k}")
+        parts = [self._cached(window.instruction, self._instruction_mean)]
+        memo = self._memo
+        for patch, act in zip(window.patches, window.prev_actions):
+            hit = memo.get(id(patch))  # _cached, inlined for the hit path
+            proj = hit[1] if hit is not None else self._cached(patch, self._projection)
+            if not 0 <= act <= NO_ACTION:
+                raise DimensionMismatch(f"previous-action index out of range: {act}")
+            parts.append(proj)
+            parts.append(p.act_embed[act])
+        return np.concatenate(parts)
+
+
 def featurize(params: PolicyParams, window: HistoryWindow) -> np.ndarray:
-    cfg = params.cfg
-    if len(window.patches) != cfg.history_k or len(window.prev_actions) != cfg.history_k:
-        raise DimensionMismatch(
-            f"window has {len(window.patches)} slots, want {cfg.history_k}"
-        )
-    for t in window.instruction:
-        if not 0 <= t < cfg.vocab:
-            raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
-    parts = [params.instr_embed[list(window.instruction)].mean(axis=0)]
-    for patch, act in zip(window.patches, window.prev_actions):
-        if patch.shape != (cfg.patch_cells,):
-            raise DimensionMismatch(f"patch shape {patch.shape}, want ({cfg.patch_cells},)")
-        if not 0 <= act <= NO_ACTION:
-            raise DimensionMismatch(f"previous-action index out of range: {act}")
-        parts.append(patch @ params.obs_proj)
-        parts.append(params.act_embed[act])
-    return np.concatenate(parts)
+    return Featurizer(params)(window)
 
 
 def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
@@ -201,8 +237,11 @@ class _Cache:
     hidden: np.ndarray
 
 
-def forward_cached(params: PolicyParams, window: HistoryWindow):
-    features = featurize(params, window)
+def forward_cached(
+    params: PolicyParams, window: HistoryWindow, featurizer: Featurizer | None = None
+):
+    """Logits plus the activations backprop needs; featurizer must wrap params."""
+    features = (featurizer or Featurizer(params))(window)
     hidden = np.tanh(features @ params.W1 + params.b1)
     return hidden @ params.W2 + params.b2, _Cache(features, hidden)
 
@@ -230,7 +269,7 @@ def action_dist(logits: np.ndarray, temperature: float) -> ActionDistribution:
 
 def greedy_action(logits: np.ndarray) -> int:
     """Argmax over raw logits; ties resolve to the lowest action index."""
-    return int(np.argmax(logits))
+    return int(logits.argmax())
 
 
 class GradAccumulator:
@@ -322,6 +361,13 @@ def _read_line(f) -> str:
     return raw[:-1].decode("utf-8", errors="replace")
 
 
+def _count(text: str, what: str) -> int:
+    """Non-negative decimal integer from a checkpoint header field."""
+    if not (text.isascii() and text.isdigit()):
+        raise CheckpointError(f"non-numeric {what}: {text!r}")
+    return int(text)
+
+
 def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
     """Parse and verify a checkpoint; architecture is recovered from shapes."""
     with open(path, "rb") as f:
@@ -335,18 +381,22 @@ def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
             raise CheckpointError(f"malformed checkpoint header in {path}")
         arrays = {}
         digest = hashlib.blake2b(digest_size=16)
-        for _ in range(int(header["blocks"])):
+        for _ in range(_count(header["blocks"], "block count")):
             line = _read_line(f)
             try:
                 _, name, shape_s, nbytes_s = line.split(" ")
             except ValueError as e:
                 raise CheckpointError(f"malformed block header: {line!r}") from e
-            raw = f.read(int(nbytes_s))
-            if len(raw) != int(nbytes_s) or f.read(1) != b"\n":
+            nbytes = _count(nbytes_s, f"byte count of block {name}")
+            shape = tuple(_count(d, f"shape of block {name}") for d in shape_s.split("x"))
+            raw = f.read(nbytes)
+            if len(raw) != nbytes or f.read(1) != b"\n":
                 raise CheckpointError(f"truncated block {name}")
             digest.update(raw)
-            shape = tuple(int(d) for d in shape_s.split("x"))
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            except ValueError as e:
+                raise CheckpointError(f"block {name}: {e}") from e
         checksum_line = _read_line(f)
     if checksum_line != f"checksum {digest.hexdigest()}":
         raise CheckpointError(f"checksum mismatch in {path}")
@@ -354,27 +404,38 @@ def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
     expected = {"instr_embed", "obs_proj", "act_embed", "W1", "b1", "W2", "b2"}
     if set(arrays) != expected:
         raise CheckpointError(f"unexpected block set: {sorted(arrays)}")
-    vocab, d_e = arrays["instr_embed"].shape
-    patch_cells, d_o = arrays["obs_proj"].shape
-    _, d_a = arrays["act_embed"].shape
-    feature_dim, d_h = arrays["W1"].shape
-    obs_k = int(round(math.sqrt(patch_cells)))
-    slot = d_o + d_a
+    try:
+        vocab, d_e = arrays["instr_embed"].shape
+        patch_cells, d_o = arrays["obs_proj"].shape
+        _, d_a = arrays["act_embed"].shape
+        feature_dim, d_h = arrays["W1"].shape
+        history_k = (feature_dim - d_e) // (d_o + d_a)
+    except (ValueError, ZeroDivisionError) as e:
+        raise CheckpointError(f"malformed block shapes in {path}") from e
     cfg = PolicyConfig(
         max_run=vocab - 3,
-        obs_k=obs_k,
+        obs_k=int(round(math.sqrt(patch_cells))),
         d_e=d_e,
         d_o=d_o,
         d_a=d_a,
         d_h=d_h,
-        history_k=(feature_dim - d_e) // slot,
+        history_k=history_k,
         temperature=temperature,
     )
-    params = PolicyParams(cfg=cfg, **arrays)
-    if obs_k * obs_k != patch_cells or cfg.feature_dim != feature_dim:
+    want = {
+        "instr_embed": (cfg.vocab, d_e),
+        "obs_proj": (cfg.patch_cells, d_o),
+        "act_embed": (N_ACTIONS + 1, d_a),
+        "W1": (cfg.feature_dim, d_h),
+        "b1": (d_h,),
+        "W2": (d_h, N_ACTIONS),
+        "b2": (N_ACTIONS,),
+    }
+    if any(arrays[name].shape != shape for name, shape in want.items()):
         raise CheckpointError("block shapes are mutually inconsistent")
     if cfg.arch_hash() != header["config"]:
         raise CheckpointError(f"config hash mismatch in {path}")
-    if params.count != int(header["params"]):
+    params = PolicyParams(cfg=cfg, **arrays)
+    if params.count != _count(header["params"], "parameter count"):
         raise CheckpointError(f"parameter count mismatch in {path}")
     return params

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotAFailure
 from .oracle import plan
-from .policy import GradAccumulator, PolicyParams, forward_cached, softmax
+from .policy import Featurizer, GradAccumulator, PolicyParams, forward_cached, softmax
 from .rollout import Trajectory, TriggerKind, WindowBuilder
 from .world import Action, Episode, Pose, euclid_m, expand_instruction, observe, step
 
@@ -149,12 +149,13 @@ def rect_loss_and_grad(
     for s in demo.retained_prefix:
         builder.push(s.observation, s.action)
     pose = demo.anchor_pose
+    features = Featurizer(params)
     acc = GradAccumulator(params)
     loss = 0.0
     for w, action in zip(demo.weights, demo.oracle_actions):
         obs = observe(episode.world, pose, pcfg.obs_k).ravel()
         window = builder.window(obs)
-        logits, cache = forward_cached(params, window)
+        logits, cache = forward_cached(params, window, features)
         probs = softmax(logits / temp)
         loss += -cfg.alpha * float(w) * float(np.log(probs[action]))
         dlogits = cfg.alpha * float(w) * probs / temp

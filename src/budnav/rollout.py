@@ -36,9 +36,9 @@ import numpy as np
 from .oracle import path_deviation, progress_index
 from .policy import (
     NO_ACTION,
+    Featurizer,
     HistoryWindow,
     PolicySnapshot,
-    featurize,
     forward,
     greedy_action,
     softmax,
@@ -249,10 +249,13 @@ def _rollout(
 
 
 def snapshot_logits_fn(snapshot: PolicySnapshot):
+    """Window -> logits under the snapshot; one per rollout, so the
+    featurizer's memo spans exactly that rollout's windows."""
     params = snapshot.params
+    features = Featurizer(params)
 
     def logits_fn(window: HistoryWindow) -> np.ndarray:
-        return forward(params, featurize(params, window))
+        return forward(params, features(window))
 
     return logits_fn
 
@@ -400,6 +403,8 @@ def parse_trace(text: str) -> TraceDoc:
                 raise TraceError(f"unknown record: {line!r}")
         if final is None:
             raise TraceError("trace has no final record")
+    except KeyError as e:
+        raise TraceError(f"malformed trace: episode header lacks {e}") from e
     except (IndexError, ValueError) as e:
         raise TraceError(f"malformed trace: {e}") from e
     return TraceDoc(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationFailed, SuiteError
 from .rng import stream
-from .world import Episode, GridWorld, generate_episode, generate_world
+from .world import MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, generate_world
 
 SUITE_MAGIC = "budnav-suite v1"
 
@@ -41,6 +41,12 @@ class Suite:
     held_pairs: tuple  # of (world_seed, episode_seed)
 
     def __post_init__(self):
+        if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE):
+            raise SuiteError(f"world extent out of range: {self.width}x{self.height}")
+        if not 0.0 <= self.density <= MAX_DENSITY:
+            raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {self.density}")
+        if not (self.cell_size > 0.0 and self.max_run >= 1):
+            raise SuiteError(f"need cell_size > 0 and max_run >= 1: {self.cell_size}, {self.max_run}")
         train = set(self.train_world_seeds)
         held = {ws for ws, _ in self.held_pairs}
         overlap = train & held

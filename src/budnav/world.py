@@ -25,7 +25,7 @@ pose reproduces the reference path exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -72,6 +72,9 @@ class GridWorld:
         blocked: frozenset of blocked (x, y) cells.
         cell_size: edge length of one cell in meters.
         seed: generator seed recorded for reproducibility.
+
+    Arrays derived from the grid (padded occupancy, geodesic fields) are
+    built on first use and memoized on the world via derived().
     """
 
     width: int
@@ -79,6 +82,7 @@ class GridWorld:
     blocked: frozenset
     cell_size: float = 1.0
     seed: int = 0
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE):
@@ -92,6 +96,17 @@ class GridWorld:
 
     def is_free(self, x: int, y: int) -> bool:
         return self.in_bounds(x, y) and (x, y) not in self.blocked
+
+    def derived(self, key, build):
+        """build(), computed once per world and key.
+
+        The world is immutable, so a memoized value never goes stale;
+        callers must treat it as read-only.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def free_cells(self) -> list:
         """All free cells in row-major order (deterministic iteration)."""
@@ -130,18 +145,32 @@ def observe(world: GridWorld, pose: Pose, k: int = 5) -> np.ndarray:
     """
     if k % 2 != 1 or k < 1:
         raise ValueError(f"patch side must be odd and positive, got {k}")
-    half = k // 2
-    fx, fy = HEADING_VECS[pose.heading]
-    rx, ry = HEADING_VECS[(pose.heading + 1) % 4]  # agent's right-hand side
-    patch = np.empty((k, k), dtype=np.float64)
-    for r in range(k):
-        ahead = half - r
-        for c in range(k):
-            side = c - half
-            x = pose.x + ahead * fx + side * rx
-            y = pose.y + ahead * fy + side * ry
-            patch[r, c] = 0.0 if world.is_free(x, y) else 1.0
-    return patch
+    if not world.in_bounds(pose.x, pose.y):
+        raise ValueError(f"pose out of bounds: {pose}")
+    grid = world.derived(("padded_occupancy", k), lambda: _padded_occupancy(world, k // 2))
+    window = grid[pose.y : pose.y + k, pose.x : pose.x + k]
+    return _TO_EGOCENTRIC[pose.heading](window).copy()
+
+
+# np.rot90(window, heading) as plain views (rot90 itself costs several
+# microseconds per call): a north-up window turned counter-clockwise once
+# per clockwise heading step puts the agent's heading at row 0.
+_TO_EGOCENTRIC = (
+    lambda w: w,
+    lambda w: w.T[::-1],
+    lambda w: w[::-1, ::-1],
+    lambda w: w.T[:, ::-1],
+)
+
+
+def _padded_occupancy(world: GridWorld, pad: int) -> np.ndarray:
+    """Read-only [height + 2*pad, width + 2*pad] grid, 1.0 = blocked/off-grid."""
+    grid = np.ones((world.height + 2 * pad, world.width + 2 * pad))
+    grid[pad : pad + world.height, pad : pad + world.width] = 0.0
+    for x, y in world.blocked:
+        grid[y + pad, x + pad] = 1.0
+    grid.flags.writeable = False
+    return grid
 
 
 def _connected(width: int, height: int, blocked: set) -> bool:

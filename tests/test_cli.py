@@ -128,6 +128,37 @@ def test_eval_checkpoint_errors(train_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_non_numeric_checkpoint_field_exits_4(train_run, tmp_path, capsys):
+    _, out = train_run
+    raw = (out / "checkpoints" / "final.ckpt").read_bytes()
+    bad = tmp_path / "blocks.ckpt"
+    bad.write_bytes(raw.replace(b"\nblocks 7\n", b"\nblocks x\n", 1))
+    assert main(["eval", "--ckpt", str(bad), "--suite", str(out / "suite.suite")]) == 4
+    assert "non-numeric block count" in capsys.readouterr().err
+
+
+MALFORMED_SUITE = "budnav-suite v1\nname bad\nworld 8 8 0.12 1.0\nheld 5\n"
+
+
+def test_malformed_suite_exits_2(train_run, tmp_path, capsys):
+    _, out = train_run
+    ckpt = str(out / "checkpoints" / "final.ckpt")
+    bad = tmp_path / "bad.suite"
+    bad.write_text(MALFORMED_SUITE)
+    assert main(["eval", "--ckpt", ckpt, "--suite", str(bad)]) == 2
+    assert "malformed suite line" in capsys.readouterr().err
+    # Extents a grid cannot have are rejected the same way.
+    wide = tmp_path / "wide.suite"
+    wide.write_text((out / "suite.suite").read_text().replace("world 8 8", "world 80 8"))
+    assert main(["eval", "--ckpt", ckpt, "--suite", str(wide)]) == 2
+    assert "world extent out of range" in capsys.readouterr().err
+    # The same suite reached through a config's suite.file.
+    cfg = tmp_path / "uses_bad_suite.cfg"
+    cfg.write_text("suite.file = bad.suite\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "malformed suite line" in capsys.readouterr().err
+
+
 def test_replay_verifies_and_draws(train_run, capsys):
     _, out = train_run
     trace = sorted((out / "traces").glob("*.trace"))[0]
@@ -154,6 +185,16 @@ def test_replay_tampered_trace_exits_5(tmp_path, capsys):
     garbage = tmp_path / "garbage.trace"
     garbage.write_text("hello\n")
     assert main(["replay", "--trace", str(garbage)]) == 5
+
+
+def test_replay_trace_without_episode_width_exits_5(tmp_path, capsys):
+    ep = corridor_episode()
+    text = serialize_trace(run_script(ep, [F, F, S], triggers=False), ep)
+    assert " width=12 " in text
+    path = tmp_path / "no_width.trace"
+    path.write_text(text.replace(" width=12", "", 1))
+    assert main(["replay", "--trace", str(path)]) == 5
+    assert "episode header lacks 'width'" in capsys.readouterr().err
 
 
 def test_render_map_marks_anchor_and_trigger():

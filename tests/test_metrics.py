@@ -15,7 +15,6 @@ from budnav.metrics import (
     navigation_error,
     ndtw,
     oracle_success,
-    thread_cap,
 )
 from budnav.oracle import geodesic_field
 from budnav.policy import snapshot
@@ -224,19 +223,6 @@ def test_evaluate_does_not_mutate_params(default_policy):
     assert np.array_equal(default_policy.flatten(), before)
 
 
-def test_evaluate_thread_count_does_not_change_results(default_policy, monkeypatch):
-    eps = held_episodes()
-    snap = snapshot(default_policy, "eval")
-    monkeypatch.setenv("BUDNAV_THREADS", "1")
-    serial = evaluate(snap, eps)
-    monkeypatch.setenv("BUDNAV_THREADS", "4")
-    parallel = evaluate(snap, eps)
-    assert serial.report == parallel.report
-    for a, b in zip(serial.trajectories, parallel.trajectories):
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
-        assert a.final_pose == b.final_pose
-
-
 def test_evaluate_is_trigger_free(default_policy):
     eps = held_episodes()
     out = evaluate(snapshot(default_policy, "eval"), eps)
@@ -250,15 +236,6 @@ def test_evaluate_matches_direct_greedy_rollouts(default_policy):
     for ep, traj in zip(eps, out.trajectories):
         direct = run_greedy(snap, ep, triggers=False)
         assert [s.action for s in direct.steps] == [s.action for s in traj.steps]
-
-
-def test_thread_cap_env_override(monkeypatch):
-    monkeypatch.setenv("BUDNAV_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("BUDNAV_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.delenv("BUDNAV_THREADS")
-    assert thread_cap() >= 1
 
 
 # ------------------------------------------------------------------ format

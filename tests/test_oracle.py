@@ -6,7 +6,7 @@ import pytest
 
 from budnav.errors import InvalidGoal, Unreachable
 from budnav.oracle import geodesic_field, path_deviation, plan, progress_index
-from budnav.world import Action, HEADING_VECS, Pose, euclid_m, generate_world, step
+from budnav.world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, step
 
 from conftest import corridor_world, open_world, walled_world
 
@@ -75,6 +75,27 @@ def test_field_rejects_blocked_goal():
     w = walled_world()
     with pytest.raises(InvalidGoal):
         geodesic_field(w, (2, 2))
+
+
+def test_field_is_memoized_per_world_and_goal_and_read_only():
+    w = generate_world(seed=40, width=9, height=7, density=0.2)
+    goal, other = w.free_cells()[0], w.free_cells()[-1]
+    field = geodesic_field(w, goal)
+    assert geodesic_field(w, goal) is field
+    assert geodesic_field(w, other) is not field
+    with pytest.raises(ValueError):
+        field.dist[goal[1], goal[0]] = 5.0
+    # An equal world built separately gets its own, identical field.
+    twin = GridWorld(w.width, w.height, w.blocked, w.cell_size, w.seed)
+    assert twin == w
+    twin_field = geodesic_field(twin, goal)
+    assert twin_field is not field
+    assert twin_field.dist.tobytes() == field.dist.tobytes()
+    # A blocked goal is rejected on every call, never memoized.
+    blocked = next(iter(w.blocked))
+    for _ in range(2):
+        with pytest.raises(InvalidGoal):
+            geodesic_field(w, blocked)
 
 
 # -------------------------------------------------------------------- plan

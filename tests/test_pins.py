@@ -1,0 +1,63 @@
+"""Cross-version pins: digests of evaluation and training outputs.
+
+The digests were recorded before the per-step rollout path was
+optimised (array-backed observations, memoized features and geodesic
+fields, serial evaluation).  Speedups must keep every output byte
+identical, so a change that moves any of these digests changes results,
+not just speed.  They pin float64 results as numpy computes them with
+OpenBLAS; another BLAS build may legitimately differ in the last bits.
+"""
+import hashlib
+from dataclasses import astuple
+from pathlib import Path
+
+import pytest
+
+from budnav.config import load_config
+from budnav.metrics import evaluate
+from budnav.policy import PolicyConfig, init_params, snapshot
+from budnav.suite import build_held_episodes, parse_suite
+from budnav.trainer import train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+INIT_EVAL_DIGEST = "4148ebc6a19d471c45840c3a1cb5f251"
+SMOKE_TRAIN_DIGEST = "e38d9560eaf0dd5dc6117179e887a0bc"
+SMOKE_EVAL_DIGEST = "0b0c2c38d296deaaef7109f41260fbfd"
+
+
+def eval_digest(params) -> str:
+    """Results, step logits and observations on 20 desk held episodes."""
+    suite = parse_suite((CONFIGS / "desk.suite").read_text())
+    held = build_held_episodes(suite, 20)
+    outcome = evaluate(snapshot(params, "eval"), held)
+    h = hashlib.blake2b(digest_size=16)
+    for result, traj in zip(outcome.results, outcome.trajectories):
+        h.update(repr(astuple(result)).encode())
+        for s in traj.steps:
+            h.update(s.logits.tobytes())
+            h.update(s.observation.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def smoke_run():
+    cfg = load_config(CONFIGS / "smoke.cfg")[0]
+    return train(cfg)
+
+
+def test_initial_policy_evaluation_is_pinned():
+    assert eval_digest(init_params(PolicyConfig(), 0)) == INIT_EVAL_DIGEST
+
+
+def test_smoke_training_is_pinned(smoke_run):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(smoke_run.params.flatten().tobytes())
+    h.update("\n".join(smoke_run.csv_rows).encode())
+    assert h.hexdigest() == SMOKE_TRAIN_DIGEST
+
+
+def test_smoke_trained_policy_evaluation_is_pinned(smoke_run):
+    # The trained policy walks ~1000 steps here, against ~30 for the
+    # initial one, which mostly stops at once.
+    assert eval_digest(smoke_run.params) == SMOKE_EVAL_DIGEST

@@ -4,6 +4,7 @@ import pytest
 
 from budnav.errors import CheckpointError, DimensionMismatch, UnknownToken
 from budnav.policy import (
+    Featurizer,
     HistoryWindow,
     NO_ACTION,
     PolicyConfig,
@@ -94,6 +95,85 @@ def test_featurize_validates_inputs(tiny_policy):
     bad_acts = (NO_ACTION + 1,) + good.prev_actions[1:]
     with pytest.raises(DimensionMismatch):
         featurize(tiny_policy, HistoryWindow(good.instruction, good.patches, bad_acts))
+
+
+def featurize_uncached(params, window):
+    """The construction Featurizer memoizes, spelled out step by step."""
+    parts = [params.instr_embed[list(window.instruction)].mean(axis=0)]
+    for patch, act in zip(window.patches, window.prev_actions):
+        parts.append(patch @ params.obs_proj)
+        parts.append(params.act_embed[act])
+    return np.concatenate(parts)
+
+
+def assert_shared_featurizer_is_bit_exact(params, windows):
+    shared = Featurizer(params)
+    for window in windows:
+        got = shared(window)
+        assert got.tobytes() == featurize(params, window).tobytes()
+        assert got.tobytes() == featurize_uncached(params, window).tobytes()
+
+
+@pytest.fixture(scope="module")
+def walk(sample_episode, default_policy):
+    """(params, trajectory): an untrained policy that rarely stops, and
+    one long sampled rollout of it."""
+    from budnav.rollout import rollout_stream, run_sampled
+
+    params = default_policy.copy()
+    params.b2[3] = -10.0  # STOP
+    traj = run_sampled(
+        snapshot(params), sample_episode, 1.0,
+        rollout_stream(0, sample_episode.id, 1), triggers=False,
+    )
+    assert len(traj.steps) > 2 * params.cfg.history_k  # windows shift
+    return params, traj
+
+
+def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
+    params, traj = walk
+    assert_shared_featurizer_is_bit_exact(params, [s.window for s in traj.steps])
+
+
+def test_featurizer_is_bit_exact_along_a_rect_demo_replay(sample_episode, walk):
+    from budnav.oracle import plan
+    from budnav.rollout import WindowBuilder
+    from budnav.world import Action, observe, step
+
+    # Roll back to step 12 and replay an oracle completion from there,
+    # exactly as rect_loss_and_grad does.
+    params, traj = walk
+    ep = sample_episode
+    anchor = 12
+    pose = traj.steps[anchor].pose_before
+    completion = plan(ep.world, pose, ep.goal, ep.goal_radius).actions
+    assert len(completion) > 1
+    cfg = params.cfg
+    builder = WindowBuilder(ep.instruction, cfg.history_k, cfg.patch_cells)
+    for s in traj.steps[:anchor]:
+        builder.push(s.observation, s.action)
+    windows = []
+    for action in completion:
+        obs = observe(ep.world, pose, cfg.obs_k).ravel()
+        windows.append(builder.window(obs))
+        builder.push(obs, int(action))
+        pose = step(ep.world, pose, Action(action))
+    assert_shared_featurizer_is_bit_exact(params, windows)
+
+
+def test_featurizer_validates_windows_after_memoizing(tiny_policy):
+    rng = np.random.default_rng(3)
+    good = rand_window(tiny_policy, rng)
+    shared = Featurizer(tiny_policy)
+    shared(good)  # instruction and patches are now memoized
+    with pytest.raises(DimensionMismatch):
+        shared(HistoryWindow(good.instruction, good.patches, (-1,) + good.prev_actions[1:]))
+    with pytest.raises(DimensionMismatch):
+        shared(HistoryWindow(good.instruction, good.patches[1:], good.prev_actions[1:]))
+    with pytest.raises(DimensionMismatch):
+        shared(HistoryWindow(good.instruction, (np.zeros(3),) + good.patches[1:], good.prev_actions))
+    with pytest.raises(UnknownToken):
+        shared(HistoryWindow((0, 999), good.patches, good.prev_actions))
 
 
 # --------------------------------------------------------------- forward
@@ -245,3 +325,45 @@ def test_checkpoint_detects_corruption(tmp_path, tiny_policy):
     truncated.write_bytes(bytes(raw[: len(raw) - 20]))
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+
+
+def _edit_header(raw: bytes, prefix: bytes, edit) -> bytes:
+    """Apply edit to the first header line starting with prefix."""
+    lines = raw.split(b"\n")
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = edit(lines[i])
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "prefix, edit, message",
+    [
+        (b"blocks ", lambda ln: b"blocks x", "block count"),
+        (b"params ", lambda ln: b"params 1e3", "parameter count"),
+        (b"block W1 ", lambda ln: ln.rsplit(b" ", 1)[0] + b" many", "byte count"),
+        (b"block W1 ", lambda ln: ln.replace(b"x", b"xq", 1), "shape"),
+        (b"block b1 ", lambda ln: ln.replace(b"b1 8 ", b"b1 -8 ", 1), "shape"),
+    ],
+)
+def test_checkpoint_non_numeric_fields_are_checkpoint_errors(
+    tmp_path, tiny_policy, prefix, edit, message
+):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, tiny_policy)
+    path.write_bytes(_edit_header(path.read_bytes(), prefix, edit))
+    with pytest.raises(CheckpointError, match=f"non-numeric {message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_inconsistent_shapes_are_checkpoint_errors(tmp_path, tiny_policy):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, tiny_policy)
+    raw = path.read_bytes()
+    # b1 holds 8 floats; claiming shape 2x4 keeps the byte count right.
+    path.write_bytes(_edit_header(raw, b"block b1 ", lambda ln: ln.replace(b" 8 ", b" 2x4 ", 1)))
+    with pytest.raises(CheckpointError, match="inconsistent"):
+        load_checkpoint(path)
+    # A shape whose size disagrees with the byte count.
+    path.write_bytes(_edit_header(raw, b"block b1 ", lambda ln: ln.replace(b" 8 ", b" 9 ", 1)))
+    with pytest.raises(CheckpointError, match="block b1"):
+        load_checkpoint(path)

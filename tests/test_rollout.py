@@ -362,3 +362,16 @@ def test_trace_detects_edited_action():
 def test_trace_rejects_garbage():
     with pytest.raises(TraceError):
         parse_trace("not a trace\n")
+
+
+@pytest.mark.parametrize("field", ["id", "width", "height", "world_seed", "cell_size"])
+def test_trace_missing_episode_header_field_is_a_trace_error(field):
+    ep = corridor_episode()
+    text = serialize_trace(run_script(ep, [F, F, S]), ep)
+    lines = text.splitlines()
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("header "))
+    lines[header] = " ".join(
+        kv for kv in lines[header].split() if not kv.startswith(field + "=")
+    )
+    with pytest.raises(TraceError, match=f"lacks '{field}'"):
+        parse_trace("\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ from budnav.world import (
     Action,
     GridWorld,
     HEADINGS,
+    HEADING_VECS,
     Pose,
     compile_instruction,
     dedup_positions,
@@ -28,7 +29,7 @@ from budnav.world import (
     vocab_size,
 )
 
-from conftest import open_world, walled_world
+from conftest import corridor_world, open_world, walled_world
 
 
 # ---------------------------------------------------------------- dynamics
@@ -119,6 +120,61 @@ def test_observe_matches_rotation_oracle():
             got = observe(w, pose, 5)
             want = observe_oracle(w, pose, 5)
             assert np.array_equal(got, want), (pose_xy, h)
+
+
+def observe_per_cell(world, pose, k):
+    """observe() as a per-cell loop over is_free, the construction it
+    replaced; kept as the byte-level reference for the array version."""
+    half = k // 2
+    fx, fy = HEADING_VECS[pose.heading]
+    rx, ry = HEADING_VECS[(pose.heading + 1) % 4]  # agent's right-hand side
+    patch = np.empty((k, k), dtype=np.float64)
+    for r in range(k):
+        ahead = half - r
+        for c in range(k):
+            side = c - half
+            x = pose.x + ahead * fx + side * rx
+            y = pose.y + ahead * fy + side * ry
+            patch[r, c] = 0.0 if world.is_free(x, y) else 1.0
+    return patch
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_observe_matches_per_cell_loop_byte_for_byte(k):
+    # Small worlds, so patches near every edge hang off the grid.
+    worlds = [
+        walled_world(),
+        open_world(3, 2),
+        corridor_world(6),
+        GridWorld(4, 6, frozenset({(0, 0), (3, 5), (1, 2), (2, 3)})),
+        generate_world(seed=5, width=9, height=7, density=0.3),
+    ]
+    crossed_edge = False
+    for w in worlds:
+        for x, y in w.free_cells():
+            crossed_edge |= not (
+                k // 2 <= x < w.width - k // 2 and k // 2 <= y < w.height - k // 2
+            )
+            for h in range(4):
+                pose = Pose(x, y, h)
+                got = observe(w, pose, k)
+                want = observe_per_cell(w, pose, k)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (w.width, w.height, pose)
+    assert crossed_edge == (k > 1)
+
+
+def test_observe_returns_a_private_writable_patch():
+    w = walled_world()
+    first = observe(w, Pose(1, 1, 1), 3)
+    first[:] = 7.0
+    assert np.array_equal(observe(w, Pose(1, 1, 1), 3), observe_per_cell(w, Pose(1, 1, 1), 3))
+
+
+def test_observe_rejects_off_grid_pose():
+    with pytest.raises(ValueError):
+        observe(open_world(3, 3), Pose(3, 0, 0), 3)
 
 
 def test_observe_center_is_own_cell():
