@@ -8,102 +8,3 @@ Everything is reproducible to the byte from a single run seed.
 """
 
 __version__ = "0.1.0"
-
-from .baselines import AblationVariant, variant_config
-from .errors import (
-    BudnavError,
-    CheckpointError,
-    ConfigError,
-    DimensionMismatch,
-    GenerationFailed,
-    GroupTooSmall,
-    InvalidGoal,
-    MalformedPlan,
-    NonFiniteGradient,
-    NotAFailure,
-    SnapshotMismatch,
-    SuiteError,
-    TraceError,
-    UnknownToken,
-    Unreachable,
-)
-from .grpo import (
-    GrpoConfig,
-    RewardConfig,
-    RolloutGroup,
-    group_advantages,
-    grpo_loss_and_grad,
-    make_group,
-    reward,
-    spl,
-)
-from .metrics import (
-    EpisodeResult,
-    EvalOutcome,
-    MetricsReport,
-    dtw_distance,
-    evaluate,
-    navigation_error,
-    ndtw,
-    oracle_success,
-)
-from .oracle import GeodesicField, OraclePlan, geodesic_field, path_deviation, plan, progress_index
-from .policy import (
-    PolicyConfig,
-    PolicyParams,
-    PolicySnapshot,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    snapshot,
-)
-from .rectify import (
-    RectConfig,
-    RectificationDemo,
-    bc_demo,
-    find_anchor,
-    rect_loss_and_grad,
-    synthesize_demo,
-)
-from .rng import stream, stream_id
-from .rollout import (
-    RolloutConfig,
-    Trajectory,
-    TriggerKind,
-    check_triggers,
-    parse_trace,
-    rollout_stream,
-    run_greedy,
-    run_sampled,
-    serialize_trace,
-    verify_trace,
-)
-from .suite import Suite, build_held_episodes, generate_suite, parse_suite, serialize_suite
-from .trainer import (
-    OptHyper,
-    OptimizerState,
-    TrainConfig,
-    TrainResult,
-    UpdateReport,
-    adamw_update,
-    dagger_step,
-    gro_step,
-    pretrain_bc,
-    train,
-)
-from .world import (
-    Action,
-    Episode,
-    GridWorld,
-    Pose,
-    compile_instruction,
-    expand_instruction,
-    generate_episode,
-    generate_world,
-    observe,
-    parse_episode,
-    serialize_episode,
-    step,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -165,6 +165,8 @@ def build_train_config(values: dict, base_dir: Path | None = None, with_suite: b
             f"trainer.variant must be one of {VARIANTS}, got {values['trainer.variant']!r}"
         )
     policy = PolicyConfig(**_section(values, "policy"))
+    if not policy.temperature > 0.0:
+        raise ConfigError(f"policy.temperature must be positive, got {policy.temperature}")
     suite = build_suite(values, base_dir) if with_suite else None
     if suite is not None and suite.max_run != policy.max_run:
         raise ConfigError(

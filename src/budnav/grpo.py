@@ -37,10 +37,10 @@ from .policy import (
     GradAccumulator,
     PolicyParams,
     PolicySnapshot,
-    PROB_FLOOR,
     featurize,  # noqa: F401  (bound here for perfbench/tracer.py)
     forward,
     forward_cached,
+    kl_and_log_ratio,
     softmax,
 )
 from .rollout import Trajectory
@@ -180,11 +180,7 @@ def grpo_loss_and_grad(
             clipped = min(max(rho, lo), hi)
             surrogate = min(rho * adv, clipped * adv)
 
-            q_floored = np.maximum(q, PROB_FLOOR)
-            mask = p > 0.0
-            log_ratio = np.zeros_like(p)
-            log_ratio[mask] = np.log(p[mask]) - np.log(q_floored[mask])
-            kl = float(np.dot(p, log_ratio))
+            kl, log_ratio = kl_and_log_ratio(p, q)
 
             objective += scale * (surrogate - cfg.kl_beta * kl)
 

@@ -24,7 +24,7 @@ from .grpo import spl as spl_metric
 from .oracle import GeodesicField, geodesic_field
 from .policy import PolicySnapshot
 from .rollout import RolloutConfig, Trajectory, run_greedy
-from .world import Episode, euclid_m
+from .world import Episode, dedup_positions, euclid_m
 
 METRICS_HEADER = "step,n,sr,spl,osr,ne,ndtw,route_grpo_frac,env_steps_total"
 
@@ -95,14 +95,6 @@ def dtw_distance(path, reference, cell_size: float = 1.0) -> float:
     return float(acc[n, m])
 
 
-def dedup_cells(positions) -> list:
-    out = []
-    for pos in positions:
-        if not out or out[-1] != pos:
-            out.append(pos)
-    return out
-
-
 def ndtw(path, reference, threshold: float = 3.0, cell_size: float = 1.0) -> float:
     """exp(-DTW / (|R| * threshold)); 1.0 iff the paths coincide."""
     return math.exp(-dtw_distance(path, reference, cell_size) / (len(reference) * threshold))
@@ -118,7 +110,7 @@ def episode_result(traj: Trajectory, episode: Episode, field: GeodesicField | No
         osr=float(oracle_success(traj, episode, field)),
         ne=navigation_error(traj, episode, field),
         ndtw=ndtw(
-            dedup_cells(traj.positions()),
+            dedup_positions(traj.poses()),
             list(episode.reference_waypoints),
             episode.goal_radius,
             episode.world.cell_size,

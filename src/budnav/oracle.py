@@ -146,10 +146,20 @@ def progress_index(
     when not even waypoint 0 was reached.
     """
     j = -1
-    n = len(waypoints)
     for pos in positions:
-        while j + 1 < n and euclid_m(pos, waypoints[j + 1], cell_size) <= visit_radius:
-            j += 1
+        j = advance_progress(j, pos, waypoints, visit_radius, cell_size)
+    return j
+
+
+def advance_progress(j: int, pos, waypoints, visit_radius: float, cell_size: float) -> int:
+    """Progress index after standing at pos, given progress j before.
+
+    Advances past every next-in-order waypoint within visit_radius of
+    pos; this is the one ordered-waypoint scan that progress tracking,
+    the rollout triggers and the rectification anchor all share.
+    """
+    while j + 1 < len(waypoints) and euclid_m(pos, waypoints[j + 1], cell_size) <= visit_radius:
+        j += 1
     return j
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,25 +246,10 @@ def forward_cached(
     return hidden @ params.W2 + params.b2, _Cache(features, hidden)
 
 
-@dataclass(frozen=True)
-class ActionDistribution:
-    logits: np.ndarray
-    temperature: float
-    probs: np.ndarray
-
-
 def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max()
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def action_dist(logits: np.ndarray, temperature: float) -> ActionDistribution:
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return ActionDistribution(
-        logits=logits, temperature=temperature, probs=softmax(logits / temperature)
-    )
 
 
 def greedy_action(logits: np.ndarray) -> int:
@@ -320,11 +305,17 @@ def logprob_and_grad(
 PROB_FLOOR = 1e-12
 
 
-def kl_divergence(p: ActionDistribution, q: ActionDistribution) -> float:
-    """KL(p || q) with q floored at PROB_FLOOR for stability."""
-    qp = np.maximum(q.probs, PROB_FLOOR)
-    mask = p.probs > 0.0
-    return float(np.sum(p.probs[mask] * (np.log(p.probs[mask]) - np.log(qp[mask]))))
+def kl_and_log_ratio(p: np.ndarray, q: np.ndarray):
+    """(KL(p || q), log p - log q) for two action distributions.
+
+    q is floored at PROB_FLOOR for stability; where p is zero the log
+    ratio is zero, so those actions add nothing to the sum.
+    """
+    q_floored = np.maximum(q, PROB_FLOOR)
+    mask = p > 0.0
+    log_ratio = np.zeros_like(p)
+    log_ratio[mask] = np.log(p[mask]) - np.log(q_floored[mask])
+    return float(np.dot(p, log_ratio)), log_ratio
 
 
 # --------------------------------------------------------------------------

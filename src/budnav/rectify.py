@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFailure
-from .oracle import plan
+from .oracle import advance_progress, plan
 from .policy import Featurizer, GradAccumulator, PolicyParams, forward_cached, softmax
 from .rollout import Trajectory, TriggerKind, WindowBuilder
 from .world import Action, Episode, Pose, euclid_m, expand_instruction, observe, step
@@ -65,11 +65,9 @@ def _ordered_anchor_index(positions, waypoints, visit_radius, cell_size) -> int:
     j = -1
     arrival = -1
     for i, pos in enumerate(positions):
-        while j + 1 < len(waypoints) and (
-            euclid_m(pos, waypoints[j + 1], cell_size) <= visit_radius
-        ):
-            j += 1
-            arrival = i
+        reached = advance_progress(j, pos, waypoints, visit_radius, cell_size)
+        if reached != j:
+            j, arrival = reached, i
     return arrival
 
 
@@ -99,8 +97,7 @@ def find_anchor(probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfi
     arrival = locate(positions, episode.reference_waypoints, cfg.visit_radius_m, cell)
     if arrival < 0:
         return 0, episode.start
-    pose_seq = [s.pose_before for s in probe.steps] + [probe.final_pose]
-    return arrival, pose_seq[arrival]
+    return arrival, probe.poses()[arrival]
 
 
 def synthesize_demo(

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import path_deviation, progress_index
+from .oracle import advance_progress, path_deviation, progress_index
 from .policy import (
     NO_ACTION,
     Featurizer,
@@ -87,13 +87,17 @@ class Trajectory:
     steps: tuple
     final_pose: Pose
     stopped: bool
-    success: bool
+    success: bool  # agent-issued STOP within the goal radius; forced stops fail
     trigger: tuple | None  # (TriggerKind, step index)
     path_length: float
 
+    def poses(self) -> list:
+        """Visited pose sequence: start plus the pose after every step."""
+        return [s.pose_before for s in self.steps] + [self.final_pose]
+
     def positions(self) -> list:
         """Visited cell sequence: start plus the cell after every step."""
-        return [s.pose_before.position for s in self.steps] + [self.final_pose.position]
+        return [p.position for p in self.poses()]
 
 
 @dataclass(frozen=True)
@@ -208,13 +212,9 @@ def _rollout(
         if action == Action.FORWARD and new_pose.position != pose.position:
             path_length += cell
 
-        progressed = False
-        while progress + 1 < len(waypoints) and (
-            euclid_m(new_pose.position, waypoints[progress + 1], cell) <= cfg.visit_radius_m
-        ):
-            progress += 1
-            progressed = True
-        steps_since_progress = 0 if progressed else steps_since_progress + 1
+        reached = advance_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
+        steps_since_progress = 0 if reached != progress else steps_since_progress + 1
+        progress = reached
         goal_dist = euclid_m(new_pose.position, episode.goal, cell)
         grace_used = grace_used + 1 if goal_dist <= episode.goal_radius else 0
         stopped_now = action == Action.STOP
@@ -295,13 +295,6 @@ def run_sampled(
 def rollout_stream(run_seed: int, episode_id: int, rollout_index: int) -> int:
     """Stream id contract for sampled rollouts: schedule-independent."""
     return stream_id(run_seed, episode_id, rollout_index)
-
-
-def is_success(traj: Trajectory, episode: Episode) -> bool:
-    """Agent-issued STOP within the goal radius; forced stops fail."""
-    if not traj.steps or traj.steps[-1].action != Action.STOP:
-        return False
-    return euclid_m(traj.final_pose.position, episode.goal, episode.world.cell_size) <= episode.goal_radius
 
 
 # --------------------------------------------------------------------------

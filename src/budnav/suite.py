@@ -27,6 +27,16 @@ from .world import MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, 
 SUITE_MAGIC = "budnav-suite v1"
 
 
+def check_generation_params(width, height, density, cell_size, max_run) -> None:
+    """Raise SuiteError unless worlds and episodes can be drawn with these."""
+    if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
+        raise SuiteError(f"world extent out of range: {width}x{height}")
+    if not 0.0 <= density <= MAX_DENSITY:
+        raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {density}")
+    if not (cell_size > 0.0 and max_run >= 1):
+        raise SuiteError(f"need cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
+
+
 @dataclass(frozen=True)
 class Suite:
     name: str
@@ -41,12 +51,7 @@ class Suite:
     held_pairs: tuple  # of (world_seed, episode_seed)
 
     def __post_init__(self):
-        if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE):
-            raise SuiteError(f"world extent out of range: {self.width}x{self.height}")
-        if not 0.0 <= self.density <= MAX_DENSITY:
-            raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {self.density}")
-        if not (self.cell_size > 0.0 and self.max_run >= 1):
-            raise SuiteError(f"need cell_size > 0 and max_run >= 1: {self.cell_size}, {self.max_run}")
+        check_generation_params(self.width, self.height, self.density, self.cell_size, self.max_run)
         train = set(self.train_world_seeds)
         held = {ws for ws, _ in self.held_pairs}
         overlap = train & held
@@ -77,8 +82,15 @@ def suite_episode(suite: Suite, world_seed: int, episode_seed: int) -> Episode:
 
 
 def build_held_episodes(suite: Suite, limit: int = 0) -> list:
+    """Held-out episodes in suite order; SuiteError names a pair that fails."""
     pairs = suite.held_pairs[:limit] if limit else suite.held_pairs
-    return [suite_episode(suite, ws, es) for ws, es in pairs]
+    episodes = []
+    for ws, es in pairs:
+        try:
+            episodes.append(suite_episode(suite, ws, es))
+        except GenerationFailed as e:
+            raise SuiteError(f"held pair ({ws}, {es}) does not generate an episode: {e}") from e
+    return episodes
 
 
 def generate_suite(
@@ -96,6 +108,7 @@ def generate_suite(
     held_per_world: int = 10,
 ) -> Suite:
     """Draw validated, disjoint train/held splits from the suite seed."""
+    check_generation_params(width, height, density, cell_size, max_run)
 
     def draw_worlds(rng, count, taken):
         seeds = []

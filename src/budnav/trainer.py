@@ -1,4 +1,4 @@
-"""Training loops: BC pretraining, the greedy-routed step, and DAgger.
+"""Training loops: BC pretraining and the greedy-routed step.
 
 The core update rule routes every training episode down exactly one of
 two paths based on a deterministic greedy probe:
@@ -12,10 +12,12 @@ two paths based on a deterministic greedy probe:
                       cross-entropy step on it.
 
 Hard episodes therefore consume a single rollout, while group sampling
-is spent only where the policy is already competent.  The DAgger
-baseline shares the probe and trigger machinery but supervises from the
-raw error state with the full erroneous history retained, and falls
-back to teacher forcing on the reference when the probe succeeds.
+is spent only where the policy is already competent.  The ablation
+variants in VARIANTS go through the same step and differ only in how
+route_episode builds the supervision; the dagger variant shares the
+probe and trigger machinery but supervises from the raw error state
+with the full erroneous history retained, and falls back to teacher
+forcing on the reference when the probe succeeds.
 
 All updates use AdamW with decoupled weight decay.  Every random choice
 is drawn from streams named by (run_seed, purpose, ids), so training is
@@ -24,7 +26,7 @@ reproducible to the byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,7 +262,7 @@ def gro_step(
     cfg: TrainConfig,
     debug: dict | None = None,
 ):
-    """One greedy-routed update; returns (params, opt, UpdateReport)."""
+    """One greedy-routed update under cfg.variant; returns (params, opt, UpdateReport)."""
     outcome = route_episode(params, episode, ref, cfg)
     if outcome.skipped:
         report = _report(outcome, 0.0, 0.0)
@@ -278,19 +280,6 @@ def gro_step(
     if debug is not None:
         debug.update(outcome=outcome, gradient=grad)
     return params, opt, report
-
-
-def dagger_step(
-    params: PolicyParams,
-    opt: OptimizerState,
-    episode: Episode,
-    ref: PolicySnapshot,
-    cfg: TrainConfig,
-    debug: dict | None = None,
-):
-    """Probe, then imitate: the oracle corrects from the error state on
-    failure, or teacher-forces the reference plan on success."""
-    return gro_step(params, opt, episode, ref, replace(cfg, variant="dagger"), debug)
 
 
 @dataclass
@@ -350,14 +339,13 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
 
     run_eval(0)
 
-    step_fn = dagger_step if cfg.variant == "dagger" else gro_step
     i = 0
     stopped_early = False
     while i < cfg.train_episodes and not stopped_early:
         batch = min(cfg.batch_episodes, cfg.train_episodes - i)
         if batch == 1:
             episode = training_episode(cfg, "train", i)
-            params, opt, report = step_fn(params, opt, episode, ref, cfg)
+            params, opt, report = gro_step(params, opt, episode, ref, cfg)
             reports.append(report)
             env_total += report.env_steps_used
             grpo_routes += report.route == "grpo"

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, including exit codes."""
 import json
+import re
 import shutil
 import subprocess
 
@@ -86,6 +87,15 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["train", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")]) == 2
+    # Values out of range exit the same way: a non-positive temperature,
+    # and generated-suite extents a grid cannot have.
+    for line, message in [
+        ("policy.temperature = 0", "policy.temperature must be positive"),
+        ("suite.width = 100", "world extent out of range"),
+    ]:
+        cfg.write_text(FAST_CFG.replace("suite.width = 8\n", "") + line + "\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -157,6 +167,11 @@ def test_malformed_suite_exits_2(train_run, tmp_path, capsys):
     cfg.write_text("suite.file = bad.suite\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "malformed suite line" in capsys.readouterr().err
+    # A held pair whose episode cannot be generated is named.
+    long = tmp_path / "long.suite"
+    long.write_text(re.sub(r"(?m)^episode .*$", "episode 3.0 600.0 8", (out / "suite.suite").read_text()))
+    assert main(["eval", "--ckpt", ckpt, "--suite", str(long), "--limit", "1"]) == 2
+    assert "held pair" in capsys.readouterr().err
 
 
 def test_replay_verifies_and_draws(train_run, capsys):

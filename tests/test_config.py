@@ -108,6 +108,13 @@ def test_build_train_config_rejects_unknown_variant():
         build_train_config(values, with_suite=False)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -0.4, float("nan")])
+def test_build_train_config_rejects_nonpositive_temperature(temperature):
+    values = resolved_values({"policy.temperature": temperature})
+    with pytest.raises(ConfigError, match="policy.temperature"):
+        build_train_config(values, with_suite=False)
+
+
 def test_vocabulary_mismatch_is_rejected(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(small_suite_text() + "suite.max_run = 6\n")

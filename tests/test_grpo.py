@@ -2,6 +2,8 @@
 import dataclasses
 import logging
 
+import budnav.grpo
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,17 @@ from budnav.grpo import (
     reward,
     spl,
 )
-from budnav.oracle import geodesic_field, plan
-from budnav.policy import PolicyConfig, init_params, logprob_and_grad, snapshot
+from budnav.oracle import geodesic_field
+from budnav.policy import (
+    PolicyConfig,
+    featurize,
+    forward,
+    init_params,
+    kl_and_log_ratio,
+    logprob_and_grad,
+    snapshot,
+    softmax,
+)
 from budnav.rollout import rollout_stream, run_sampled
 from budnav.world import (
     Action,
@@ -24,7 +35,6 @@ from budnav.world import (
     GridWorld,
     Pose,
     compile_instruction,
-    dedup_positions,
 )
 
 from test_rollout import corridor_episode, run_script
@@ -171,6 +181,34 @@ def test_grpo_zero_when_nothing_moves(sample_episode, default_policy):
     loss, grad = grpo_loss_and_grad(default_policy, group, snap, GrpoConfig())
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
+
+
+def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monkeypatch):
+    # With zero advantages only the KL penalty is left, so the loss is
+    # kl_beta times the step-averaged KL that policy.kl_and_log_ratio
+    # reports, and the loss calls that helper once per step.
+    group, snap = sampled_group(sample_episode, default_policy)
+    group = dataclasses.replace(group, advantages=np.zeros(len(group.trajectories)))
+    ref = snapshot(init_params(default_policy.cfg, 7), "ref")
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return kl_and_log_ratio(p, q)
+
+    monkeypatch.setattr(budnav.grpo, "kl_and_log_ratio", counted)
+    cfg = GrpoConfig(kl_beta=0.5)
+    loss, _ = grpo_loss_and_grad(default_policy, group, ref, cfg)
+    want = 0.0
+    G = len(group.trajectories)
+    for traj in group.trajectories:
+        for s in traj.steps:
+            p = softmax(forward(default_policy, featurize(default_policy, s.window)) / 0.4)
+            q = softmax(forward(ref.params, featurize(ref.params, s.window)) / 0.4)
+            want += cfg.kl_beta * kl_and_log_ratio(p, q)[0] / (G * len(traj.steps))
+    assert len(calls) == sum(len(t.steps) for t in group.trajectories)
+    assert want > 0.0
+    assert loss == pytest.approx(want, rel=1e-12)
 
 
 def test_grpo_matches_policy_gradient_at_origin(sample_episode, default_policy):

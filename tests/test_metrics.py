@@ -7,7 +7,6 @@ import pytest
 from budnav.metrics import (
     METRICS_HEADER,
     aggregate,
-    dedup_cells,
     dtw_distance,
     episode_result,
     evaluate,
@@ -156,11 +155,6 @@ def test_ndtw_parallel_shift_closed_form():
     for d in [1.0, 2.0, 4.0]:
         path = [(x, d) for x in range(6)]
         assert ndtw(path, ref, threshold=3.0) == pytest.approx(math.exp(-d / 3.0))
-
-
-def test_dedup_cells_collapses_repeats_only():
-    cells = [(0, 0), (0, 0), (1, 0), (1, 0), (0, 0)]
-    assert dedup_cells(cells) == [(0, 0), (1, 0), (0, 0)]
 
 
 # -------------------------------------------------------- per-episode report

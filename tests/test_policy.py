@@ -8,13 +8,12 @@ from budnav.policy import (
     HistoryWindow,
     NO_ACTION,
     PolicyConfig,
-    action_dist,
     featurize,
     forward,
     forward_cached,
     greedy_action,
     init_params,
-    kl_divergence,
+    kl_and_log_ratio,
     load_checkpoint,
     logprob_and_grad,
     save_checkpoint,
@@ -196,14 +195,12 @@ def test_softmax_is_stable_and_normalized():
     assert p[0] == pytest.approx(p[1])
 
 
-def test_action_dist_temperature_sharpens():
+def test_softmax_temperature_sharpens():
     logits = np.array([2.0, 1.0, 0.0, -1.0])
-    hot = action_dist(logits, 1.0).probs
-    cold = action_dist(logits, 0.4).probs
+    hot = softmax(logits / 1.0)
+    cold = softmax(logits / 0.4)
     assert cold[0] > hot[0]
     assert np.argmax(hot) == np.argmax(cold) == 0
-    with pytest.raises(ValueError):
-        action_dist(logits, 0.0)
 
 
 def test_greedy_uses_raw_logits_and_breaks_ties_low():
@@ -255,29 +252,38 @@ def test_logprob_consistent_with_distribution(tiny_policy):
     rng = np.random.default_rng(4)
     window = rand_window(tiny_policy, rng)
     logits = forward(tiny_policy, featurize(tiny_policy, window))
-    dist = action_dist(logits, 0.4)
+    probs = softmax(logits / 0.4)
     for a in range(4):
         lp, _ = logprob_and_grad(tiny_policy, window, a, 0.4)
-        assert lp == pytest.approx(np.log(dist.probs[a]), rel=1e-12)
+        assert lp == pytest.approx(np.log(probs[a]), rel=1e-12)
 
 
 # -------------------------------------------------------------------- KL
 
 def test_kl_properties():
-    logits = np.array([0.5, -0.2, 1.0, 0.0])
-    p = action_dist(logits, 0.4)
-    q = action_dist(np.array([1.0, 0.0, -1.0, 0.3]), 0.4)
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
-    assert kl_divergence(p, q) > 0.0
+    p = softmax(np.array([0.5, -0.2, 1.0, 0.0]) / 0.4)
+    q = softmax(np.array([1.0, 0.0, -1.0, 0.3]) / 0.4)
+    kl_pp, log_ratio_pp = kl_and_log_ratio(p, p)
+    assert kl_pp == pytest.approx(0.0, abs=1e-15)
+    assert not log_ratio_pp.any()
+    kl_pq, log_ratio = kl_and_log_ratio(p, q)
+    assert kl_pq > 0.0
+    assert np.allclose(log_ratio, np.log(p) - np.log(q), rtol=0, atol=1e-12)
+    assert kl_pq == pytest.approx(float(np.sum(p * log_ratio)), rel=1e-12)
     # Asymmetry in general.
-    assert kl_divergence(p, q) != pytest.approx(kl_divergence(q, p))
+    assert kl_pq != pytest.approx(kl_and_log_ratio(q, p)[0])
 
 
 def test_kl_survives_tiny_probabilities():
-    p = action_dist(np.array([100.0, 0.0, 0.0, 0.0]), 0.4)
-    q = action_dist(np.array([-100.0, 0.0, 0.0, 0.0]), 0.4)
-    v = kl_divergence(p, q)
+    p = softmax(np.array([100.0, 0.0, 0.0, 0.0]) / 0.4)
+    q = softmax(np.array([-100.0, 0.0, 0.0, 0.0]) / 0.4)
+    v, log_ratio = kl_and_log_ratio(p, q)
     assert np.isfinite(v) and v > 0.0
+    assert np.isfinite(log_ratio).all()
+    # Actions p never takes contribute nothing, whatever q says.
+    v_zero, log_ratio_zero = kl_and_log_ratio(np.array([1.0, 0.0, 0.0, 0.0]), q)
+    assert log_ratio_zero[1:].tolist() == [0.0, 0.0, 0.0]
+    assert v_zero == log_ratio_zero[0]
 
 
 # ------------------------------------------------------------- snapshots

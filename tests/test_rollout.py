@@ -4,7 +4,7 @@ import pytest
 
 from budnav.errors import TraceError
 from budnav.oracle import plan
-from budnav.policy import NO_ACTION, PolicyConfig, init_params, snapshot
+from budnav.policy import NO_ACTION, snapshot
 from budnav.rollout import (
     RolloutConfig,
     RolloutState,
@@ -12,7 +12,6 @@ from budnav.rollout import (
     WindowBuilder,
     _rollout,
     check_triggers,
-    is_success,
     offtrack_exceeded,
     parse_trace,
     rollout_stream,
@@ -28,8 +27,6 @@ from budnav.world import (
     Pose,
     compile_instruction,
     dedup_positions,
-    generate_episode,
-    generate_world,
 )
 
 from conftest import corridor_world
@@ -319,9 +316,13 @@ def test_rollout_records_prestep_pose_chain(sample_episode, default_policy):
 def test_is_success_requires_agent_stop():
     ep = corridor_episode()
     good = run_script(ep, [F] * 5 + [S])
-    assert good.success and is_success(good, ep)
+    assert good.success
+    # The step cap stops the agent without a STOP of its own.
     capped = run_script(ep, [L, R] * 500, triggers=False)
-    assert not is_success(capped, ep)
+    assert capped.stopped and not capped.success
+    # A STOP outside the goal radius is not a success either.
+    short = run_script(ep, [F, S], triggers=False)
+    assert short.stopped and not short.success
 
 
 # ------------------------------------------------------------------ traces

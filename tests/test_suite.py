@@ -1,6 +1,8 @@
 """Suite generation, the train/held split, and the text format."""
 import pytest
 
+import budnav.suite
+
 from budnav.errors import SuiteError
 from budnav.oracle import geodesic_field
 from budnav.suite import (
@@ -69,6 +71,27 @@ def test_every_held_pair_generates_and_meets_min_length(suite):
 def test_build_held_episodes_limit(suite):
     assert len(build_held_episodes(suite, 3)) == 3
     assert len(build_held_episodes(suite, 0)) == len(suite.held_pairs)
+
+
+def test_build_held_episodes_names_a_pair_that_cannot_generate(suite):
+    text = serialize_suite(suite)
+    episode_line = f"episode {suite.goal_radius!r} {suite.min_episode_length!r} {suite.max_run}"
+    impossible = parse_suite(text.replace(episode_line, f"episode {suite.goal_radius!r} 600.0 {suite.max_run}"))
+    ws, es = impossible.held_pairs[0]
+    with pytest.raises(SuiteError, match=f"held pair \\({ws}, {es}\\)"):
+        build_held_episodes(impossible, 1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"width": 100}, {"height": 0}, {"density": 0.9}, {"cell_size": 0.0}, {"max_run": 0},
+])
+def test_generate_suite_checks_ranges_before_drawing(bad, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a world was drawn before the range check")
+
+    monkeypatch.setattr(budnav.suite, "generate_world", no_draw)
+    with pytest.raises(SuiteError):
+        generate_suite("bad", seed=0, n_train_worlds=1, n_held=1, **bad)
 
 
 def test_suite_episode_is_reproducible(suite):

@@ -6,16 +6,15 @@ import pytest
 
 from budnav.errors import NonFiniteGradient
 from budnav.grpo import GrpoConfig, grpo_loss_and_grad
-from budnav.policy import PolicyConfig, init_params, load_checkpoint, snapshot
-from budnav.rectify import RectConfig, bc_demo, rect_loss_and_grad, synthesize_demo
-from budnav.rollout import run_greedy, verify_trace, parse_trace
+from budnav.policy import init_params, load_checkpoint
+from budnav.rectify import bc_demo, rect_loss_and_grad, synthesize_demo
+from budnav.rollout import verify_trace, parse_trace
 from budnav.suite import generate_suite
 from budnav.trainer import (
     OptHyper,
     OptimizerState,
     TrainConfig,
     adamw_update,
-    dagger_step,
     gro_step,
     outcome_loss_and_grad,
     pretrain_bc,
@@ -303,13 +302,32 @@ def test_report_carries_probe_trigger(warm):
 
 def test_dagger_step_never_routes_to_grpo(warm):
     params, ref, cfg = warm
+    cfg = dataclasses.replace(cfg, variant="dagger")
     opt = OptimizerState.zeros(params.count)
     routes = set()
     for i in range(20):
         episode = training_episode(cfg, "train", i)
-        params, opt, report = dagger_step(params, opt, episode, ref, cfg)
+        params, opt, report = gro_step(params, opt, episode, ref, cfg)
         routes.add(report.route)
     assert routes <= {"bc", "rect"}
+
+
+def test_rect_and_grpo_gradients_sum_to_full(warm):
+    # With shared parameters the probe (and therefore the route) is
+    # identical across variants, so each episode's FULL gradient equals
+    # the rect_only gradient plus the grpo_only gradient: exactly one of
+    # the two is active, the other is the zero vector.
+    params, ref, base = warm
+    for i in range(10):
+        episode = training_episode(base, "train", i)
+        grads = {}
+        for name in ("full", "rect_only", "grpo_only"):
+            cfg = dataclasses.replace(base, variant=name)
+            outcome = route_episode(params, episode, ref, cfg)
+            _, grads[name] = outcome_loss_and_grad(params, outcome, ref, cfg)
+        assert np.array_equal(grads["full"], grads["rect_only"] + grads["grpo_only"])
+        skipped = min(grads["rect_only"], grads["grpo_only"], key=np.linalg.norm)
+        assert np.array_equal(skipped, np.zeros(params.count))
 
 
 # ---------------------------------------------------------------- schedule

@@ -1,6 +1,4 @@
 """Grid dynamics, egocentric observation, instructions, episode format."""
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from budnav.errors import GenerationFailed, MalformedPlan, UnknownToken
 from budnav.world import (
     Action,
     GridWorld,
-    HEADINGS,
     HEADING_VECS,
     Pose,
     compile_instruction,
@@ -343,3 +340,9 @@ def test_euclid_scales_with_cell_size():
 def test_dedup_positions_collapses_turns():
     poses = [Pose(0, 0, 0), Pose(0, 0, 1), Pose(1, 0, 1), Pose(1, 0, 2), Pose(1, 1, 2)]
     assert dedup_positions(poses) == ((0, 0), (1, 0), (1, 1))
+
+
+def test_dedup_positions_collapses_repeats_only():
+    # Only consecutive repeats collapse; a cell revisited later stays.
+    poses = [Pose(0, 0, 0), Pose(0, 0, 0), Pose(1, 0, 0), Pose(1, 0, 2), Pose(0, 0, 2)]
+    assert dedup_positions(poses) == ((0, 0), (1, 0), (0, 0))
