@@ -167,6 +167,10 @@ def build_train_config(values: dict, base_dir: Path | None = None, with_suite: b
     policy = PolicyConfig(**_section(values, "policy"))
     if not policy.temperature > 0.0:
         raise ConfigError(f"policy.temperature must be positive, got {policy.temperature}")
+    if values["trainer.eval_episodes"] < 0:
+        raise ConfigError(
+            f"trainer.eval_episodes must be >= 0 (0 = all), got {values['trainer.eval_episodes']}"
+        )
     suite = build_suite(values, base_dir) if with_suite else None
     if suite is not None and suite.max_run != policy.max_run:
         raise ConfigError(

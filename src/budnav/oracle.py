@@ -1,6 +1,10 @@
 """Shortest-path oracle over the grid.
 
-Two related planners:
+Both planners run over one int-indexed pose graph per world.  State
+s = (y * width + x) * 4 + heading numbers every pose, so ascending s is
+ascending (y, x, heading); forward_table(world) holds each state's
+FORWARD successor (-1 where FORWARD bumps a wall or the grid edge), and
+the turns are arithmetic on the low two bits of s.
 
   * geodesic_field: 4-connected BFS distances (in meters) from every
     free cell to a goal cell, ignoring headings.
@@ -8,10 +12,16 @@ Two related planners:
     each cost one action.  The plan ends with STOP as soon as the agent's
     position is within goal_radius (Euclidean) of the goal.
 
-Both are deterministic.  plan breaks ties by expanding successors in the
-order FORWARD, TURN_LEFT, TURN_RIGHT and popping equal-cost frontier
-states in ascending (y, x, heading) order, so identical inputs always
-yield the identical action sequence.
+Both are deterministic.  plan is a breadth-first search by layers of
+equal action count, each layer taken in ascending s, that is in
+(y, x, heading) order.  Ties break by that order twice: the plan ends at
+the first state of the first layer that lies in the goal zone, and a
+state's parent is the first state of the layer before that reaches it
+(by FORWARD, TURN_LEFT or TURN_RIGHT; the three successors of one state
+are distinct, so their order cannot matter).  This is the order in
+which a uniform-cost search popping (cost, y, x, heading) from a heap
+would settle states, so identical inputs always yield the identical
+action sequence.
 
 The module also hosts the reference-tracking helpers used by the failure
 triggers: order-respecting progress over reference waypoints, and the
@@ -19,15 +29,36 @@ deviation / heading-error measure against the reference path.
 """
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGoal, Unreachable
-from .world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, step
+from .world import Action, HEADING_VECS, GridWorld, Pose, euclid_m
+
+
+def forward_table(world: GridWorld) -> list:
+    """FORWARD successor of every pose-graph state; -1 = bumps a wall.
+
+    Built once per world and memoized on it; callers must not mutate
+    it.  States on blocked cells also read -1.
+    """
+    return world.derived("forward_table", lambda: _build_forward_table(world))
+
+
+def _build_forward_table(world: GridWorld) -> list:
+    width, height, blocked = world.width, world.height, world.blocked
+    fwd = [-1] * (width * height * 4)
+    for y in range(height):
+        for x in range(width):
+            if (x, y) in blocked:
+                continue
+            for h, (dx, dy) in enumerate(HEADING_VECS):
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < width and 0 <= ny < height and (nx, ny) not in blocked:
+                    fwd[(y * width + x) * 4 + h] = (ny * width + nx) * 4 + h
+    return fwd
 
 
 @dataclass(frozen=True)
@@ -55,17 +86,18 @@ def geodesic_field(world: GridWorld, goal) -> GeodesicField:
 
 
 def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
-    dist = np.full((world.height, world.width), math.inf)
-    dist[gy, gx] = 0.0
-    frontier = deque([(gx, gy)])
-    while frontier:
-        x, y = frontier.popleft()
-        for dx, dy in HEADING_VECS:
-            nx, ny = x + dx, y + dy
-            if world.is_free(nx, ny) and math.isinf(dist[ny, nx]):
-                dist[ny, nx] = dist[y, x] + 1.0
-                frontier.append((nx, ny))
-    dist = dist * world.cell_size
+    fwd = forward_table(world)
+    dist = [math.inf] * (world.width * world.height)
+    cell = gy * world.width + gx
+    dist[cell] = 0.0
+    frontier = [cell]
+    for c in frontier:  # grows while iterated: a FIFO queue
+        d = dist[c] + 1.0
+        for n in fwd[c * 4 : c * 4 + 4]:
+            if n >= 0 and dist[n >> 2] == math.inf:
+                dist[n >> 2] = d
+                frontier.append(n >> 2)
+    dist = np.array(dist).reshape(world.height, world.width) * world.cell_size
     dist.flags.writeable = False
     return GeodesicField(goal=(gx, gy), dist=dist, cell_size=world.cell_size)
 
@@ -82,10 +114,6 @@ class OraclePlan:
         return len(self.actions)
 
 
-# Successor expansion order; part of the determinism contract.
-_EXPANSION = (Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT)
-
-
 def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> OraclePlan:
     """Minimum-action-count plan from start into the goal zone, then STOP.
 
@@ -94,44 +122,60 @@ def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> Oracl
     """
     if not world.is_free(start.x, start.y):
         raise InvalidGoal(f"start on blocked cell: {start}")
+    if not 0 <= start.heading < 4:
+        raise ValueError(f"heading out of range: {start}")
+    width, cell_size = world.width, world.cell_size
 
-    def in_zone(x, y):
-        return euclid_m((x, y), goal, world.cell_size) <= goal_radius
+    def in_zone(s):
+        c = s >> 2
+        return euclid_m((c % width, c // width), goal, cell_size) <= goal_radius
 
-    if in_zone(start.x, start.y):
+    s0 = (start.y * width + start.x) * 4 + start.heading
+    if in_zone(s0):
         return OraclePlan(actions=(Action.STOP,), poses=(start, start))
 
-    start_key = (start.x, start.y, start.heading)
-    best = {start_key: 0}
-    parents = {}
-    heap = [(0, start.y, start.x, start.heading)]
-    while heap:
-        cost, y, x, h = heapq.heappop(heap)
-        key = (x, y, h)
-        if cost > best.get(key, math.inf):
-            continue  # stale entry
-        if in_zone(x, y):
-            actions = []
-            while key != start_key:
-                key, action = parents[key]
-                actions.append(action)
-            actions.reverse()
-            actions.append(Action.STOP)
-            poses = [start]
-            for a in actions:
-                poses.append(step(world, poses[-1], a))
-            return OraclePlan(actions=tuple(actions), poses=tuple(poses))
-        pose = Pose(x, y, h)
-        for action in _EXPANSION:
-            nxt = step(world, pose, action)
-            nkey = (nxt.x, nxt.y, nxt.heading)
-            if nkey == key:
-                continue  # bumped a wall
-            if cost + 1 < best.get(nkey, math.inf):
-                best[nkey] = cost + 1
-                parents[nkey] = (key, action)
-                heapq.heappush(heap, (cost + 1, nxt.y, nxt.x, nxt.heading))
+    fwd = forward_table(world)
+    parent = {s0: s0}
+    layer = [s0]
+    while layer:
+        layer.sort()
+        for s in layer:
+            if in_zone(s):
+                return _trace_back(world, start, parent, s)
+        discovered = []
+        for s in layer:
+            base = s & ~3
+            for n in (fwd[s], base | ((s - 1) & 3), base | ((s + 1) & 3)):
+                if n >= 0 and n not in parent:
+                    parent[n] = s
+                    discovered.append(n)
+        layer = discovered
     raise Unreachable(f"goal zone around {goal} unreachable from {start}")
+
+
+def _trace_back(world: GridWorld, start: Pose, parent: dict, s: int) -> OraclePlan:
+    """The plan along parent links from the start state to state s, then STOP."""
+    states = [s]
+    while parent[s] != s:
+        s = parent[s]
+        states.append(s)
+    states.reverse()
+    actions = []
+    for prev, cur in zip(states, states[1:]):
+        if prev >> 2 != cur >> 2:
+            actions.append(Action.FORWARD)
+        elif cur & 3 == (prev - 1) & 3:
+            actions.append(Action.TURN_LEFT)
+        else:
+            actions.append(Action.TURN_RIGHT)
+    actions.append(Action.STOP)
+    width = world.width
+    poses = [start]
+    for s in states[1:]:
+        c = s >> 2
+        poses.append(Pose(c % width, c // width, s & 3))
+    poses.append(poses[-1])
+    return OraclePlan(actions=tuple(actions), poses=tuple(poses))
 
 
 def progress_index(

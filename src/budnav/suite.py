@@ -26,6 +26,10 @@ from .world import MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, 
 
 SUITE_MAGIC = "budnav-suite v1"
 
+# Rejected draws in a row after which generate_suite gives up, like
+# generate_world's max_tries: no world may hold an episode that long.
+MAX_REJECTED_DRAWS = 200
+
 
 def check_generation_params(width, height, density, cell_size, max_run) -> None:
     """Raise SuiteError unless worlds and episodes can be drawn with these."""
@@ -82,7 +86,12 @@ def suite_episode(suite: Suite, world_seed: int, episode_seed: int) -> Episode:
 
 
 def build_held_episodes(suite: Suite, limit: int = 0) -> list:
-    """Held-out episodes in suite order; SuiteError names a pair that fails."""
+    """The first `limit` held-out episodes (0 = all) in suite order.
+
+    SuiteError names a pair that fails, or rejects a negative limit.
+    """
+    if limit < 0:
+        raise SuiteError(f"held episode limit must be >= 0 (0 = all), got {limit}")
     pairs = suite.held_pairs[:limit] if limit else suite.held_pairs
     episodes = []
     for ws, es in pairs:
@@ -107,13 +116,27 @@ def generate_suite(
     max_run: int = 8,
     held_per_world: int = 10,
 ) -> Suite:
-    """Draw validated, disjoint train/held splits from the suite seed."""
+    """Draw validated, disjoint train/held splits from the suite seed.
+
+    Raises SuiteError after MAX_REJECTED_DRAWS rejected world or episode
+    draws in a row.
+    """
     check_generation_params(width, height, density, cell_size, max_run)
+
+    def give_up(what):
+        raise SuiteError(
+            f"no {what} with an episode of geodesic >= {min_episode_length} after"
+            f" {MAX_REJECTED_DRAWS} draws in a row ({width}x{height}, density={density})"
+        )
 
     def draw_worlds(rng, count, taken):
         seeds = []
+        rejected = 0
         while len(seeds) < count:
+            if rejected == MAX_REJECTED_DRAWS:
+                give_up("world")
             candidate = int(rng.integers(1, 2**31))
+            rejected += 1
             if candidate in taken:
                 continue
             try:
@@ -126,6 +149,7 @@ def generate_suite(
                 continue  # world too small or choppy for the episode length
             taken.add(candidate)
             seeds.append(candidate)
+            rejected = 0
         return seeds
 
     taken: set = set()
@@ -138,7 +162,10 @@ def generate_suite(
         (world_seed,) = draw_worlds(held_rng, 1, taken)
         world = generate_world(world_seed, width, height, density, cell_size)
         produced = 0
+        rejected = 0
         while produced < held_per_world and len(held_pairs) < n_held:
+            if rejected == MAX_REJECTED_DRAWS:
+                give_up(f"held episode in world {world_seed}")
             episode_seed = int(held_rng.integers(1, 2**31))
             try:
                 generate_episode(
@@ -146,9 +173,11 @@ def generate_suite(
                     min_length=min_episode_length, max_run=max_run,
                 )
             except GenerationFailed:
+                rejected += 1
                 continue
             held_pairs.append((world_seed, episode_seed))
             produced += 1
+            rejected = 0
     return Suite(
         name=name,
         width=width,

@@ -382,15 +382,14 @@ def generate_episode(
     free = world.free_cells()
     for _ in range(max_tries):
         goal = free[int(rng.integers(len(free)))]
-        field = oracle.geodesic_field(world, goal)
-        candidates = [
-            c for c in free if min_length <= field.at(c[0], c[1]) < math.inf
-        ]
-        if not candidates:
+        d = oracle.geodesic_field(world, goal).dist.ravel()
+        # Row-major cell indices, in the order of free_cells().
+        candidates = np.flatnonzero((d >= min_length) & (d < math.inf))
+        if not candidates.size:
             continue
-        start_pos = candidates[int(rng.integers(len(candidates)))]
+        cell = int(candidates[int(rng.integers(candidates.size))])
         heading = int(rng.integers(4))
-        start = Pose(start_pos[0], start_pos[1], heading)
+        start = Pose(cell % world.width, cell // world.width, heading)
         plan = oracle.plan(world, start, goal, goal_radius)
         return Episode(
             id=seed,

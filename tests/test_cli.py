@@ -1,11 +1,15 @@
 """End-to-end command-line behaviour, including exit codes."""
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import budnav
 from budnav.cli import main, render_map
 from budnav.rectify import synthesize_demo
 from budnav.rollout import parse_trace, serialize_trace
@@ -236,6 +240,42 @@ def test_gen_suite_round_trip(tmp_path, capsys):
     assert suite.name == "mini"
     assert len(suite.train_world_seeds) == 2
     assert len(suite.held_pairs) == 3
+
+
+def run_cli(*argv, cwd):
+    """budnav in a child process, killed if it runs past a minute."""
+    env = dict(os.environ, PYTHONPATH=str(Path(budnav.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "budnav.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_unreachable_min_length_exits_2_instead_of_hanging(tmp_path):
+    got = run_cli(
+        "gen-suite", "--name", "x", "--seed", "0", "--train-worlds", "1", "--held", "1",
+        "--min-length", "600", "--out", "x.suite", cwd=tmp_path,
+    )
+    assert got.returncode == 2
+    assert "no world with an episode of geodesic >= 600.0" in got.stderr
+    assert not (tmp_path / "x.suite").exists()
+    (tmp_path / "long.cfg").write_text("suite.min_episode_length = 600\n")
+    got = run_cli("train", "--config", "long.cfg", "--out", "run", cwd=tmp_path)
+    assert got.returncode == 2
+    assert "no world with an episode" in got.stderr
+
+
+def test_negative_eval_limits_exit_2(train_run, tmp_path, capsys):
+    cfg, out = train_run
+    ckpt = str(out / "checkpoints" / "final.ckpt")
+    suite = str(out / "suite.suite")
+    for limit in ("-1", "-3"):
+        assert main(["eval", "--ckpt", ckpt, "--suite", suite, "--limit", limit]) == 2
+        assert "limit must be >= 0" in capsys.readouterr().err
+    bad = tmp_path / "neg.cfg"
+    bad.write_text(cfg.read_text() + "trainer.eval_episodes = -1\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "trainer.eval_episodes must be >= 0" in capsys.readouterr().err
 
 
 def test_compare_tabulates_and_flags_failures(train_run, tmp_path, capsys):

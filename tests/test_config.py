@@ -115,6 +115,12 @@ def test_build_train_config_rejects_nonpositive_temperature(temperature):
         build_train_config(values, with_suite=False)
 
 
+def test_build_train_config_rejects_negative_eval_episodes():
+    values = resolved_values({"trainer.eval_episodes": -1})
+    with pytest.raises(ConfigError, match="trainer.eval_episodes must be >= 0"):
+        build_train_config(values, with_suite=False)
+
+
 def test_vocabulary_mismatch_is_rejected(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(small_suite_text() + "suite.max_run = 6\n")

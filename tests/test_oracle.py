@@ -1,14 +1,20 @@
 """Planner correctness against brute-force searches, plus tracking helpers."""
+import heapq
 import math
 from collections import deque
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from budnav.errors import InvalidGoal, Unreachable
-from budnav.oracle import geodesic_field, path_deviation, plan, progress_index
+from budnav.oracle import forward_table, geodesic_field, path_deviation, plan, progress_index
+from budnav.suite import parse_suite, suite_world
 from budnav.world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, step
 
 from conftest import corridor_world, open_world, walled_world
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ----------------------------------------------------- independent oracles
@@ -50,6 +56,179 @@ def pose_bfs_cost_oracle(world, start, goal, goal_radius):
     return None
 
 
+def heap_plan_reference(world, start, goal, goal_radius=3.0):
+    """The heap planner over Pose objects that plan() replaced.
+
+    Pops equal-cost states in ascending (y, x, heading), expands them in
+    the order FORWARD, TURN_LEFT, TURN_RIGHT and relaxes first-writer;
+    returns (actions, poses) or raises like plan().
+    """
+    if not world.is_free(start.x, start.y):
+        raise InvalidGoal(f"start on blocked cell: {start}")
+
+    def in_zone(x, y):
+        return euclid_m((x, y), goal, world.cell_size) <= goal_radius
+
+    if in_zone(start.x, start.y):
+        return (Action.STOP,), (start, start)
+
+    start_key = (start.x, start.y, start.heading)
+    best = {start_key: 0}
+    parents = {}
+    heap = [(0, start.y, start.x, start.heading)]
+    while heap:
+        cost, y, x, h = heapq.heappop(heap)
+        key = (x, y, h)
+        if cost > best.get(key, math.inf):
+            continue  # stale entry
+        if in_zone(x, y):
+            actions = []
+            while key != start_key:
+                key, action = parents[key]
+                actions.append(action)
+            actions.reverse()
+            actions.append(Action.STOP)
+            poses = [start]
+            for a in actions:
+                poses.append(step(world, poses[-1], a))
+            return tuple(actions), tuple(poses)
+        pose = Pose(x, y, h)
+        for action in (Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT):
+            nxt = step(world, pose, action)
+            nkey = (nxt.x, nxt.y, nxt.heading)
+            if nkey == key:
+                continue  # bumped a wall
+            if cost + 1 < best.get(nkey, math.inf):
+                best[nkey] = cost + 1
+                parents[nkey] = (key, action)
+                heapq.heappush(heap, (cost + 1, nxt.y, nxt.x, nxt.heading))
+    raise Unreachable(f"goal zone around {goal} unreachable from {start}")
+
+
+RADII = (0.0, 1.0, 1.5, 3.0)
+
+
+def outcome(planner, world, start, goal, radius):
+    """(actions, poses) of a planner, or the type of the error it raised."""
+    try:
+        result = planner(world, start, goal, radius)
+    except (InvalidGoal, Unreachable) as e:
+        return type(e)
+    if planner is plan:
+        assert all(type(a) is Action for a in result.actions)
+        return result.actions, result.poses
+    return result
+
+
+def assert_plans_match_reference(world, goals_and_radii):
+    """Every free start cell and heading, for each (goal, radius)."""
+    outcomes = set()
+    for goal, radius in goals_and_radii:
+        for x, y in world.free_cells():
+            for h in range(4):
+                start = Pose(x, y, h)
+                want = outcome(heap_plan_reference, world, start, goal, radius)
+                got = outcome(plan, world, start, goal, radius)
+                assert got == want, (world, start, goal, radius)
+                outcomes.add(want if isinstance(want, type) else len(want[0]))
+    return outcomes
+
+
+def desk_worlds():
+    suite = parse_suite((CONFIGS / "desk.suite").read_text())
+    held = sorted({ws for ws, _ in suite.held_pairs})
+    return [suite_world(suite, ws) for ws in (*suite.train_world_seeds, *held)]
+
+
+def scattered_world(seed, width, height, density):
+    """Blocked cells drawn without a connectivity check: may split."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((height, width)) < density
+    blocked = frozenset((int(x), int(y)) for y, x in zip(*np.nonzero(mask)))
+    return GridWorld(width, height, blocked, cell_size=(1.0, 0.5, 1.3)[seed % 3], seed=seed)
+
+
+def serpentine_world(width=7, height=7):
+    """1-wide corridor snaking through every other row."""
+    blocked = set()
+    for row in range(1, height, 2):
+        gap = width - 1 if row % 4 == 1 else 0
+        blocked |= {(x, row) for x in range(width) if x != gap}
+    return GridWorld(width, height, frozenset(blocked))
+
+
+def test_plan_matches_heap_reference_on_every_desk_world():
+    # One goal per world, on the grid edge in every other world, with
+    # the radius cycling through RADII: 28 x 340 start poses.  Every
+    # goal at every radius would cost the heap reference over a minute;
+    # the small worlds below take the full product.
+    worlds = desk_worlds()
+    assert len(worlds) == 28
+    outcomes = set()
+    for i, w in enumerate(worlds):
+        free = w.free_cells()
+        edge = [c for c in free if c[0] in (0, w.width - 1) or c[1] in (0, w.height - 1)]
+        goal = edge[(5 * i) % len(edge)] if i % 2 == 0 else free[(13 * i) % len(free)]
+        outcomes |= assert_plans_match_reference(w, [(goal, RADII[i % 4])])
+    assert 1 in outcomes and max(o for o in outcomes if isinstance(o, int)) > 15
+
+
+def test_plan_matches_heap_reference_on_random_and_corridor_worlds():
+    worlds = [
+        corridor_world(9),
+        GridWorld(1, 8, frozenset()),  # vertical 1-wide corridor
+        GridWorld(1, 1, frozenset()),
+        serpentine_world(),
+        walled_world(),
+        *(generate_world(seed=s, width=7, height=6, density=0.3) for s in range(2)),
+        *(scattered_world(s, 6 + s % 3, 5 + s % 2, 0.3) for s in range(6)),
+    ]
+    outcomes = set()
+    for w in worlds:
+        free = w.free_cells()
+        goals = {free[0], free[-1], free[len(free) // 2]}
+        if w.blocked:
+            goals.add(sorted(w.blocked)[0])  # a blocked goal cell is legal for plan
+        outcomes |= assert_plans_match_reference(
+            w, [(g, r) for g in sorted(goals) for r in RADII]
+        )
+    # Start-in-zone plans, long plans and unreachable zones all occur.
+    assert {1, Unreachable} <= outcomes
+    assert max(o for o in outcomes if isinstance(o, int)) > 20
+
+
+def test_plan_matches_heap_reference_on_blocked_and_off_grid_starts():
+    w = walled_world()
+    for start in (Pose(2, 2, 0), Pose(-1, 0, 1), Pose(0, 5, 2)):
+        assert outcome(plan, w, start, (0, 0), 1.0) is InvalidGoal
+        assert outcome(heap_plan_reference, w, start, (0, 0), 1.0) is InvalidGoal
+
+
+def test_plan_rejects_a_heading_outside_the_four():
+    # A heading of 4 would alias the next cell's north-facing state.
+    w = open_world(4, 4)
+    for heading in (-1, 4):
+        with pytest.raises(ValueError, match="heading"):
+            plan(w, Pose(1, 1, heading), (3, 3), 0.0)
+
+
+def test_forward_table_matches_step():
+    for w in (serpentine_world(), scattered_world(3, 8, 6, 0.3), corridor_world(4)):
+        fwd = forward_table(w)
+        assert forward_table(w) is fwd
+        assert len(fwd) == w.width * w.height * 4
+        for y in range(w.height):
+            for x in range(w.width):
+                for h in range(4):
+                    s = (y * w.width + x) * 4 + h
+                    if not w.is_free(x, y):
+                        assert fwd[s] == -1
+                        continue
+                    nxt = step(w, Pose(x, y, h), Action.FORWARD)
+                    want = -1 if nxt == Pose(x, y, h) else (nxt.y * w.width + nxt.x) * 4 + h
+                    assert fwd[s] == want
+
+
 # ---------------------------------------------------------- geodesic field
 
 def test_field_matches_bfs_oracle_on_random_worlds():
@@ -62,6 +241,18 @@ def test_field_matches_bfs_oracle_on_random_worlds():
             assert field.at(x, y) == d
         for x, y in w.blocked:
             assert math.isinf(field.at(x, y))
+
+
+def test_field_is_bit_identical_to_bfs_oracle_on_scattered_worlds():
+    # Split worlds leave cells cut off (inf); odd cell sizes check that
+    # distances are whole steps times cell_size, rounded once.
+    for seed in range(9):
+        w = scattered_world(seed, 9, 7, 0.3)
+        goal = w.free_cells()[seed]
+        want = np.full((w.height, w.width), math.inf)
+        for (x, y), d in bfs_distance_oracle(w, goal).items():
+            want[y, x] = d
+        assert geodesic_field(w, goal).dist.tobytes() == want.tobytes()
 
 
 def test_field_zero_at_goal_and_scales_with_cell_size():
@@ -158,9 +349,9 @@ def test_plan_prefers_forward_on_cost_ties():
 
 def test_plan_about_turn_tie_is_stable():
     # Goal directly behind: LEFT,LEFT and RIGHT,RIGHT tie on cost.  The
-    # pop order (cost, y, x, heading) processes the east-facing pose
-    # before the west-facing one, so the rightward turn wins the
-    # first-writer relaxation.  Frozen as a regression.
+    # one-action layer is taken in (y, x, heading) order, east-facing
+    # before west-facing, so the rightward turn discovers the
+    # south-facing pose first.  Frozen as a regression.
     w = open_world(7, 7)
     p = plan(w, Pose(3, 3, 0), (3, 6), goal_radius=2.0)
     assert p.actions == (

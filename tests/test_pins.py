@@ -1,10 +1,11 @@
-"""Cross-version pins: digests of evaluation and training outputs.
+"""Cross-version pins: digests of evaluation, training and episode outputs.
 
-The digests were recorded before the per-step rollout path was
-optimised (array-backed observations, memoized features and geodesic
-fields, serial evaluation).  Speedups must keep every output byte
-identical, so a change that moves any of these digests changes results,
-not just speed.  They pin float64 results as numpy computes them with
+The evaluation and training digests were recorded before the per-step
+rollout path was optimised (array-backed observations, memoized features
+and geodesic fields, serial evaluation); the episode digest before the
+planner moved from a heap over poses to a layered BFS over the pose
+graph.  Speedups must keep every output byte identical, so a change that
+moves any of these digests changes results, not just speed.  They pin float64 results as numpy computes them with
 OpenBLAS; another BLAS build may legitimately differ in the last bits.
 """
 import hashlib
@@ -17,13 +18,15 @@ from budnav.config import load_config
 from budnav.metrics import evaluate
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.suite import build_held_episodes, parse_suite
-from budnav.trainer import train
+from budnav.trainer import train, training_episode
+from budnav.world import serialize_episode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 INIT_EVAL_DIGEST = "4148ebc6a19d471c45840c3a1cb5f251"
 SMOKE_TRAIN_DIGEST = "e38d9560eaf0dd5dc6117179e887a0bc"
 SMOKE_EVAL_DIGEST = "0b0c2c38d296deaaef7109f41260fbfd"
+EPISODES_DIGEST = "fe40fb4b830fd23be71c13eef569232f"
 
 
 def eval_digest(params) -> str:
@@ -61,3 +64,21 @@ def test_smoke_trained_policy_evaluation_is_pinned(smoke_run):
     # The trained policy walks ~1000 steps here, against ~30 for the
     # initial one, which mostly stops at once.
     assert eval_digest(smoke_run.params) == SMOKE_EVAL_DIGEST
+
+
+def test_episodes_are_pinned():
+    # Every desk held episode, then a fixed sample of the desk_full
+    # training stream (seed 0): reference paths and instructions come
+    # from the oracle, so a planner change that moves a tie shows here.
+    suite = parse_suite((CONFIGS / "desk.suite").read_text())
+    h = hashlib.blake2b(digest_size=16)
+    held = build_held_episodes(suite)
+    assert len(held) == 200
+    for episode in held:
+        h.update(serialize_episode(episode).encode())
+    cfg = load_config(CONFIGS / "desk_full.cfg")[0]
+    assert cfg.run_seed == 0
+    for phase, indices in (("pretrain", range(0, 600, 3)), ("train", range(0, 6000, 30))):
+        for i in indices:
+            h.update(serialize_episode(training_episode(cfg, phase, i)).encode())
+    assert h.hexdigest() == EPISODES_DIGEST

@@ -3,7 +3,7 @@ import pytest
 
 import budnav.suite
 
-from budnav.errors import SuiteError
+from budnav.errors import GenerationFailed, SuiteError
 from budnav.oracle import geodesic_field
 from budnav.suite import (
     SUITE_MAGIC,
@@ -71,6 +71,35 @@ def test_every_held_pair_generates_and_meets_min_length(suite):
 def test_build_held_episodes_limit(suite):
     assert len(build_held_episodes(suite, 3)) == 3
     assert len(build_held_episodes(suite, 0)) == len(suite.held_pairs)
+
+
+@pytest.mark.parametrize("limit", [-1, -7])
+def test_build_held_episodes_rejects_negative_limit(suite, limit):
+    # A negative slice would silently drop episodes from the end.
+    with pytest.raises(SuiteError, match="limit must be >= 0"):
+        build_held_episodes(suite, limit)
+
+
+def test_generate_suite_gives_up_when_no_world_holds_the_length():
+    with pytest.raises(SuiteError, match="no world with an episode"):
+        generate_suite("long", seed=0, n_train_worlds=1, n_held=1, min_episode_length=600.0)
+
+
+def test_generate_suite_gives_up_on_a_world_without_held_episodes(monkeypatch):
+    # Only episode seed 0, which validates a world, ever generates.
+    real = budnav.suite.generate_episode
+    calls = []
+
+    def only_seed_zero(world, seed, **kwargs):
+        calls.append(seed)
+        if seed != 0:
+            raise GenerationFailed("no pair")
+        return real(world, seed, **kwargs)
+
+    monkeypatch.setattr(budnav.suite, "generate_episode", only_seed_zero)
+    with pytest.raises(SuiteError, match="no held episode in world"):
+        generate_suite("choppy", seed=0, n_train_worlds=1, n_held=1)
+    assert len(calls) == 2 + budnav.suite.MAX_REJECTED_DRAWS
 
 
 def test_build_held_episodes_names_a_pair_that_cannot_generate(suite):
