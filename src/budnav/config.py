@@ -7,8 +7,8 @@ Config files are plain text, one dotted key per line:
     suite.file = desk.suite
 
 Blank lines and '#' comments are ignored.  Every key has a default; an
-unknown key or an unparseable value raises ConfigError.  Types follow
-the default's type (bool keys accept true/false/1/0).
+unknown key, an unparseable value or a value out of its range raises
+ConfigError.  Types follow the default's type.
 
 A run's manifest records the resolved value of every key, the explicit
 overrides, the content hash of the world-generation parameters, and the
@@ -40,10 +40,6 @@ DEFAULTS: dict = {
     "trainer.train_episodes": 1500,
     "trainer.eval_every": 500,
     "trainer.eval_episodes": 0,
-    "trainer.batch_episodes": 1,
-    "trainer.early_stop": False,
-    "trainer.early_stop_window": 5,
-    "trainer.early_stop_min_delta": 0.5,
     "opt.learning_rate": 3e-4,
     "opt.beta1": 0.9,
     "opt.beta2": 0.999,
@@ -61,11 +57,8 @@ DEFAULTS: dict = {
     "grpo.clip_epsilon": 0.2,
     "grpo.kl_beta": 0.01,
     "grpo.adv_epsilon": 1e-8,
-    "grpo.inner_epochs": 1,
-    "grpo.sample_std": False,
     "rect.decay_gamma": 0.95,
     "rect.alpha": 1.0,
-    "rect.raw_furthest": False,
     "rect.visit_radius_m": 0.5,
     "reward.c_succ": 2.0,
     "reward.spl_weight": 1.0,
@@ -92,18 +85,24 @@ DEFAULTS: dict = {
     "suite.held_per_world": 10,
 }
 
+# (key, predicate, requirement) for values the run cannot use; the
+# suite.* extents are checked by the suite itself.
+_RANGES = (
+    ("trainer.pretrain_episodes", lambda v: v >= 0, ">= 0"),
+    ("trainer.train_episodes", lambda v: v >= 0, ">= 0"),
+    ("trainer.eval_every", lambda v: v >= 1, ">= 1"),
+    ("trainer.eval_episodes", lambda v: v >= 0, ">= 0 (0 = all)"),
+    ("policy.obs_k", lambda v: v > 0 and v % 2 == 1, "odd and positive"),
+    ("policy.history_k", lambda v: v >= 1, ">= 1"),
+    ("policy.temperature", lambda v: v > 0.0, "positive"),
+    ("grpo.group_size", lambda v: v >= 2, ">= 2"),
+)
+
 
 def _convert(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            low = raw.lower()
-            if low in ("true", "1"):
-                return True
-            if low in ("false", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -164,13 +163,10 @@ def build_train_config(values: dict, base_dir: Path | None = None, with_suite: b
         raise ConfigError(
             f"trainer.variant must be one of {VARIANTS}, got {values['trainer.variant']!r}"
         )
+    for key, ok, requirement in _RANGES:
+        if not ok(values[key]):
+            raise ConfigError(f"{key} must be {requirement}, got {values[key]}")
     policy = PolicyConfig(**_section(values, "policy"))
-    if not policy.temperature > 0.0:
-        raise ConfigError(f"policy.temperature must be positive, got {policy.temperature}")
-    if values["trainer.eval_episodes"] < 0:
-        raise ConfigError(
-            f"trainer.eval_episodes must be >= 0 (0 = all), got {values['trainer.eval_episodes']}"
-        )
     suite = build_suite(values, base_dir) if with_suite else None
     if suite is not None and suite.max_run != policy.max_run:
         raise ConfigError(
@@ -192,10 +188,6 @@ def build_train_config(values: dict, base_dir: Path | None = None, with_suite: b
         train_episodes=trainer["train_episodes"],
         eval_every=trainer["eval_every"],
         eval_episodes=trainer["eval_episodes"],
-        batch_episodes=trainer["batch_episodes"],
-        early_stop=trainer["early_stop"],
-        early_stop_window=trainer["early_stop_window"],
-        early_stop_min_delta=trainer["early_stop_min_delta"],
     )
 
 
@@ -213,11 +205,7 @@ def load_config(path) -> tuple:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def serialize_values(values: dict) -> str:

@@ -64,8 +64,6 @@ class GrpoConfig:
     clip_epsilon: float = 0.2
     kl_beta: float = 0.01
     adv_epsilon: float = 1e-8
-    inner_epochs: int = 1
-    sample_std: bool = False  # population std by default
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,11 @@ def reward(
 
 
 def group_advantages(rewards: np.ndarray, cfg: GrpoConfig = GrpoConfig()) -> np.ndarray:
-    """Standardise rewards within the group; zero spread maps to zeros."""
+    """Standardise rewards by the group's population std; zero spread maps to zeros."""
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.size < 2:
         raise GroupTooSmall(f"group of {rewards.size} rollouts cannot be standardised")
-    std = rewards.std(ddof=1 if cfg.sample_std else 0)
-    return (rewards - rewards.mean()) / (std + cfg.adv_epsilon)
+    return (rewards - rewards.mean()) / (rewards.std() + cfg.adv_epsilon)
 
 
 def make_group(

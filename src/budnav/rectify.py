@@ -29,14 +29,13 @@ from .errors import NotAFailure
 from .oracle import advance_progress, plan
 from .policy import Featurizer, GradAccumulator, PolicyParams, forward_cached, softmax
 from .rollout import Trajectory, TriggerKind, WindowBuilder
-from .world import Action, Episode, Pose, euclid_m, expand_instruction, observe, step
+from .world import Action, Episode, Pose, expand_instruction, observe, step
 
 
 @dataclass(frozen=True)
 class RectConfig:
     decay_gamma: float = 0.95
     alpha: float = 1.0
-    raw_furthest: bool = False  # ignore visit order when picking the anchor
     visit_radius_m: float = 0.5
 
 
@@ -71,15 +70,6 @@ def _ordered_anchor_index(positions, waypoints, visit_radius, cell_size) -> int:
     return arrival
 
 
-def _raw_anchor_index(positions, waypoints, visit_radius, cell_size) -> int:
-    """Arrival index of the furthest waypoint visited in any order."""
-    for j in range(len(waypoints) - 1, -1, -1):
-        for i, pos in enumerate(positions):
-            if euclid_m(pos, waypoints[j], cell_size) <= visit_radius:
-                return i
-    return -1
-
-
 def find_anchor(probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig()):
     """(anchor_step, anchor_pose) for a failed probe.
 
@@ -91,10 +81,9 @@ def find_anchor(probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfi
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")
     if probe.trigger[0] == TriggerKind.FORCED_STOP:
         return len(probe.steps), probe.final_pose
-    cell = episode.world.cell_size
-    positions = probe.positions()
-    locate = _raw_anchor_index if cfg.raw_furthest else _ordered_anchor_index
-    arrival = locate(positions, episode.reference_waypoints, cfg.visit_radius_m, cell)
+    arrival = _ordered_anchor_index(
+        probe.positions(), episode.reference_waypoints, cfg.visit_radius_m, episode.world.cell_size
+    )
     if arrival < 0:
         return 0, episode.start
     return arrival, probe.poses()[arrival]

@@ -130,9 +130,10 @@ def generate_suite(
         )
 
     def draw_worlds(rng, count, taken):
-        seeds = []
+        """`count` (seed, world) pairs, each able to hold an episode."""
+        drawn = []
         rejected = 0
-        while len(seeds) < count:
+        while len(drawn) < count:
             if rejected == MAX_REJECTED_DRAWS:
                 give_up("world")
             candidate = int(rng.integers(1, 2**31))
@@ -148,19 +149,18 @@ def generate_suite(
             except GenerationFailed:
                 continue  # world too small or choppy for the episode length
             taken.add(candidate)
-            seeds.append(candidate)
+            drawn.append((candidate, world))
             rejected = 0
-        return seeds
+        return drawn
 
     taken: set = set()
     train_rng = stream(seed, "suite-train-worlds")
-    train_seeds = draw_worlds(train_rng, n_train_worlds, taken)
+    train_seeds = [ws for ws, _ in draw_worlds(train_rng, n_train_worlds, taken)]
 
     held_rng = stream(seed, "suite-held")
     held_pairs = []
     while len(held_pairs) < n_held:
-        (world_seed,) = draw_worlds(held_rng, 1, taken)
-        world = generate_world(world_seed, width, height, density, cell_size)
+        ((world_seed, world),) = draw_worlds(held_rng, 1, taken)
         produced = 0
         rejected = 0
         while produced < held_per_world and len(held_pairs) < n_held:

@@ -111,10 +111,6 @@ class TrainConfig:
     train_episodes: int = 1500
     eval_every: int = 500
     eval_episodes: int = 0  # 0 = the full held-out split
-    batch_episodes: int = 1
-    early_stop: bool = False
-    early_stop_window: int = 5
-    early_stop_min_delta: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -262,20 +258,19 @@ def gro_step(
     cfg: TrainConfig,
     debug: dict | None = None,
 ):
-    """One greedy-routed update under cfg.variant; returns (params, opt, UpdateReport)."""
+    """One greedy-routed update under cfg.variant; returns (params, opt, UpdateReport).
+
+    A skipped episode takes no optimizer step; any other takes exactly one.
+    """
     outcome = route_episode(params, episode, ref, cfg)
     if outcome.skipped:
         report = _report(outcome, 0.0, 0.0)
         if debug is not None:
             debug.update(outcome=outcome, gradient=np.zeros(params.count))
         return params, opt, report
-    epochs = cfg.grpo.inner_epochs if outcome.route == "grpo" else 1
-    loss = 0.0
-    grad = np.zeros(params.count)
-    for _ in range(epochs):
-        loss, grad = outcome_loss_and_grad(params, outcome, ref, cfg)
-        _check_finite_loss(loss)
-        params, opt = adamw_update(params, grad, opt, cfg.opt)
+    loss, grad = outcome_loss_and_grad(params, outcome, ref, cfg)
+    _check_finite_loss(loss)
+    params, opt = adamw_update(params, grad, opt, cfg.opt)
     report = _report(outcome, loss, float(np.linalg.norm(grad)))
     if debug is not None:
         debug.update(outcome=outcome, gradient=grad)
@@ -307,8 +302,6 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
 
     if cfg.suite is None:
         raise ValueError("TrainConfig.suite is required for training")
-    if cfg.batch_episodes > 1 and cfg.grpo.inner_epochs != 1:
-        raise ValueError("micro-batching requires grpo.inner_epochs == 1")
 
     params = init_params(cfg.policy, cfg.run_seed)
     held = _held_episodes(cfg)
@@ -324,7 +317,6 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
     reports = []
     env_total = 0
     grpo_routes = 0
-    sr_history = []
     final_outcome = None
 
     def run_eval(step_count: int):
@@ -333,44 +325,18 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
         frac = grpo_routes / len(reports) if reports else 0.0
         rows.append(format_metrics_row(step_count, outcome.report, frac, env_total))
         evals.append((step_count, outcome.report))
-        sr_history.append(outcome.report.sr)
         final_outcome = outcome
-        return outcome
 
     run_eval(0)
 
-    i = 0
-    stopped_early = False
-    while i < cfg.train_episodes and not stopped_early:
-        batch = min(cfg.batch_episodes, cfg.train_episodes - i)
-        if batch == 1:
-            episode = training_episode(cfg, "train", i)
-            params, opt, report = gro_step(params, opt, episode, ref, cfg)
-            reports.append(report)
-            env_total += report.env_steps_used
-            grpo_routes += report.route == "grpo"
-        else:
-            # Accumulate the mean gradient over the micro-batch, then
-            # take a single optimizer step in fixed episode order.
-            acc = np.zeros(params.count)
-            for b in range(batch):
-                episode = training_episode(cfg, "train", i + b)
-                outcome = route_episode(params, episode, ref, cfg)
-                loss, grad = outcome_loss_and_grad(params, outcome, ref, cfg)
-                _check_finite_loss(loss)
-                acc += grad
-                reports.append(_report(outcome, loss, float(np.linalg.norm(grad))))
-                env_total += outcome.env_steps
-                grpo_routes += outcome.route == "grpo"
-            params, opt = adamw_update(params, acc / batch, opt, cfg.opt)
-        i += batch
-        if i % cfg.eval_every == 0 or i >= cfg.train_episodes:
+    for i in range(1, cfg.train_episodes + 1):
+        episode = training_episode(cfg, "train", i - 1)
+        params, opt, report = gro_step(params, opt, episode, ref, cfg)
+        reports.append(report)
+        env_total += report.env_steps_used
+        grpo_routes += report.route == "grpo"
+        if i % cfg.eval_every == 0 or i == cfg.train_episodes:
             run_eval(i)
-            if cfg.early_stop and len(sr_history) > cfg.early_stop_window:
-                window = sr_history[-cfg.early_stop_window :]
-                before = max(sr_history[: -cfg.early_stop_window])
-                if max(window) - before < cfg.early_stop_min_delta:
-                    stopped_early = True
 
     if out_dir is not None:
         out = Path(out_dir)

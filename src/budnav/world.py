@@ -108,14 +108,14 @@ class GridWorld:
             value = self._derived[key] = build()
         return value
 
-    def free_cells(self) -> list:
+    def free_cells(self) -> tuple:
         """All free cells in row-major order (deterministic iteration)."""
-        return [
+        return self.derived("free_cells", lambda: tuple(
             (x, y)
             for y in range(self.height)
             for x in range(self.width)
             if (x, y) not in self.blocked
-        ]
+        ))
 
 
 def step(world: GridWorld, pose: Pose, action: Action) -> Pose:

@@ -91,13 +91,22 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["train", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")]) == 2
-    # Values out of range exit the same way: a non-positive temperature,
-    # and generated-suite extents a grid cannot have.
-    for line, message in [
-        ("policy.temperature = 0", "policy.temperature must be positive"),
-        ("suite.width = 100", "world extent out of range"),
+    # Values out of range exit the same way before any training starts,
+    # rather than in a traceback mid-run or an empty run that exits 0.
+    for key, value, message in [
+        ("policy.temperature", "0", "policy.temperature must be positive"),
+        ("suite.width", "100", "world extent out of range"),
+        ("trainer.eval_every", "0", "trainer.eval_every must be >= 1"),
+        ("grpo.group_size", "1", "grpo.group_size must be >= 2"),
+        ("policy.history_k", "0", "policy.history_k must be >= 1"),
+        ("policy.obs_k", "4", "policy.obs_k must be odd and positive"),
+        ("policy.obs_k", "-1", "policy.obs_k must be odd and positive"),
+        ("trainer.train_episodes", "-1", "trainer.train_episodes must be >= 0"),
+        ("trainer.pretrain_episodes", "-1", "trainer.pretrain_episodes must be >= 0"),
+        ("trainer.early_stop", "true", "unknown key"),  # a removed key is unknown
     ]:
-        cfg.write_text(FAST_CFG.replace("suite.width = 8\n", "") + line + "\n")
+        kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
+        cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 

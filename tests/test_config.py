@@ -37,16 +37,17 @@ def test_parse_overrides_and_comments():
         "\n"
         "trainer.variant = dagger  # trailing comment\n"
         "grpo.clip_epsilon=0.3\n"
-        "trainer.early_stop = true\n"
-        "grpo.sample_std = 1\n"
+        "trainer.eval_episodes = 7\n"
+        "rect.alpha = 2\n"
     )
     overrides = parse_config_text(text)
     assert overrides == {
         "trainer.variant": "dagger",
         "grpo.clip_epsilon": 0.3,
-        "trainer.early_stop": True,
-        "grpo.sample_std": True,
+        "trainer.eval_episodes": 7,
+        "rect.alpha": 2.0,
     }
+    assert isinstance(overrides["rect.alpha"], float)  # the default's type wins
 
 
 def test_parse_error_messages_carry_line_numbers():
@@ -61,8 +62,10 @@ def test_parse_error_messages_carry_line_numbers():
 def test_parse_type_errors():
     with pytest.raises(ConfigError, match="trainer.run_seed"):
         parse_config_text("trainer.run_seed = soon\n")
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config_text("trainer.early_stop = probably\n")
+    with pytest.raises(ConfigError, match="grpo.clip_epsilon"):
+        parse_config_text("grpo.clip_epsilon = wide\n")
+    with pytest.raises(ConfigError, match="trainer.train_episodes"):
+        parse_config_text("trainer.train_episodes = 1.5\n")
 
 
 def test_resolved_values_cover_every_default():
@@ -73,7 +76,7 @@ def test_resolved_values_cover_every_default():
 
 
 def test_serialize_values_round_trips_through_parse():
-    values = resolved_values({"opt.learning_rate": 0.001, "trainer.early_stop": True})
+    values = resolved_values({"opt.learning_rate": 0.001, "trainer.variant": "dagger"})
     text = serialize_values(values)
     assert parse_config_text(text) == values  # canonical text sets every key
     assert list(parse_config_text(text)) == list(DEFAULTS)  # in DEFAULTS order
@@ -119,6 +122,78 @@ def test_build_train_config_rejects_negative_eval_episodes():
     values = resolved_values({"trainer.eval_episodes": -1})
     with pytest.raises(ConfigError, match="trainer.eval_episodes must be >= 0"):
         build_train_config(values, with_suite=False)
+
+
+# One valid value other than the small-suite base for every key; a
+# companion override keeps the shared instruction vocabulary consistent.
+OTHER_VALUES = {
+    "trainer.run_seed": 1,
+    "trainer.variant": "bc",
+    "trainer.pretrain_episodes": 30,
+    "trainer.train_episodes": 40,
+    "trainer.eval_every": 20,
+    "trainer.eval_episodes": 3,
+    "opt.learning_rate": 1e-3,
+    "opt.beta1": 0.8,
+    "opt.beta2": 0.99,
+    "opt.eps": 1e-6,
+    "opt.weight_decay": 0.02,
+    "policy.max_run": 6,
+    "policy.obs_k": 3,
+    "policy.d_e": 8,
+    "policy.d_o": 8,
+    "policy.d_a": 4,
+    "policy.d_h": 32,
+    "policy.history_k": 4,
+    "policy.temperature": 0.7,
+    "grpo.group_size": 6,
+    "grpo.clip_epsilon": 0.3,
+    "grpo.kl_beta": 0.02,
+    "grpo.adv_epsilon": 1e-6,
+    "rect.decay_gamma": 0.9,
+    "rect.alpha": 0.5,
+    "rect.visit_radius_m": 0.8,
+    "reward.c_succ": 1.0,
+    "reward.spl_weight": 0.5,
+    "reward.c_dist": 0.2,
+    "rollout.stall_limit": 40,
+    "rollout.grace_period": 5,
+    "rollout.max_steps_factor": 3,
+    "rollout.max_steps_floor": 40,
+    "rollout.offtrack_dist_m": 2.0,
+    "rollout.offtrack_heading_deg": 90.0,
+    "rollout.visit_radius_m": 0.8,
+    "suite.name": "other",
+    "suite.seed": 1,
+    "suite.n_train_worlds": 3,
+    "suite.n_held": 3,
+    "suite.width": 9,
+    "suite.height": 9,
+    "suite.density": 0.1,
+    "suite.cell_size": 2.0,
+    "suite.goal_radius": 2.0,
+    "suite.min_episode_length": 4.0,
+    "suite.max_run": 6,
+    "suite.held_per_world": 1,
+}
+COMPANIONS = {"policy.max_run": "suite.max_run", "suite.max_run": "policy.max_run"}
+
+
+def test_every_key_reaches_the_train_config():
+    # A key that no code reads would leave its section unchanged.
+    assert set(OTHER_VALUES) == set(DEFAULTS) - {"suite.file"}
+    base_values = resolved_values(parse_config_text(small_suite_text()))
+    base = build_train_config(base_values)
+    for key, value in OTHER_VALUES.items():
+        assert value != base_values[key], key
+        overrides = {key: value}
+        if key in COMPANIONS:
+            overrides[COMPANIONS[key]] = value
+        cfg = build_train_config({**base_values, **overrides})
+        section, name = key.split(".")
+        if section == "trainer":
+            section = name
+        assert getattr(cfg, section) != getattr(base, section), key
 
 
 def test_vocabulary_mismatch_is_rejected(tmp_path):

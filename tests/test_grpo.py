@@ -132,14 +132,6 @@ def test_advantages_zero_variance_is_all_zero():
     assert np.array_equal(adv, np.zeros(4))
 
 
-def test_advantages_sample_std_toggle():
-    rewards = np.array([0.0, 1.0])
-    pop = group_advantages(rewards, GrpoConfig(adv_epsilon=0.0, sample_std=False))
-    samp = group_advantages(rewards, GrpoConfig(adv_epsilon=0.0, sample_std=True))
-    assert pop[1] == pytest.approx(1.0)  # population std = 0.5
-    assert samp[1] == pytest.approx(1.0 / np.sqrt(2.0))
-
-
 def test_advantages_group_too_small():
     with pytest.raises(GroupTooSmall):
         group_advantages(np.array([1.0]), GrpoConfig())

@@ -92,8 +92,8 @@ def test_anchor_without_any_visit_is_the_start():
 
 def test_anchor_order_respecting_vs_raw_furthest():
     # Waypoints deliberately out of walking order: the probe touches the
-    # last waypoint (2,0) without ever nearing (4,0), so the ordered
-    # anchor stays at the start while the raw variant jumps ahead.
+    # last waypoint (2,0) without ever nearing (4,0), so the anchor stays
+    # at the start instead of jumping ahead to the furthest raw visit.
     w = open_world(6, 6)
     start = Pose(0, 0, 1)
     ep = Episode(
@@ -103,11 +103,9 @@ def test_anchor_order_respecting_vs_raw_furthest():
     )
     probe = run_script(ep, [F, F, S])
     assert probe.trigger is not None
-    ordered_step, _ = find_anchor(probe, ep, RectConfig(raw_furthest=False))
-    raw_step, raw_pose = find_anchor(probe, ep, RectConfig(raw_furthest=True))
+    ordered_step, ordered_pose = find_anchor(probe, ep)
     assert ordered_step == 0
-    assert raw_step == 2
-    assert raw_pose == Pose(2, 0, 1)
+    assert ordered_pose == start
 
 
 def test_anchor_forced_stop_is_current_pose():

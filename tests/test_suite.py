@@ -123,6 +123,21 @@ def test_generate_suite_checks_ranges_before_drawing(bad, monkeypatch):
         generate_suite("bad", seed=0, n_train_worlds=1, n_held=1, **bad)
 
 
+def test_generate_suite_builds_each_world_once(monkeypatch):
+    real = budnav.suite.generate_world
+    built = []
+
+    def counted(seed, *args, **kwargs):
+        built.append(seed)
+        return real(seed, *args, **kwargs)
+
+    monkeypatch.setattr(budnav.suite, "generate_world", counted)
+    suite = generate_suite("once", seed=0, n_train_worlds=2, n_held=2, held_per_world=1)
+    held_worlds = tuple(ws for ws, _ in suite.held_pairs)
+    assert sorted(built) == sorted(suite.train_world_seeds + held_worlds)
+    assert len(built) == 4
+
+
 def test_suite_episode_is_reproducible(suite):
     ws, es = suite.held_pairs[0]
     a = suite_episode(suite, ws, es)

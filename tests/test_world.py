@@ -232,6 +232,15 @@ def test_generate_world_density_and_connectivity():
     assert seen == free
 
 
+def test_free_cells_are_memoized_in_row_major_order():
+    w = generate_world(seed=2, width=12, height=12, density=0.2)
+    cells = w.free_cells()
+    assert cells is w.free_cells()
+    assert cells == tuple(
+        (x, y) for y in range(12) for x in range(12) if (x, y) not in w.blocked
+    )
+
+
 def test_generate_world_rejects_bad_density():
     with pytest.raises(ValueError):
         generate_world(seed=0, width=5, height=5, density=0.9)
