@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,14 @@ from .config import (
     load_config,
     write_manifest,
 )
-from .errors import CheckpointError, ConfigError, NonFiniteGradient, SuiteError, TraceError
+from .errors import (
+    BudnavError,
+    CheckpointError,
+    ConfigError,
+    NonFiniteGradient,
+    SuiteError,
+    TraceError,
+)
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row
 from .policy import load_checkpoint, snapshot
 from .rollout import RolloutConfig, parse_trace, serialize_trace, verify_trace
@@ -166,24 +174,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # Build every run's config before training any, so a bad config
+    # exits 2 without leaving partial results behind.
+    plans = []
+    for cfg_path in args.configs:
+        cfg, values, overrides = load_config(cfg_path)
+        runs = [
+            (seed, replace(cfg, run_seed=seed), apply_cli_overrides(values, seed=seed),
+             dict(overrides, **{"trainer.run_seed": seed}))
+            for seed in args.seeds
+        ]
+        plans.append((Path(cfg_path).stem, runs))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = 0
-    for cfg_path in args.configs:
-        label = Path(cfg_path).stem
+    for label, runs in plans:
         per_seed = []
         env_totals = []
-        for seed in args.seeds:
+        for seed, cfg, values, overrides in runs:
             run_dir = out_root / f"{label}_seed{seed}"
             try:
-                cfg, values, overrides = load_config(cfg_path)
-                values = apply_cli_overrides(values, seed=seed)
-                overrides = dict(overrides, **{"trainer.run_seed": seed})
-                cfg = build_train_config(values, base_dir=Path(cfg_path).parent)
                 write_manifest(run_dir, values, overrides, cfg.suite, __version__)
                 result = train(cfg, out_dir=run_dir)
-            except Exception as e:  # partial results are still reported
+            except BudnavError as e:  # partial results are still reported
                 print(f"warning: {label} seed {seed} failed: {e}", file=sys.stderr)
                 failures += 1
                 continue

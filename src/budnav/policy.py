@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -257,36 +259,95 @@ def greedy_action(logits: np.ndarray) -> int:
     return int(logits.argmax())
 
 
+def _add_rows(buf: np.ndarray, rows: np.ndarray) -> None:
+    """buf += rows[0]; buf += rows[1]; ... as one reduction.
+
+    np.add.reduce over the leading axis of a C-contiguous stack adds the
+    rows one after another (no pairwise summation), and the running
+    buffer comes first, so each element sees ((buf + r0) + r1) + ...
+    exactly, signed zeros included.
+    """
+    np.add.reduce(np.concatenate([buf[None], rows]), axis=0, out=buf)
+
+
+def _add_outers(buf: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """buf += np.outer(a[i], b[i]) for each row i in order, as one reduction."""
+    stack = np.empty((len(a) + 1,) + buf.shape)
+    stack[0] = buf
+    np.multiply(a[:, :, None], b[:, None, :], out=stack[1:])
+    np.add.reduce(stack, axis=0, out=buf)
+
+
 class GradAccumulator:
-    """Parameter-shaped gradient buffers with shared backprop plumbing."""
+    """Sum of per-step parameter gradients in one flat, canonically ordered vector.
+
+    add_step backpropagates one step: the matvecs W2 @ dlogits and
+    W1 @ dpre and the W1 outer product happen at once; hidden, dlogits,
+    dpre, dfeat and the window are recorded.  Every FLUSH_STEPS pending
+    steps, and in flat(), the recorded W2, b2, b1 and obs_proj terms are
+    added with one ordered reduction per block (_add_rows, _add_outers)
+    and the act_embed and instr_embed rows with np.add.at, which applies
+    repeated indices in order.  Steps, then window slots, then
+    instruction tokens are added in the order they arrived, so every
+    element of the result is bit-identical to adding each step's terms
+    into the buffers in place, one step after another.
+
+    The per-block buffers in self.buf are views of self.grad; flat()
+    returns self.grad itself, not a copy.
+    """
+
+    FLUSH_STEPS = 32
 
     def __init__(self, params: PolicyParams):
         self.params = params
-        self.buf = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+        self.grad = np.zeros(params.count)
+        self.buf = {}
+        offset = 0
+        for name, arr in params.blocks():
+            self.buf[name] = self.grad[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        self._pending = []
 
     def add_step(self, cache: _Cache, window: HistoryWindow, dlogits: np.ndarray):
         """Accumulate d(objective)/d(params) given d(objective)/d(logits)."""
         p = self.params
-        cfg = p.cfg
-        self.buf["W2"] += np.outer(cache.hidden, dlogits)
-        self.buf["b2"] += dlogits
         dhidden = p.W2 @ dlogits
         dpre = dhidden * (1.0 - cache.hidden ** 2)
         self.buf["W1"] += np.outer(cache.features, dpre)
-        self.buf["b1"] += dpre
         dfeat = p.W1 @ dpre
-        dinstr = dfeat[: cfg.d_e] / len(window.instruction)
-        for t in window.instruction:
-            self.buf["instr_embed"][t] += dinstr
-        offset = cfg.d_e
-        for patch, act in zip(window.patches, window.prev_actions):
-            self.buf["obs_proj"] += np.outer(patch, dfeat[offset : offset + cfg.d_o])
-            offset += cfg.d_o
-            self.buf["act_embed"][act] += dfeat[offset : offset + cfg.d_a]
-            offset += cfg.d_a
+        self._pending.append((cache.hidden, dlogits, dpre, dfeat, window))
+        if len(self._pending) >= self.FLUSH_STEPS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        cfg = self.params.cfg
+        hidden, dlogits, dpre, dfeat, windows = zip(*self._pending)
+        self._pending = []
+        dlogits = np.array(dlogits)
+        dpre = np.array(dpre)
+        dfeat = np.array(dfeat)
+        buf = self.buf
+        _add_outers(buf["W2"], np.array(hidden), dlogits)
+        _add_rows(buf["b2"], dlogits)
+        _add_rows(buf["b1"], dpre)
+
+        lengths = np.array([len(w.instruction) for w in windows])
+        tokens = [t for w in windows for t in w.instruction]
+        dinstr = dfeat[:, : cfg.d_e] / lengths[:, None]
+        np.add.at(buf["instr_embed"], tokens, np.repeat(dinstr, lengths, axis=0))
+
+        # [steps, slots, d_o + d_a] -> one row per (step, slot), oldest slot first.
+        slots = dfeat[:, cfg.d_e :].reshape(len(windows) * cfg.history_k, cfg.d_o + cfg.d_a)
+        patches = np.array([patch for w in windows for patch in w.patches])
+        _add_outers(buf["obs_proj"], patches, slots[:, : cfg.d_o])
+        actions = [a for w in windows for a in w.prev_actions]
+        np.add.at(buf["act_embed"], actions, slots[:, cfg.d_o :])
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.buf[n].ravel() for n, _ in self.params.blocks()])
+        self._flush()
+        return self.grad
 
 
 def logprob_and_grad(
@@ -341,8 +402,17 @@ def save_checkpoint(path, params: PolicyParams) -> None:
         chunks.append(b"\n")
         digest.update(raw)
     chunks.append(f"checksum {digest.hexdigest()}\n".encode())
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    # Write a sibling file and rename it over path, so an interrupted save
+    # leaves the previous checkpoint (or none), never a torn one.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_line(f) -> str:

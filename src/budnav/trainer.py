@@ -176,7 +176,7 @@ def _error_state_demo(probe, episode: Episode, cfg: TrainConfig) -> Rectificatio
     )
 
 
-def route_episode(params: PolicyParams, episode: Episode, ref: PolicySnapshot, cfg: TrainConfig) -> RouteOutcome:
+def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> RouteOutcome:
     """Probe greedily, then stage exactly one of the two update paths.
 
     Ablation variants reuse the same probe: rect_only skips proficient
@@ -262,7 +262,7 @@ def gro_step(
 
     A skipped episode takes no optimizer step; any other takes exactly one.
     """
-    outcome = route_episode(params, episode, ref, cfg)
+    outcome = route_episode(params, episode, cfg)
     if outcome.skipped:
         report = _report(outcome, 0.0, 0.0)
         if debug is not None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import budnav
@@ -307,16 +308,52 @@ def test_compare_tabulates_and_flags_failures(train_run, tmp_path, capsys):
 
 
 def test_compare_reports_partial_failure(train_run, tmp_path, capsys):
+    # A valid config whose training diverges fails per run: the other
+    # config is still tabulated and the exit code is 1.
     cfg, _ = train_run
     broken = tmp_path / "broken.cfg"
-    broken.write_text("suite.file = missing.suite\n")
+    broken.write_text(FAST_CFG + "opt.learning_rate = 1e300\n")
     out = tmp_path / "cmp2"
-    code = main(["compare", "--configs", str(cfg), str(broken),
-                 "--seeds", "0", "--out", str(out)])
+    with np.errstate(all="ignore"):
+        code = main(["compare", "--configs", str(cfg), str(broken),
+                     "--seeds", "0", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "warning: broken seed 0 failed" in captured.err
+    assert "warning: broken seed 0 failed: loss diverged" in captured.err
     assert "(all runs failed)" in captured.out
+    assert (out / "fast_seed0" / "metrics.csv").exists()
+
+
+def test_compare_builds_each_generated_suite_once(tmp_path, monkeypatch):
+    import budnav.config
+
+    calls = []
+    real = budnav.config.generate_suite
+    monkeypatch.setattr(
+        budnav.config, "generate_suite", lambda **kw: calls.append(kw) or real(**kw)
+    )
+    cfg = tmp_path / "tiny.cfg"
+    suite_lines = [ln for ln in FAST_CFG.splitlines() if ln.startswith("suite.")]
+    cfg.write_text("\n".join(suite_lines + [
+        "trainer.pretrain_episodes = 0", "trainer.train_episodes = 0", "trainer.eval_episodes = 1",
+    ]) + "\n")
+    code = main(["compare", "--configs", str(cfg), "--seeds", "0", "1", "2",
+                 "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad_line", ["suite.file = missing.suite", "policy.obs_k = 4"])
+def test_compare_config_error_exits_2_before_training(train_run, tmp_path, capsys, bad_line):
+    cfg, _ = train_run
+    broken = tmp_path / "broken.cfg"
+    broken.write_text(FAST_CFG + bad_line + "\n")
+    out = tmp_path / "cmp3"
+    code = main(["compare", "--configs", str(cfg), str(broken),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # the valid config was not trained either
 
 
 def test_console_script_is_installed():

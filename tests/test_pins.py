@@ -4,12 +4,15 @@ The evaluation and training digests were recorded before the per-step
 rollout path was optimised (array-backed observations, memoized features
 and geodesic fields, serial evaluation); the episode digest before the
 planner moved from a heap over poses to a layered BFS over the pose
-graph.  Speedups must keep every output byte identical, so a change that
-moves any of these digests changes results, not just speed.  They pin float64 results as numpy computes them with
-OpenBLAS; another BLAS build may legitimately differ in the last bits.
+graph; the desk training digest before the backward pass accumulated
+its terms in ordered chunks instead of one step at a time.  Speedups
+must keep every output byte identical, so a change that moves any of
+these digests changes results, not just speed.  They pin float64
+results as numpy computes them with OpenBLAS; another BLAS build may
+legitimately differ in the last bits.
 """
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ INIT_EVAL_DIGEST = "4148ebc6a19d471c45840c3a1cb5f251"
 SMOKE_TRAIN_DIGEST = "e38d9560eaf0dd5dc6117179e887a0bc"
 SMOKE_EVAL_DIGEST = "0b0c2c38d296deaaef7109f41260fbfd"
 EPISODES_DIGEST = "fe40fb4b830fd23be71c13eef569232f"
+DESK_TRAIN_DIGEST = "1bca19c0567a6f938e2c0212e545b3fc"
 
 
 def eval_digest(params) -> str:
@@ -58,6 +62,18 @@ def test_smoke_training_is_pinned(smoke_run):
     h.update(smoke_run.params.flatten().tobytes())
     h.update("\n".join(smoke_run.csv_rows).encode())
     assert h.hexdigest() == SMOKE_TRAIN_DIGEST
+
+
+def test_desk_training_is_pinned():
+    # 600 desk pretraining demos, then 60 routed episodes (49 rect, 11
+    # GRPO) evaluated on 20 held episodes; the longest GRPO group spans
+    # 35 backward steps, more than one GradAccumulator flush chunk.
+    cfg = load_config(CONFIGS / "desk_full.cfg")[0]
+    result = train(replace(cfg, train_episodes=60, eval_episodes=20))
+    h = hashlib.blake2b(digest_size=16)
+    h.update(result.params.flatten().tobytes())
+    h.update("\n".join(result.csv_rows).encode())
+    assert h.hexdigest() == DESK_TRAIN_DIGEST
 
 
 def test_smoke_trained_policy_evaluation_is_pinned(smoke_run):

@@ -5,6 +5,7 @@ import pytest
 from budnav.errors import CheckpointError, DimensionMismatch, UnknownToken
 from budnav.policy import (
     Featurizer,
+    GradAccumulator,
     HistoryWindow,
     NO_ACTION,
     PolicyConfig,
@@ -258,6 +259,185 @@ def test_logprob_consistent_with_distribution(tiny_policy):
         assert lp == pytest.approx(np.log(probs[a]), rel=1e-12)
 
 
+# ---------------------------------------------------- batched accumulation
+
+def per_step_accumulator_reference(params, steps):
+    """The accumulator GradAccumulator replaced: each step's terms added in
+    place into parameter-shaped buffers, one step after another.
+
+    steps holds (cache, window, dlogits) in call order; returns the flat
+    gradient in canonical block order.
+    """
+    cfg = params.cfg
+    buf = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+    for cache, window, dlogits in steps:
+        buf["W2"] += np.outer(cache.hidden, dlogits)
+        buf["b2"] += dlogits
+        dhidden = params.W2 @ dlogits
+        dpre = dhidden * (1.0 - cache.hidden ** 2)
+        buf["W1"] += np.outer(cache.features, dpre)
+        buf["b1"] += dpre
+        dfeat = params.W1 @ dpre
+        dinstr = dfeat[: cfg.d_e] / len(window.instruction)
+        for t in window.instruction:
+            buf["instr_embed"][t] += dinstr
+        offset = cfg.d_e
+        for patch, act in zip(window.patches, window.prev_actions):
+            buf["obs_proj"] += np.outer(patch, dfeat[offset : offset + cfg.d_o])
+            offset += cfg.d_o
+            buf["act_embed"][act] += dfeat[offset : offset + cfg.d_a]
+            offset += cfg.d_a
+    return np.concatenate([buf[n].ravel() for n, _ in params.blocks()])
+
+
+class ReferenceAccumulator:
+    """Drop-in for GradAccumulator that defers to the per-step reference."""
+
+    def __init__(self, params):
+        self.params = params
+        self.steps = []
+
+    def add_step(self, cache, window, dlogits):
+        self.steps.append((cache, window, dlogits.copy()))
+
+    def flat(self):
+        return per_step_accumulator_reference(self.params, self.steps)
+
+
+def padded_window(params, rng):
+    """Random window whose oldest slots are zero patches with NO_ACTION,
+    as at the start of an episode, and whose instruction and previous
+    actions repeat entries."""
+    cfg = params.cfg
+    k = cfg.history_k
+    n_pad = int(rng.integers(0, k + 1))
+    zero = np.zeros(cfg.patch_cells)
+    tokens = rng.integers(0, cfg.vocab, size=int(rng.integers(1, 4)))
+    instruction = tuple(int(t) for t in np.repeat(tokens, rng.integers(1, 4, size=len(tokens))))
+    patches = [zero] * n_pad + [
+        (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float) for _ in range(k - n_pad)
+    ]
+    actions = [NO_ACTION] * n_pad + [int(a) for a in rng.choice([0, 0, 1, NO_ACTION], size=k - n_pad)]
+    return HistoryWindow(instruction, tuple(patches), tuple(actions))
+
+
+def accumulate_both(params, steps):
+    acc = GradAccumulator(params)
+    for cache, window, dlogits in steps:
+        acc.add_step(cache, window, dlogits)
+    return acc.flat(), per_step_accumulator_reference(params, steps)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 97])
+@pytest.mark.parametrize("policy", ["tiny_policy", "default_policy"])
+def test_accumulator_is_bit_exact_against_per_step_reference(request, policy, n_steps):
+    params = request.getfixturevalue(policy)
+    rng = np.random.default_rng(n_steps)
+    steps = []
+    for i in range(n_steps):
+        window = padded_window(params, rng)
+        _, cache = forward_cached(params, window)
+        if i % 2:
+            # GRPO-style: a KL-shaped term plus a signed advantage term,
+            # scaled by 1 / (group size * trajectory length).
+            p = softmax(rng.normal(size=4))
+            dlogits = -0.01 * p * rng.normal(size=4) / 0.4
+            dlogits[int(rng.integers(4))] += rng.normal() / 0.4
+            dlogits = dlogits * (1.0 / (4 * (1 + i % 23)))
+        else:
+            dlogits = softmax(rng.normal(size=4)) / 0.4
+            dlogits[int(rng.integers(4))] -= 1.0 / 0.4
+        steps.append((cache, window, dlogits))
+    got, want = accumulate_both(params, steps)
+    assert got.shape == (params.count,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_accumulator_keeps_signed_zeros(default_policy):
+    # All-padding windows make every obs_proj term a signed zero; the
+    # running buffer (+0.0) must come first, as in the per-step sum.
+    params = default_policy
+    cfg = params.cfg
+    zero = np.zeros(cfg.patch_cells)
+    window = HistoryWindow((0,), (zero,) * cfg.history_k, (NO_ACTION,) * cfg.history_k)
+    _, cache = forward_cached(params, window)
+    steps = [(cache, window, np.array([-1.0, 2.0, -3.0, 4.0]))] * 40
+    got, want = accumulate_both(params, steps)
+    assert got.tobytes() == want.tobytes()
+    obs = got[cfg.vocab * cfg.d_e :][: cfg.patch_cells * cfg.d_o]
+    assert np.all(obs == 0.0) and not np.any(np.signbit(obs))
+
+
+@pytest.fixture(scope="module")
+def desk_batches():
+    """Desk demos and GRPO groups of an untrained policy that rarely stops.
+
+    Desk plans are at most ~18 actions, shorter than one flush chunk, so
+    each sampled walk is also replayed as a demo from the episode start.
+    """
+    from pathlib import Path
+
+    from budnav.config import load_config
+    from budnav.grpo import make_group
+    from budnav.rectify import RectificationDemo, bc_demo, decay_weights, synthesize_demo
+    from budnav.rollout import rollout_stream, run_greedy, run_sampled
+    from budnav.trainer import training_episode
+
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_full.cfg")[0]
+    params = init_params(cfg.policy, 0)
+    params.b2[3] = -10.0  # STOP
+    snap = snapshot(params, "old")
+    demos, groups = [], []
+    for i in range(3):
+        episode = training_episode(cfg, "train", i)
+        demos.append((bc_demo(episode), episode))
+        probe = run_greedy(snap, episode, cfg.rollout)
+        if not probe.success:
+            demos.append((synthesize_demo(probe, episode, cfg.rect), episode))
+        rollouts = [
+            run_sampled(
+                snap, episode, 1.0, rollout_stream(0, episode.id, j), cfg.rollout, triggers=False
+            )
+            for j in range(cfg.grpo.group_size)
+        ]
+        groups.append(make_group(rollouts, episode, snap, cfg.reward, cfg.grpo))
+        walk = tuple(s.action for s in rollouts[-1].steps)
+        demos.append((RectificationDemo(
+            episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
+            retained_prefix=(), oracle_actions=walk,
+            weights=decay_weights(len(walk), cfg.rect.decay_gamma),
+        ), episode))
+    live = params.from_flat(params.flatten() + 0.05 * np.sin(np.arange(params.count)))
+    ref = snapshot(init_params(cfg.policy, 1), "ref")
+    assert max(len(d.oracle_actions) for d, _ in demos) > GradAccumulator.FLUSH_STEPS
+    assert max(len(t.steps) for g in groups for t in g.trajectories) > GradAccumulator.FLUSH_STEPS
+    return cfg, live, ref, demos, groups
+
+
+def test_rect_gradients_are_bit_exact_against_per_step_reference(desk_batches, monkeypatch):
+    from budnav import rectify
+
+    cfg, live, _, demos, _ = desk_batches
+    got = [rectify.rect_loss_and_grad(live, d, ep, cfg.rect) for d, ep in demos]
+    monkeypatch.setattr(rectify, "GradAccumulator", ReferenceAccumulator)
+    want = [rectify.rect_loss_and_grad(live, d, ep, cfg.rect) for d, ep in demos]
+    for (loss, grad), (want_loss, want_grad) in zip(got, want):
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_grpo_gradients_are_bit_exact_against_per_step_reference(desk_batches, monkeypatch):
+    from budnav import grpo
+
+    cfg, live, ref, _, groups = desk_batches
+    got = [grpo.grpo_loss_and_grad(live, g, ref, cfg.grpo) for g in groups]
+    monkeypatch.setattr(grpo, "GradAccumulator", ReferenceAccumulator)
+    want = [grpo.grpo_loss_and_grad(live, g, ref, cfg.grpo) for g in groups]
+    for (loss, grad), (want_loss, want_grad) in zip(got, want):
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 # -------------------------------------------------------------------- KL
 
 def test_kl_properties():
@@ -308,6 +488,40 @@ def test_checkpoint_round_trip(tmp_path, tiny_policy):
     path2 = tmp_path / "q.ckpt"
     save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_interrupted_checkpoint_save_keeps_the_previous_file(tmp_path, tiny_policy, monkeypatch):
+    from budnav import policy
+
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, tiny_policy)
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    changed = tiny_policy.copy()
+    changed.b2[0] += 1.0
+    monkeypatch.setattr(policy, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, changed)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(path).flatten(), tiny_policy.flatten())
+    assert [p.name for p in tmp_path.iterdir()] == ["p.ckpt"]  # no temp file left
 
 
 def test_checkpoint_detects_corruption(tmp_path, tiny_policy):

@@ -45,12 +45,12 @@ def warm(tiny_suite):
 
 def routed_outcomes(warm_state, variant, want_routes, limit=200):
     """First RouteOutcome (with its episode index) per requested route."""
-    params, ref, cfg = warm_state
+    params, _, cfg = warm_state
     cfg = dataclasses.replace(cfg, variant=variant)
     found = {}
     for i in range(limit):
         episode = training_episode(cfg, "train", i)
-        outcome = route_episode(params, episode, ref, cfg)
+        outcome = route_episode(params, episode, cfg)
         key = (outcome.route, outcome.skipped)
         if key in want_routes and key not in found:
             found[key] = outcome
@@ -149,11 +149,11 @@ def test_pretrain_reference_tracks_final_params(warm):
 # ----------------------------------------------------------------- routing
 
 def test_routes_are_mutually_exclusive(warm):
-    params, ref, cfg = warm
+    params, _, cfg = warm
     saw = set()
     for i in range(60):
         episode = training_episode(cfg, "train", i)
-        outcome = route_episode(params, episode, ref, cfg)
+        outcome = route_episode(params, episode, cfg)
         saw.add(outcome.route)
         if outcome.probe_success:
             assert outcome.route == "grpo"
@@ -188,10 +188,10 @@ def test_grpo_only_skips_failed_episodes(warm):
 
 
 def test_bc_variant_never_probes(warm):
-    params, ref, cfg = warm
+    params, _, cfg = warm
     cfg = dataclasses.replace(cfg, variant="bc")
     episode = training_episode(cfg, "train", 0)
-    outcome = route_episode(params, episode, ref, cfg)
+    outcome = route_episode(params, episode, cfg)
     assert outcome.route == "bc" and outcome.probe is None
     assert outcome.env_steps == 0 and outcome.rollouts_used == 0
     assert outcome.demo.oracle_actions == bc_demo(episode).oracle_actions
@@ -312,7 +312,7 @@ def test_rect_and_grpo_gradients_sum_to_full(warm):
         grads = {}
         for name in ("full", "rect_only", "grpo_only"):
             cfg = dataclasses.replace(base, variant=name)
-            outcome = route_episode(params, episode, ref, cfg)
+            outcome = route_episode(params, episode, cfg)
             _, grads[name] = outcome_loss_and_grad(params, outcome, ref, cfg)
         assert np.array_equal(grads["full"], grads["rect_only"] + grads["grpo_only"])
         skipped = min(grads["rect_only"], grads["grpo_only"], key=np.linalg.norm)
