@@ -33,11 +33,12 @@ import numpy as np
 from .errors import GroupTooSmall, SnapshotMismatch
 from .oracle import GeodesicField, geodesic_field
 from .policy import (
-    Featurizer,
+    NO_ACTION,
+    FeatureTrack,
     GradAccumulator,
     PolicyParams,
     PolicySnapshot,
-    featurize,  # noqa: F401  (bound here for perfbench/tracer.py)
+    featurize,
     forward,
     forward_cached,
     kl_and_log_ratio,
@@ -69,6 +70,7 @@ class GrpoConfig:
 @dataclass(frozen=True)
 class RolloutGroup:
     episode_id: int
+    instruction: tuple
     trajectories: tuple
     rewards: np.ndarray
     advantages: np.ndarray
@@ -128,6 +130,7 @@ def make_group(
     rewards = np.array([reward(t, episode, reward_cfg, field) for t in trajectories])
     return RolloutGroup(
         episode_id=episode.id,
+        instruction=tuple(episode.instruction),
         trajectories=tuple(trajectories),
         rewards=rewards,
         advantages=group_advantages(rewards, grpo_cfg),
@@ -143,9 +146,11 @@ def grpo_loss_and_grad(
 ):
     """(loss, flat gradient) of the clipped surrogate with KL penalty.
 
-    Every step's behaviour logits are recomputed under the group's
-    snapshot and must match the recorded ones to SNAPSHOT_TOL, else the
-    group is stale and SnapshotMismatch is raised.
+    Each trajectory is replayed on three feature tracks: the group's
+    snapshot (old), params (live) and snapshot_ref.  Every step's
+    behaviour logits are recomputed under the old one and must match the
+    recorded ones to SNAPSHOT_TOL, else the group is stale and
+    SnapshotMismatch is raised.
     """
     if len(group.trajectories) < 2:
         raise GroupTooSmall(f"group of {len(group.trajectories)} rollouts")
@@ -154,24 +159,27 @@ def grpo_loss_and_grad(
     ref_params = snapshot_ref.params
     lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
     n_groups = len(group.trajectories)
-    old_features = Featurizer(old_params)
-    live_features = Featurizer(params)
-    ref_features = Featurizer(ref_params)
     acc = GradAccumulator(params)
     objective = 0.0
     for adv, traj in zip(group.advantages, group.trajectories):
         scale = 1.0 / (n_groups * len(traj.steps))
+        old = FeatureTrack(old_params, group.instruction)
+        live = FeatureTrack(params, group.instruction)
+        ref = FeatureTrack(ref_params, group.instruction)
+        prev_action = NO_ACTION
         for s in traj.steps:
-            recomputed = forward(old_params, old_features(s.window))
+            obs = s.observation
+            recomputed = forward(old_params, featurize(old, obs, prev_action))
             drift = float(np.max(np.abs(recomputed - s.logits)))
             if drift > SNAPSHOT_TOL:
                 raise SnapshotMismatch(
                     f"episode {group.episode_id} step {s.t}: recorded logits drift {drift:g}"
                 )
-            logits, cache = forward_cached(params, s.window, live_features)
+            featurize(live, obs, prev_action)
+            logits, cache = forward_cached(params, live)
             p = softmax(logits / temp)
             p_old = softmax(s.logits / temp)
-            q = softmax(forward(ref_params, ref_features(s.window)) / temp)
+            q = softmax(forward(ref_params, featurize(ref, obs, prev_action)) / temp)
 
             rho = p[s.action] / p_old[s.action]
             clipped = min(max(rho, lo), hi)
@@ -186,5 +194,6 @@ def grpo_loss_and_grad(
                 coef = adv * rho / temp
                 dlogits += coef * (-p)
                 dlogits[s.action] += coef
-            acc.add_step(cache, s.window, dlogits * scale)
+            acc.add_step(cache, dlogits * scale)
+            prev_action = s.action
     return -objective, -acc.flat()

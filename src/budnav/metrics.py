@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grpo import spl as spl_metric
 from .oracle import GeodesicField, geodesic_field
 from .policy import PolicySnapshot
@@ -84,15 +82,20 @@ def oracle_success(traj: Trajectory, episode: Episode, field: GeodesicField | No
 
 
 def dtw_distance(path, reference, cell_size: float = 1.0) -> float:
-    """Classic O(n*m) dynamic time warping with Euclidean point costs."""
-    n, m = len(path), len(reference)
-    acc = np.full((n + 1, m + 1), math.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
+    """Classic O(n*m) dynamic time warping with Euclidean point costs.
+
+    The accumulated-cost table is kept as two rows of Python floats:
+    prev is row i - 1 and row is row i, each with the inf border cell.
+    """
+    m = len(reference)
+    prev = [0.0] + [math.inf] * m
+    for point in path:
+        row = [math.inf] * (m + 1)
         for j in range(1, m + 1):
-            cost = euclid_m(path[i - 1], reference[j - 1], cell_size)
-            acc[i, j] = cost + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
-    return float(acc[n, m])
+            cost = euclid_m(point, reference[j - 1], cell_size)
+            row[j] = cost + min(prev[j], row[j - 1], prev[j - 1])
+        prev = row
+    return prev[m]
 
 
 def ndtw(path, reference, threshold: float = 3.0, cell_size: float = 1.0) -> float:

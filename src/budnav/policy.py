@@ -1,20 +1,25 @@
 """History-conditioned softmax policy with fully analytic gradients.
 
 The policy scores the four actions from a fixed-size feature vector
-built out of the episode instruction and a sliding window over the last
-K (observation, previous-action) pairs:
+built out of the episode instruction and the last K (observation,
+previous-action) pairs:
 
     features = [ mean of instruction token embeddings        (d_e)
                | patch_0 @ obs_proj, act_embed[prev_act_0]   (d_o + d_a)
-               | ...   one block per window slot, oldest first
+               | ...   one block per history slot, oldest first
                | patch_{K-1} @ obs_proj, act_embed[prev_act_{K-1}] ]
 
     logits = tanh(features @ W1 + b1) @ W2 + b2
 
-Slots before the episode start are padded with a zero patch and the
-dedicated "no previous action" embedding row.  All math is float64 and
-every gradient is hand-derived, so finite differences must agree to
-near machine precision.
+A FeatureTrack holds this vector for one episode under one parameter
+set.  It starts with every slot padded (a zero patch projected through
+obs_proj and the dedicated "no previous action" embedding row), and
+featurize advances it by one step: the slots shift left by one block
+and the newest pair is written into the last one.  Every entry is a
+copy of the same product or row a fresh concatenation would hold, so
+the features are identical to the bit.  All math is float64 and every
+gradient is hand-derived, so finite differences must agree to near
+machine precision.
 
 Parameters flatten in declaration order (instr_embed, obs_proj,
 act_embed, W1, b1, W2, b2), each block row-major.  Checkpoints store the
@@ -34,7 +39,7 @@ from .errors import CheckpointError, DimensionMismatch, UnknownToken
 from .rng import stream
 from .world import DEFAULT_MAX_RUN, vocab_size
 
-# Index used in window slots that precede the first action of an episode.
+# Previous-action index of padding slots and of an episode's first step.
 NO_ACTION = 4
 N_ACTIONS = 4
 
@@ -153,74 +158,54 @@ def snapshot(params: PolicyParams, role: str = "snapshot") -> PolicySnapshot:
     return PolicySnapshot(params=frozen, role=role)
 
 
-@dataclass(frozen=True)
-class HistoryWindow:
-    """Policy conditioning context at one decision point.
+class FeatureTrack:
+    """Rolling feature vector of one episode under one parameter set.
 
-    patches are flattened egocentric observations, oldest slot first;
-    prev_actions[i] is the action taken just before patches[i] was seen
-    (NO_ACTION for padding and for the first step).
+    features is updated in place by featurize, one step at a time.  The
+    padded history keeps every (patch, previous action) pair pushed so
+    far behind history_k - 1 padding entries, so the slots of the n-th
+    push (0-based) are patches[n : n + history_k] and the same slice of
+    prev_actions.  The params and the pushed observations must not be
+    mutated while the track is in use.
     """
 
-    instruction: tuple
-    patches: tuple
-    prev_actions: tuple
-
-
-class Featurizer:
-    """Feature builder for one fixed parameter set, memoizing shared inputs.
-
-    Windows along one rollout or demo share their instruction tuple and
-    their patch arrays (each observation reappears in up to history_k
-    windows), so the instruction mean and each patch's projection are
-    computed once per object, with the same numpy operations as an
-    uncached call; features are identical to the bit.  The params, the
-    instructions and the patches must not be mutated while in use.
-    """
-
-    def __init__(self, params: PolicyParams):
-        self.params = params
-        # id(obj) -> (obj, value); holding obj keeps its id from being reused.
-        self._memo = {}
-
-    def _cached(self, obj, compute):
-        hit = self._memo.get(id(obj))
-        if hit is None:
-            hit = self._memo[id(obj)] = (obj, compute(obj))
-        return hit[1]
-
-    def _instruction_mean(self, instruction) -> np.ndarray:
-        p = self.params
+    def __init__(self, params: PolicyParams, instruction):
+        cfg = params.cfg
         for t in instruction:
-            if not 0 <= t < p.cfg.vocab:
-                raise UnknownToken(f"instruction token {t} outside vocabulary {p.cfg.vocab}")
-        return p.instr_embed[list(instruction)].mean(axis=0)
-
-    def _projection(self, patch: np.ndarray) -> np.ndarray:
-        p = self.params
-        if patch.shape != (p.cfg.patch_cells,):
-            raise DimensionMismatch(f"patch shape {patch.shape}, want ({p.cfg.patch_cells},)")
-        return patch @ p.obs_proj
-
-    def __call__(self, window: HistoryWindow) -> np.ndarray:
-        p = self.params
-        k = p.cfg.history_k
-        if len(window.patches) != k or len(window.prev_actions) != k:
-            raise DimensionMismatch(f"window has {len(window.patches)} slots, want {k}")
-        parts = [self._cached(window.instruction, self._instruction_mean)]
-        memo = self._memo
-        for patch, act in zip(window.patches, window.prev_actions):
-            hit = memo.get(id(patch))  # _cached, inlined for the hit path
-            proj = hit[1] if hit is not None else self._cached(patch, self._projection)
-            if not 0 <= act <= NO_ACTION:
-                raise DimensionMismatch(f"previous-action index out of range: {act}")
-            parts.append(proj)
-            parts.append(p.act_embed[act])
-        return np.concatenate(parts)
+            if not 0 <= t < cfg.vocab:
+                raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
+        self.params = params
+        self.instruction = tuple(instruction)
+        zero = np.zeros(cfg.patch_cells)
+        self.patches = [zero] * (cfg.history_k - 1)
+        self.prev_actions = [NO_ACTION] * (cfg.history_k - 1)
+        block = cfg.d_o + cfg.d_a
+        self.features = np.empty(cfg.feature_dim)
+        self.features[: cfg.d_e] = params.instr_embed[list(self.instruction)].mean(axis=0)
+        slots = self.features[cfg.d_e :].reshape(cfg.history_k, block)
+        slots[:, : cfg.d_o] = zero @ params.obs_proj
+        slots[:, cfg.d_o :] = params.act_embed[NO_ACTION]
+        # Views of features that each step writes.
+        last = cfg.feature_dim - block
+        self._older = self.features[cfg.d_e : last]
+        self._newer = self.features[cfg.d_e + block :]
+        self._obs = self.features[last : last + cfg.d_o]
+        self._act = self.features[last + cfg.d_o :]
 
 
-def featurize(params: PolicyParams, window: HistoryWindow) -> np.ndarray:
-    return Featurizer(params)(window)
+def featurize(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndarray:
+    """Advance track by one step; returns track.features, not a copy."""
+    p = track.params
+    if obs.shape != (p.cfg.patch_cells,):
+        raise DimensionMismatch(f"patch shape {obs.shape}, want ({p.cfg.patch_cells},)")
+    if not 0 <= prev_action <= NO_ACTION:
+        raise DimensionMismatch(f"previous-action index out of range: {prev_action}")
+    track._older[...] = track._newer
+    track._obs[...] = obs @ p.obs_proj
+    track._act[...] = p.act_embed[prev_action]
+    track.patches.append(obs)
+    track.prev_actions.append(prev_action)
+    return track.features
 
 
 def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
@@ -235,17 +220,26 @@ def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Cache:
+    """Activations of one step, for GradAccumulator.add_step.
+
+    features is the track's own buffer, not a copy: it is valid only
+    until the next featurize on that track.  track and at locate the
+    step's slots in the track's padded history.
+    """
+
     features: np.ndarray
     hidden: np.ndarray
+    track: FeatureTrack
+    at: int
 
 
-def forward_cached(
-    params: PolicyParams, window: HistoryWindow, featurizer: Featurizer | None = None
-):
-    """Logits plus the activations backprop needs; featurizer must wrap params."""
-    features = (featurizer or Featurizer(params))(window)
+def forward_cached(params: PolicyParams, track: FeatureTrack):
+    """Logits of the track's latest step plus the activations backprop
+    needs; track must be built from params."""
+    features = track.features
     hidden = np.tanh(features @ params.W1 + params.b1)
-    return hidden @ params.W2 + params.b2, _Cache(features, hidden)
+    at = len(track.prev_actions) - params.cfg.history_k
+    return hidden @ params.W2 + params.b2, _Cache(features, hidden, track, at)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -283,11 +277,12 @@ class GradAccumulator:
 
     add_step backpropagates one step: the matvecs W2 @ dlogits and
     W1 @ dpre and the W1 outer product happen at once; hidden, dlogits,
-    dpre, dfeat and the window are recorded.  Every FLUSH_STEPS pending
-    steps, and in flat(), the recorded W2, b2, b1 and obs_proj terms are
-    added with one ordered reduction per block (_add_rows, _add_outers)
-    and the act_embed and instr_embed rows with np.add.at, which applies
-    repeated indices in order.  Steps, then window slots, then
+    dpre, dfeat and where the step's slots sit in its track's padded
+    history are recorded.  Every FLUSH_STEPS pending steps, and in
+    flat(), the recorded W2, b2, b1 and obs_proj terms are added with
+    one ordered reduction per block (_add_rows, _add_outers) and the
+    act_embed and instr_embed rows with np.add.at, which applies
+    repeated indices in order.  Steps, then history slots, then
     instruction tokens are added in the order they arrived, so every
     element of the result is bit-identical to adding each step's terms
     into the buffers in place, one step after another.
@@ -308,14 +303,14 @@ class GradAccumulator:
             offset += arr.size
         self._pending = []
 
-    def add_step(self, cache: _Cache, window: HistoryWindow, dlogits: np.ndarray):
+    def add_step(self, cache: _Cache, dlogits: np.ndarray):
         """Accumulate d(objective)/d(params) given d(objective)/d(logits)."""
         p = self.params
         dhidden = p.W2 @ dlogits
         dpre = dhidden * (1.0 - cache.hidden ** 2)
         self.buf["W1"] += np.outer(cache.features, dpre)
         dfeat = p.W1 @ dpre
-        self._pending.append((cache.hidden, dlogits, dpre, dfeat, window))
+        self._pending.append((cache.hidden, dlogits, dpre, dfeat, cache.track, cache.at))
         if len(self._pending) >= self.FLUSH_STEPS:
             self._flush()
 
@@ -323,7 +318,7 @@ class GradAccumulator:
         if not self._pending:
             return
         cfg = self.params.cfg
-        hidden, dlogits, dpre, dfeat, windows = zip(*self._pending)
+        hidden, dlogits, dpre, dfeat, tracks, starts = zip(*self._pending)
         self._pending = []
         dlogits = np.array(dlogits)
         dpre = np.array(dpre)
@@ -333,34 +328,23 @@ class GradAccumulator:
         _add_rows(buf["b2"], dlogits)
         _add_rows(buf["b1"], dpre)
 
-        lengths = np.array([len(w.instruction) for w in windows])
-        tokens = [t for w in windows for t in w.instruction]
+        lengths = np.array([len(tr.instruction) for tr in tracks])
+        tokens = [t for tr in tracks for t in tr.instruction]
         dinstr = dfeat[:, : cfg.d_e] / lengths[:, None]
         np.add.at(buf["instr_embed"], tokens, np.repeat(dinstr, lengths, axis=0))
 
         # [steps, slots, d_o + d_a] -> one row per (step, slot), oldest slot first.
-        slots = dfeat[:, cfg.d_e :].reshape(len(windows) * cfg.history_k, cfg.d_o + cfg.d_a)
-        patches = np.array([patch for w in windows for patch in w.patches])
+        k = cfg.history_k
+        slots = dfeat[:, cfg.d_e :].reshape(len(tracks) * k, cfg.d_o + cfg.d_a)
+        steps = list(zip(tracks, starts))
+        patches = np.array([p for tr, n in steps for p in tr.patches[n : n + k]])
         _add_outers(buf["obs_proj"], patches, slots[:, : cfg.d_o])
-        actions = [a for w in windows for a in w.prev_actions]
+        actions = [a for tr, n in steps for a in tr.prev_actions[n : n + k]]
         np.add.at(buf["act_embed"], actions, slots[:, cfg.d_o :])
 
     def flat(self) -> np.ndarray:
         self._flush()
         return self.grad
-
-
-def logprob_and_grad(
-    params: PolicyParams, window: HistoryWindow, action: int, temperature: float
-):
-    """log pi(action | window) and its gradient, flattened canonically."""
-    logits, cache = forward_cached(params, window)
-    probs = softmax(logits / temperature)
-    dlogits = -probs / temperature
-    dlogits[action] += 1.0 / temperature
-    acc = GradAccumulator(params)
-    acc.add_step(cache, window, dlogits)
-    return float(np.log(probs[action])), acc.flat()
 
 
 PROB_FLOOR = 1e-12

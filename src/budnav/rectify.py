@@ -27,8 +27,16 @@ import numpy as np
 
 from .errors import NotAFailure
 from .oracle import advance_progress, plan
-from .policy import Featurizer, GradAccumulator, PolicyParams, forward_cached, softmax
-from .rollout import Trajectory, TriggerKind, WindowBuilder
+from .policy import (
+    NO_ACTION,
+    FeatureTrack,
+    GradAccumulator,
+    PolicyParams,
+    featurize,
+    forward_cached,
+    softmax,
+)
+from .rollout import Trajectory, TriggerKind
 from .world import Action, Episode, Pose, expand_instruction, observe, step
 
 
@@ -126,27 +134,29 @@ def rect_loss_and_grad(
 ):
     """Weighted cross-entropy of the completion, conditioned on the prefix.
 
-    The environment is replayed from the anchor so every completion
-    token is scored against the real observation stream.
+    The retained prefix is pushed onto the feature track first, then the
+    environment is replayed from the anchor so every completion token is
+    scored against the real observation stream.
     """
     pcfg = params.cfg
     temp = pcfg.temperature
-    builder = WindowBuilder(episode.instruction, pcfg.history_k, pcfg.patch_cells)
+    track = FeatureTrack(params, episode.instruction)
+    prev_action = NO_ACTION
     for s in demo.retained_prefix:
-        builder.push(s.observation, s.action)
+        featurize(track, s.observation, prev_action)
+        prev_action = s.action
     pose = demo.anchor_pose
-    features = Featurizer(params)
     acc = GradAccumulator(params)
     loss = 0.0
     for w, action in zip(demo.weights, demo.oracle_actions):
         obs = observe(episode.world, pose, pcfg.obs_k).ravel()
-        window = builder.window(obs)
-        logits, cache = forward_cached(params, window, features)
+        featurize(track, obs, prev_action)
+        logits, cache = forward_cached(params, track)
         probs = softmax(logits / temp)
         loss += -cfg.alpha * float(w) * float(np.log(probs[action]))
         dlogits = cfg.alpha * float(w) * probs / temp
         dlogits[action] -= cfg.alpha * float(w) / temp
-        acc.add_step(cache, window, dlogits)
-        builder.push(obs, int(action))
+        acc.add_step(cache, dlogits)
+        prev_action = int(action)
         pose = step(episode.world, pose, Action(action))
     return loss, acc.flat()

@@ -1,7 +1,8 @@
 """Policy rollouts, failure triggers, and the trace format.
 
-A rollout executes the policy step by step: build the history window,
-score the four actions, pick one (greedy argmax or inverse-CDF sampling
+A rollout executes the policy step by step: advance the episode's
+feature track by the new observation and previous action, score the
+four actions, pick one (greedy argmax or inverse-CDF sampling
 on a named stream), apply it to the world, then run the failure checks.
 Four triggers are evaluated in a fixed order after every executed
 action:
@@ -22,23 +23,25 @@ trigger.  Evaluation-style rollouts disable the triggers entirely and
 terminate only on STOP or the step cap.
 
 Trajectories record, per step, the pose before the action, the
-observation, the chosen action, the raw logits, and the exact history
-window, which makes every training loss recomputable after the fact.
+observation, the chosen action and the raw logits.  Each step feeds
+its observation and the previous step's action (NO_ACTION at t = 0)
+to the policy's history, so a loss can rebuild every step's context
+from the steps alone and is recomputable after the fact.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .oracle import advance_progress, path_deviation, progress_index
 from .policy import (
     NO_ACTION,
-    Featurizer,
-    HistoryWindow,
+    FeatureTrack,
     PolicySnapshot,
+    featurize,
     forward,
     greedy_action,
     softmax,
@@ -76,7 +79,6 @@ class TrajectoryStep:
     observation: np.ndarray  # flattened egocentric patch
     action: int
     logits: np.ndarray
-    window: HistoryWindow
 
 
 @dataclass(frozen=True)
@@ -142,31 +144,6 @@ def check_triggers(state: RolloutState, episode: Episode, cfg: RolloutConfig):
     return None
 
 
-class WindowBuilder:
-    """Incrementally maintains the policy's sliding history window."""
-
-    def __init__(self, instruction, history_k: int, patch_cells: int):
-        self.instruction = tuple(instruction)
-        self.k = history_k
-        self.zero = np.zeros(patch_cells)
-        self.past = deque(maxlen=max(0, history_k - 1))
-        self.last_action = NO_ACTION
-
-    def window(self, obs_flat: np.ndarray) -> HistoryWindow:
-        slots = list(self.past) + [(obs_flat, self.last_action)]
-        pad = self.k - len(slots)
-        return HistoryWindow(
-            instruction=self.instruction,
-            patches=tuple([self.zero] * pad + [s[0] for s in slots]),
-            prev_actions=tuple([NO_ACTION] * pad + [s[1] for s in slots]),
-        )
-
-    def push(self, obs_flat: np.ndarray, action: int) -> None:
-        if self.past.maxlen:
-            self.past.append((obs_flat, self.last_action))
-        self.last_action = int(action)
-
-
 def sample_action(probs: np.ndarray, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative mass exceeds u."""
     cum = np.cumsum(probs)
@@ -178,18 +155,18 @@ def _rollout(
     episode: Episode,
     cfg: RolloutConfig,
     obs_k: int,
-    history_k: int,
     mode: str,
     rng_stream: int = 0,
     temperature: float | None = None,
     rng=None,
     triggers: bool = True,
 ) -> Trajectory:
+    """Run one episode; logits_fn(obs, prev_action) scores each step."""
     world = episode.world
     waypoints = episode.reference_waypoints
     cell = world.cell_size
     max_steps = cfg.max_steps(episode)
-    builder = WindowBuilder(episode.instruction, history_k, obs_k * obs_k)
+    prev_action = NO_ACTION
 
     pose = episode.start
     progress = progress_index([pose.position], waypoints, cfg.visit_radius_m, cell)
@@ -200,15 +177,14 @@ def _rollout(
 
     for t in range(max_steps):
         obs = observe(world, pose, obs_k).ravel()
-        window = builder.window(obs)
-        logits = logits_fn(window)
+        logits = logits_fn(obs, prev_action)
         if mode == "greedy":
             action = greedy_action(logits)
         else:
             probs = softmax(logits / temperature)
             action = sample_action(probs, rng.random())
         new_pose = step(world, pose, Action(action))
-        steps.append(TrajectoryStep(t, pose, obs, action, logits, window))
+        steps.append(TrajectoryStep(t, pose, obs, action, logits))
         if action == Action.FORWARD and new_pose.position != pose.position:
             path_length += cell
 
@@ -237,7 +213,7 @@ def _rollout(
                 stopped=True, success=goal_dist <= episode.goal_radius,
                 trigger=None, path_length=path_length,
             )
-        builder.push(obs, action)
+        prev_action = action
         pose = new_pose
 
     # Step cap reached: forced termination, counted as a failure.
@@ -249,15 +225,20 @@ def _rollout(
 
 
 def snapshot_logits_fn(snapshot: PolicySnapshot):
-    """Window -> logits under the snapshot; one per rollout, so the
-    featurizer's memo spans exactly that rollout's windows."""
+    """(track, obs, prev_action) -> logits under the snapshot: one step of
+    featurize on a track built from snapshot.params, then forward."""
     params = snapshot.params
-    features = Featurizer(params)
 
-    def logits_fn(window: HistoryWindow) -> np.ndarray:
-        return forward(params, features(window))
+    def logits_fn(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndarray:
+        return forward(params, featurize(track, obs, prev_action))
 
     return logits_fn
+
+
+def _episode_logits_fn(snapshot: PolicySnapshot, episode: Episode):
+    """(obs, prev_action) -> logits along one rollout of episode."""
+    track = FeatureTrack(snapshot.params, episode.instruction)
+    return partial(snapshot_logits_fn(snapshot), track)
 
 
 def run_greedy(
@@ -267,9 +248,8 @@ def run_greedy(
     triggers: bool = True,
 ) -> Trajectory:
     """Deterministic argmax rollout (the probe / evaluation policy)."""
-    pcfg = snapshot.params.cfg
     return _rollout(
-        snapshot_logits_fn(snapshot), episode, cfg, pcfg.obs_k, pcfg.history_k,
+        _episode_logits_fn(snapshot, episode), episode, cfg, snapshot.params.cfg.obs_k,
         mode="greedy", triggers=triggers,
     )
 
@@ -283,10 +263,9 @@ def run_sampled(
     triggers: bool = True,
 ) -> Trajectory:
     """Stochastic rollout drawing actions from the named stream."""
-    pcfg = snapshot.params.cfg
     rng = np.random.Generator(np.random.PCG64(rng_stream))
     return _rollout(
-        snapshot_logits_fn(snapshot), episode, cfg, pcfg.obs_k, pcfg.history_k,
+        _episode_logits_fn(snapshot, episode), episode, cfg, snapshot.params.cfg.obs_k,
         mode="sampled", rng_stream=rng_stream, temperature=temperature, rng=rng,
         triggers=triggers,
     )

@@ -1,5 +1,6 @@
 """Shared fixtures: small deterministic worlds, episodes, and policies."""
-import numpy as np
+from typing import NamedTuple
+
 import pytest
 
 from budnav.policy import PolicyConfig, init_params, snapshot
@@ -53,10 +54,17 @@ def default_policy():
     return init_params(PolicyConfig(), 0)
 
 
+class Window(NamedTuple):
+    """One step's conditioning context spelled out: the instruction and
+    history_k (patch, previous action) slots, oldest first."""
+
+    instruction: tuple
+    patches: tuple
+    prev_actions: tuple
+
+
 def rand_window(params, rng, n_tokens=3, n_hist=None):
     """Random but well-formed history window for the given policy."""
-    from budnav.policy import HistoryWindow, NO_ACTION
-
     cfg = params.cfg
     k = cfg.history_k if n_hist is None else n_hist
     instruction = tuple(int(t) for t in rng.integers(0, cfg.vocab, size=n_tokens))
@@ -64,4 +72,29 @@ def rand_window(params, rng, n_tokens=3, n_hist=None):
     actions = tuple(
         int(a) for a in rng.integers(0, 5, size=k)
     )  # 4 = NO_ACTION padding value
-    return HistoryWindow(instruction=instruction, patches=patches, prev_actions=actions)
+    return Window(instruction=instruction, patches=patches, prev_actions=actions)
+
+
+def window_track(params, window, n_pad=0):
+    """FeatureTrack whose latest step has window's slots.  The first n_pad
+    slots are left to the track's own padding; the rest are pushed."""
+    from budnav.policy import FeatureTrack, featurize
+
+    track = FeatureTrack(params, window.instruction)
+    for patch, act in zip(window.patches[n_pad:], window.prev_actions[n_pad:]):
+        featurize(track, patch, act)
+    return track
+
+
+def replay(params, instruction, steps):
+    """Yield (step, track) after pushing each trajectory step's observation
+    and previous action onto one FeatureTrack, as the losses do.  The
+    track's features are overwritten by the next step."""
+    from budnav.policy import NO_ACTION, FeatureTrack, featurize
+
+    track = FeatureTrack(params, instruction)
+    prev_action = NO_ACTION
+    for s in steps:
+        featurize(track, s.observation, prev_action)
+        yield s, track
+        prev_action = s.action

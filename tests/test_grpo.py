@@ -20,11 +20,9 @@ from budnav.grpo import (
 from budnav.oracle import geodesic_field
 from budnav.policy import (
     PolicyConfig,
-    featurize,
     forward,
     init_params,
     kl_and_log_ratio,
-    logprob_and_grad,
     snapshot,
     softmax,
 )
@@ -37,6 +35,8 @@ from budnav.world import (
     compile_instruction,
 )
 
+from conftest import replay
+from test_policy import logprob_and_grad
 from test_rollout import corridor_episode, run_script
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
@@ -194,9 +194,11 @@ def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monke
     want = 0.0
     G = len(group.trajectories)
     for traj in group.trajectories:
-        for s in traj.steps:
-            p = softmax(forward(default_policy, featurize(default_policy, s.window)) / 0.4)
-            q = softmax(forward(ref.params, featurize(ref.params, s.window)) / 0.4)
+        live = replay(default_policy, group.instruction, traj.steps)
+        refs = replay(ref.params, group.instruction, traj.steps)
+        for (s, live_track), (_, ref_track) in zip(live, refs):
+            p = softmax(forward(default_policy, live_track.features) / 0.4)
+            q = softmax(forward(ref.params, ref_track.features) / 0.4)
             want += cfg.kl_beta * kl_and_log_ratio(p, q)[0] / (G * len(traj.steps))
     assert len(calls) == sum(len(t.steps) for t in group.trajectories)
     assert want > 0.0
@@ -212,8 +214,8 @@ def test_grpo_matches_policy_gradient_at_origin(sample_episode, default_policy):
     want = np.zeros_like(grad)
     G = len(group.trajectories)
     for adv, traj in zip(group.advantages, group.trajectories):
-        for s in traj.steps:
-            _, g = logprob_and_grad(default_policy, s.window, s.action, 0.4)
+        for s, track in replay(default_policy, group.instruction, traj.steps):
+            _, g = logprob_and_grad(track, s.action, 0.4)
             want += adv * g / (G * len(traj.steps))
     assert np.allclose(grad, -want, atol=1e-10)
 
@@ -273,12 +275,11 @@ def test_grpo_clipping_kills_ratio_gradient(sample_episode):
     rng = np.random.default_rng(3)
     live = old.from_flat(old.flatten() + 0.5 * rng.standard_normal(old.count))
     temp = cfg.temperature
-    from budnav.policy import featurize, forward, softmax
 
     clipped_steps = 0
     for adv, traj in zip(group.advantages, group.trajectories):
-        for s in traj.steps:
-            p = softmax(forward(live, featurize(live, s.window)) / temp)
+        for s, track in replay(live, group.instruction, traj.steps):
+            p = softmax(forward(live, track.features) / temp)
             p_old = softmax(s.logits / temp)
             rho = p[s.action] / p_old[s.action]
             if rho * adv > min(max(rho, 0.8), 1.2) * adv:

@@ -18,7 +18,7 @@ from budnav.metrics import (
 from budnav.oracle import geodesic_field
 from budnav.policy import snapshot
 from budnav.rollout import run_greedy
-from budnav.world import Action, Pose, generate_episode, generate_world
+from budnav.world import Action, Pose, euclid_m, generate_episode, generate_world
 
 from conftest import walled_world
 from test_oracle import bfs_distance_oracle
@@ -127,6 +127,44 @@ def test_dtw_matches_exhaustive_oracle():
         path = [tuple(p) for p in rng.integers(0, 8, size=(n, 2))]
         ref = [tuple(p) for p in rng.integers(0, 8, size=(m, 2))]
         assert dtw_distance(path, ref) == pytest.approx(dtw_oracle(path, ref))
+
+
+def dtw_table_reference(path, reference, cell_size=1.0):
+    """The numpy-table DTW that dtw_distance replaced, kept as a reference."""
+    n, m = len(path), len(reference)
+    acc = np.full((n + 1, m + 1), math.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost = euclid_m(path[i - 1], reference[j - 1], cell_size)
+            acc[i, j] = cost + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    return float(acc[n, m])
+
+
+def test_dtw_is_bit_identical_to_the_table_reference():
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(200):
+        n, m = rng.integers(1, 40), rng.integers(1, 30)
+        path = [tuple(int(v) for v in p) for p in rng.integers(0, 12, size=(n, 2))]
+        ref = [tuple(int(v) for v in p) for p in rng.integers(0, 12, size=(m, 2))]
+        cases.append((path, ref, float(rng.choice([1.0, 0.5, 2.5, 0.3]))))
+    ref = [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)]
+    cases += [
+        ([(4, 2)], ref, 1.0),  # one-point path
+        (ref, [(4, 2)], 0.3),  # one-point reference
+        ([(4, 2)], [(4, 2)], 1.0),
+        (ref, list(ref), 0.7),  # reference equal to the path
+        ([], ref, 1.0),
+        (ref, [], 1.0),
+        ([], [], 1.0),
+    ]
+    for path, reference, cell in cases:
+        got = dtw_distance(path, reference, cell)
+        want = dtw_table_reference(path, reference, cell)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (path, reference, cell)
+    assert dtw_distance(ref, list(ref)) == 0.0
 
 
 def test_dtw_cell_size_scales_linearly():

@@ -2,8 +2,10 @@
 
 Installing it must succeed: a refactor that unbinds a name the tracer
 patches (say trainer.gro_step or grpo.featurize) fails here rather than
-in a traced benchmark run.
+in a traced benchmark run.  A refactor that moves a traced call off its
+per-step cadence breaks the per-layer accounting and fails here too.
 """
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,41 @@ def test_tracer_installs_on_every_traced_name():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_layer_counts_add_up(tmp_path):
+    # Every featurize+forward belongs to one rollout step, one rect loss
+    # step or one of the three GRPO tracks (old, live, ref) of a loss
+    # step; every backward step to one rect or GRPO loss step.  A short
+    # desk run with a high learning rate takes both routes.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"suite.file = {ROOT / 'configs' / 'desk.suite'}\n"
+        "trainer.pretrain_episodes = 100\n"
+        "trainer.train_episodes = 30\n"
+        "trainer.eval_every = 30\n"
+        "trainer.eval_episodes = 5\n"
+        "opt.learning_rate = 1e-2\n"
+    )
+    code = (
+        "import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "from tracer import Tracer, install\n"
+        "tracer = Tracer(); install(tracer)\n"
+        "import budnav.trainer\n"
+        "from budnav.config import load_config\n"
+        "cfg = load_config(sys.argv[3])[0]\n"
+        "tracer.span('run', lambda: budnav.trainer.train(cfg))()\n"
+        "print(json.dumps(tracer.report('run')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench"), str(cfg)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout.splitlines()[-1])
+    assert m["trainer.route.grpo"] >= 1 and m["trainer.route.rect"] >= 1
+    assert m["grpo.loss.steps"] > 0 and m["rectify.loss.steps"] > 0
+    assert m["policy.forward.calls"] == (
+        m["rollout.steps"] + m["rectify.loss.steps"] + 3 * m["grpo.loss.steps"]
+    )
+    assert m["policy.backward.calls"] == m["rectify.loss.steps"] + m["grpo.loss.steps"]

@@ -4,10 +4,9 @@ import pytest
 
 from budnav.errors import CheckpointError, DimensionMismatch, UnknownToken
 from budnav.policy import (
-    Featurizer,
-    GradAccumulator,
-    HistoryWindow,
     NO_ACTION,
+    FeatureTrack,
+    GradAccumulator,
     PolicyConfig,
     featurize,
     forward,
@@ -16,13 +15,12 @@ from budnav.policy import (
     init_params,
     kl_and_log_ratio,
     load_checkpoint,
-    logprob_and_grad,
     save_checkpoint,
     snapshot,
     softmax,
 )
 
-from conftest import rand_window
+from conftest import Window, rand_window, window_track
 
 
 # ----------------------------------------------------------------- init
@@ -65,11 +63,34 @@ def test_from_flat_rejects_wrong_size(tiny_policy):
 
 # ------------------------------------------------------------- featurize
 
+def featurize_uncached(params, window):
+    """The reference construction: concatenate the instruction mean and
+    each slot's projected patch and action row, oldest slot first."""
+    parts = [params.instr_embed[list(window.instruction)].mean(axis=0)]
+    for patch, act in zip(window.patches, window.prev_actions):
+        parts.append(patch @ params.obs_proj)
+        parts.append(params.act_embed[act])
+    return np.concatenate(parts)
+
+
+def reference_windows(instruction, pairs, cfg):
+    """The window of each step when pairs[t] = (observation, previous
+    action) is pushed after history_k - 1 padding slots."""
+    k = cfg.history_k
+    history = [(np.zeros(cfg.patch_cells), NO_ACTION)] * (k - 1)
+    for pair in pairs:
+        history.append(pair)
+        slots = history[-k:]
+        yield Window(
+            tuple(instruction), tuple(p for p, _ in slots), tuple(a for _, a in slots)
+        )
+
+
 def test_featurize_layout_by_hand(tiny_policy):
     cfg = tiny_policy.cfg
     rng = np.random.default_rng(0)
     window = rand_window(tiny_policy, rng, n_tokens=2)
-    feats = featurize(tiny_policy, window)
+    feats = window_track(tiny_policy, window).features
     assert feats.shape == (cfg.feature_dim,)
     # Leading d_e entries: mean of the two token embeddings.
     t0, t1 = window.instruction
@@ -89,104 +110,217 @@ def test_featurize_validates_inputs(tiny_policy):
     rng = np.random.default_rng(1)
     good = rand_window(tiny_policy, rng)
     with pytest.raises(UnknownToken):
-        featurize(tiny_policy, HistoryWindow((999,), good.patches, good.prev_actions))
+        FeatureTrack(tiny_policy, (999,))
+    with pytest.raises(UnknownToken):
+        FeatureTrack(tiny_policy, (0, -1))
+    track = FeatureTrack(tiny_policy, good.instruction)
     with pytest.raises(DimensionMismatch):
-        featurize(tiny_policy, HistoryWindow(good.instruction, good.patches[:-1], good.prev_actions[:-1]))
-    bad_acts = (NO_ACTION + 1,) + good.prev_actions[1:]
+        featurize(track, good.patches[0][:-1], 0)
     with pytest.raises(DimensionMismatch):
-        featurize(tiny_policy, HistoryWindow(good.instruction, good.patches, bad_acts))
+        featurize(track, good.patches[0], NO_ACTION + 1)
 
 
-def featurize_uncached(params, window):
-    """The construction Featurizer memoizes, spelled out step by step."""
-    parts = [params.instr_embed[list(window.instruction)].mean(axis=0)]
-    for patch, act in zip(window.patches, window.prev_actions):
-        parts.append(patch @ params.obs_proj)
-        parts.append(params.act_embed[act])
-    return np.concatenate(parts)
+def test_featurize_validates_inputs_mid_episode(tiny_policy):
+    # A rejected step leaves the track as it was.
+    rng = np.random.default_rng(3)
+    good = rand_window(tiny_policy, rng)
+    track = window_track(tiny_policy, good)
+    before = track.features.copy()
+    history = (list(track.patches), list(track.prev_actions))
+    with pytest.raises(DimensionMismatch):
+        featurize(track, good.patches[0], -1)
+    with pytest.raises(DimensionMismatch):
+        featurize(track, np.zeros(3), 0)
+    with pytest.raises(DimensionMismatch):
+        featurize(track, good.patches[0].reshape(1, -1), 0)
+    assert track.features.tobytes() == before.tobytes()
+    assert (track.patches, track.prev_actions) == history
+    got = featurize(track, good.patches[1], 2)
+    window = Window(good.instruction, good.patches[1:] + good.patches[1:2],
+                    good.prev_actions[1:] + (2,))
+    assert got.tobytes() == featurize_uncached(tiny_policy, window).tobytes()
 
 
-def assert_shared_featurizer_is_bit_exact(params, windows):
-    shared = Featurizer(params)
-    for window in windows:
-        got = shared(window)
-        assert got.tobytes() == featurize(params, window).tobytes()
-        assert got.tobytes() == featurize_uncached(params, window).tobytes()
+def test_track_left_pads_and_shifts():
+    params = init_params(PolicyConfig(obs_k=3, d_e=2, d_o=2, d_a=2, d_h=4, history_k=3), 0)
+    cfg = params.cfg
+    o0, o1 = np.ones(9), np.full(9, 2.0)
+    pad = np.concatenate([np.zeros(9) @ params.obs_proj, params.act_embed[NO_ACTION]])
+    track = FeatureTrack(params, (1, 2))
+    assert track.prev_actions == [NO_ACTION, NO_ACTION]
+    slots = featurize(track, o0, NO_ACTION)[cfg.d_e :].reshape(3, 4)
+    assert slots[0].tobytes() == slots[1].tobytes() == pad.tobytes()
+    assert np.array_equal(slots[2, :2], o0 @ params.obs_proj)
+    assert np.array_equal(slots[2, 2:], params.act_embed[NO_ACTION])
+    slots = featurize(track, o1, 2)[cfg.d_e :].reshape(3, 4)
+    assert slots[0].tobytes() == pad.tobytes()
+    assert np.array_equal(slots[1, :2], o0 @ params.obs_proj)
+    assert np.array_equal(slots[2], np.concatenate([o1 @ params.obs_proj, params.act_embed[2]]))
+    # The padded history: two padding entries, then one per step.
+    assert track.prev_actions == [NO_ACTION, NO_ACTION, NO_ACTION, 2]
+    assert [p.tolist() for p in track.patches] == [[0.0] * 9] * 2 + [o0.tolist(), o1.tolist()]
+
+
+def test_track_history_is_bounded():
+    params = init_params(PolicyConfig(obs_k=1, d_e=2, d_o=2, d_a=2, d_h=4, history_k=2), 0)
+    cfg = params.cfg
+    track = FeatureTrack(params, (0,))
+    for i in range(10):
+        featurize(track, np.array([float(i)]), i % 4)
+    feats = featurize(track, np.array([99.0]), 1)
+    assert feats.shape == (cfg.feature_dim,)
+    slots = feats[cfg.d_e :].reshape(2, 4)
+    # Only the newest survives.
+    assert np.array_equal(slots[0], np.concatenate([np.array([9.0]) @ params.obs_proj, params.act_embed[1]]))
+    assert np.array_equal(slots[1, :2], np.array([99.0]) @ params.obs_proj)
 
 
 @pytest.fixture(scope="module")
-def walk(sample_episode, default_policy):
-    """(params, trajectory): an untrained policy that rarely stops, and
-    one long sampled rollout of it."""
-    from budnav.rollout import rollout_stream, run_sampled
+def desk_cfg():
+    from pathlib import Path
 
-    params = default_policy.copy()
+    from budnav.config import load_config
+
+    return load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_full.cfg")[0]
+
+
+@pytest.fixture(scope="module")
+def walk(desk_cfg):
+    """(params, episode, trajectory): an untrained desk policy that rarely
+    stops, and one long sampled rollout of it on a desk episode."""
+    from budnav.rollout import rollout_stream, run_sampled
+    from budnav.trainer import training_episode
+
+    params = init_params(desk_cfg.policy, 0)
     params.b2[3] = -10.0  # STOP
+    episode = training_episode(desk_cfg, "train", 0)
     traj = run_sampled(
-        snapshot(params), sample_episode, 1.0,
-        rollout_stream(0, sample_episode.id, 1), triggers=False,
+        snapshot(params), episode, 1.0, rollout_stream(0, episode.id, 1), triggers=False,
     )
-    assert len(traj.steps) > 2 * params.cfg.history_k  # windows shift
-    return params, traj
+    assert len(traj.steps) > 2 * params.cfg.history_k  # the slots shift
+    return params, episode, traj
+
+
+def step_pairs(steps):
+    """(observation, previous action) of each trajectory step."""
+    prev = [NO_ACTION] + [s.action for s in steps[:-1]]
+    return [(s.observation, a) for s, a in zip(steps, prev)]
 
 
 def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
-    params, traj = walk
-    assert_shared_featurizer_is_bit_exact(params, [s.window for s in traj.steps])
+    params, episode, traj = walk
+    track = FeatureTrack(params, episode.instruction)
+    pairs = step_pairs(traj.steps)
+    windows = reference_windows(episode.instruction, pairs, params.cfg)
+    for s, (obs, prev), window in zip(traj.steps, pairs, windows):
+        want = featurize_uncached(params, window)
+        assert featurize(track, obs, prev).tobytes() == want.tobytes()
+        # The rollout's recorded logits came from its own track.
+        assert s.logits.tobytes() == forward(params, want).tobytes()
+        logits, cache = forward_cached(params, track)
+        assert logits.tobytes() == s.logits.tobytes()
+        assert cache.features.tobytes() == want.tobytes()
 
 
-def test_featurizer_is_bit_exact_along_a_rect_demo_replay(sample_episode, walk):
+def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
+    from budnav import rectify
     from budnav.oracle import plan
-    from budnav.rollout import WindowBuilder
+    from budnav.rectify import RectificationDemo, decay_weights
     from budnav.world import Action, observe, step
 
-    # Roll back to step 12 and replay an oracle completion from there,
-    # exactly as rect_loss_and_grad does.
-    params, traj = walk
-    ep = sample_episode
+    # Roll back to step 12 and replay an oracle completion from there
+    # through rect_loss_and_grad, recording what it scores.
+    params, ep, traj = walk
     anchor = 12
+    assert anchor > params.cfg.history_k
     pose = traj.steps[anchor].pose_before
     completion = plan(ep.world, pose, ep.goal, ep.goal_radius).actions
     assert len(completion) > 1
+    demo = RectificationDemo(
+        episode_id=ep.id, anchor_step=anchor, anchor_pose=pose,
+        retained_prefix=traj.steps[:anchor], oracle_actions=tuple(completion),
+        weights=decay_weights(len(completion), 0.95),
+    )
+    seen = []
+
+    def recording(p, track):
+        logits, cache = forward_cached(p, track)
+        seen.append((cache.features.copy(), logits))
+        return logits, cache
+
+    monkeypatch.setattr(rectify, "forward_cached", recording)
+    rectify.rect_loss_and_grad(params, demo, ep)
+
     cfg = params.cfg
-    builder = WindowBuilder(ep.instruction, cfg.history_k, cfg.patch_cells)
-    for s in traj.steps[:anchor]:
-        builder.push(s.observation, s.action)
-    windows = []
+    pairs = step_pairs(traj.steps[:anchor])
+    prev = traj.steps[anchor - 1].action
     for action in completion:
-        obs = observe(ep.world, pose, cfg.obs_k).ravel()
-        windows.append(builder.window(obs))
-        builder.push(obs, int(action))
+        pairs.append((observe(ep.world, pose, cfg.obs_k).ravel(), prev))
+        prev = int(action)
         pose = step(ep.world, pose, Action(action))
-    assert_shared_featurizer_is_bit_exact(params, windows)
+    windows = list(reference_windows(ep.instruction, pairs, cfg))[anchor:]
+    assert len(seen) == len(windows) == len(completion)
+    for (feats, logits), window in zip(seen, windows):
+        want = featurize_uncached(params, window)
+        assert feats.tobytes() == want.tobytes()
+        assert logits.tobytes() == forward(params, want).tobytes()
 
 
-def test_featurizer_validates_windows_after_memoizing(tiny_policy):
-    rng = np.random.default_rng(3)
-    good = rand_window(tiny_policy, rng)
-    shared = Featurizer(tiny_policy)
-    shared(good)  # instruction and patches are now memoized
-    with pytest.raises(DimensionMismatch):
-        shared(HistoryWindow(good.instruction, good.patches, (-1,) + good.prev_actions[1:]))
-    with pytest.raises(DimensionMismatch):
-        shared(HistoryWindow(good.instruction, good.patches[1:], good.prev_actions[1:]))
-    with pytest.raises(DimensionMismatch):
-        shared(HistoryWindow(good.instruction, (np.zeros(3),) + good.patches[1:], good.prev_actions))
-    with pytest.raises(UnknownToken):
-        shared(HistoryWindow((0, 999), good.patches, good.prev_actions))
+def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
+    from budnav import grpo
+
+    _, live, ref, _, groups = desk_batches
+    seen = []
+
+    def recording_featurize(track, obs, prev_action):
+        feats = featurize(track, obs, prev_action)
+        seen.append((track.params, feats.copy()))
+        return feats
+
+    def recording_forward(p, feats):
+        logits = forward(p, feats)
+        seen.append((p, logits))
+        return logits
+
+    def recording_forward_cached(p, track):
+        logits, cache = forward_cached(p, track)
+        seen.append((p, logits))
+        return logits, cache
+
+    monkeypatch.setattr(grpo, "featurize", recording_featurize)
+    monkeypatch.setattr(grpo, "forward", recording_forward)
+    monkeypatch.setattr(grpo, "forward_cached", recording_forward_cached)
+    for group in groups:
+        seen.clear()
+        grpo.grpo_loss_and_grad(live, group, ref)
+        old = group.snapshot_old.params
+        want = []
+        for traj in group.trajectories:
+            pairs = step_pairs(traj.steps)
+            for s, window in zip(traj.steps, reference_windows(group.instruction, pairs, live.cfg)):
+                # Per step: old, live and ref features, each then scored.
+                for p in (old, live, ref.params):
+                    feats = featurize_uncached(p, window)
+                    want += [(p, feats), (p, forward(p, feats))]
+                assert s.logits.tobytes() == want[-5][1].tobytes()
+        assert len(seen) == len(want) == 6 * sum(len(t.steps) for t in group.trajectories)
+        for (got_p, got), (want_p, expect) in zip(seen, want):
+            assert got_p is want_p
+            assert got.tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------------- forward
 
 def test_forward_matches_manual_mlp(tiny_policy):
     rng = np.random.default_rng(2)
-    window = rand_window(tiny_policy, rng)
-    feats = featurize(tiny_policy, window)
+    track = window_track(tiny_policy, rand_window(tiny_policy, rng))
+    feats = track.features
     want = np.tanh(feats @ tiny_policy.W1 + tiny_policy.b1) @ tiny_policy.W2 + tiny_policy.b2
     assert np.array_equal(forward(tiny_policy, feats), want)
-    logits, cache = forward_cached(tiny_policy, window)
+    logits, cache = forward_cached(tiny_policy, track)
     assert np.array_equal(logits, want)
-    assert np.array_equal(cache.features, feats)
+    assert cache.features is track.features  # a view, valid until the next push
+    assert (cache.track, cache.at) == (track, len(track.prev_actions) - tiny_policy.cfg.history_k)
 
 
 def test_softmax_is_stable_and_normalized():
@@ -211,6 +345,19 @@ def test_greedy_uses_raw_logits_and_breaks_ties_low():
 
 # ------------------------------------------------------------- gradients
 
+def logprob_and_grad(track, action, temperature):
+    """log pi(action | track's latest step) and its gradient, flattened
+    canonically, under the params the track was built from."""
+    params = track.params
+    logits, cache = forward_cached(params, track)
+    probs = softmax(logits / temperature)
+    dlogits = -probs / temperature
+    dlogits[action] += 1.0 / temperature
+    acc = GradAccumulator(params)
+    acc.add_step(cache, dlogits)
+    return float(np.log(probs[action])), acc.flat()
+
+
 def finite_diff(f, theta, h=1e-5):
     grad = np.zeros_like(theta)
     for i in range(len(theta)):
@@ -231,10 +378,11 @@ def test_logprob_gradient_matches_finite_differences(tiny_policy):
 
         def f(theta):
             p = tiny_policy.from_flat(theta)
-            lp, _ = logprob_and_grad(p, window, action, 0.4)
+            lp, _ = logprob_and_grad(window_track(p, window), action, 0.4)
             return lp
 
-        _, grad = logprob_and_grad(tiny_policy.from_flat(theta0), window, action, 0.4)
+        track = window_track(tiny_policy.from_flat(theta0), window)
+        _, grad = logprob_and_grad(track, action, 0.4)
         # Probe a subset of coordinates; full FD is covered in acceptance.
         idx = rng.choice(len(theta0), size=80, replace=False)
         fd = np.zeros_like(grad)
@@ -252,10 +400,10 @@ def test_logprob_gradient_matches_finite_differences(tiny_policy):
 def test_logprob_consistent_with_distribution(tiny_policy):
     rng = np.random.default_rng(4)
     window = rand_window(tiny_policy, rng)
-    logits = forward(tiny_policy, featurize(tiny_policy, window))
+    logits = forward(tiny_policy, featurize_uncached(tiny_policy, window))
     probs = softmax(logits / 0.4)
     for a in range(4):
-        lp, _ = logprob_and_grad(tiny_policy, window, a, 0.4)
+        lp, _ = logprob_and_grad(window_track(tiny_policy, window), a, 0.4)
         assert lp == pytest.approx(np.log(probs[a]), rel=1e-12)
 
 
@@ -265,17 +413,17 @@ def per_step_accumulator_reference(params, steps):
     """The accumulator GradAccumulator replaced: each step's terms added in
     place into parameter-shaped buffers, one step after another.
 
-    steps holds (cache, window, dlogits) in call order; returns the flat
-    gradient in canonical block order.
+    steps holds (features, hidden, window, dlogits) in call order; returns
+    the flat gradient in canonical block order.
     """
     cfg = params.cfg
     buf = {name: np.zeros_like(arr) for name, arr in params.blocks()}
-    for cache, window, dlogits in steps:
-        buf["W2"] += np.outer(cache.hidden, dlogits)
+    for features, hidden, window, dlogits in steps:
+        buf["W2"] += np.outer(hidden, dlogits)
         buf["b2"] += dlogits
         dhidden = params.W2 @ dlogits
-        dpre = dhidden * (1.0 - cache.hidden ** 2)
-        buf["W1"] += np.outer(cache.features, dpre)
+        dpre = dhidden * (1.0 - hidden ** 2)
+        buf["W1"] += np.outer(features, dpre)
         buf["b1"] += dpre
         dfeat = params.W1 @ dpre
         dinstr = dfeat[: cfg.d_e] / len(window.instruction)
@@ -290,6 +438,18 @@ def per_step_accumulator_reference(params, steps):
     return np.concatenate([buf[n].ravel() for n, _ in params.blocks()])
 
 
+def cached_window(params, cache):
+    """The window of a cached step, read from its track's padded history
+    and checked against the step's features."""
+    k = params.cfg.history_k
+    track, n = cache.track, cache.at
+    window = Window(
+        track.instruction, tuple(track.patches[n : n + k]), tuple(track.prev_actions[n : n + k])
+    )
+    assert cache.features.tobytes() == featurize_uncached(params, window).tobytes()
+    return window
+
+
 class ReferenceAccumulator:
     """Drop-in for GradAccumulator that defers to the per-step reference."""
 
@@ -297,35 +457,45 @@ class ReferenceAccumulator:
         self.params = params
         self.steps = []
 
-    def add_step(self, cache, window, dlogits):
-        self.steps.append((cache, window, dlogits.copy()))
+    def add_step(self, cache, dlogits):
+        window = cached_window(self.params, cache)
+        self.steps.append((cache.features.copy(), cache.hidden, window, dlogits.copy()))
 
     def flat(self):
         return per_step_accumulator_reference(self.params, self.steps)
 
 
-def padded_window(params, rng):
-    """Random window whose oldest slots are zero patches with NO_ACTION,
-    as at the start of an episode, and whose instruction and previous
-    actions repeat entries."""
+def padded_step(params, rng):
+    """(track, window): a fresh track after 1 to history_k pushes, so its
+    oldest slots are the track's own padding (zero patch, NO_ACTION) as at
+    the start of an episode, and the window spelling out its slots.  The
+    instruction, the patches and the previous actions repeat entries."""
     cfg = params.cfg
     k = cfg.history_k
-    n_pad = int(rng.integers(0, k + 1))
+    n_pad = int(rng.integers(0, k))
     zero = np.zeros(cfg.patch_cells)
     tokens = rng.integers(0, cfg.vocab, size=int(rng.integers(1, 4)))
     instruction = tuple(int(t) for t in np.repeat(tokens, rng.integers(1, 4, size=len(tokens))))
+    shared = (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float)
     patches = [zero] * n_pad + [
-        (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float) for _ in range(k - n_pad)
+        shared if rng.random() < 0.3 else (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float)
+        for _ in range(k - n_pad)
     ]
     actions = [NO_ACTION] * n_pad + [int(a) for a in rng.choice([0, 0, 1, NO_ACTION], size=k - n_pad)]
-    return HistoryWindow(instruction, tuple(patches), tuple(actions))
+    window = Window(instruction, tuple(patches), tuple(actions))
+    return window_track(params, window, n_pad), window
 
 
 def accumulate_both(params, steps):
+    """steps holds (cache, window, dlogits); each cache's track is not
+    pushed again, so its features are still valid."""
     acc = GradAccumulator(params)
     for cache, window, dlogits in steps:
-        acc.add_step(cache, window, dlogits)
-    return acc.flat(), per_step_accumulator_reference(params, steps)
+        acc.add_step(cache, dlogits)
+    want = per_step_accumulator_reference(
+        params, [(c.features, c.hidden, w, d) for c, w, d in steps]
+    )
+    return acc.flat(), want
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 97])
@@ -335,8 +505,8 @@ def test_accumulator_is_bit_exact_against_per_step_reference(request, policy, n_
     rng = np.random.default_rng(n_steps)
     steps = []
     for i in range(n_steps):
-        window = padded_window(params, rng)
-        _, cache = forward_cached(params, window)
+        track, window = padded_step(params, rng)
+        _, cache = forward_cached(params, track)
         if i % 2:
             # GRPO-style: a KL-shaped term plus a signed advantage term,
             # scaled by 1 / (group size * trajectory length).
@@ -354,13 +524,14 @@ def test_accumulator_is_bit_exact_against_per_step_reference(request, policy, n_
 
 
 def test_accumulator_keeps_signed_zeros(default_policy):
-    # All-padding windows make every obs_proj term a signed zero; the
-    # running buffer (+0.0) must come first, as in the per-step sum.
+    # A first step on a zero patch leaves every slot a zero patch, so
+    # every obs_proj term is a signed zero; the running buffer (+0.0)
+    # must come first, as in the per-step sum.
     params = default_policy
     cfg = params.cfg
     zero = np.zeros(cfg.patch_cells)
-    window = HistoryWindow((0,), (zero,) * cfg.history_k, (NO_ACTION,) * cfg.history_k)
-    _, cache = forward_cached(params, window)
+    window = Window((0,), (zero,) * cfg.history_k, (NO_ACTION,) * cfg.history_k)
+    _, cache = forward_cached(params, window_track(params, window, cfg.history_k - 1))
     steps = [(cache, window, np.array([-1.0, 2.0, -3.0, 4.0]))] * 40
     got, want = accumulate_both(params, steps)
     assert got.tobytes() == want.tobytes()
@@ -369,21 +540,18 @@ def test_accumulator_keeps_signed_zeros(default_policy):
 
 
 @pytest.fixture(scope="module")
-def desk_batches():
+def desk_batches(desk_cfg):
     """Desk demos and GRPO groups of an untrained policy that rarely stops.
 
     Desk plans are at most ~18 actions, shorter than one flush chunk, so
     each sampled walk is also replayed as a demo from the episode start.
     """
-    from pathlib import Path
-
-    from budnav.config import load_config
     from budnav.grpo import make_group
     from budnav.rectify import RectificationDemo, bc_demo, decay_weights, synthesize_demo
     from budnav.rollout import rollout_stream, run_greedy, run_sampled
     from budnav.trainer import training_episode
 
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_full.cfg")[0]
+    cfg = desk_cfg
     params = init_params(cfg.policy, 0)
     params.b2[3] = -10.0  # STOP
     snap = snapshot(params, "old")

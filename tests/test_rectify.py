@@ -210,22 +210,23 @@ def test_rect_loss_decomposes_per_token(tiny_policy):
     demo = synthesize_demo(probe, ep, RectConfig(decay_gamma=1.0))
     total, _ = rect_loss_and_grad(params, demo, ep, RectConfig(decay_gamma=1.0))
 
-    from budnav.policy import featurize, forward, softmax
-    from budnav.rollout import WindowBuilder
+    from budnav.policy import NO_ACTION, FeatureTrack, featurize, forward, softmax
     from budnav.world import observe
 
     pcfg = params.cfg
-    builder = WindowBuilder(ep.instruction, pcfg.history_k, pcfg.patch_cells)
+    track = FeatureTrack(params, ep.instruction)
+    prev_action = NO_ACTION
     for s in demo.retained_prefix:
-        builder.push(s.observation, s.action)
+        featurize(track, s.observation, prev_action)
+        prev_action = s.action
     pose = demo.anchor_pose
     manual = 0.0
     for action in demo.oracle_actions:
         obs = observe(ep.world, pose, pcfg.obs_k).ravel()
-        window = builder.window(obs)
-        probs = softmax(forward(params, featurize(params, window)) / pcfg.temperature)
+        feats = featurize(track, obs, prev_action)
+        probs = softmax(forward(params, feats) / pcfg.temperature)
         manual += -np.log(probs[action])
-        builder.push(obs, int(action))
+        prev_action = int(action)
         pose = step(ep.world, pose, Action(action))
     assert total == pytest.approx(manual, rel=1e-12)
 

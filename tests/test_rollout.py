@@ -4,12 +4,11 @@ import pytest
 
 from budnav.errors import TraceError
 from budnav.oracle import plan
-from budnav.policy import NO_ACTION, snapshot
+from budnav.policy import snapshot
 from budnav.rollout import (
     RolloutConfig,
     RolloutState,
     TriggerKind,
-    WindowBuilder,
     _rollout,
     check_triggers,
     offtrack_exceeded,
@@ -51,7 +50,7 @@ def scripted(actions):
     """logits_fn that plays a fixed action sequence."""
     seq = list(actions)
 
-    def fn(window):
+    def fn(obs, prev_action):
         a = seq.pop(0)
         logits = np.full(4, -100.0)
         logits[int(a)] = 100.0
@@ -66,7 +65,6 @@ def run_script(episode, actions, cfg=RolloutConfig(), triggers=True):
         episode,
         cfg,
         obs_k=5,
-        history_k=3,
         mode="greedy",
         triggers=triggers,
     )
@@ -235,31 +233,6 @@ def test_sample_action_frequencies_match_probs():
     expected = probs * n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 16.27  # 99.9% quantile of chi-square with 3 dof
-
-
-# ----------------------------------------------------------------- window
-
-def test_window_left_pads_and_shifts():
-    b = WindowBuilder(instruction=(1, 2), history_k=3, patch_cells=4)
-    o0, o1 = np.ones(4), np.full(4, 2.0)
-    w0 = b.window(o0)
-    assert w0.prev_actions == (NO_ACTION, NO_ACTION, NO_ACTION)
-    assert np.array_equal(w0.patches[0], np.zeros(4))
-    assert np.array_equal(w0.patches[2], o0)
-    b.push(o0, 2)
-    w1 = b.window(o1)
-    assert w1.prev_actions == (NO_ACTION, NO_ACTION, 2)
-    assert np.array_equal(w1.patches[1], o0)
-    assert np.array_equal(w1.patches[2], o1)
-
-
-def test_window_history_is_bounded():
-    b = WindowBuilder(instruction=(0,), history_k=2, patch_cells=1)
-    for i in range(10):
-        b.push(np.array([float(i)]), i % 4)
-    w = b.window(np.array([99.0]))
-    assert len(w.patches) == 2
-    assert w.patches[0][0] == 9.0  # only the newest survives
 
 
 # ----------------------------------------------- snapshot-driven rollouts
