@@ -148,6 +148,11 @@ def cmd_eval(args) -> int:
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {args.ckpt}: {e}") from e
     suite = _load_suite_file(args.suite)
+    if params.cfg.max_run != suite.max_run:
+        raise ConfigError(
+            f"checkpoint max_run ({params.cfg.max_run}) does not match suite max_run"
+            f" ({suite.max_run}): the instruction vocabularies differ"
+        )
     from .suite import build_held_episodes
 
     episodes = build_held_episodes(suite, args.limit)

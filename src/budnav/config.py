@@ -3,7 +3,7 @@
 Config files are plain text, one dotted key per line:
 
     trainer.variant = full
-    grpo.clip_epsilon = 0.2
+    grpo.kl_beta = 0.01
     suite.file = desk.suite
 
 Blank lines and '#' comments are ignored.  Every key has a default; an
@@ -45,7 +45,6 @@ DEFAULTS: dict = {
     "opt.beta2": 0.999,
     "opt.eps": 1e-8,
     "opt.weight_decay": 0.01,
-    "policy.max_run": 8,
     "policy.obs_k": 5,
     "policy.d_e": 16,
     "policy.d_o": 16,
@@ -54,12 +53,10 @@ DEFAULTS: dict = {
     "policy.history_k": 8,
     "policy.temperature": 0.4,
     "grpo.group_size": 4,
-    "grpo.clip_epsilon": 0.2,
     "grpo.kl_beta": 0.01,
     "grpo.adv_epsilon": 1e-8,
     "rect.decay_gamma": 0.95,
     "rect.alpha": 1.0,
-    "rect.visit_radius_m": 0.5,
     "reward.c_succ": 2.0,
     "reward.spl_weight": 1.0,
     "reward.c_dist": 0.1,
@@ -158,7 +155,7 @@ def build_suite(values: dict, base_dir: Path | None = None) -> Suite:
     return generate_suite(**s)
 
 
-def build_train_config(values: dict, base_dir: Path | None = None, with_suite: bool = True) -> TrainConfig:
+def build_train_config(values: dict, base_dir: Path | None = None) -> TrainConfig:
     if values["trainer.variant"] not in VARIANTS:
         raise ConfigError(
             f"trainer.variant must be one of {VARIANTS}, got {values['trainer.variant']!r}"
@@ -166,13 +163,8 @@ def build_train_config(values: dict, base_dir: Path | None = None, with_suite: b
     for key, ok, requirement in _RANGES:
         if not ok(values[key]):
             raise ConfigError(f"{key} must be {requirement}, got {values[key]}")
-    policy = PolicyConfig(**_section(values, "policy"))
-    suite = build_suite(values, base_dir) if with_suite else None
-    if suite is not None and suite.max_run != policy.max_run:
-        raise ConfigError(
-            f"policy.max_run ({policy.max_run}) must match suite.max_run ({suite.max_run}):"
-            " the instruction vocabulary is shared"
-        )
+    suite = build_suite(values, base_dir)
+    policy = PolicyConfig(max_run=suite.max_run, **_section(values, "policy"))
     trainer = _section(values, "trainer")
     return TrainConfig(
         run_seed=trainer["run_seed"],

@@ -12,16 +12,18 @@ final cell is cut off from the goal).  Advantages are the group-wise
 standardised rewards; a zero-variance group yields all-zero advantages
 and leaves only the KL term.
 
-The loss is the negative clipped-ratio surrogate with a per-step KL
-penalty against a fixed reference policy:
+Training is strictly on-policy: each group is rolled out under a
+snapshot of the current params and feeds exactly one optimizer step
+(one inner iteration, mu = 1), so the behaviour policy is the live one.
+The PPO probability ratio is then identically 1 and its clip never
+binds, and the loss is the advantage-weighted log-likelihood with a
+per-step KL penalty against a fixed reference policy:
 
-    J = mean_i (1/T_i) * sum_t [ min(rho*A_i, clip(rho, 1-eps, 1+eps)*A_i)
+    J = mean_i (1/T_i) * sum_t [ A_i * log pi_theta(a_t)
                                  - beta * KL(pi_theta || pi_ref) ]
     loss = -J
 
-with rho the probability ratio of the taken action between the live
-policy and the behaviour snapshot.  The clipped branch contributes no
-gradient through rho.  Gradients are fully analytic.
+Gradients are fully analytic.
 """
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ class RewardConfig:
 @dataclass(frozen=True)
 class GrpoConfig:
     group_size: int = 4
-    clip_epsilon: float = 0.2
     kl_beta: float = 0.01
     adv_epsilon: float = 1e-8
 
@@ -144,7 +145,7 @@ def grpo_loss_and_grad(
     snapshot_ref: PolicySnapshot,
     cfg: GrpoConfig = GrpoConfig(),
 ):
-    """(loss, flat gradient) of the clipped surrogate with KL penalty.
+    """(loss, flat gradient) of the advantage-weighted log-likelihood with KL penalty.
 
     Each trajectory is replayed on three feature tracks: the group's
     snapshot (old), params (live) and snapshot_ref.  Every step's
@@ -157,7 +158,6 @@ def grpo_loss_and_grad(
     temp = params.cfg.temperature
     old_params = group.snapshot_old.params
     ref_params = snapshot_ref.params
-    lo, hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
     n_groups = len(group.trajectories)
     acc = GradAccumulator(params)
     objective = 0.0
@@ -178,22 +178,15 @@ def grpo_loss_and_grad(
             featurize(live, obs, prev_action)
             logits, cache = forward_cached(params, live)
             p = softmax(logits / temp)
-            p_old = softmax(s.logits / temp)
             q = softmax(forward(ref_params, featurize(ref, obs, prev_action)) / temp)
-
-            rho = p[s.action] / p_old[s.action]
-            clipped = min(max(rho, lo), hi)
-            surrogate = min(rho * adv, clipped * adv)
-
             kl, log_ratio = kl_and_log_ratio(p, q)
 
-            objective += scale * (surrogate - cfg.kl_beta * kl)
+            objective += scale * (adv * float(np.log(p[s.action])) - cfg.kl_beta * kl)
 
             dlogits = -cfg.kl_beta * p * (log_ratio - kl) / temp
-            if rho * adv <= clipped * adv:  # unclipped branch active
-                coef = adv * rho / temp
-                dlogits += coef * (-p)
-                dlogits[s.action] += coef
+            coef = adv / temp
+            dlogits += coef * (-p)
+            dlogits[s.action] += coef
             acc.add_step(cache, dlogits * scale)
             prev_action = s.action
     return -objective, -acc.flat()

@@ -36,7 +36,7 @@ from .policy import (
     forward_cached,
     softmax,
 )
-from .rollout import Trajectory, TriggerKind
+from .rollout import RolloutConfig, Trajectory, TriggerKind
 from .world import Action, Episode, Pose, expand_instruction, observe, step
 
 
@@ -44,7 +44,6 @@ from .world import Action, Episode, Pose, expand_instruction, observe, step
 class RectConfig:
     decay_gamma: float = 0.95
     alpha: float = 1.0
-    visit_radius_m: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -78,19 +77,22 @@ def _ordered_anchor_index(positions, waypoints, visit_radius, cell_size) -> int:
     return arrival
 
 
-def find_anchor(probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig()):
+def find_anchor(
+    probe: Trajectory, episode: Episode, visit_radius_m: float = RolloutConfig.visit_radius_m
+):
     """(anchor_step, anchor_pose) for a failed probe.
 
-    Revisited waypoints anchor at their first (order-respecting) visit;
-    a probe that visited nothing anchors at the start; ForcedStop
-    anchors at the current pose.
+    A waypoint counts as visited within visit_radius_m, the radius the
+    probe's rollout tracked progress with.  Revisited waypoints anchor
+    at their first (order-respecting) visit; a probe that visited
+    nothing anchors at the start; ForcedStop anchors at the current pose.
     """
     if probe.trigger is None:
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")
     if probe.trigger[0] == TriggerKind.FORCED_STOP:
         return len(probe.steps), probe.final_pose
     arrival = _ordered_anchor_index(
-        probe.positions(), episode.reference_waypoints, cfg.visit_radius_m, episode.world.cell_size
+        probe.positions(), episode.reference_waypoints, visit_radius_m, episode.world.cell_size
     )
     if arrival < 0:
         return 0, episode.start
@@ -98,10 +100,13 @@ def find_anchor(probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfi
 
 
 def synthesize_demo(
-    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig()
+    probe: Trajectory,
+    episode: Episode,
+    cfg: RectConfig = RectConfig(),
+    visit_radius_m: float = RolloutConfig.visit_radius_m,
 ) -> RectificationDemo:
     """Build the corrective demo: retained prefix + oracle completion."""
-    anchor_step, anchor_pose = find_anchor(probe, episode, cfg)
+    anchor_step, anchor_pose = find_anchor(probe, episode, visit_radius_m)
     completion = plan(episode.world, anchor_pose, episode.goal, episode.goal_radius)
     return RectificationDemo(
         episode_id=episode.id,

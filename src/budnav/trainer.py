@@ -5,8 +5,9 @@ two paths based on a deterministic greedy probe:
 
     probe succeeds -> group optimisation: the probe plus G-1 stochastic
                       rollouts form a group, scored and standardised,
-                      then one clipped-surrogate update (KL-anchored to
-                      the frozen post-pretrain reference policy);
+                      then one on-policy (mu = 1) advantage-weighted
+                      log-likelihood update (KL-anchored to the frozen
+                      post-pretrain reference policy);
     probe fails    -> rectification: roll back to the anchor waypoint,
                       plan an oracle completion, and take one weighted
                       cross-entropy step on it.
@@ -221,7 +222,7 @@ def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> R
     if cfg.variant == "dagger":
         demo = _error_state_demo(probe, episode, cfg)
     else:
-        demo = synthesize_demo(probe, episode, cfg.rect)
+        demo = synthesize_demo(probe, episode, cfg.rect, cfg.rollout.visit_radius_m)
     return RouteOutcome("rect", False, False, env_steps, 1, probe, demo=demo, episode=episode)
 
 

@@ -145,7 +145,7 @@ def test_criterion_1_gradients_match_finite_differences():
         ]
         group = make_group(trajs, ep, snap_old, RewardConfig(), gcfg)
         ref = snapshot(init_params(SMALL, 7000 + k), "ref")
-        # Evaluate off the snapshot so the ratio terms are live.
+        # Evaluate off the snapshot so the advantage and KL terms are live.
         theta = old.flatten() + 0.02 * rng.standard_normal(old.count)
         _, grad = grpo_loss_and_grad(old.from_flat(theta), group, ref, gcfg)
 

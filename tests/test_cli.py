@@ -105,6 +105,9 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("trainer.train_episodes", "-1", "trainer.train_episodes must be >= 0"),
         ("trainer.pretrain_episodes", "-1", "trainer.pretrain_episodes must be >= 0"),
         ("trainer.early_stop", "true", "unknown key"),  # a removed key is unknown
+        ("grpo.clip_epsilon", "0.2", "unknown key"),
+        ("policy.max_run", "8", "unknown key"),
+        ("rect.visit_radius_m", "0.5", "unknown key"),
     ]:
         kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
@@ -150,6 +153,25 @@ def test_eval_checkpoint_errors(train_run, tmp_path, capsys):
     corrupt.write_bytes(b"not a checkpoint at all\n")
     assert main(["eval", "--ckpt", str(corrupt), "--suite", suite]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_suite_with_another_vocabulary(train_run, tmp_path, capsys):
+    # The checkpoint's vocabulary has max_run = 8.  Against a smaller one
+    # every token id would name another action; against a larger one the
+    # suite's tokens fall outside the policy's vocabulary.
+    _, out = train_run
+    ckpt = str(out / "checkpoints" / "final.ckpt")
+    for max_run in ("6", "12"):
+        suite = str(tmp_path / f"run{max_run}.suite")
+        assert main([
+            "gen-suite", "--name", "v", "--seed", "4", "--train-worlds", "1", "--held", "2",
+            "--width", "8", "--height", "8", "--density", "0.12", "--min-length", "5.0",
+            "--max-run", max_run, "--out", suite,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", ckpt, "--suite", suite]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint max_run (8) does not match suite max_run ({max_run})" in err
 
 
 def test_eval_non_numeric_checkpoint_field_exits_4(train_run, tmp_path, capsys):

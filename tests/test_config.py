@@ -1,4 +1,6 @@
 """Config parsing, validation, and the run manifest."""
+from pathlib import Path
+
 import pytest
 
 from budnav.config import (
@@ -16,6 +18,9 @@ from budnav.config import (
 )
 from budnav.errors import ConfigError
 from budnav.suite import generate_suite, serialize_suite
+from budnav.world import vocab_size
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_suite_text():
@@ -29,6 +34,10 @@ def small_suite_text():
     )
 
 
+def small_values(overrides: dict) -> dict:
+    return resolved_values({**parse_config_text(small_suite_text()), **overrides})
+
+
 # ----------------------------------------------------------------- parsing
 
 def test_parse_overrides_and_comments():
@@ -36,14 +45,14 @@ def test_parse_overrides_and_comments():
         "# a comment\n"
         "\n"
         "trainer.variant = dagger  # trailing comment\n"
-        "grpo.clip_epsilon=0.3\n"
+        "grpo.kl_beta=0.03\n"
         "trainer.eval_episodes = 7\n"
         "rect.alpha = 2\n"
     )
     overrides = parse_config_text(text)
     assert overrides == {
         "trainer.variant": "dagger",
-        "grpo.clip_epsilon": 0.3,
+        "grpo.kl_beta": 0.03,
         "trainer.eval_episodes": 7,
         "rect.alpha": 2.0,
     }
@@ -62,8 +71,8 @@ def test_parse_error_messages_carry_line_numbers():
 def test_parse_type_errors():
     with pytest.raises(ConfigError, match="trainer.run_seed"):
         parse_config_text("trainer.run_seed = soon\n")
-    with pytest.raises(ConfigError, match="grpo.clip_epsilon"):
-        parse_config_text("grpo.clip_epsilon = wide\n")
+    with pytest.raises(ConfigError, match="grpo.kl_beta"):
+        parse_config_text("grpo.kl_beta = wide\n")
     with pytest.raises(ConfigError, match="trainer.train_episodes"):
         parse_config_text("trainer.train_episodes = 1.5\n")
 
@@ -85,7 +94,7 @@ def test_serialize_values_round_trips_through_parse():
 # ------------------------------------------------------------ construction
 
 def test_build_train_config_maps_sections():
-    values = resolved_values(
+    values = small_values(
         {
             "trainer.variant": "rect_only",
             "opt.learning_rate": 0.002,
@@ -95,37 +104,36 @@ def test_build_train_config_maps_sections():
             "policy.d_h": 32,
         }
     )
-    cfg = build_train_config(values, with_suite=False)
+    cfg = build_train_config(values)
     assert cfg.variant == "rect_only"
     assert cfg.opt.learning_rate == 0.002
     assert cfg.grpo.group_size == 6
     assert cfg.rect.decay_gamma == 0.9
     assert cfg.rollout.stall_limit == 33
     assert cfg.policy.d_h == 32
-    assert cfg.suite is None
+    assert cfg.suite.width == 8
 
 
 def test_build_train_config_rejects_unknown_variant():
-    values = resolved_values({"trainer.variant": "sft"})
+    values = small_values({"trainer.variant": "sft"})
     with pytest.raises(ConfigError, match="variant"):
-        build_train_config(values, with_suite=False)
+        build_train_config(values)
 
 
 @pytest.mark.parametrize("temperature", [0.0, -0.4, float("nan")])
 def test_build_train_config_rejects_nonpositive_temperature(temperature):
-    values = resolved_values({"policy.temperature": temperature})
+    values = small_values({"policy.temperature": temperature})
     with pytest.raises(ConfigError, match="policy.temperature"):
-        build_train_config(values, with_suite=False)
+        build_train_config(values)
 
 
 def test_build_train_config_rejects_negative_eval_episodes():
-    values = resolved_values({"trainer.eval_episodes": -1})
+    values = small_values({"trainer.eval_episodes": -1})
     with pytest.raises(ConfigError, match="trainer.eval_episodes must be >= 0"):
-        build_train_config(values, with_suite=False)
+        build_train_config(values)
 
 
-# One valid value other than the small-suite base for every key; a
-# companion override keeps the shared instruction vocabulary consistent.
+# One valid value other than the small-suite base for every key.
 OTHER_VALUES = {
     "trainer.run_seed": 1,
     "trainer.variant": "bc",
@@ -138,7 +146,6 @@ OTHER_VALUES = {
     "opt.beta2": 0.99,
     "opt.eps": 1e-6,
     "opt.weight_decay": 0.02,
-    "policy.max_run": 6,
     "policy.obs_k": 3,
     "policy.d_e": 8,
     "policy.d_o": 8,
@@ -147,12 +154,10 @@ OTHER_VALUES = {
     "policy.history_k": 4,
     "policy.temperature": 0.7,
     "grpo.group_size": 6,
-    "grpo.clip_epsilon": 0.3,
     "grpo.kl_beta": 0.02,
     "grpo.adv_epsilon": 1e-6,
     "rect.decay_gamma": 0.9,
     "rect.alpha": 0.5,
-    "rect.visit_radius_m": 0.8,
     "reward.c_succ": 1.0,
     "reward.spl_weight": 0.5,
     "reward.c_dist": 0.2,
@@ -176,35 +181,39 @@ OTHER_VALUES = {
     "suite.max_run": 6,
     "suite.held_per_world": 1,
 }
-COMPANIONS = {"policy.max_run": "suite.max_run", "suite.max_run": "policy.max_run"}
 
 
 def test_every_key_reaches_the_train_config():
     # A key that no code reads would leave its section unchanged.
     assert set(OTHER_VALUES) == set(DEFAULTS) - {"suite.file"}
-    base_values = resolved_values(parse_config_text(small_suite_text()))
+    base_values = small_values({})
     base = build_train_config(base_values)
     for key, value in OTHER_VALUES.items():
         assert value != base_values[key], key
-        overrides = {key: value}
-        if key in COMPANIONS:
-            overrides[COMPANIONS[key]] = value
-        cfg = build_train_config({**base_values, **overrides})
+        cfg = build_train_config({**base_values, key: value})
         section, name = key.split(".")
         if section == "trainer":
             section = name
         assert getattr(cfg, section) != getattr(base, section), key
 
 
-def test_vocabulary_mismatch_is_rejected(tmp_path):
+def test_vocabulary_follows_the_suite(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(small_suite_text() + "suite.max_run = 6\n")
-    with pytest.raises(ConfigError, match="max_run"):
-        load_config(cfg_path)
-    # Changing both sides together resolves it.
-    cfg_path.write_text(small_suite_text() + "suite.max_run = 6\npolicy.max_run = 6\n")
     cfg, _, _ = load_config(cfg_path)
     assert cfg.policy.max_run == cfg.suite.max_run == 6
+    assert cfg.policy.vocab == 9
+    # A suite read from a file sets the vocabulary the same way.
+    (tmp_path / "worlds.suite").write_text(serialize_suite(cfg.suite))
+    cfg_path.write_text("suite.file = worlds.suite\n")
+    cfg, _, _ = load_config(cfg_path)
+    assert cfg.policy.vocab == 9
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_shipped_configs_load(name):
+    cfg, _, _ = load_config(CONFIGS / name)
+    assert cfg.policy.vocab == vocab_size(cfg.suite.max_run)
 
 
 def test_suite_file_resolved_relative_to_config(tmp_path):
@@ -227,7 +236,7 @@ def test_missing_files_raise_config_error(tmp_path):
 
 
 def test_generated_suite_honours_section(tmp_path):
-    values = resolved_values(parse_config_text(small_suite_text()))
+    values = small_values({})
     suite = build_suite(values)
     assert suite.width == 8 and suite.density == 0.12
     assert len(suite.train_world_seeds) == 2

@@ -88,6 +88,8 @@ def test_anchor_without_any_visit_is_the_start():
     anchor_step, anchor_pose = find_anchor(probe, ep)
     assert anchor_step == 0
     assert anchor_pose == start
+    # (1,0) is 3.61 m from (3,3): a visit once the radius covers it.
+    assert find_anchor(probe, ep, 3.7) == (1, Pose(1, 0, 1))
 
 
 def test_anchor_order_respecting_vs_raw_furthest():

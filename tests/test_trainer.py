@@ -7,7 +7,7 @@ import pytest
 from budnav.errors import NonFiniteGradient
 from budnav.grpo import grpo_loss_and_grad
 from budnav.policy import init_params, load_checkpoint
-from budnav.rectify import bc_demo, rect_loss_and_grad, synthesize_demo
+from budnav.rectify import bc_demo, find_anchor, rect_loss_and_grad, synthesize_demo
 from budnav.rollout import verify_trace, parse_trace
 from budnav.suite import generate_suite
 from budnav.trainer import (
@@ -222,6 +222,23 @@ def test_dagger_failure_corrects_from_the_error_state(warm):
     rollback = synthesize_demo(probe, outcome.episode, cfg.rect)
     if probe.trigger[0].value != "forced_stop":
         assert rollback.anchor_step <= demo.anchor_step
+
+
+def test_rect_anchor_uses_the_rollout_visit_radius(warm):
+    # One definition of "visited" per run: the radius the probe tracked
+    # progress with also places the rollback anchor.
+    params, _, cfg = warm
+    cfg = dataclasses.replace(cfg, rollout=dataclasses.replace(cfg.rollout, visit_radius_m=1.5))
+    moved = 0
+    for i in range(60):
+        episode = training_episode(cfg, "train", i)
+        outcome = route_episode(params, episode, cfg)
+        if outcome.route != "rect":
+            continue
+        anchor = (outcome.demo.anchor_step, outcome.demo.anchor_pose)
+        assert anchor == find_anchor(outcome.probe, episode, 1.5)
+        moved += anchor != find_anchor(outcome.probe, episode, 0.5)
+    assert moved > 0
 
 
 # ------------------------------------------------------------------- steps
