@@ -25,6 +25,7 @@ from .config import (
     apply_cli_overrides,
     build_train_config,
     load_config,
+    read_suite_file,
     write_manifest,
 )
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row
 from .policy import load_checkpoint, snapshot
 from .rollout import RolloutConfig, parse_trace, serialize_trace, verify_trace
-from .suite import generate_suite, parse_suite, serialize_suite
+from .suite import generate_suite, serialize_suite
 from .trainer import train
 
 
@@ -133,21 +134,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_suite_file(path_s: str):
-    path = Path(path_s)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read suite file {path}: {e}") from e
-    return parse_suite(text)
-
-
 def cmd_eval(args) -> int:
     try:
         params = load_checkpoint(args.ckpt)
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {args.ckpt}: {e}") from e
-    suite = _load_suite_file(args.suite)
+    suite = read_suite_file(Path(args.suite))
     if params.cfg.max_run != suite.max_run:
         raise ConfigError(
             f"checkpoint max_run ({params.cfg.max_run}) does not match suite max_run"

@@ -139,17 +139,21 @@ def _section(values: dict, prefix: str) -> dict:
     return {k[plen:]: v for k, v in values.items() if k.startswith(prefix + ".")}
 
 
+def read_suite_file(path: Path) -> Suite:
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read suite file {path}: {e}") from e
+    return parse_suite(text)
+
+
 def build_suite(values: dict, base_dir: Path | None = None) -> Suite:
     path_s = values["suite.file"]
     if path_s:
         path = Path(path_s)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ConfigError(f"cannot read suite file {path}: {e}") from e
-        return parse_suite(text)
+        return read_suite_file(path)
     s = _section(values, "suite")
     del s["file"]
     return generate_suite(**s)

@@ -21,9 +21,12 @@ the features are identical to the bit.  All math is float64 and every
 gradient is hand-derived, so finite differences must agree to near
 machine precision.
 
-Parameters flatten in declaration order (instr_embed, obs_proj,
-act_embed, W1, b1, W2, b2), each block row-major.  Checkpoints store the
-named blocks as little-endian float64 with an integrity checksum.
+All parameters live in one float64 vector, PolicyParams.theta.  The
+seven blocks (instr_embed, obs_proj, act_embed, W1, b1, W2, b2) are
+row-major views cut from it in the order and shapes of one table,
+PolicyConfig.layout; initialisation, gradients and checkpoints all read
+that table.  Checkpoints store the named blocks as little-endian float64
+with an integrity checksum.
 """
 from __future__ import annotations
 
@@ -69,6 +72,23 @@ class PolicyConfig:
     def feature_dim(self) -> int:
         return self.d_e + self.history_k * (self.d_o + self.d_a)
 
+    @property
+    def layout(self) -> tuple:
+        """(name, shape) of each parameter block, in flattening order."""
+        return (
+            ("instr_embed", (self.vocab, self.d_e)),
+            ("obs_proj", (self.patch_cells, self.d_o)),
+            ("act_embed", (N_ACTIONS + 1, self.d_a)),
+            ("W1", (self.feature_dim, self.d_h)),
+            ("b1", (self.d_h,)),
+            ("W2", (self.d_h, N_ACTIONS)),
+            ("b2", (N_ACTIONS,)),
+        )
+
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for _, shape in self.layout)
+
     def arch_hash(self) -> str:
         """16-hex digest of the architecture (temperature excluded)."""
         text = (
@@ -78,69 +98,48 @@ class PolicyConfig:
         return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
 
-@dataclass
 class PolicyParams:
-    """Trainable arrays.  Declaration order is the flattening order."""
+    """Trainable parameters: one flat float64 vector theta, and a view of it
+    per block of cfg.layout as an attribute (params.W1, ...)."""
 
-    cfg: PolicyConfig
-    instr_embed: np.ndarray  # [vocab, d_e]
-    obs_proj: np.ndarray     # [patch_cells, d_o]
-    act_embed: np.ndarray    # [N_ACTIONS + 1, d_a]
-    W1: np.ndarray           # [feature_dim, d_h]
-    b1: np.ndarray           # [d_h]
-    W2: np.ndarray           # [d_h, N_ACTIONS]
-    b2: np.ndarray           # [N_ACTIONS]
+    def __init__(self, cfg: PolicyConfig, theta: np.ndarray):
+        if theta.shape != (cfg.param_count,):
+            raise DimensionMismatch(
+                f"flat vector has shape {theta.shape}, want ({cfg.param_count},)"
+            )
+        self.cfg = cfg
+        self.theta = theta
+        offset = 0
+        for name, shape in cfg.layout:
+            size = math.prod(shape)
+            setattr(self, name, theta[offset : offset + size].reshape(shape))
+            offset += size
 
     def blocks(self):
-        return [
-            ("instr_embed", self.instr_embed),
-            ("obs_proj", self.obs_proj),
-            ("act_embed", self.act_embed),
-            ("W1", self.W1),
-            ("b1", self.b1),
-            ("W2", self.W2),
-            ("b2", self.b2),
-        ]
+        return [(name, getattr(self, name)) for name, _ in self.cfg.layout]
 
     @property
     def count(self) -> int:
-        return sum(arr.size for _, arr in self.blocks())
+        return self.theta.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.blocks()])
-
-    def from_flat(self, theta: np.ndarray) -> "PolicyParams":
-        if theta.shape != (self.count,):
-            raise DimensionMismatch(f"flat vector has shape {theta.shape}, want ({self.count},)")
-        out = {}
-        offset = 0
-        for name, arr in self.blocks():
-            out[name] = theta[offset : offset + arr.size].reshape(arr.shape).copy()
-            offset += arr.size
-        return PolicyParams(cfg=self.cfg, **out)
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(cfg=self.cfg, **{n: a.copy() for n, a in self.blocks()})
+        return self.theta.copy()
 
 
 def init_params(cfg: PolicyConfig, seed: int) -> PolicyParams:
-    """Uniform(-s, s) with s = 1/sqrt(fan_in) per block; biases zero."""
+    """Uniform(-s, s) with s = 1/sqrt(fan_in) per weight block; biases zero."""
     rng = stream(seed, "init")
-
-    def draw(shape, fan_in):
+    p = PolicyParams(cfg, np.zeros(cfg.param_count))
+    for block, fan_in in (
+        (p.instr_embed, cfg.d_e),
+        (p.obs_proj, cfg.patch_cells),
+        (p.act_embed, cfg.d_a),
+        (p.W1, cfg.feature_dim),
+        (p.W2, cfg.d_h),
+    ):
         s = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    return PolicyParams(
-        cfg=cfg,
-        instr_embed=draw((cfg.vocab, cfg.d_e), cfg.d_e),
-        obs_proj=draw((cfg.patch_cells, cfg.d_o), cfg.patch_cells),
-        act_embed=draw((N_ACTIONS + 1, cfg.d_a), cfg.d_a),
-        W1=draw((cfg.feature_dim, cfg.d_h), cfg.feature_dim),
-        b1=np.zeros(cfg.d_h),
-        W2=draw((cfg.d_h, N_ACTIONS), cfg.d_h),
-        b2=np.zeros(N_ACTIONS),
-    )
+        block[...] = rng.uniform(-s, s, size=block.shape)
+    return p
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,9 @@ class PolicySnapshot:
 
 
 def snapshot(params: PolicyParams, role: str = "snapshot") -> PolicySnapshot:
-    frozen = params.copy()
-    for _, arr in frozen.blocks():
-        arr.flags.writeable = False
-    return PolicySnapshot(params=frozen, role=role)
+    theta = params.theta.copy()
+    theta.flags.writeable = False
+    return PolicySnapshot(params=PolicyParams(params.cfg, theta), role=role)
 
 
 class FeatureTrack:
@@ -287,8 +285,8 @@ class GradAccumulator:
     element of the result is bit-identical to adding each step's terms
     into the buffers in place, one step after another.
 
-    The per-block buffers in self.buf are views of self.grad; flat()
-    returns self.grad itself, not a copy.
+    self.buf holds the per-block buffers as a PolicyParams over self.grad;
+    flat() returns self.grad itself, not a copy.
     """
 
     FLUSH_STEPS = 32
@@ -296,11 +294,7 @@ class GradAccumulator:
     def __init__(self, params: PolicyParams):
         self.params = params
         self.grad = np.zeros(params.count)
-        self.buf = {}
-        offset = 0
-        for name, arr in params.blocks():
-            self.buf[name] = self.grad[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        self.buf = PolicyParams(params.cfg, self.grad)
         self._pending = []
 
     def add_step(self, cache: _Cache, dlogits: np.ndarray):
@@ -308,7 +302,7 @@ class GradAccumulator:
         p = self.params
         dhidden = p.W2 @ dlogits
         dpre = dhidden * (1.0 - cache.hidden ** 2)
-        self.buf["W1"] += np.outer(cache.features, dpre)
+        self.buf.W1 += np.outer(cache.features, dpre)
         dfeat = p.W1 @ dpre
         self._pending.append((cache.hidden, dlogits, dpre, dfeat, cache.track, cache.at))
         if len(self._pending) >= self.FLUSH_STEPS:
@@ -324,23 +318,23 @@ class GradAccumulator:
         dpre = np.array(dpre)
         dfeat = np.array(dfeat)
         buf = self.buf
-        _add_outers(buf["W2"], np.array(hidden), dlogits)
-        _add_rows(buf["b2"], dlogits)
-        _add_rows(buf["b1"], dpre)
+        _add_outers(buf.W2, np.array(hidden), dlogits)
+        _add_rows(buf.b2, dlogits)
+        _add_rows(buf.b1, dpre)
 
         lengths = np.array([len(tr.instruction) for tr in tracks])
         tokens = [t for tr in tracks for t in tr.instruction]
         dinstr = dfeat[:, : cfg.d_e] / lengths[:, None]
-        np.add.at(buf["instr_embed"], tokens, np.repeat(dinstr, lengths, axis=0))
+        np.add.at(buf.instr_embed, tokens, np.repeat(dinstr, lengths, axis=0))
 
         # [steps, slots, d_o + d_a] -> one row per (step, slot), oldest slot first.
         k = cfg.history_k
         slots = dfeat[:, cfg.d_e :].reshape(len(tracks) * k, cfg.d_o + cfg.d_a)
         steps = list(zip(tracks, starts))
         patches = np.array([p for tr, n in steps for p in tr.patches[n : n + k]])
-        _add_outers(buf["obs_proj"], patches, slots[:, : cfg.d_o])
+        _add_outers(buf.obs_proj, patches, slots[:, : cfg.d_o])
         actions = [a for tr, n in steps for a in tr.prev_actions[n : n + k]]
-        np.add.at(buf["act_embed"], actions, slots[:, cfg.d_o :])
+        np.add.at(buf.act_embed, actions, slots[:, cfg.d_o :])
 
     def flat(self) -> np.ndarray:
         self._flush()
@@ -439,22 +433,21 @@ def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
                 raise CheckpointError(f"truncated block {name}")
             digest.update(raw)
             try:
-                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
             except ValueError as e:
                 raise CheckpointError(f"block {name}: {e}") from e
         checksum_line = _read_line(f)
     if checksum_line != f"checksum {digest.hexdigest()}":
         raise CheckpointError(f"checksum mismatch in {path}")
 
-    expected = {"instr_embed", "obs_proj", "act_embed", "W1", "b1", "W2", "b2"}
-    if set(arrays) != expected:
-        raise CheckpointError(f"unexpected block set: {sorted(arrays)}")
     try:
         vocab, d_e = arrays["instr_embed"].shape
         patch_cells, d_o = arrays["obs_proj"].shape
         _, d_a = arrays["act_embed"].shape
         feature_dim, d_h = arrays["W1"].shape
         history_k = (feature_dim - d_e) // (d_o + d_a)
+    except KeyError as e:
+        raise CheckpointError(f"unexpected block set: {sorted(arrays)}") from e
     except (ValueError, ZeroDivisionError) as e:
         raise CheckpointError(f"malformed block shapes in {path}") from e
     cfg = PolicyConfig(
@@ -467,20 +460,15 @@ def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
         history_k=history_k,
         temperature=temperature,
     )
-    want = {
-        "instr_embed": (cfg.vocab, d_e),
-        "obs_proj": (cfg.patch_cells, d_o),
-        "act_embed": (N_ACTIONS + 1, d_a),
-        "W1": (cfg.feature_dim, d_h),
-        "b1": (d_h,),
-        "W2": (d_h, N_ACTIONS),
-        "b2": (N_ACTIONS,),
-    }
-    if any(arrays[name].shape != shape for name, shape in want.items()):
-        raise CheckpointError("block shapes are mutually inconsistent")
+    if {name: arr.shape for name, arr in arrays.items()} != dict(cfg.layout):
+        raise CheckpointError(f"block set or shapes are mutually inconsistent: {sorted(arrays)}")
+    if cfg.obs_k % 2 == 0 or cfg.history_k < 1:
+        raise CheckpointError(
+            f"no policy has this architecture: obs_k {cfg.obs_k}, history_k {cfg.history_k}"
+        )
     if cfg.arch_hash() != header["config"]:
         raise CheckpointError(f"config hash mismatch in {path}")
-    params = PolicyParams(cfg=cfg, **arrays)
-    if params.count != _count(header["params"], "parameter count"):
+    if cfg.param_count != _count(header["params"], "parameter count"):
         raise CheckpointError(f"parameter count mismatch in {path}")
-    return params
+    theta = np.concatenate([arrays[name].ravel() for name, _ in cfg.layout], dtype=np.float64)
+    return PolicyParams(cfg, theta)

@@ -118,8 +118,9 @@ def synthesize_demo(
     )
 
 
-def bc_demo(episode: Episode, gamma: float = 1.0) -> RectificationDemo:
-    """Teacher-forcing demo of the full reference plan from the start."""
+def bc_demo(episode: Episode) -> RectificationDemo:
+    """Teacher-forcing demo of the full reference plan from the start,
+    every action weighted 1."""
     actions = tuple(expand_instruction(episode.instruction, episode.max_run))
     return RectificationDemo(
         episode_id=episode.id,
@@ -127,7 +128,7 @@ def bc_demo(episode: Episode, gamma: float = 1.0) -> RectificationDemo:
         anchor_pose=episode.start,
         retained_prefix=(),
         oracle_actions=actions,
-        weights=decay_weights(len(actions), gamma),
+        weights=np.ones(len(actions)),
     )
 
 

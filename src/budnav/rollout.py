@@ -395,13 +395,18 @@ def parse_trace(text: str) -> TraceDoc:
 
 def verify_trace(doc: TraceDoc) -> int:
     """Re-execute the trace; return step count or raise TraceError naming
-    the first divergent step."""
+    the first divergent step.  Poses are checked in every trace, and in a
+    greedy one each action against the argmax of its stored logits (a
+    sampled trace stores no temperature)."""
     pose = doc.episode.start
     for s in doc.steps:
         if s.pose_before != pose:
             raise TraceError(
                 f"divergence at step {s.t}: trace pose {s.pose_before}, replay pose {pose}"
             )
+        if doc.mode == "greedy" and greedy_action(s.logits) != s.action:
+            best = greedy_action(s.logits)
+            raise TraceError(f"divergence at step {s.t}: action {s.action}, logits argmax {best}")
         pose = step(doc.episode.world, pose, Action(s.action))
     if pose != doc.final_pose:
         raise TraceError(

@@ -58,6 +58,10 @@ from .world import Episode
 
 VARIANTS = ("full", "bc", "rect_only", "grpo_only", "dagger")
 
+# Supervision of teacher-forced reference demos (BC pretraining and the
+# "bc" routes): every action weighted 1.
+BC_RECT = RectConfig(decay_gamma=1.0, alpha=1.0)
+
 
 @dataclass(frozen=True)
 class OptHyper:
@@ -86,7 +90,7 @@ def adamw_update(
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     lr = hyper.learning_rate
-    theta = params.flatten()
+    theta = params.theta
     theta = theta - lr * hyper.weight_decay * theta  # decay before the moment delta
     m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grad
     v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * grad * grad
@@ -94,7 +98,7 @@ def adamw_update(
     m_hat = m / (1.0 - hyper.beta1**t)
     v_hat = v / (1.0 - hyper.beta2**t)
     theta = theta - lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-    return params.from_flat(theta), OptimizerState(m=m, v=v, step=t)
+    return PolicyParams(params.cfg, theta), OptimizerState(m=m, v=v, step=t)
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,9 @@ def pretrain_bc(params: PolicyParams, episodes, cfg: TrainConfig):
     (or of the initial params when the list is empty) and stays frozen
     for the rest of the run.
     """
-    plain = RectConfig(decay_gamma=1.0, alpha=1.0)
     opt = OptimizerState.zeros(params.count)
     for episode in episodes:
-        loss, grad = rect_loss_and_grad(params, bc_demo(episode), episode, plain)
+        loss, grad = rect_loss_and_grad(params, bc_demo(episode), episode, BC_RECT)
         _check_finite_loss(loss)
         params, opt = adamw_update(params, grad, opt, cfg.opt)
     return params, snapshot(params, "ref")
@@ -231,7 +234,7 @@ def outcome_loss_and_grad(params: PolicyParams, outcome: RouteOutcome, ref: Poli
         return 0.0, np.zeros(params.count)
     if outcome.group is not None:
         return grpo_loss_and_grad(params, outcome.group, ref, cfg.grpo)
-    rect_cfg = cfg.rect if outcome.route == "rect" else RectConfig(decay_gamma=1.0, alpha=1.0)
+    rect_cfg = cfg.rect if outcome.route == "rect" else BC_RECT
     return rect_loss_and_grad(params, outcome.demo, outcome.episode, rect_cfg)
 
 

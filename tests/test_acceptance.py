@@ -26,7 +26,7 @@ from budnav.errors import GenerationFailed
 from budnav.grpo import GrpoConfig, RewardConfig, group_advantages, grpo_loss_and_grad, make_group
 from budnav.metrics import dtw_distance, evaluate, ndtw
 from budnav.oracle import geodesic_field, plan, progress_index
-from budnav.policy import PolicyConfig, init_params, snapshot
+from budnav.policy import PolicyConfig, PolicyParams, init_params, snapshot
 from budnav.rectify import rect_loss_and_grad, synthesize_demo
 from budnav.rollout import (
     RolloutConfig,
@@ -147,10 +147,10 @@ def test_criterion_1_gradients_match_finite_differences():
         ref = snapshot(init_params(SMALL, 7000 + k), "ref")
         # Evaluate off the snapshot so the advantage and KL terms are live.
         theta = old.flatten() + 0.02 * rng.standard_normal(old.count)
-        _, grad = grpo_loss_and_grad(old.from_flat(theta), group, ref, gcfg)
+        _, grad = grpo_loss_and_grad(PolicyParams(old.cfg, theta), group, ref, gcfg)
 
         def f(th, group=group, ref=ref, old=old):
-            return grpo_loss_and_grad(old.from_flat(th), group, ref, gcfg)[0]
+            return grpo_loss_and_grad(PolicyParams(old.cfg, th), group, ref, gcfg)[0]
 
         worst_grpo = max(worst_grpo, max_fd_error(f, theta, grad, rng))
         n_grpo += 1
@@ -165,10 +165,10 @@ def test_criterion_1_gradients_match_finite_differences():
             continue
         demo = synthesize_demo(probe, ep)
         theta = params.flatten() + 0.02 * rng.standard_normal(params.count)
-        _, grad = rect_loss_and_grad(params.from_flat(theta), demo, ep)
+        _, grad = rect_loss_and_grad(PolicyParams(params.cfg, theta), demo, ep)
 
         def f(th, demo=demo, ep=ep, params=params):
-            return rect_loss_and_grad(params.from_flat(th), demo, ep)[0]
+            return rect_loss_and_grad(PolicyParams(params.cfg, th), demo, ep)[0]
 
         worst_rect = max(worst_rect, max_fd_error(f, theta, grad, rng))
         n_rect += 1

@@ -155,6 +155,14 @@ def test_eval_checkpoint_errors(train_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_missing_suite_exits_2(train_run, tmp_path, capsys):
+    _, out = train_run
+    missing = tmp_path / "none.suite"
+    assert main(["eval", "--ckpt", str(out / "checkpoints" / "final.ckpt"),
+                 "--suite", str(missing)]) == 2
+    assert f"error: cannot read suite file {missing}: " in capsys.readouterr().err
+
+
 def test_eval_rejects_a_suite_with_another_vocabulary(train_run, tmp_path, capsys):
     # The checkpoint's vocabulary has max_run = 8.  Against a smaller one
     # every token id would name another action; against a larger one the
@@ -172,6 +180,18 @@ def test_eval_rejects_a_suite_with_another_vocabulary(train_run, tmp_path, capsy
         assert main(["eval", "--ckpt", ckpt, "--suite", suite]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint max_run (8) does not match suite max_run ({max_run})" in err
+
+
+@pytest.mark.parametrize("arch", [{"obs_k": 4}, {"history_k": 0}])
+def test_eval_checkpoint_no_config_could_build_exits_4(train_run, tmp_path, capsys, arch):
+    from budnav.policy import PolicyConfig, init_params, save_checkpoint
+
+    _, out = train_run
+    ckpt = tmp_path / "arch.ckpt"
+    save_checkpoint(ckpt, init_params(PolicyConfig(**arch), 0))
+    suite = str(out / "suite.suite")
+    assert main(["eval", "--ckpt", str(ckpt), "--suite", suite, "--limit", "3"]) == 4
+    assert "no policy has this architecture" in capsys.readouterr().err
 
 
 def test_eval_non_numeric_checkpoint_field_exits_4(train_run, tmp_path, capsys):
@@ -236,6 +256,25 @@ def test_replay_tampered_trace_exits_5(tmp_path, capsys):
     garbage = tmp_path / "garbage.trace"
     garbage.write_text("hello\n")
     assert main(["replay", "--trace", str(garbage)]) == 5
+
+
+def test_replay_greedy_trace_with_edited_logits_exits_5(train_run, tmp_path, capsys):
+    # Step 0's logits now argmax to another action than the recorded one;
+    # the poses still replay.
+    _, out = train_run
+    lines = sorted((out / "traces").glob("*.trace"))[0].read_text().splitlines()
+    assert lines[1].startswith("mode greedy ")
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("step 0 "))
+    parts = lines[idx].split()
+    edited = (int(parts[5]) + 2) % 4
+    parts[6 + edited] = repr(max(float(v) for v in parts[6:10]) + 1.0)
+    lines[idx] = " ".join(parts)
+    path = tmp_path / "logits.trace"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--trace", str(path)]) == 5
+    assert f"divergence at step 0: action {int(parts[5])}, logits argmax {edited}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_replay_trace_without_episode_width_exits_5(tmp_path, capsys):

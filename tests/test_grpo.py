@@ -21,6 +21,7 @@ from budnav.grpo import (
 from budnav.oracle import geodesic_field
 from budnav.policy import (
     PolicyConfig,
+    PolicyParams,
     forward,
     init_params,
     kl_and_log_ratio,
@@ -231,12 +232,12 @@ def test_grpo_gradient_matches_finite_differences(sample_episode):
     # Evaluate away from the snapshot so the advantage and KL terms both
     # move with the live params.
     theta0 = old.flatten() + 0.02 * rng.standard_normal(old.count)
-    live = old.from_flat(theta0)
+    live = PolicyParams(old.cfg, theta0)
     gcfg = GrpoConfig()
     loss0, grad = grpo_loss_and_grad(live, group, snap_ref, gcfg)
 
     def f(theta):
-        l, _ = grpo_loss_and_grad(old.from_flat(theta), group, snap_ref, gcfg)
+        l, _ = grpo_loss_and_grad(PolicyParams(old.cfg, theta), group, snap_ref, gcfg)
         return l
 
     idx = rng.choice(old.count, size=60, replace=False)

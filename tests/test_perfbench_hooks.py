@@ -4,10 +4,13 @@ Installing it must succeed: a refactor that unbinds a name the tracer
 patches (say trainer.gro_step or grpo.featurize) fails here rather than
 in a traced benchmark run.  A refactor that moves a traced call off its
 per-step cadence breaks the per-layer accounting and fails here too.
+The benchmark's child process, untraced, must run both workload kinds.
 """
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +65,33 @@ def test_traced_layer_counts_add_up(tmp_path):
         m["rollout.steps"] + m["rectify.loss.steps"] + 3 * m["grpo.loss.steps"]
     )
     assert m["policy.backward.calls"] == m["rectify.loss.steps"] + m["grpo.loss.steps"]
+
+
+def test_benchmark_child_runs_a_train_and_an_eval_spec(tmp_path):
+    # child.py calls PolicyParams.flatten, snapshot(params, "eval"),
+    # load_checkpoint, trainer.train and metrics.evaluate.
+    from budnav.cli import main
+
+    smoke = ROOT / "configs" / "smoke.cfg"
+    run = tmp_path / "smoke"
+    assert main(["train", "--config", str(smoke), "--out", str(run)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    specs = [
+        {"kind": "train", "configs": [str(smoke)]},
+        {
+            "kind": "eval", "suite": str(run / "suite.suite"),
+            "ckpts": [str(run / "checkpoints" / "final.ckpt")],
+        },
+    ]
+    for spec in specs:
+        spec = dict(spec, trace=0, t_spawn=time.monotonic())
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.splitlines()[-1])
+        assert len(record["digest"]) == 32
+        assert len(record["cases"]) == 1
+        assert set(record["cases"][0]) == {"sr", "spl"}

@@ -8,6 +8,7 @@ from budnav.policy import (
     FeatureTrack,
     GradAccumulator,
     PolicyConfig,
+    PolicyParams,
     featurize,
     forward,
     forward_cached,
@@ -42,7 +43,7 @@ def test_init_is_deterministic_and_bounded():
 def test_param_count_and_flatten_round_trip(tiny_policy):
     flat = tiny_policy.flatten()
     assert flat.shape == (tiny_policy.count,)
-    rebuilt = tiny_policy.from_flat(flat)
+    rebuilt = PolicyParams(tiny_policy.cfg, flat)
     assert np.array_equal(rebuilt.flatten(), flat)
     for (n1, a1), (n2, a2) in zip(tiny_policy.blocks(), rebuilt.blocks()):
         assert n1 == n2
@@ -56,9 +57,28 @@ def test_flatten_order_is_declaration_order(tiny_policy):
     assert flat[-1] == tiny_policy.b2[-1]
 
 
-def test_from_flat_rejects_wrong_size(tiny_policy):
+def test_every_block_is_a_view_of_theta(tmp_path, tiny_policy):
+    from budnav.trainer import OptHyper, OptimizerState, adamw_update
+
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, tiny_policy)
+    stepped, _ = adamw_update(
+        tiny_policy, np.ones(tiny_policy.count), OptimizerState.zeros(tiny_policy.count), OptHyper()
+    )
+    for params in (tiny_policy, stepped, load_checkpoint(path), snapshot(tiny_policy).params):
+        names = [name for name, _ in params.blocks()]
+        assert names == [name for name, _ in params.cfg.layout]
+        assert params.theta.shape == (params.count,) == (params.cfg.param_count,)
+        for name, block in params.blocks():
+            assert block.shape == dict(params.cfg.layout)[name]
+            assert np.shares_memory(block, params.theta), name
+        assert params.flatten().tobytes() == params.theta.tobytes()
+        assert not np.shares_memory(params.flatten(), params.theta)
+
+
+def test_params_reject_wrong_size(tiny_policy):
     with pytest.raises(DimensionMismatch):
-        tiny_policy.from_flat(np.zeros(3))
+        PolicyParams(tiny_policy.cfg, np.zeros(3))
 
 
 # ------------------------------------------------------------- featurize
@@ -377,11 +397,11 @@ def test_logprob_gradient_matches_finite_differences(tiny_policy):
         action = int(rng.integers(4))
 
         def f(theta):
-            p = tiny_policy.from_flat(theta)
+            p = PolicyParams(tiny_policy.cfg, theta)
             lp, _ = logprob_and_grad(window_track(p, window), action, 0.4)
             return lp
 
-        track = window_track(tiny_policy.from_flat(theta0), window)
+        track = window_track(PolicyParams(tiny_policy.cfg, theta0), window)
         _, grad = logprob_and_grad(track, action, 0.4)
         # Probe a subset of coordinates; full FD is covered in acceptance.
         idx = rng.choice(len(theta0), size=80, replace=False)
@@ -575,7 +595,7 @@ def desk_batches(desk_cfg):
             retained_prefix=(), oracle_actions=walk,
             weights=decay_weights(len(walk), cfg.rect.decay_gamma),
         ), episode))
-    live = params.from_flat(params.flatten() + 0.05 * np.sin(np.arange(params.count)))
+    live = PolicyParams(params.cfg, params.theta + 0.05 * np.sin(np.arange(params.count)))
     ref = snapshot(init_params(cfg.policy, 1), "ref")
     assert max(len(d.oracle_actions) for d, _ in demos) > GradAccumulator.FLUSH_STEPS
     assert max(len(t.steps) for g in groups for t in g.trajectories) > GradAccumulator.FLUSH_STEPS
@@ -641,7 +661,7 @@ def test_snapshot_arrays_are_frozen(tiny_policy):
     with pytest.raises(ValueError):
         snap.params.W1[0, 0] = 1.0
     # The source params remain writable.
-    tiny_policy.copy().W1[0, 0] = 1.0
+    PolicyParams(tiny_policy.cfg, tiny_policy.theta.copy()).W1[0, 0] = 1.0
 
 
 # ----------------------------------------------------------- checkpoints
@@ -681,7 +701,7 @@ def test_interrupted_checkpoint_save_keeps_the_previous_file(tmp_path, tiny_poli
             self.f.write(data[: len(data) // 2])
             raise OSError("no space left on device")
 
-    changed = tiny_policy.copy()
+    changed = PolicyParams(tiny_policy.cfg, tiny_policy.theta.copy())
     changed.b2[0] += 1.0
     monkeypatch.setattr(policy, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
     with pytest.raises(OSError):
@@ -713,6 +733,16 @@ def test_checkpoint_detects_corruption(tmp_path, tiny_policy):
     truncated.write_bytes(bytes(raw[: len(raw) - 20]))
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+
+
+@pytest.mark.parametrize("arch", [{"obs_k": 4}, {"history_k": 0}])
+def test_checkpoint_no_config_could_build_is_a_checkpoint_error(tmp_path, arch):
+    # The shapes agree with each other, but config validation rejects
+    # an even patch side and an empty history.
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, init_params(PolicyConfig(**arch), 0))
+    with pytest.raises(CheckpointError, match="no policy has this architecture"):
+        load_checkpoint(path)
 
 
 def _edit_header(raw: bytes, prefix: bytes, edit) -> bytes:

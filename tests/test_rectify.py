@@ -4,7 +4,7 @@ import pytest
 
 from budnav.errors import NotAFailure
 from budnav.oracle import progress_index
-from budnav.policy import PolicyConfig, init_params
+from budnav.policy import PolicyConfig, PolicyParams, init_params
 from budnav.rectify import (
     RectConfig,
     bc_demo,
@@ -244,7 +244,7 @@ def test_rect_gradient_matches_finite_differences():
     _, grad = rect_loss_and_grad(params, demo, ep, rcfg)
 
     def f(theta):
-        l, _ = rect_loss_and_grad(params.from_flat(theta), demo, ep, rcfg)
+        l, _ = rect_loss_and_grad(PolicyParams(params.cfg, theta), demo, ep, rcfg)
         return l
 
     rng = np.random.default_rng(7)

@@ -329,8 +329,26 @@ def test_trace_detects_edited_action():
     parts[5] = str(Action.TURN_RIGHT.value)  # was FORWARD
     lines[idx] = " ".join(parts)
     doc = parse_trace("\n".join(lines) + "\n")
-    with pytest.raises(TraceError, match="step 2"):
+    # The greedy check sees the edit at once; the poses would diverge at step 2.
+    with pytest.raises(TraceError, match="step 1"):
         verify_trace(doc)
+
+
+def test_trace_checks_logits_of_greedy_traces_only():
+    ep = corridor_episode()
+    text = serialize_trace(run_script(ep, [F, F, S]), ep)
+    lines = text.splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("step 1 "))
+    parts = lines[idx].split()
+    parts[6 + Action.TURN_LEFT.value] = "1000.0"  # argmax now TURN_LEFT, action FORWARD
+    lines[idx] = " ".join(parts)
+    edited = "\n".join(lines) + "\n"
+    with pytest.raises(TraceError, match="step 1: action 0, logits argmax 1"):
+        verify_trace(parse_trace(edited))
+    # A sampled trace stores no temperature: its poses are all replay checks.
+    assert lines[1].startswith("mode greedy ")
+    sampled = edited.replace("mode greedy ", "mode sampled ", 1)
+    assert verify_trace(parse_trace(sampled)) == 3
 
 
 def test_trace_rejects_garbage():
