@@ -10,12 +10,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 generic/partial failure, 2 unreadable or
 invalid config/suite/arguments, 3 divergence (non-finite gradient), 4
-checkpoint corruption, 5 trace replay divergence.
+checkpoint corruption, 5 trace replay divergence, 141 stdout closed
+before the output was written (128 + SIGPIPE, as `budnav ... | head`).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,7 +49,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return _stdout_closed()
     except (ConfigError, SuiteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -60,6 +66,33 @@ def main(argv=None) -> int:
     except TraceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 5
+
+
+EXIT_STDOUT_CLOSED = 141
+
+
+def _stdout_closed() -> int:
+    """The reader of stdout went away: point stdout at devnull, so the
+    interpreter's last flush of what is still buffered cannot fail
+    again, and exit quietly."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # a stdout without a file descriptor
+        pass
+    return EXIT_STDOUT_CLOSED
+
+
+def _out_dir(path) -> Path:
+    """Create an --out directory before any work, so a path that cannot
+    be one exits 2 instead of failing after the work is done."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path} cannot be a directory: {e}") from e
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +156,7 @@ def cmd_train(args) -> int:
         if args.seed is not None:
             overrides["trainer.run_seed"] = args.seed
         cfg = build_train_config(values, base_dir=Path(args.config).parent)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     write_manifest(out, values, overrides, cfg.suite, __version__)
     (out / "suite.suite").write_text(serialize_suite(cfg.suite))
     result = train(cfg, out_dir=out)
@@ -148,6 +181,7 @@ def cmd_eval(args) -> int:
     from .suite import build_held_episodes
 
     episodes = build_held_episodes(suite, args.limit)
+    out = _out_dir(args.out) if args.out else None
     outcome = evaluate(snapshot(params, "eval"), episodes, RolloutConfig())
     r = outcome.report
     row = format_metrics_row(0, r, 0.0, 0)
@@ -159,9 +193,8 @@ def cmd_eval(args) -> int:
     else:
         print(f"n={r.n} SR={r.sr:.1f} SPL={r.spl:.1f} OSR={r.osr:.1f} "
               f"NE={r.ne:.2f} nDTW={r.ndtw:.1f}")
-    if args.out:
-        out = Path(args.out)
-        (out / "traces").mkdir(parents=True, exist_ok=True)
+    if out is not None:
+        (out / "traces").mkdir(exist_ok=True)
         (out / "metrics.csv").write_text(METRICS_HEADER + "\n" + row + "\n")
         for episode, traj in list(zip(episodes, outcome.trajectories))[:3]:
             (out / "traces" / f"episode_{episode.id}.trace").write_text(
@@ -182,8 +215,7 @@ def cmd_compare(args) -> int:
             for seed in args.seeds
         ]
         plans.append((Path(cfg_path).stem, runs))
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _out_dir(args.out)
     rows = []
     failures = 0
     for label, runs in plans:

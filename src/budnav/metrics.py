@@ -8,10 +8,12 @@ path-shape fidelity as exp(-DTW / (|R| * threshold)) over Euclidean
 dynamic time warping between the visited cells and the reference cells.
 
 Evaluation rolls the greedy policy with all failure triggers disabled;
-episodes end only on STOP or the step cap.  It runs serially: one
-rollout is pure-Python work that threads cannot overlap, so parallelism
-belongs at run level (separate processes).  Reported SR/SPL/OSR/nDTW are
-percentages, NE is in meters.
+episodes end only on STOP or the step cap.  It steps every episode in
+lockstep (rollout.run_lockstep): each tick scores all episodes still
+running with one row-batched featurize+forward, bit-identical to
+rolling each episode alone.  Parallelism across runs belongs at run
+level (separate processes).  Reported SR/SPL/OSR/nDTW are percentages,
+NE is in meters.
 """
 from __future__ import annotations
 
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 from .grpo import spl as spl_metric
 from .oracle import GeodesicField, geodesic_field
 from .policy import PolicySnapshot
-from .rollout import RolloutConfig, Trajectory, run_greedy
+from .rollout import RolloutConfig, Trajectory, _episode_steps, run_lockstep
+# Unused here: perfbench's tracer patches metrics.run_greedy when it installs.
+from .rollout import run_greedy  # noqa: F401
 from .world import Episode, dedup_positions, euclid_m
 
 METRICS_HEADER = "step,n,sr,spl,osr,ne,ndtw,route_grpo_frac,env_steps_total"
@@ -142,14 +146,15 @@ def evaluate(
     episodes,
     cfg: RolloutConfig = RolloutConfig(),
 ) -> EvalOutcome:
-    """Greedy, trigger-free rollouts over the episode list, in order."""
-    trajectories = []
-    results = []
-    for episode in episodes:
-        traj = run_greedy(snapshot, episode, cfg, triggers=False)
-        trajectories.append(traj)
-        results.append(episode_result(traj, episode))
-    results = tuple(results)
+    """Greedy, trigger-free rollouts over the episode list, stepped in
+    lockstep; results and trajectories are in episode order."""
+    episodes = list(episodes)
+    obs_k = snapshot.params.cfg.obs_k
+    trajectories = run_lockstep(snapshot, [
+        (episode, _episode_steps(episode, cfg, obs_k, "greedy", triggers=False))
+        for episode in episodes
+    ])
+    results = tuple(episode_result(traj, episode) for traj, episode in zip(trajectories, episodes))
     return EvalOutcome(report=aggregate(results), results=results, trajectories=tuple(trajectories))
 
 

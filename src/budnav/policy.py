@@ -11,15 +11,20 @@ previous-action) pairs:
 
     logits = tanh(features @ W1 + b1) @ W2 + b2
 
-A FeatureTrack holds this vector for one episode under one parameter
-set.  It starts with every slot padded (a zero patch projected through
+The vector starts with every slot padded (a zero patch projected through
 obs_proj and the dedicated "no previous action" embedding row), and
-featurize advances it by one step: the slots shift left by one block
-and the newest pair is written into the last one.  Every entry is a
-copy of the same product or row a fresh concatenation would hold, so
-the features are identical to the bit.  All math is float64 and every
-gradient is hand-derived, so finite differences must agree to near
-machine precision.
+FeatureRows.push advances it by one step: the slots shift left by one
+block and the newest pair is written into the last one.  FeatureRows
+works on any [..., feature_dim] array.  A FeatureTrack is the FeatureRows
+of one episode under one parameter set, plus the padded history a loss
+reads for its gradient; a lockstep rollout holds one row per running
+episode and no history.  Every entry is a copy of the same product or
+row a fresh concatenation would hold, so the features are identical to
+the bit.  Products go through row_products, one vector-matrix product
+per row, so a row of a batch is scored to the bit as the same step
+alone.  All math
+is float64 and every gradient is hand-derived, so finite differences
+must agree to near machine precision.
 
 All parameters live in one float64 vector, PolicyParams.theta.  The
 seven blocks (instr_embed, obs_proj, act_embed, W1, b1, W2, b2) are
@@ -156,39 +161,79 @@ def snapshot(params: PolicyParams, role: str = "snapshot") -> PolicySnapshot:
     return PolicySnapshot(params=PolicyParams(params.cfg, theta), role=role)
 
 
-class FeatureTrack:
+def row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for x of shape [k] or [n, k], each row as its own
+    vector-matrix product.
+
+    A 2-D x @ m runs one matrix-matrix product whose blocking moves the
+    last bits of a row; np.matmul over [n, 1, k] runs one vector-matrix
+    product per row and matches x[i] @ m exactly.
+    """
+    if x.ndim == 1:
+        return x @ m
+    return np.matmul(x[:, None, :], m)[:, 0]
+
+
+def initial_features(params: PolicyParams, instruction) -> np.ndarray:
+    """Feature vector before the first step: the instruction mean and
+    history_k padded slots."""
+    cfg = params.cfg
+    for t in instruction:
+        if not 0 <= t < cfg.vocab:
+            raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
+    features = np.empty(cfg.feature_dim)
+    features[: cfg.d_e] = params.instr_embed[list(instruction)].mean(axis=0)
+    slots = features[cfg.d_e :].reshape(cfg.history_k, cfg.d_o + cfg.d_a)
+    slots[:, : cfg.d_o] = row_products(np.zeros(cfg.patch_cells), params.obs_proj)
+    slots[:, cfg.d_o :] = params.act_embed[NO_ACTION]
+    return features
+
+
+class FeatureRows:
+    """Feature vectors ([..., feature_dim]) advanced together by push.
+
+    features is updated in place, one step per push.  The params must
+    not be mutated while the rows are in use.
+    """
+
+    def __init__(self, params: PolicyParams, features: np.ndarray):
+        cfg = params.cfg
+        block = cfg.d_o + cfg.d_a
+        last = cfg.feature_dim - block
+        self.params = params
+        self.features = features
+        # Views of features that each push writes.
+        self._older = features[..., cfg.d_e : last]
+        self._newer = features[..., cfg.d_e + block :]
+        self._obs = features[..., last : last + cfg.d_o]
+        self._act = features[..., last + cfg.d_o :]
+
+    def push(self, obs: np.ndarray, prev_actions) -> np.ndarray:
+        """Shift the slots left by one block and write obs @ obs_proj and
+        act_embed[prev_actions] into the last; obs is [..., patch_cells]
+        and prev_actions an index, or one per row.  Returns features."""
+        self._older[...] = self._newer
+        self._obs[...] = row_products(obs, self.params.obs_proj)
+        self._act[...] = self.params.act_embed[prev_actions]
+        return self.features
+
+
+class FeatureTrack(FeatureRows):
     """Rolling feature vector of one episode under one parameter set.
 
-    features is updated in place by featurize, one step at a time.  The
-    padded history keeps every (patch, previous action) pair pushed so
-    far behind history_k - 1 padding entries, so the slots of the n-th
-    push (0-based) are patches[n : n + history_k] and the same slice of
-    prev_actions.  The params and the pushed observations must not be
-    mutated while the track is in use.
+    featurize advances it by one step.  The padded history keeps every
+    (patch, previous action) pair pushed so far behind history_k - 1
+    padding entries, so the slots of the n-th push (0-based) are
+    patches[n : n + history_k] and the same slice of prev_actions.  The
+    pushed observations must not be mutated while the track is in use.
     """
 
     def __init__(self, params: PolicyParams, instruction):
         cfg = params.cfg
-        for t in instruction:
-            if not 0 <= t < cfg.vocab:
-                raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
-        self.params = params
         self.instruction = tuple(instruction)
-        zero = np.zeros(cfg.patch_cells)
-        self.patches = [zero] * (cfg.history_k - 1)
+        super().__init__(params, initial_features(params, self.instruction))
+        self.patches = [np.zeros(cfg.patch_cells)] * (cfg.history_k - 1)
         self.prev_actions = [NO_ACTION] * (cfg.history_k - 1)
-        block = cfg.d_o + cfg.d_a
-        self.features = np.empty(cfg.feature_dim)
-        self.features[: cfg.d_e] = params.instr_embed[list(self.instruction)].mean(axis=0)
-        slots = self.features[cfg.d_e :].reshape(cfg.history_k, block)
-        slots[:, : cfg.d_o] = zero @ params.obs_proj
-        slots[:, cfg.d_o :] = params.act_embed[NO_ACTION]
-        # Views of features that each step writes.
-        last = cfg.feature_dim - block
-        self._older = self.features[cfg.d_e : last]
-        self._newer = self.features[cfg.d_e + block :]
-        self._obs = self.features[last : last + cfg.d_o]
-        self._act = self.features[last + cfg.d_o :]
 
 
 def featurize(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndarray:
@@ -198,22 +243,21 @@ def featurize(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndar
         raise DimensionMismatch(f"patch shape {obs.shape}, want ({p.cfg.patch_cells},)")
     if not 0 <= prev_action <= NO_ACTION:
         raise DimensionMismatch(f"previous-action index out of range: {prev_action}")
-    track._older[...] = track._newer
-    track._obs[...] = obs @ p.obs_proj
-    track._act[...] = p.act_embed[prev_action]
+    track.push(obs, prev_action)
     track.patches.append(obs)
     track.prev_actions.append(prev_action)
     return track.features
 
 
 def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    """Two-layer tanh MLP from features to the four action logits."""
-    if features.shape != (params.cfg.feature_dim,):
+    """Two-layer tanh MLP from features ([..., feature_dim]) to the four
+    action logits of each row."""
+    if features.shape[-1:] != (params.cfg.feature_dim,):
         raise DimensionMismatch(
-            f"features shape {features.shape}, want ({params.cfg.feature_dim},)"
+            f"features shape {features.shape}, want (..., {params.cfg.feature_dim})"
         )
-    hidden = np.tanh(features @ params.W1 + params.b1)
-    return hidden @ params.W2 + params.b2
+    hidden = np.tanh(row_products(features, params.W1) + params.b1)
+    return row_products(hidden, params.W2) + params.b2
 
 
 @dataclass

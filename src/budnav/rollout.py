@@ -1,9 +1,19 @@
 """Policy rollouts, failure triggers, and the trace format.
 
-A rollout executes the policy step by step: advance the episode's
-feature track by the new observation and previous action, score the
-four actions, pick one (greedy argmax or inverse-CDF sampling
-on a named stream), apply it to the world, then run the failure checks.
+A rollout executes the policy step by step: observe, have the step
+scored, pick an action (greedy argmax or inverse-CDF sampling on a named
+stream), apply it to the world, then run the failure checks.  The step
+loop of one episode is one generator, _episode_steps: it yields the
+step's observation and previous action, receives the four logits, and
+returns the Trajectory.  One driver, run_lockstep, advances a list of
+these generators together.  Each tick it pushes every running
+episode's observation and previous action onto that episode's row of a
+feature array and scores all rows with one forward; a row leaves the
+array when its generator returns.  run_greedy and run_sampled are the
+driver with one episode; evaluation is the driver with all of them.
+Products are computed row by row (policy.row_products), so an episode's
+logits do not depend on which others share its ticks.
+
 Four triggers are evaluated in a fixed order after every executed
 action:
 
@@ -32,18 +42,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .oracle import advance_progress, path_deviation, progress_index
 from .policy import (
     NO_ACTION,
-    FeatureTrack,
+    FeatureRows,
     PolicySnapshot,
-    featurize,
     forward,
     greedy_action,
+    initial_features,
     softmax,
 )
 from .rng import stream_id
@@ -150,22 +159,25 @@ def sample_action(probs: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
-def _rollout(
-    logits_fn,
+def _episode_steps(
     episode: Episode,
     cfg: RolloutConfig,
     obs_k: int,
     mode: str,
     rng_stream: int = 0,
     temperature: float | None = None,
-    rng=None,
     triggers: bool = True,
-) -> Trajectory:
-    """Run one episode; logits_fn(obs, prev_action) scores each step."""
+):
+    """Step loop of one episode, as a generator driven by run_lockstep.
+
+    Each step yields (observation, previous action), receives the step's
+    logits and acts on them; the generator returns the Trajectory.
+    """
     world = episode.world
     waypoints = episode.reference_waypoints
     cell = world.cell_size
     max_steps = cfg.max_steps(episode)
+    rng = np.random.Generator(np.random.PCG64(rng_stream)) if mode == "sampled" else None
     prev_action = NO_ACTION
 
     pose = episode.start
@@ -177,7 +189,7 @@ def _rollout(
 
     for t in range(max_steps):
         obs = observe(world, pose, obs_k).ravel()
-        logits = logits_fn(obs, prev_action)
+        logits = yield obs, prev_action
         if mode == "greedy":
             action = greedy_action(logits)
         else:
@@ -225,20 +237,58 @@ def _rollout(
 
 
 def snapshot_logits_fn(snapshot: PolicySnapshot):
-    """(track, obs, prev_action) -> logits under the snapshot: one step of
-    featurize on a track built from snapshot.params, then forward."""
+    """(rows, obs, prev_actions) -> logits under the snapshot: push each
+    row's observation and previous action onto rows, a FeatureRows over
+    snapshot.params, then score every row."""
     params = snapshot.params
 
-    def logits_fn(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndarray:
-        return forward(params, featurize(track, obs, prev_action))
+    def logits_fn(rows: FeatureRows, obs: np.ndarray, prev_actions) -> np.ndarray:
+        return forward(params, rows.push(obs, prev_actions))
 
     return logits_fn
 
 
-def _episode_logits_fn(snapshot: PolicySnapshot, episode: Episode):
-    """(obs, prev_action) -> logits along one rollout of episode."""
-    track = FeatureTrack(snapshot.params, episode.instruction)
-    return partial(snapshot_logits_fn(snapshot), track)
+def run_lockstep(snapshot: PolicySnapshot, jobs) -> list:
+    """Drive (episode, _episode_steps generator) jobs in lockstep; returns
+    their trajectories in job order.
+
+    Each tick scores every running job with one call of the snapshot's
+    logits function over a [running, feature_dim] feature array, one
+    row per job.  A job's row is dropped, and the array compacted, when
+    its generator returns; a lone row is kept 1-D, which takes the plain
+    vector-matrix path (same bits, fewer calls).  Each step receives its
+    own copy of its logits row, so no step keeps a tick's batch alive.
+    """
+    params = snapshot.params
+    score = snapshot_logits_fn(snapshot)
+
+    def bind(features):
+        return FeatureRows(params, features[0] if len(features) == 1 else features)
+
+    features = np.array([initial_features(params, ep.instruction) for ep, _ in jobs])
+    rows = bind(features)
+    running = list(enumerate(gen for _, gen in jobs))  # (job index, generator)
+    out = [None] * len(running)
+    replies = [None] * len(running)  # what each generator receives next
+    while running:
+        requests, keep = [], []
+        for i, (job, gen) in enumerate(running):
+            try:
+                requests.append(gen.send(replies[i]))
+                keep.append(i)
+            except StopIteration as done:
+                out[job] = done.value
+        if len(keep) < len(running):
+            running = [running[i] for i in keep]
+            features = features[keep]
+            rows = bind(features)
+        if len(running) == 1:
+            (obs, prev_action), = requests
+            replies = [score(rows, obs, prev_action)]
+        elif running:
+            logits = score(rows, np.array([o for o, _ in requests]), [a for _, a in requests])
+            replies = [row.copy() for row in logits]
+    return out
 
 
 def run_greedy(
@@ -248,10 +298,8 @@ def run_greedy(
     triggers: bool = True,
 ) -> Trajectory:
     """Deterministic argmax rollout (the probe / evaluation policy)."""
-    return _rollout(
-        _episode_logits_fn(snapshot, episode), episode, cfg, snapshot.params.cfg.obs_k,
-        mode="greedy", triggers=triggers,
-    )
+    steps = _episode_steps(episode, cfg, snapshot.params.cfg.obs_k, "greedy", triggers=triggers)
+    return run_lockstep(snapshot, [(episode, steps)])[0]
 
 
 def run_sampled(
@@ -263,12 +311,11 @@ def run_sampled(
     triggers: bool = True,
 ) -> Trajectory:
     """Stochastic rollout drawing actions from the named stream."""
-    rng = np.random.Generator(np.random.PCG64(rng_stream))
-    return _rollout(
-        _episode_logits_fn(snapshot, episode), episode, cfg, snapshot.params.cfg.obs_k,
-        mode="sampled", rng_stream=rng_stream, temperature=temperature, rng=rng,
-        triggers=triggers,
+    steps = _episode_steps(
+        episode, cfg, snapshot.params.cfg.obs_k, "sampled",
+        rng_stream=rng_stream, temperature=temperature, triggers=triggers,
     )
+    return run_lockstep(snapshot, [(episode, steps)])[0]
 
 
 def rollout_stream(run_seed: int, episode_id: int, rollout_index: int) -> int:

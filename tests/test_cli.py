@@ -336,6 +336,55 @@ def test_unreachable_min_length_exits_2_instead_of_hanging(tmp_path):
     assert "no world with an episode" in got.stderr
 
 
+@pytest.mark.parametrize("command", ["replay", "eval"])
+def test_closed_stdout_exits_141_without_a_traceback(train_run, tmp_path, command):
+    # The reader end of stdout is closed before the child writes a byte,
+    # as `budnav ... | true` can leave it.
+    _, out = train_run
+    if command == "replay":
+        argv = ["replay", "--trace", str(sorted((out / "traces").glob("*.trace"))[0])]
+    else:
+        argv = ["eval", "--ckpt", str(out / "checkpoints" / "final.ckpt"),
+                "--suite", str(out / "suite.suite")]
+    env = dict(os.environ, PYTHONPATH=str(Path(budnav.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = subprocess.run(
+            [sys.executable, "-m", "budnav.cli", *argv], cwd=tmp_path, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert got.returncode == 141
+    assert got.stderr == ""
+
+
+def test_eval_out_that_is_a_file_exits_2_before_evaluating(train_run, tmp_path, capsys, monkeypatch):
+    _, out = train_run
+    import budnav.cli
+
+    monkeypatch.setattr(budnav.cli, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+    target = tmp_path / "a_file"
+    target.write_text("keep me\n")
+    code = main(["eval", "--ckpt", str(out / "checkpoints" / "final.ckpt"),
+                 "--suite", str(out / "suite.suite"), "--out", str(target)])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+    assert target.read_text() == "keep me\n"
+
+
+def test_train_out_under_a_file_exits_2_before_training(train_run, tmp_path, capsys, monkeypatch):
+    cfg, _ = train_run
+    import budnav.cli
+
+    monkeypatch.setattr(budnav.cli, "train", lambda *a, **k: pytest.fail("trained"))
+    parent = tmp_path / "a_file"
+    parent.write_text("")
+    assert main(["train", "--config", str(cfg), "--out", str(parent / "run")]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_negative_eval_limits_exit_2(train_run, tmp_path, capsys):
     cfg, out = train_run
     ckpt = str(out / "checkpoints" / "final.ckpt")

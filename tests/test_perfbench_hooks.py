@@ -30,10 +30,15 @@ def test_tracer_installs_on_every_traced_name():
 
 
 def test_traced_layer_counts_add_up(tmp_path):
-    # Every featurize+forward belongs to one rollout step, one rect loss
-    # step or one of the three GRPO tracks (old, live, ref) of a loss
-    # step; every backward step to one rect or GRPO loss step.  A short
-    # desk run with a high learning rate takes both routes.
+    # Every featurize+forward belongs to one step of a training rollout,
+    # one tick of an evaluation, one rect loss step or one of the three
+    # GRPO tracks (old, live, ref) of a loss step; every backward step to
+    # one rect or GRPO loss step.  An evaluation steps its episodes in
+    # lockstep and scores all running ones in one call per tick, so it
+    # takes as many ticks as its longest trajectory has steps; a wrapper
+    # around trainer.evaluate counts them from the outcomes (the traced
+    # rollout counters see training rollouts only).  A short desk run
+    # with a high learning rate takes both routes.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"suite.file = {ROOT / 'configs' / 'desk.suite'}\n"
@@ -48,10 +53,18 @@ def test_traced_layer_counts_add_up(tmp_path):
         "from tracer import Tracer, install\n"
         "tracer = Tracer(); install(tracer)\n"
         "import budnav.trainer\n"
+        "ticks = []\n"
+        "def counted(evaluate):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        outcome = evaluate(*args, **kwargs)\n"
+        "        ticks.append(max(len(t.steps) for t in outcome.trajectories))\n"
+        "        return outcome\n"
+        "    return wrapper\n"
+        "budnav.trainer.evaluate = counted(budnav.trainer.evaluate)\n"
         "from budnav.config import load_config\n"
         "cfg = load_config(sys.argv[3])[0]\n"
         "tracer.span('run', lambda: budnav.trainer.train(cfg))()\n"
-        "print(json.dumps(tracer.report('run')))\n"
+        "print(json.dumps(dict(tracer.report('run'), eval_ticks=sum(ticks))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench"), str(cfg)],
@@ -61,8 +74,9 @@ def test_traced_layer_counts_add_up(tmp_path):
     m = json.loads(proc.stdout.splitlines()[-1])
     assert m["trainer.route.grpo"] >= 1 and m["trainer.route.rect"] >= 1
     assert m["grpo.loss.steps"] > 0 and m["rectify.loss.steps"] > 0
+    assert m["eval_ticks"] > 0
     assert m["policy.forward.calls"] == (
-        m["rollout.steps"] + m["rectify.loss.steps"] + 3 * m["grpo.loss.steps"]
+        m["rollout.steps"] + m["eval_ticks"] + m["rectify.loss.steps"] + 3 * m["grpo.loss.steps"]
     )
     assert m["policy.backward.calls"] == m["rectify.loss.steps"] + m["grpo.loss.steps"]
 

@@ -9,7 +9,7 @@ from budnav.rollout import (
     RolloutConfig,
     RolloutState,
     TriggerKind,
-    _rollout,
+    _episode_steps,
     check_triggers,
     offtrack_exceeded,
     parse_trace,
@@ -46,28 +46,18 @@ def corridor_episode(length=12, goal=(8, 0), radius=3.0, start=Pose(0, 0, 1)):
     )
 
 
-def scripted(actions):
-    """logits_fn that plays a fixed action sequence."""
-    seq = list(actions)
-
-    def fn(obs, prev_action):
-        a = seq.pop(0)
-        logits = np.full(4, -100.0)
-        logits[int(a)] = 100.0
-        return logits
-
-    return fn
-
-
 def run_script(episode, actions, cfg=RolloutConfig(), triggers=True):
-    return _rollout(
-        scripted(list(actions) + [Action.STOP] * 500),
-        episode,
-        cfg,
-        obs_k=5,
-        mode="greedy",
-        triggers=triggers,
-    )
+    """Greedy rollout that plays a fixed action sequence (then STOPs)."""
+    seq = list(actions) + [Action.STOP] * 500
+    steps = _episode_steps(episode, cfg, 5, "greedy", triggers=triggers)
+    logits = None
+    try:
+        while True:
+            steps.send(logits)
+            logits = np.full(4, -100.0)
+            logits[int(seq.pop(0))] = 100.0
+    except StopIteration as done:
+        return done.value
 
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
