@@ -16,6 +16,7 @@ before the output was written (128 + SIGPIPE, as `budnav ... | head`).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -23,13 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    apply_cli_overrides,
-    build_train_config,
-    load_config,
-    read_suite_file,
-    write_manifest,
-)
+from .config import load_config, read_suite_file, write_manifest
 from .errors import (
     BudnavError,
     CheckpointError,
@@ -66,6 +61,9 @@ def main(argv=None) -> int:
     except TraceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 5
+    except BudnavError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 EXIT_STDOUT_CLOSED = 141
@@ -129,14 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-suite", help="generate a benchmark suite file")
     p.add_argument("--name", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--train-worlds", type=int, required=True)
-    p.add_argument("--held", type=int, required=True)
-    p.add_argument("--width", type=int, default=10)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--density", type=float, default=0.15)
-    p.add_argument("--goal-radius", type=float, default=3.0)
-    p.add_argument("--min-length", type=float, default=6.0)
-    p.add_argument("--max-run", type=int, default=8)
+    p.add_argument("--train-worlds", dest="n_train_worlds", type=int, required=True)
+    p.add_argument("--held", dest="n_held", type=int, required=True)
+    # Flags left out keep generate_suite's defaults.
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--density", type=float)
+    p.add_argument("--goal-radius", type=float)
+    p.add_argument("--min-length", dest="min_episode_length", type=float)
+    p.add_argument("--max-run", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_suite)
     return parser
@@ -146,16 +145,12 @@ _ALGO_VARIANT = {"gro": "full", "dagger": "dagger", "bc": "bc"}
 
 
 def cmd_train(args) -> int:
-    cfg, values, overrides = load_config(args.config)
-    variant = _ALGO_VARIANT[args.algo] if args.algo else None
-    if variant is not None or args.seed is not None:
-        values = apply_cli_overrides(values, seed=args.seed, variant=variant)
-        overrides = dict(overrides)
-        if variant is not None:
-            overrides["trainer.variant"] = variant
-        if args.seed is not None:
-            overrides["trainer.run_seed"] = args.seed
-        cfg = build_train_config(values, base_dir=Path(args.config).parent)
+    extra = {}
+    if args.algo is not None:
+        extra["trainer.variant"] = _ALGO_VARIANT[args.algo]
+    if args.seed is not None:
+        extra["trainer.run_seed"] = args.seed
+    cfg, values, overrides = load_config(args.config, extra)
     out = _out_dir(args.out)
     write_manifest(out, values, overrides, cfg.suite, __version__)
     (out / "suite.suite").write_text(serialize_suite(cfg.suite))
@@ -210,8 +205,8 @@ def cmd_compare(args) -> int:
     for cfg_path in args.configs:
         cfg, values, overrides = load_config(cfg_path)
         runs = [
-            (seed, replace(cfg, run_seed=seed), apply_cli_overrides(values, seed=seed),
-             dict(overrides, **{"trainer.run_seed": seed}))
+            (seed, replace(cfg, run_seed=seed), {**values, "trainer.run_seed": seed},
+             {**overrides, "trainer.run_seed": seed})
             for seed in args.seeds
         ]
         plans.append((Path(cfg_path).stem, runs))
@@ -314,17 +309,9 @@ def render_map(doc) -> str:
 
 
 def cmd_gen_suite(args) -> int:
+    params = inspect.signature(generate_suite).parameters
     suite = generate_suite(
-        name=args.name,
-        seed=args.seed,
-        n_train_worlds=args.train_worlds,
-        n_held=args.held,
-        width=args.width,
-        height=args.height,
-        density=args.density,
-        goal_radius=args.goal_radius,
-        min_episode_length=args.min_length,
-        max_run=args.max_run,
+        **{k: v for k, v in vars(args).items() if k in params and v is not None}
     )
     Path(args.out).write_text(serialize_suite(suite))
     print(f"wrote suite {suite.name!r}: {len(suite.train_world_seeds)} train worlds, "

@@ -6,9 +6,13 @@ Config files are plain text, one dotted key per line:
     grpo.kl_beta = 0.01
     suite.file = desk.suite
 
-Blank lines and '#' comments are ignored.  Every key has a default; an
+Blank lines and '#' comments are ignored.  Every key has a default, and
+each default lives once, on what the key builds: a field of a section
+dataclass (TrainConfig, OptHyper, PolicyConfig, ...) or a parameter of
+generate_suite.  DEFAULTS is derived from them through SECTIONS.  An
 unknown key, an unparseable value or a value out of its range raises
-ConfigError.  Types follow the default's type.
+ConfigError.  Types follow the default's type.  Command-line overrides
+are merged into a file's keys by load_config, before its one build.
 
 A run's manifest records the resolved value of every key, the explicit
 overrides, the content hash of the world-generation parameters, and the
@@ -18,6 +22,7 @@ start timestamp is the only non-deterministic line.
 from __future__ import annotations
 
 import hashlib
+import inspect
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,56 +36,37 @@ from .trainer import OptHyper, TrainConfig, VARIANTS
 
 MANIFEST_MAGIC = "budnav-manifest v1"
 
-# Every configurable key with its default; the default's type drives
-# parsing.  Order here is the canonical serialization order.
-DEFAULTS: dict = {
-    "trainer.run_seed": 0,
-    "trainer.variant": "full",
-    "trainer.pretrain_episodes": 250,
-    "trainer.train_episodes": 1500,
-    "trainer.eval_every": 500,
-    "trainer.eval_episodes": 0,
-    "opt.learning_rate": 3e-4,
-    "opt.beta1": 0.9,
-    "opt.beta2": 0.999,
-    "opt.eps": 1e-8,
-    "opt.weight_decay": 0.01,
-    "policy.obs_k": 5,
-    "policy.d_e": 16,
-    "policy.d_o": 16,
-    "policy.d_a": 8,
-    "policy.d_h": 64,
-    "policy.history_k": 8,
-    "policy.temperature": 0.4,
-    "grpo.group_size": 4,
-    "grpo.kl_beta": 0.01,
-    "grpo.adv_epsilon": 1e-8,
-    "rect.decay_gamma": 0.95,
-    "rect.alpha": 1.0,
-    "reward.c_succ": 2.0,
-    "reward.spl_weight": 1.0,
-    "reward.c_dist": 0.1,
-    "rollout.stall_limit": 60,
-    "rollout.grace_period": 10,
-    "rollout.max_steps_factor": 4,
-    "rollout.max_steps_floor": 50,
-    "rollout.offtrack_dist_m": 3.0,
-    "rollout.offtrack_heading_deg": 120.0,
-    "rollout.visit_radius_m": 0.5,
-    "suite.file": "",
-    "suite.name": "suite",
-    "suite.seed": 0,
-    "suite.n_train_worlds": 8,
-    "suite.n_held": 50,
-    "suite.width": 10,
-    "suite.height": 10,
-    "suite.density": 0.15,
-    "suite.cell_size": 1.0,
-    "suite.goal_radius": 3.0,
-    "suite.min_episode_length": 6.0,
-    "suite.max_run": 8,
-    "suite.held_per_world": 10,
-}
+# (key prefix, dataclass or function whose defaults the keys take), in
+# the canonical serialization order.  Each key is a scalar field or
+# parameter of its source, with the source's default; the default's type
+# drives parsing.  The trainer.* keys are TrainConfig's scalar fields, and
+# each other dataclass prefix names the TrainConfig field it builds.
+SECTIONS = (
+    ("trainer", TrainConfig),
+    ("opt", OptHyper),
+    ("policy", PolicyConfig),
+    ("grpo", GrpoConfig),
+    ("rect", RectConfig),
+    ("reward", RewardConfig),
+    ("rollout", RolloutConfig),
+    ("suite", generate_suite),
+)
+
+
+def _derive_defaults() -> dict:
+    defaults = {}
+    for prefix, source in SECTIONS:
+        if prefix == "suite":
+            defaults["suite.file"] = ""  # empty: generate from the keys below
+        for name, param in inspect.signature(source).parameters.items():
+            key = f"{prefix}.{name}"
+            # The suite fixes the instruction vocabulary, not a key of its own.
+            if isinstance(param.default, (int, float, str)) and key != "policy.max_run":
+                defaults[key] = param.default
+    return defaults
+
+
+DEFAULTS: dict = _derive_defaults()
 
 # (key, predicate, requirement) for values the run cannot use; the
 # suite.* extents are checked by the suite itself.
@@ -90,6 +76,10 @@ _RANGES = (
     ("trainer.eval_every", lambda v: v >= 1, ">= 1"),
     ("trainer.eval_episodes", lambda v: v >= 0, ">= 0 (0 = all)"),
     ("policy.obs_k", lambda v: v > 0 and v % 2 == 1, "odd and positive"),
+    ("policy.d_e", lambda v: v >= 1, ">= 1"),
+    ("policy.d_o", lambda v: v >= 1, ">= 1"),
+    ("policy.d_a", lambda v: v >= 1, ">= 1"),
+    ("policy.d_h", lambda v: v >= 1, ">= 1"),
     ("policy.history_k", lambda v: v >= 1, ">= 1"),
     ("policy.temperature", lambda v: v > 0.0, "positive"),
     ("grpo.group_size", lambda v: v >= 2, ">= 2"),
@@ -168,33 +158,26 @@ def build_train_config(values: dict, base_dir: Path | None = None) -> TrainConfi
         if not ok(values[key]):
             raise ConfigError(f"{key} must be {requirement}, got {values[key]}")
     suite = build_suite(values, base_dir)
-    policy = PolicyConfig(max_run=suite.max_run, **_section(values, "policy"))
-    trainer = _section(values, "trainer")
-    return TrainConfig(
-        run_seed=trainer["run_seed"],
-        variant=trainer["variant"],
-        policy=policy,
-        opt=OptHyper(**_section(values, "opt")),
-        grpo=GrpoConfig(**_section(values, "grpo")),
-        rect=RectConfig(**_section(values, "rect")),
-        reward=RewardConfig(**_section(values, "reward")),
-        rollout=RolloutConfig(**_section(values, "rollout")),
-        suite=suite,
-        pretrain_episodes=trainer["pretrain_episodes"],
-        train_episodes=trainer["train_episodes"],
-        eval_every=trainer["eval_every"],
-        eval_episodes=trainer["eval_episodes"],
-    )
+    if not suite.train_world_seeds:
+        raise ConfigError(f"suite {suite.name!r} has no training worlds to train on")
+    values = {**values, "policy.max_run": suite.max_run}
+    sections = {
+        prefix: source(**_section(values, prefix))
+        for prefix, source in SECTIONS
+        if prefix not in ("trainer", "suite")
+    }
+    return TrainConfig(**_section(values, "trainer"), suite=suite, **sections)
 
 
-def load_config(path) -> tuple:
-    """Read a config file; returns (TrainConfig, resolved values, overrides)."""
+def load_config(path, extra: dict | None = None) -> tuple:
+    """Read a config file and merge `extra` (the command line's overrides)
+    over its keys; returns (TrainConfig, resolved values, overrides)."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-    overrides = parse_config_text(text)
+    overrides = {**parse_config_text(text), **(extra or {})}
     values = resolved_values(overrides)
     cfg = build_train_config(values, base_dir=path.parent)
     return cfg, values, overrides
@@ -230,14 +213,3 @@ def write_manifest(out_dir, values: dict, overrides: dict, suite: Suite, version
     path.write_text("\n".join(lines) + "\n")
     (out / "config.cfg").write_text(serialize_values(values))
     return path
-
-
-def apply_cli_overrides(values: dict, seed: int | None = None, variant: str | None = None) -> dict:
-    out = dict(values)
-    if seed is not None:
-        out["trainer.run_seed"] = seed
-    if variant is not None:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-        out["trainer.variant"] = variant
-    return out

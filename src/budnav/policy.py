@@ -451,8 +451,12 @@ def _count(text: str, what: str) -> int:
     return int(text)
 
 
-def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
-    """Parse and verify a checkpoint; architecture is recovered from shapes."""
+def load_checkpoint(path) -> PolicyParams:
+    """Parse and verify a checkpoint; architecture is recovered from shapes.
+
+    A checkpoint does not record the sampling temperature, so the loaded
+    config keeps PolicyConfig's default.
+    """
     with open(path, "rb") as f:
         if _read_line(f) != CKPT_MAGIC.decode():
             raise CheckpointError(f"bad checkpoint magic in {path}")
@@ -502,7 +506,6 @@ def load_checkpoint(path, temperature: float = 0.4) -> PolicyParams:
         d_a=d_a,
         d_h=d_h,
         history_k=history_k,
-        temperature=temperature,
     )
     if {name: arr.shape for name, arr in arrays.items()} != dict(cfg.layout):
         raise CheckpointError(f"block set or shapes are mutually inconsistent: {sorted(arrays)}")

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from .errors import GenerationFailed, SuiteError
 from .rng import stream
-from .world import MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, generate_world
+from .world import (
+    DEFAULT_MAX_RUN, MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, generate_world,
+)
 
 SUITE_MAGIC = "budnav-suite v1"
 
@@ -31,7 +33,7 @@ SUITE_MAGIC = "budnav-suite v1"
 MAX_REJECTED_DRAWS = 200
 
 
-def check_generation_params(width, height, density, cell_size, max_run) -> None:
+def check_generation_params(width, height, density, cell_size, goal_radius, max_run) -> None:
     """Raise SuiteError unless worlds and episodes can be drawn with these."""
     if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
         raise SuiteError(f"world extent out of range: {width}x{height}")
@@ -39,6 +41,8 @@ def check_generation_params(width, height, density, cell_size, max_run) -> None:
         raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {density}")
     if not (cell_size > 0.0 and max_run >= 1):
         raise SuiteError(f"need cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
+    if not goal_radius >= 0.0:
+        raise SuiteError(f"goal_radius must be >= 0, got {goal_radius}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,9 @@ class Suite:
     held_pairs: tuple  # of (world_seed, episode_seed)
 
     def __post_init__(self):
-        check_generation_params(self.width, self.height, self.density, self.cell_size, self.max_run)
+        check_generation_params(
+            self.width, self.height, self.density, self.cell_size, self.goal_radius, self.max_run
+        )
         train = set(self.train_world_seeds)
         held = {ws for ws, _ in self.held_pairs}
         overlap = train & held
@@ -103,25 +109,30 @@ def build_held_episodes(suite: Suite, limit: int = 0) -> list:
 
 
 def generate_suite(
-    name: str,
-    seed: int,
-    n_train_worlds: int,
-    n_held: int,
+    name: str = "suite",
+    seed: int = 0,
+    n_train_worlds: int = 8,
+    n_held: int = 50,
     width: int = 10,
     height: int = 10,
     density: float = 0.15,
     cell_size: float = 1.0,
     goal_radius: float = 3.0,
     min_episode_length: float = 6.0,
-    max_run: int = 8,
+    max_run: int = DEFAULT_MAX_RUN,
     held_per_world: int = 10,
 ) -> Suite:
     """Draw validated, disjoint train/held splits from the suite seed.
 
-    Raises SuiteError after MAX_REJECTED_DRAWS rejected world or episode
-    draws in a row.
+    Raises SuiteError on counts it cannot meet, before any draw, and
+    after MAX_REJECTED_DRAWS rejected world or episode draws in a row.
     """
-    check_generation_params(width, height, density, cell_size, max_run)
+    check_generation_params(width, height, density, cell_size, goal_radius, max_run)
+    if not (n_train_worlds >= 0 and n_held >= 0 and held_per_world >= 1):
+        raise SuiteError(
+            "need n_train_worlds >= 0, n_held >= 0 and held_per_world >= 1:"
+            f" {n_train_worlds}, {n_held}, {held_per_world}"
+        )
 
     def give_up(what):
         raise SuiteError(

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from budnav.cli import main
-from budnav.config import apply_cli_overrides, build_train_config, load_config
+from budnav.config import load_config
 from budnav.errors import GenerationFailed
 from budnav.grpo import GrpoConfig, RewardConfig, group_advantages, grpo_loss_and_grad, make_group
 from budnav.metrics import dtw_distance, evaluate, ndtw
@@ -76,8 +76,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def desk_config(variant: str, seed: int):
-    _, values, _ = load_config(CONFIGS / f"desk_{variant}.cfg")
-    return build_train_config(apply_cli_overrides(values, seed=seed), base_dir=CONFIGS)
+    return load_config(CONFIGS / f"desk_{variant}.cfg", {"trainer.run_seed": seed})[0]
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import budnav
+import budnav.cli
 from budnav.cli import main, render_map
+from budnav.errors import Unreachable
 from budnav.rectify import synthesize_demo
 from budnav.rollout import parse_trace, serialize_trace
-from budnav.suite import parse_suite
+from budnav.suite import generate_suite, parse_suite, serialize_suite
 from budnav.world import Action
 
 from test_rollout import corridor_episode, run_script
@@ -108,6 +110,15 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("grpo.clip_epsilon", "0.2", "unknown key"),
         ("policy.max_run", "8", "unknown key"),
         ("rect.visit_radius_m", "0.5", "unknown key"),
+        ("policy.d_e", "0", "policy.d_e must be >= 1"),
+        ("policy.d_o", "0", "policy.d_o must be >= 1"),
+        ("policy.d_a", "-1", "policy.d_a must be >= 1"),
+        ("policy.d_h", "0", "policy.d_h must be >= 1"),
+        ("suite.held_per_world", "0", "held_per_world >= 1"),  # hung drawing worlds
+        ("suite.n_held", "-1", "n_held >= 0"),
+        ("suite.n_train_worlds", "-1", "n_train_worlds >= 0"),
+        ("suite.n_train_worlds", "0", "no training worlds"),
+        ("suite.goal_radius", "-1.0", "goal_radius must be >= 0"),
     ]:
         kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
@@ -311,6 +322,44 @@ def test_gen_suite_round_trip(tmp_path, capsys):
     assert suite.name == "mini"
     assert len(suite.train_world_seeds) == 2
     assert len(suite.held_pairs) == 3
+
+
+def test_gen_suite_defaults_are_generate_suites(tmp_path):
+    out = tmp_path / "d.suite"
+    assert main(["gen-suite", "--name", "d", "--seed", "5", "--train-worlds", "2",
+                 "--held", "3", "--out", str(out)]) == 0
+    assert out.read_text() == serialize_suite(generate_suite("d", 5, 2, 3))
+
+
+def test_train_on_a_suite_without_training_worlds_exits_2(train_run, tmp_path, capsys):
+    held_only = tmp_path / "held.suite"
+    assert main(["gen-suite", "--name", "h", "--seed", "1", "--train-worlds", "0",
+                 "--held", "2", "--width", "8", "--height", "8", "--min-length", "5.0",
+                 "--out", str(held_only)]) == 0
+    capsys.readouterr()
+    no_line = tmp_path / "noline.suite"
+    desk = (Path(__file__).resolve().parent.parent / "configs" / "desk.suite").read_text()
+    no_line.write_text("".join(ln for ln in desk.splitlines(True) if not ln.startswith("train-world")))
+    for suite_file in (held_only, no_line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite.file = {suite_file.name}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no training worlds" in capsys.readouterr().err
+        assert not out.exists()
+    # A held-only suite still evaluates.
+    ckpt = train_run[1] / "checkpoints" / "final.ckpt"
+    assert main(["eval", "--ckpt", str(ckpt), "--suite", str(held_only)]) == 0
+
+
+def test_any_package_error_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def fail(suite):
+        raise Unreachable("no path")
+
+    monkeypatch.setattr(budnav.cli, "serialize_suite", fail)
+    assert main(["gen-suite", "--name", "x", "--seed", "0", "--train-worlds", "1",
+                 "--held", "1", "--out", str(tmp_path / "x.suite")]) == 1
+    assert capsys.readouterr().err == "error: no path\n"
 
 
 def run_cli(*argv, cwd):

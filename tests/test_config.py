@@ -1,4 +1,6 @@
 """Config parsing, validation, and the run manifest."""
+import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from budnav.config import (
     DEFAULTS,
     MANIFEST_MAGIC,
-    apply_cli_overrides,
     build_suite,
     build_train_config,
     load_config,
@@ -18,6 +19,7 @@ from budnav.config import (
 )
 from budnav.errors import ConfigError
 from budnav.suite import generate_suite, serialize_suite
+from budnav.trainer import TrainConfig
 from budnav.world import vocab_size
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -82,6 +84,23 @@ def test_resolved_values_cover_every_default():
     assert set(values) == set(DEFAULTS)
     assert values["trainer.run_seed"] == 7
     assert values["grpo.group_size"] == 4
+
+
+# Digest of the canonical text of the all-default values: the
+# config.cfg of an empty config and the tail of its manifest.
+DEFAULT_TEXT_DIGEST = "14ab678a2058c6b31cb62d74a1a2315b"
+
+
+def test_canonical_default_text_is_pinned():
+    text = serialize_values(resolved_values({}))
+    assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == DEFAULT_TEXT_DIGEST
+    assert len(text.splitlines()) == len(DEFAULTS) == 46
+
+
+def test_default_values_build_the_default_sections():
+    cfg = build_train_config(resolved_values({}))
+    assert replace(cfg, suite=None) == TrainConfig()  # every section and scalar
+    assert cfg.suite == generate_suite("suite", 0, 8, 50)
 
 
 def test_serialize_values_round_trips_through_parse():
@@ -243,14 +262,17 @@ def test_generated_suite_honours_section(tmp_path):
     assert len(suite.held_pairs) == 2
 
 
-def test_apply_cli_overrides():
-    values = resolved_values({})
-    out = apply_cli_overrides(values, seed=11, variant="bc")
-    assert out["trainer.run_seed"] == 11
-    assert out["trainer.variant"] == "bc"
-    assert values["trainer.run_seed"] == 0  # original untouched
-    with pytest.raises(ConfigError):
-        apply_cli_overrides(values, variant="mystery")
+def test_load_config_merges_extra_overrides(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(small_suite_text() + "trainer.run_seed = 4\n")
+    extra = {"trainer.run_seed": 11, "trainer.variant": "bc"}
+    cfg, values, overrides = load_config(cfg_path, extra)
+    assert (cfg.run_seed, cfg.variant) == (11, "bc")
+    assert values == resolved_values(overrides)
+    assert overrides == {**parse_config_text(small_suite_text()), **extra}
+    assert extra == {"trainer.run_seed": 11, "trainer.variant": "bc"}  # untouched
+    with pytest.raises(ConfigError, match="trainer.variant"):
+        load_config(cfg_path, {"trainer.variant": "mystery"})
 
 
 # ---------------------------------------------------------------- manifest

@@ -669,7 +669,7 @@ def test_snapshot_arrays_are_frozen(tiny_policy):
 def test_checkpoint_round_trip(tmp_path, tiny_policy):
     path = tmp_path / "p.ckpt"
     save_checkpoint(path, tiny_policy)
-    loaded = load_checkpoint(path, temperature=tiny_policy.cfg.temperature)
+    loaded = load_checkpoint(path)
     assert loaded.cfg == tiny_policy.cfg
     assert np.array_equal(loaded.flatten(), tiny_policy.flatten())
     # Bytes are stable across writes.

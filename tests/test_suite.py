@@ -113,6 +113,7 @@ def test_build_held_episodes_names_a_pair_that_cannot_generate(suite):
 
 @pytest.mark.parametrize("bad", [
     {"width": 100}, {"height": 0}, {"density": 0.9}, {"cell_size": 0.0}, {"max_run": 0},
+    {"held_per_world": 0}, {"n_held": -1}, {"n_train_worlds": -1}, {"goal_radius": -1.0},
 ])
 def test_generate_suite_checks_ranges_before_drawing(bad, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -120,7 +121,7 @@ def test_generate_suite_checks_ranges_before_drawing(bad, monkeypatch):
 
     monkeypatch.setattr(budnav.suite, "generate_world", no_draw)
     with pytest.raises(SuiteError):
-        generate_suite("bad", seed=0, n_train_worlds=1, n_held=1, **bad)
+        generate_suite(**{"name": "bad", "seed": 0, "n_train_worlds": 1, "n_held": 1, **bad})
 
 
 def test_generate_suite_builds_each_world_once(monkeypatch):
@@ -167,3 +168,5 @@ def test_parse_rejects_malformed_documents():
         parse_suite(good.replace("world 8 8", "world eight 8"))
     with pytest.raises(SuiteError):
         parse_suite(SUITE_MAGIC + "\nname only\n")
+    with pytest.raises(SuiteError, match="goal_radius must be >= 0"):
+        parse_suite(good.replace("episode 3.0", "episode -1.0"))
