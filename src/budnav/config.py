@@ -160,6 +160,8 @@ def build_train_config(values: dict, base_dir: Path | None = None) -> TrainConfi
     suite = build_suite(values, base_dir)
     if not suite.train_world_seeds:
         raise ConfigError(f"suite {suite.name!r} has no training worlds to train on")
+    if not suite.held_pairs:
+        raise ConfigError(f"suite {suite.name!r} has no held-out episodes to evaluate on")
     values = {**values, "policy.max_run": suite.max_run}
     sections = {
         prefix: source(**_section(values, prefix))

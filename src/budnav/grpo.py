@@ -36,7 +36,6 @@ from .errors import GroupTooSmall, SnapshotMismatch
 from .oracle import GeodesicField, geodesic_field
 from .policy import (
     NO_ACTION,
-    FeatureTrack,
     GradAccumulator,
     PolicyParams,
     PolicySnapshot,
@@ -147,11 +146,11 @@ def grpo_loss_and_grad(
 ):
     """(loss, flat gradient) of the advantage-weighted log-likelihood with KL penalty.
 
-    Each trajectory is replayed on three feature tracks: the group's
-    snapshot (old), params (live) and snapshot_ref.  Every step's
-    behaviour logits are recomputed under the old one and must match the
-    recorded ones to SNAPSHOT_TOL, else the group is stale and
-    SnapshotMismatch is raised.
+    Each trajectory is featurized and scored as one sequence under three
+    parameter sets: the group's snapshot (old), params (live) and
+    snapshot_ref.  Every step's behaviour logits are recomputed under
+    the old one and must match the recorded ones to SNAPSHOT_TOL, else
+    the group is stale and SnapshotMismatch names the first drifting step.
     """
     if len(group.trajectories) < 2:
         raise GroupTooSmall(f"group of {len(group.trajectories)} rollouts")
@@ -163,30 +162,33 @@ def grpo_loss_and_grad(
     objective = 0.0
     for adv, traj in zip(group.advantages, group.trajectories):
         scale = 1.0 / (n_groups * len(traj.steps))
-        old = FeatureTrack(old_params, group.instruction)
-        live = FeatureTrack(params, group.instruction)
-        ref = FeatureTrack(ref_params, group.instruction)
-        prev_action = NO_ACTION
-        for s in traj.steps:
-            obs = s.observation
-            recomputed = forward(old_params, featurize(old, obs, prev_action))
-            drift = float(np.max(np.abs(recomputed - s.logits)))
-            if drift > SNAPSHOT_TOL:
-                raise SnapshotMismatch(
-                    f"episode {group.episode_id} step {s.t}: recorded logits drift {drift:g}"
-                )
-            featurize(live, obs, prev_action)
-            logits, cache = forward_cached(params, live)
-            p = softmax(logits / temp)
-            q = softmax(forward(ref_params, featurize(ref, obs, prev_action)) / temp)
-            kl, log_ratio = kl_and_log_ratio(p, q)
+        patches = np.array([s.observation for s in traj.steps])
+        actions = [s.action for s in traj.steps]
+        prev_actions = [NO_ACTION, *actions][:-1]
+        old, live, ref = (
+            featurize(w, group.instruction, patches, prev_actions)
+            for w in (old_params, params, ref_params)
+        )
+        recomputed = forward(old_params, old.rows)
+        drift = np.abs(recomputed - np.array([s.logits for s in traj.steps])).max(axis=1)
+        stale = np.flatnonzero(drift > SNAPSHOT_TOL)
+        if stale.size:
+            i = stale[0]
+            raise SnapshotMismatch(
+                f"episode {group.episode_id} step {traj.steps[i].t}:"
+                f" recorded logits drift {drift[i]:g}"
+            )
+        logits, cache = forward_cached(params, live)
+        p = softmax(logits / temp)
+        q = softmax(forward(ref_params, ref.rows) / temp)
+        kl, log_ratio = kl_and_log_ratio(p, q)
+        picked = np.arange(len(actions)), actions
 
-            objective += scale * (adv * float(np.log(p[s.action])) - cfg.kl_beta * kl)
+        objective += scale * (adv * float(np.log(p[picked]).sum()) - cfg.kl_beta * float(kl.sum()))
 
-            dlogits = -cfg.kl_beta * p * (log_ratio - kl) / temp
-            coef = adv / temp
-            dlogits += coef * (-p)
-            dlogits[s.action] += coef
-            acc.add_step(cache, dlogits * scale)
-            prev_action = s.action
+        dlogits = -cfg.kl_beta * p * (log_ratio - kl[:, None]) / temp
+        coef = adv / temp
+        dlogits += coef * (-p)
+        dlogits[picked] += coef
+        acc.add_step(cache, dlogits * scale)
     return -objective, -acc.flat()

@@ -15,16 +15,18 @@ The vector starts with every slot padded (a zero patch projected through
 obs_proj and the dedicated "no previous action" embedding row), and
 FeatureRows.push advances it by one step: the slots shift left by one
 block and the newest pair is written into the last one.  FeatureRows
-works on any [..., feature_dim] array.  A FeatureTrack is the FeatureRows
-of one episode under one parameter set, plus the padded history a loss
-reads for its gradient; a lockstep rollout holds one row per running
-episode and no history.  Every entry is a copy of the same product or
-row a fresh concatenation would hold, so the features are identical to
-the bit.  Products go through row_products, one vector-matrix product
-per row, so a row of a batch is scored to the bit as the same step
-alone.  All math
-is float64 and every gradient is hand-derived, so finite differences
-must agree to near machine precision.
+works on any [..., feature_dim] array; a lockstep rollout holds one row
+per running episode.  The losses score a whole step sequence at once:
+featurize builds every step's row from one product of the stacked
+patches and one sliding window over the slot blocks, forward_cached
+scores all rows, and GradAccumulator.add_step backpropagates them with
+matrix products.  Every entry is a copy of the same product or row the
+rolling vector holds, so the features are identical to the bit.
+Products go through row_products, one vector-matrix product per row, so
+a row of a batch is scored to the bit as the same step alone, and a
+loss sees the logits its rollout recorded.  All math is float64 and
+every gradient is hand-derived, so finite differences must agree to
+near machine precision.
 
 All parameters live in one float64 vector, PolicyParams.theta.  The
 seven blocks (instr_embed, obs_proj, act_embed, W1, b1, W2, b2) are
@@ -218,35 +220,58 @@ class FeatureRows:
         return self.features
 
 
-class FeatureTrack(FeatureRows):
-    """Rolling feature vector of one episode under one parameter set.
+@dataclass(frozen=True)
+class StepRows:
+    """Feature rows of a step sequence under one parameter set.
 
-    featurize advances it by one step.  The padded history keeps every
-    (patch, previous action) pair pushed so far behind history_k - 1
-    padding entries, so the slots of the n-th push (0-based) are
-    patches[n : n + history_k] and the same slice of prev_actions.  The
-    pushed observations must not be mutated while the track is in use.
+    rows[i] is the feature vector of step start + i.  patches and
+    prev_actions hold the whole sequence behind history_k - 1 padding
+    entries (zero patch, NO_ACTION), so the slots of rows[i] are
+    patches[start + i : start + i + history_k] and the same slice of
+    prev_actions.
     """
 
-    def __init__(self, params: PolicyParams, instruction):
-        cfg = params.cfg
-        self.instruction = tuple(instruction)
-        super().__init__(params, initial_features(params, self.instruction))
-        self.patches = [np.zeros(cfg.patch_cells)] * (cfg.history_k - 1)
-        self.prev_actions = [NO_ACTION] * (cfg.history_k - 1)
+    instruction: tuple
+    rows: np.ndarray
+    patches: np.ndarray
+    prev_actions: np.ndarray
+    start: int
 
 
-def featurize(track: FeatureTrack, obs: np.ndarray, prev_action: int) -> np.ndarray:
-    """Advance track by one step; returns track.features, not a copy."""
-    p = track.params
-    if obs.shape != (p.cfg.patch_cells,):
-        raise DimensionMismatch(f"patch shape {obs.shape}, want ({p.cfg.patch_cells},)")
-    if not 0 <= prev_action <= NO_ACTION:
-        raise DimensionMismatch(f"previous-action index out of range: {prev_action}")
-    track.push(obs, prev_action)
-    track.patches.append(obs)
-    track.prev_actions.append(prev_action)
-    return track.features
+def featurize(
+    params: PolicyParams, instruction, patches: np.ndarray, prev_actions, start: int = 0
+) -> StepRows:
+    """Feature rows of steps start..n-1 of a sequence of n steps, each
+    given by its [n, patch_cells] observation patch and its previous
+    action; every row equals, bit for bit, the rolling vector a
+    FeatureRows holds after the same pushes."""
+    cfg = params.cfg
+    k, block = cfg.history_k, cfg.d_o + cfg.d_a
+    n = len(prev_actions)
+    if patches.shape != (n, cfg.patch_cells):
+        raise DimensionMismatch(f"patch shape {patches.shape}, want ({n}, {cfg.patch_cells})")
+    for a in prev_actions:
+        if not 0 <= a <= NO_ACTION:
+            raise DimensionMismatch(f"previous-action index out of range: {a}")
+    first = initial_features(params, instruction)
+    padded = np.zeros((k - 1 + n, cfg.patch_cells))
+    padded[k - 1 :] = patches
+    actions = np.array([NO_ACTION] * (k - 1) + list(prev_actions))
+    # slots[j] is the block of padded entry start + j; padding blocks are
+    # copied from the initial vector, the rest computed once.
+    pads = max(k - 1 - start, 0)
+    slots = np.empty((k - 1 + n - start, block))
+    slots[:pads] = first[cfg.d_e : cfg.d_e + pads * block].reshape(pads, block)
+    slots[pads:, : cfg.d_o] = row_products(padded[start + pads :], params.obs_proj)
+    slots[pads:, cfg.d_o :] = params.act_embed[actions[start + pads :]]
+    rows = np.empty((n - start, cfg.feature_dim))
+    rows[:, : cfg.d_e] = first[: cfg.d_e]
+    # Row i's slots are the history_k blocks from slots[i] on: a strided
+    # view of the contiguous slots, one block further per row.
+    rows[:, cfg.d_e :] = np.ndarray(
+        (n - start, k * block), buffer=slots, strides=(block * slots.itemsize, slots.itemsize)
+    )
+    return StepRows(tuple(instruction), rows, padded, actions, start)
 
 
 def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
@@ -262,32 +287,24 @@ def forward(params: PolicyParams, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Cache:
-    """Activations of one step, for GradAccumulator.add_step.
+    """Activations of a step sequence, for GradAccumulator.add_step."""
 
-    features is the track's own buffer, not a copy: it is valid only
-    until the next featurize on that track.  track and at locate the
-    step's slots in the track's padded history.
-    """
-
-    features: np.ndarray
+    steps: StepRows
     hidden: np.ndarray
-    track: FeatureTrack
-    at: int
 
 
-def forward_cached(params: PolicyParams, track: FeatureTrack):
-    """Logits of the track's latest step plus the activations backprop
-    needs; track must be built from params."""
-    features = track.features
-    hidden = np.tanh(features @ params.W1 + params.b1)
-    at = len(track.prev_actions) - params.cfg.history_k
-    return hidden @ params.W2 + params.b2, _Cache(features, hidden, track, at)
+def forward_cached(params: PolicyParams, steps: StepRows):
+    """[m, 4] logits of steps.rows plus the activations backprop needs;
+    steps must be featurized under params.  The logits equal forward's."""
+    hidden = np.tanh(row_products(steps.rows, params.W1) + params.b1)
+    return row_products(hidden, params.W2) + params.b2, _Cache(steps, hidden)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+    """Softmax over the last axis."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def greedy_action(logits: np.ndarray) -> int:
@@ -295,93 +312,44 @@ def greedy_action(logits: np.ndarray) -> int:
     return int(logits.argmax())
 
 
-def _add_rows(buf: np.ndarray, rows: np.ndarray) -> None:
-    """buf += rows[0]; buf += rows[1]; ... as one reduction.
-
-    np.add.reduce over the leading axis of a C-contiguous stack adds the
-    rows one after another (no pairwise summation), and the running
-    buffer comes first, so each element sees ((buf + r0) + r1) + ...
-    exactly, signed zeros included.
-    """
-    np.add.reduce(np.concatenate([buf[None], rows]), axis=0, out=buf)
-
-
-def _add_outers(buf: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """buf += np.outer(a[i], b[i]) for each row i in order, as one reduction."""
-    stack = np.empty((len(a) + 1,) + buf.shape)
-    stack[0] = buf
-    np.multiply(a[:, :, None], b[:, None, :], out=stack[1:])
-    np.add.reduce(stack, axis=0, out=buf)
-
-
 class GradAccumulator:
-    """Sum of per-step parameter gradients in one flat, canonically ordered vector.
+    """Sum of parameter gradients in one flat vector, in cfg.layout order.
 
-    add_step backpropagates one step: the matvecs W2 @ dlogits and
-    W1 @ dpre and the W1 outer product happen at once; hidden, dlogits,
-    dpre, dfeat and where the step's slots sit in its track's padded
-    history are recorded.  Every FLUSH_STEPS pending steps, and in
-    flat(), the recorded W2, b2, b1 and obs_proj terms are added with
-    one ordered reduction per block (_add_rows, _add_outers) and the
-    act_embed and instr_embed rows with np.add.at, which applies
-    repeated indices in order.  Steps, then history slots, then
-    instruction tokens are added in the order they arrived, so every
-    element of the result is bit-identical to adding each step's terms
-    into the buffers in place, one step after another.
-
-    self.buf holds the per-block buffers as a PolicyParams over self.grad;
-    flat() returns self.grad itself, not a copy.
+    add_step backpropagates every row of a step sequence at once: the
+    weight gradients are matrix products over the rows (features.T @
+    dpre, hidden.T @ dlogits, and the stacked slot patches' transpose
+    times their slot gradients for obs_proj), the bias gradients row
+    sums, and the act_embed and instr_embed rows are scattered with
+    np.add.at.  self.buf holds the per-block buffers as a PolicyParams
+    over self.grad; flat() returns self.grad itself, not a copy.
     """
-
-    FLUSH_STEPS = 32
 
     def __init__(self, params: PolicyParams):
         self.params = params
         self.grad = np.zeros(params.count)
         self.buf = PolicyParams(params.cfg, self.grad)
-        self._pending = []
 
     def add_step(self, cache: _Cache, dlogits: np.ndarray):
-        """Accumulate d(objective)/d(params) given d(objective)/d(logits)."""
-        p = self.params
-        dhidden = p.W2 @ dlogits
-        dpre = dhidden * (1.0 - cache.hidden ** 2)
-        self.buf.W1 += np.outer(cache.features, dpre)
-        dfeat = p.W1 @ dpre
-        self._pending.append((cache.hidden, dlogits, dpre, dfeat, cache.track, cache.at))
-        if len(self._pending) >= self.FLUSH_STEPS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        cfg = self.params.cfg
-        hidden, dlogits, dpre, dfeat, tracks, starts = zip(*self._pending)
-        self._pending = []
-        dlogits = np.array(dlogits)
-        dpre = np.array(dpre)
-        dfeat = np.array(dfeat)
-        buf = self.buf
-        _add_outers(buf.W2, np.array(hidden), dlogits)
-        _add_rows(buf.b2, dlogits)
-        _add_rows(buf.b1, dpre)
-
-        lengths = np.array([len(tr.instruction) for tr in tracks])
-        tokens = [t for tr in tracks for t in tr.instruction]
-        dinstr = dfeat[:, : cfg.d_e] / lengths[:, None]
-        np.add.at(buf.instr_embed, tokens, np.repeat(dinstr, lengths, axis=0))
-
-        # [steps, slots, d_o + d_a] -> one row per (step, slot), oldest slot first.
-        k = cfg.history_k
-        slots = dfeat[:, cfg.d_e :].reshape(len(tracks) * k, cfg.d_o + cfg.d_a)
-        steps = list(zip(tracks, starts))
-        patches = np.array([p for tr, n in steps for p in tr.patches[n : n + k]])
-        _add_outers(buf.obs_proj, patches, slots[:, : cfg.d_o])
-        actions = [a for tr, n in steps for a in tr.prev_actions[n : n + k]]
-        np.add.at(buf.act_embed, actions, slots[:, cfg.d_o :])
+        """Accumulate d(objective)/d(params) given the [m, 4]
+        d(objective)/d(logits) of the cached rows."""
+        p, buf, cfg = self.params, self.buf, self.params.cfg
+        steps, hidden = cache.steps, cache.hidden
+        dpre = (dlogits @ p.W2.T) * (1.0 - hidden ** 2)
+        buf.W2 += hidden.T @ dlogits
+        buf.b2 += dlogits.sum(axis=0)
+        buf.W1 += steps.rows.T @ dpre
+        buf.b1 += dpre.sum(axis=0)
+        dfeat = dpre @ p.W1.T
+        dinstr = dfeat[:, : cfg.d_e].sum(axis=0) / len(steps.instruction)
+        np.add.at(buf.instr_embed, list(steps.instruction), dinstr)
+        # One row per (step, slot), oldest slot first, and its padded entry.
+        m, k = len(hidden), cfg.history_k
+        dslots = dfeat[:, cfg.d_e :].reshape(m * k, cfg.d_o + cfg.d_a)
+        at = (steps.start + np.arange(m)[:, None] + np.arange(k)).ravel()
+        buf.obs_proj += steps.patches[at].T @ dslots[:, : cfg.d_o]
+        np.add.at(buf.act_embed, steps.prev_actions[at], dslots[:, cfg.d_o :])
 
     def flat(self) -> np.ndarray:
-        self._flush()
         return self.grad
 
 
@@ -389,7 +357,8 @@ PROB_FLOOR = 1e-12
 
 
 def kl_and_log_ratio(p: np.ndarray, q: np.ndarray):
-    """(KL(p || q), log p - log q) for two action distributions.
+    """(KL(p || q), log p - log q) for action distributions over the
+    last axis, one KL per row.
 
     q is floored at PROB_FLOOR for stability; where p is zero the log
     ratio is zero, so those actions add nothing to the sum.
@@ -398,7 +367,7 @@ def kl_and_log_ratio(p: np.ndarray, q: np.ndarray):
     mask = p > 0.0
     log_ratio = np.zeros_like(p)
     log_ratio[mask] = np.log(p[mask]) - np.log(q_floored[mask])
-    return float(np.dot(p, log_ratio)), log_ratio
+    return (p * log_ratio).sum(axis=-1), log_ratio
 
 
 # --------------------------------------------------------------------------

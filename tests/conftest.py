@@ -1,6 +1,7 @@
 """Shared fixtures: small deterministic worlds, episodes, and policies."""
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from budnav.policy import PolicyConfig, init_params, snapshot
@@ -75,26 +76,23 @@ def rand_window(params, rng, n_tokens=3, n_hist=None):
     return Window(instruction=instruction, patches=patches, prev_actions=actions)
 
 
-def window_track(params, window, n_pad=0):
-    """FeatureTrack whose latest step has window's slots.  The first n_pad
-    slots are left to the track's own padding; the rest are pushed."""
-    from budnav.policy import FeatureTrack, featurize
+def window_steps(params, window, n_pad=0):
+    """One-row StepRows whose step has window's slots.  The first n_pad
+    slots are left to the featurizer's own padding; the rest are the
+    sequence's steps, and the row is its last step's."""
+    from budnav.policy import featurize
 
-    track = FeatureTrack(params, window.instruction)
-    for patch, act in zip(window.patches[n_pad:], window.prev_actions[n_pad:]):
-        featurize(track, patch, act)
-    return track
+    patches = np.array(window.patches[n_pad:]).reshape(-1, params.cfg.patch_cells)
+    n = len(patches)
+    return featurize(params, window.instruction, patches, window.prev_actions[n_pad:], n - 1)
 
 
 def replay(params, instruction, steps):
-    """Yield (step, track) after pushing each trajectory step's observation
-    and previous action onto one FeatureTrack, as the losses do.  The
-    track's features are overwritten by the next step."""
-    from budnav.policy import NO_ACTION, FeatureTrack, featurize
+    """Yield (step, one-row StepRows) for each trajectory step, featurized
+    on its own from the steps up to it."""
+    from budnav.policy import NO_ACTION, featurize
 
-    track = FeatureTrack(params, instruction)
-    prev_action = NO_ACTION
-    for s in steps:
-        featurize(track, s.observation, prev_action)
-        yield s, track
-        prev_action = s.action
+    patches = np.array([s.observation for s in steps])
+    prev_actions = [NO_ACTION] + [s.action for s in steps[:-1]]
+    for t, s in enumerate(steps):
+        yield s, featurize(params, instruction, patches[: t + 1], prev_actions[: t + 1], t)

@@ -94,6 +94,9 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["train", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")]) == 2
+    train_only = tmp_path / "train_only.suite"
+    desk = (Path(__file__).resolve().parent.parent / "configs" / "desk.suite").read_text()
+    train_only.write_text("".join(ln for ln in desk.splitlines(True) if not ln.startswith("held ")))
     # Values out of range exit the same way before any training starts,
     # rather than in a traceback mid-run or an empty run that exits 0.
     for key, value, message in [
@@ -119,6 +122,8 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("suite.n_train_worlds", "-1", "n_train_worlds >= 0"),
         ("suite.n_train_worlds", "0", "no training worlds"),
         ("suite.goal_radius", "-1.0", "goal_radius must be >= 0"),
+        ("suite.n_held", "0", "no held-out episodes"),  # trained, then reported SR 0.0
+        ("suite.file", str(train_only), "no held-out episodes"),
     ]:
         kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")

@@ -180,14 +180,15 @@ def test_grpo_zero_when_nothing_moves(sample_episode, default_policy):
 def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monkeypatch):
     # With zero advantages only the KL penalty is left, so the loss is
     # kl_beta times the step-averaged KL that policy.kl_and_log_ratio
-    # reports, and the loss calls that helper once per step.
+    # reports, and the loss calls that helper once per trajectory, on
+    # all of its steps.
     group, snap = sampled_group(sample_episode, default_policy)
     group = dataclasses.replace(group, advantages=np.zeros(len(group.trajectories)))
     ref = snapshot(init_params(default_policy.cfg, 7), "ref")
     calls = []
 
     def counted(p, q):
-        calls.append(1)
+        calls.append(len(p))
         return kl_and_log_ratio(p, q)
 
     monkeypatch.setattr(budnav.grpo, "kl_and_log_ratio", counted)
@@ -198,11 +199,11 @@ def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monke
     for traj in group.trajectories:
         live = replay(default_policy, group.instruction, traj.steps)
         refs = replay(ref.params, group.instruction, traj.steps)
-        for (s, live_track), (_, ref_track) in zip(live, refs):
-            p = softmax(forward(default_policy, live_track.features) / 0.4)
-            q = softmax(forward(ref.params, ref_track.features) / 0.4)
+        for (s, live_steps), (_, ref_steps) in zip(live, refs):
+            p = softmax(forward(default_policy, live_steps.rows[0]) / 0.4)
+            q = softmax(forward(ref.params, ref_steps.rows[0]) / 0.4)
             want += cfg.kl_beta * kl_and_log_ratio(p, q)[0] / (G * len(traj.steps))
-    assert len(calls) == sum(len(t.steps) for t in group.trajectories)
+    assert calls == [len(t.steps) for t in group.trajectories]
     assert want > 0.0
     assert loss == pytest.approx(want, rel=1e-12)
 
@@ -216,8 +217,8 @@ def test_grpo_matches_policy_gradient_at_origin(sample_episode, default_policy):
     want = np.zeros_like(grad)
     G = len(group.trajectories)
     for adv, traj in zip(group.advantages, group.trajectories):
-        for s, track in replay(default_policy, group.instruction, traj.steps):
-            _, g = logprob_and_grad(track, s.action, 0.4)
+        for s, steps in replay(default_policy, group.instruction, traj.steps):
+            _, g = logprob_and_grad(default_policy, steps, s.action, 0.4)
             want += adv * g / (G * len(traj.steps))
     assert np.allclose(grad, -want, atol=1e-10)
 
@@ -258,6 +259,37 @@ def test_grpo_detects_stale_snapshot(sample_episode, default_policy):
     bad_group = dataclasses.replace(group, trajectories=(doctored,) + group.trajectories[1:])
     with pytest.raises(SnapshotMismatch):
         grpo_loss_and_grad(default_policy, bad_group, snap, GrpoConfig())
+
+
+def test_grpo_stale_snapshot_names_the_first_drifting_step(sample_episode, default_policy):
+    # Logits perturbed at two steps in the middle of one trajectory: the
+    # error names the earlier one and its drift, whatever comes later.
+    params = PolicyParams(default_policy.cfg, default_policy.theta.copy())
+    params.b2[3] = -10.0  # STOP: the walks run long
+    snap = snapshot(params, "old")
+    trajs = [
+        run_sampled(snap, sample_episode, 1.0, rollout_stream(0, sample_episode.id, j), triggers=False)
+        for j in range(4)
+    ]
+    group = make_group(trajs, sample_episode, snap, RewardConfig(), GrpoConfig())
+    i, traj = max(enumerate(group.trajectories), key=lambda it: len(it[1].steps))
+    assert len(traj.steps) > 8
+    steps = list(traj.steps)
+    for t, bump in ((5, 1e-6), (7, 1.0)):
+        logits = steps[t].logits.copy()
+        logits[2] += bump
+        steps[t] = dataclasses.replace(steps[t], logits=logits)
+    doctored = dataclasses.replace(traj, steps=tuple(steps))
+    trajs = group.trajectories[:i] + (doctored,) + group.trajectories[i + 1 :]
+    message = f"episode {group.episode_id} step 5: recorded logits drift 1e-06$"
+    with pytest.raises(SnapshotMismatch, match=message):
+        grpo_loss_and_grad(params, dataclasses.replace(group, trajectories=trajs), snap, GrpoConfig())
+    # Below SNAPSHOT_TOL the same group is accepted.
+    steps[5] = dataclasses.replace(steps[5], logits=traj.steps[5].logits + 1e-10)
+    steps[7] = traj.steps[7]
+    doctored = dataclasses.replace(traj, steps=tuple(steps))
+    trajs = group.trajectories[:i] + (doctored,) + group.trajectories[i + 1 :]
+    grpo_loss_and_grad(params, dataclasses.replace(group, trajectories=trajs), snap, GrpoConfig())
 
 
 def test_grpo_group_too_small(sample_episode, default_policy):

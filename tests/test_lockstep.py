@@ -2,8 +2,8 @@
 
 run_lockstep steps many episodes together and scores every running one
 with one row-batched featurize+forward per tick.  The reference below is
-the loop every rollout ran before: one FeatureTrack per episode, and
-featurize + forward once per step.  Each step's observation and logits
+the loop every rollout ran before: one rolling FeatureRows per episode,
+and push + forward once per step.  Each step's observation and logits
 bytes, action and pose, and each trajectory's trigger, final pose and
 path length must agree exactly, whether an episode runs alone or in a
 batch whose rows end at different ticks.
@@ -16,7 +16,9 @@ import pytest
 from budnav.config import load_config
 from budnav.metrics import evaluate
 from budnav.oracle import advance_progress, progress_index
-from budnav.policy import NO_ACTION, FeatureTrack, featurize, forward, greedy_action, init_params, snapshot, softmax
+from budnav.policy import (
+    NO_ACTION, FeatureRows, forward, greedy_action, init_params, initial_features, snapshot, softmax,
+)
 from budnav.rollout import (
     RolloutConfig,
     RolloutState,
@@ -40,9 +42,9 @@ CFG = RolloutConfig()
 
 
 def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, triggers=True):
-    """One episode alone: a FeatureTrack, featurize + forward per step."""
+    """One episode alone: a FeatureRows, push + forward per step."""
     params = snap.params
-    track = FeatureTrack(params, episode.instruction)
+    track = FeatureRows(params, initial_features(params, episode.instruction))
     rng = np.random.Generator(np.random.PCG64(rng_stream)) if mode == "sampled" else None
     world, waypoints, cell = episode.world, episode.reference_waypoints, episode.world.cell_size
     max_steps = cfg.max_steps(episode)
@@ -54,7 +56,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
     steps = []
     for t in range(max_steps):
         obs = observe(world, pose, params.cfg.obs_k).ravel()
-        logits = forward(params, featurize(track, obs, prev_action))
+        logits = forward(params, track.push(obs, prev_action))
         if mode == "greedy":
             action = greedy_action(logits)
         else:

@@ -3,7 +3,8 @@
 Installing it must succeed: a refactor that unbinds a name the tracer
 patches (say trainer.gro_step or grpo.featurize) fails here rather than
 in a traced benchmark run.  A refactor that moves a traced call off its
-per-step cadence breaks the per-layer accounting and fails here too.
+cadence (per rollout step, evaluation tick, demo or trajectory) breaks
+the per-layer accounting and fails here too.
 The benchmark's child process, untraced, must run both workload kinds.
 """
 import json
@@ -30,15 +31,18 @@ def test_tracer_installs_on_every_traced_name():
 
 
 def test_traced_layer_counts_add_up(tmp_path):
-    # Every featurize+forward belongs to one step of a training rollout,
-    # one tick of an evaluation, one rect loss step or one of the three
-    # GRPO tracks (old, live, ref) of a loss step; every backward step to
-    # one rect or GRPO loss step.  An evaluation steps its episodes in
-    # lockstep and scores all running ones in one call per tick, so it
-    # takes as many ticks as its longest trajectory has steps; a wrapper
-    # around trainer.evaluate counts them from the outcomes (the traced
-    # rollout counters see training rollouts only).  A short desk run
-    # with a high learning rate takes both routes.
+    # A loss scores a whole sequence per call: every featurize+forward
+    # belongs to one step of a training rollout, one tick of an
+    # evaluation, one rect loss call (its demo) or one of the three
+    # parameter sets (old, live, ref) of a trajectory in a GRPO loss;
+    # every backward call to one rect loss call or one GRPO trajectory.
+    # An evaluation steps its episodes in lockstep and scores all running
+    # ones in one call per tick, so it takes as many ticks as its longest
+    # trajectory has steps; a wrapper around trainer.evaluate counts them
+    # from the outcomes (the traced rollout counters see training
+    # rollouts only), and one around trainer.grpo_loss_and_grad counts
+    # the trajectories its groups hold.  A short desk run with a high
+    # learning rate takes both routes.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"suite.file = {ROOT / 'configs' / 'desk.suite'}\n"
@@ -61,10 +65,19 @@ def test_traced_layer_counts_add_up(tmp_path):
         "        return outcome\n"
         "    return wrapper\n"
         "budnav.trainer.evaluate = counted(budnav.trainer.evaluate)\n"
+        "grpo_trajectories = []\n"
+        "def grpo_counted(loss):\n"
+        "    def wrapper(params, group, *args, **kwargs):\n"
+        "        grpo_trajectories.append(len(group.trajectories))\n"
+        "        return loss(params, group, *args, **kwargs)\n"
+        "    return wrapper\n"
+        "budnav.trainer.grpo_loss_and_grad = grpo_counted(budnav.trainer.grpo_loss_and_grad)\n"
         "from budnav.config import load_config\n"
         "cfg = load_config(sys.argv[3])[0]\n"
         "tracer.span('run', lambda: budnav.trainer.train(cfg))()\n"
-        "print(json.dumps(dict(tracer.report('run'), eval_ticks=sum(ticks))))\n"
+        "print(json.dumps(dict(\n"
+        "    tracer.report('run'), eval_ticks=sum(ticks), grpo_trajectories=sum(grpo_trajectories),\n"
+        ")))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench"), str(cfg)],
@@ -75,10 +88,11 @@ def test_traced_layer_counts_add_up(tmp_path):
     assert m["trainer.route.grpo"] >= 1 and m["trainer.route.rect"] >= 1
     assert m["grpo.loss.steps"] > 0 and m["rectify.loss.steps"] > 0
     assert m["eval_ticks"] > 0
+    assert m["grpo_trajectories"] == 4 * m["grpo.loss.calls"] > 0
     assert m["policy.forward.calls"] == (
-        m["rollout.steps"] + m["eval_ticks"] + m["rectify.loss.steps"] + 3 * m["grpo.loss.steps"]
+        m["rollout.steps"] + m["eval_ticks"] + m["rectify.loss.calls"] + 3 * m["grpo_trajectories"]
     )
-    assert m["policy.backward.calls"] == m["rectify.loss.steps"] + m["grpo.loss.steps"]
+    assert m["policy.backward.calls"] == m["rectify.loss.calls"] + m["grpo_trajectories"]
 
 
 def test_benchmark_child_runs_a_train_and_an_eval_spec(tmp_path):

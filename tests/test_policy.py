@@ -1,11 +1,13 @@
 """Policy network: features, forward pass, analytic gradients, checkpoints."""
+import itertools
+
 import numpy as np
 import pytest
 
 from budnav.errors import CheckpointError, DimensionMismatch, UnknownToken
 from budnav.policy import (
     NO_ACTION,
-    FeatureTrack,
+    FeatureRows,
     GradAccumulator,
     PolicyConfig,
     PolicyParams,
@@ -14,6 +16,7 @@ from budnav.policy import (
     forward_cached,
     greedy_action,
     init_params,
+    initial_features,
     kl_and_log_ratio,
     load_checkpoint,
     save_checkpoint,
@@ -21,7 +24,7 @@ from budnav.policy import (
     softmax,
 )
 
-from conftest import Window, rand_window, window_track
+from conftest import Window, rand_window, window_steps
 
 
 # ----------------------------------------------------------------- init
@@ -110,8 +113,9 @@ def test_featurize_layout_by_hand(tiny_policy):
     cfg = tiny_policy.cfg
     rng = np.random.default_rng(0)
     window = rand_window(tiny_policy, rng, n_tokens=2)
-    feats = window_track(tiny_policy, window).features
-    assert feats.shape == (cfg.feature_dim,)
+    steps = window_steps(tiny_policy, window)
+    assert steps.rows.shape == (1, cfg.feature_dim)
+    feats = steps.rows[0]
     # Leading d_e entries: mean of the two token embeddings.
     t0, t1 = window.instruction
     want = (tiny_policy.instr_embed[t0] + tiny_policy.instr_embed[t1]) / 2.0
@@ -127,69 +131,72 @@ def test_featurize_layout_by_hand(tiny_policy):
 
 
 def test_featurize_validates_inputs(tiny_policy):
+    cfg = tiny_policy.cfg
     rng = np.random.default_rng(1)
     good = rand_window(tiny_policy, rng)
-    with pytest.raises(UnknownToken):
-        FeatureTrack(tiny_policy, (999,))
-    with pytest.raises(UnknownToken):
-        FeatureTrack(tiny_policy, (0, -1))
-    track = FeatureTrack(tiny_policy, good.instruction)
-    with pytest.raises(DimensionMismatch):
-        featurize(track, good.patches[0][:-1], 0)
-    with pytest.raises(DimensionMismatch):
-        featurize(track, good.patches[0], NO_ACTION + 1)
+    patches = np.array(good.patches)
+    for instruction in ((999,), (0, -1), (cfg.vocab,)):
+        with pytest.raises(UnknownToken, match="outside vocabulary"):
+            featurize(tiny_policy, instruction, patches, good.prev_actions)
+    for bad in (patches[:, :-1], patches[:-1], patches[0], patches[:, :, None]):
+        with pytest.raises(DimensionMismatch, match="patch shape"):
+            featurize(tiny_policy, good.instruction, bad, good.prev_actions)
+    for bad in (NO_ACTION + 1, -1):
+        with pytest.raises(DimensionMismatch, match=f"previous-action index out of range: {bad}"):
+            featurize(tiny_policy, good.instruction, patches[:1], [bad])
 
 
 def test_featurize_validates_inputs_mid_episode(tiny_policy):
-    # A rejected step leaves the track as it was.
+    # A bad entry anywhere in the sequence is rejected and named, even
+    # when only later rows are asked for.
     rng = np.random.default_rng(3)
     good = rand_window(tiny_policy, rng)
-    track = window_track(tiny_policy, good)
-    before = track.features.copy()
-    history = (list(track.patches), list(track.prev_actions))
-    with pytest.raises(DimensionMismatch):
-        featurize(track, good.patches[0], -1)
-    with pytest.raises(DimensionMismatch):
-        featurize(track, np.zeros(3), 0)
-    with pytest.raises(DimensionMismatch):
-        featurize(track, good.patches[0].reshape(1, -1), 0)
-    assert track.features.tobytes() == before.tobytes()
-    assert (track.patches, track.prev_actions) == history
-    got = featurize(track, good.patches[1], 2)
-    window = Window(good.instruction, good.patches[1:] + good.patches[1:2],
-                    good.prev_actions[1:] + (2,))
-    assert got.tobytes() == featurize_uncached(tiny_policy, window).tobytes()
+    patches = np.array(good.patches)
+    actions = list(good.prev_actions)
+    for bad in (-1, NO_ACTION + 1):
+        with pytest.raises(DimensionMismatch, match=f"out of range: {bad}"):
+            featurize(tiny_policy, good.instruction, patches, actions[:1] + [bad] + actions[2:], 2)
+    with pytest.raises(DimensionMismatch, match="patch shape"):
+        featurize(tiny_policy, good.instruction, patches, actions + [0], 3)
+    got = featurize(tiny_policy, good.instruction, patches, actions, 2)
+    assert got.rows.tobytes() == featurize_uncached(tiny_policy, good).tobytes()
 
 
 def test_track_left_pads_and_shifts():
+    # Step t's row holds history_k - 1 - t padding slots (the initial
+    # vector's zero-patch projection and NO_ACTION row), then the steps
+    # so far, oldest first.
     params = init_params(PolicyConfig(obs_k=3, d_e=2, d_o=2, d_a=2, d_h=4, history_k=3), 0)
     cfg = params.cfg
     o0, o1 = np.ones(9), np.full(9, 2.0)
     pad = np.concatenate([np.zeros(9) @ params.obs_proj, params.act_embed[NO_ACTION]])
-    track = FeatureTrack(params, (1, 2))
-    assert track.prev_actions == [NO_ACTION, NO_ACTION]
-    slots = featurize(track, o0, NO_ACTION)[cfg.d_e :].reshape(3, 4)
+    assert initial_features(params, (1, 2))[cfg.d_e :].tobytes() == np.tile(pad, 3).tobytes()
+    steps = featurize(params, (1, 2), np.array([o0, o1]), [NO_ACTION, 2])
+    slots = steps.rows[0, cfg.d_e :].reshape(3, 4)
     assert slots[0].tobytes() == slots[1].tobytes() == pad.tobytes()
     assert np.array_equal(slots[2, :2], o0 @ params.obs_proj)
     assert np.array_equal(slots[2, 2:], params.act_embed[NO_ACTION])
-    slots = featurize(track, o1, 2)[cfg.d_e :].reshape(3, 4)
+    slots = steps.rows[1, cfg.d_e :].reshape(3, 4)
     assert slots[0].tobytes() == pad.tobytes()
     assert np.array_equal(slots[1, :2], o0 @ params.obs_proj)
     assert np.array_equal(slots[2], np.concatenate([o1 @ params.obs_proj, params.act_embed[2]]))
     # The padded history: two padding entries, then one per step.
-    assert track.prev_actions == [NO_ACTION, NO_ACTION, NO_ACTION, 2]
-    assert [p.tolist() for p in track.patches] == [[0.0] * 9] * 2 + [o0.tolist(), o1.tolist()]
+    assert steps.prev_actions.tolist() == [NO_ACTION, NO_ACTION, NO_ACTION, 2]
+    assert steps.patches.tolist() == [[0.0] * 9] * 2 + [o0.tolist(), o1.tolist()]
+    # Asking for the rows from step 1 on reads the same history.
+    late = featurize(params, (1, 2), np.array([o0, o1]), [NO_ACTION, 2], 1)
+    assert late.start == 1
+    assert late.rows.tobytes() == steps.rows[1:].tobytes()
+    assert late.patches.tobytes() == steps.patches.tobytes()
 
 
 def test_track_history_is_bounded():
     params = init_params(PolicyConfig(obs_k=1, d_e=2, d_o=2, d_a=2, d_h=4, history_k=2), 0)
     cfg = params.cfg
-    track = FeatureTrack(params, (0,))
-    for i in range(10):
-        featurize(track, np.array([float(i)]), i % 4)
-    feats = featurize(track, np.array([99.0]), 1)
-    assert feats.shape == (cfg.feature_dim,)
-    slots = feats[cfg.d_e :].reshape(2, 4)
+    patches = np.array([[float(i)] for i in range(10)] + [[99.0]])
+    rows = featurize(params, (0,), patches, [i % 4 for i in range(10)] + [1]).rows
+    assert rows.shape == (11, cfg.feature_dim)
+    slots = rows[-1, cfg.d_e :].reshape(2, 4)
     # Only the newest survives.
     assert np.array_equal(slots[0], np.concatenate([np.array([9.0]) @ params.obs_proj, params.act_embed[1]]))
     assert np.array_equal(slots[1, :2], np.array([99.0]) @ params.obs_proj)
@@ -228,18 +235,24 @@ def step_pairs(steps):
 
 
 def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
+    # Each row equals the reference concatenation and the rolling vector
+    # the rollout scored, and scores to the logits the rollout recorded.
     params, episode, traj = walk
-    track = FeatureTrack(params, episode.instruction)
     pairs = step_pairs(traj.steps)
+    steps = featurize(
+        params, episode.instruction, np.array([o for o, _ in pairs]), [a for _, a in pairs]
+    )
+    logits, cache = forward_cached(params, steps)
+    assert cache.steps is steps
+    assert len(steps.rows) == len(logits) == len(traj.steps)
+    rolling = FeatureRows(params, initial_features(params, episode.instruction))
     windows = reference_windows(episode.instruction, pairs, params.cfg)
-    for s, (obs, prev), window in zip(traj.steps, pairs, windows):
+    for s, (obs, prev), window, row, row_logits in zip(traj.steps, pairs, windows, steps.rows, logits):
         want = featurize_uncached(params, window)
-        assert featurize(track, obs, prev).tobytes() == want.tobytes()
-        # The rollout's recorded logits came from its own track.
+        assert row.tobytes() == want.tobytes()
+        assert rolling.push(obs, prev).tobytes() == want.tobytes()
         assert s.logits.tobytes() == forward(params, want).tobytes()
-        logits, cache = forward_cached(params, track)
-        assert logits.tobytes() == s.logits.tobytes()
-        assert cache.features.tobytes() == want.tobytes()
+        assert row_logits.tobytes() == s.logits.tobytes()
 
 
 def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
@@ -263,9 +276,9 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     )
     seen = []
 
-    def recording(p, track):
-        logits, cache = forward_cached(p, track)
-        seen.append((cache.features.copy(), logits))
+    def recording(p, steps):
+        logits, cache = forward_cached(p, steps)
+        seen.append((steps, logits))
         return logits, cache
 
     monkeypatch.setattr(rectify, "forward_cached", recording)
@@ -279,11 +292,13 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
         prev = int(action)
         pose = step(ep.world, pose, Action(action))
     windows = list(reference_windows(ep.instruction, pairs, cfg))[anchor:]
-    assert len(seen) == len(windows) == len(completion)
-    for (feats, logits), window in zip(seen, windows):
+    (steps, logits), = seen
+    assert steps.start == anchor
+    assert len(steps.rows) == len(logits) == len(windows) == len(completion)
+    for row, row_logits, window in zip(steps.rows, logits, windows):
         want = featurize_uncached(params, window)
-        assert feats.tobytes() == want.tobytes()
-        assert logits.tobytes() == forward(params, want).tobytes()
+        assert row.tobytes() == want.tobytes()
+        assert row_logits.tobytes() == forward(params, want).tobytes()
 
 
 def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
@@ -292,18 +307,18 @@ def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
     _, live, ref, _, groups = desk_batches
     seen = []
 
-    def recording_featurize(track, obs, prev_action):
-        feats = featurize(track, obs, prev_action)
-        seen.append((track.params, feats.copy()))
-        return feats
+    def recording_featurize(p, *args):
+        steps = featurize(p, *args)
+        seen.append((p, steps.rows))
+        return steps
 
     def recording_forward(p, feats):
         logits = forward(p, feats)
         seen.append((p, logits))
         return logits
 
-    def recording_forward_cached(p, track):
-        logits, cache = forward_cached(p, track)
+    def recording_forward_cached(p, steps):
+        logits, cache = forward_cached(p, steps)
         seen.append((p, logits))
         return logits, cache
 
@@ -313,17 +328,17 @@ def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
     for group in groups:
         seen.clear()
         grpo.grpo_loss_and_grad(live, group, ref)
-        old = group.snapshot_old.params
+        sets = (group.snapshot_old.params, live, ref.params)
         want = []
         for traj in group.trajectories:
-            pairs = step_pairs(traj.steps)
-            for s, window in zip(traj.steps, reference_windows(group.instruction, pairs, live.cfg)):
-                # Per step: old, live and ref features, each then scored.
-                for p in (old, live, ref.params):
-                    feats = featurize_uncached(p, window)
-                    want += [(p, feats), (p, forward(p, feats))]
-                assert s.logits.tobytes() == want[-5][1].tobytes()
-        assert len(seen) == len(want) == 6 * sum(len(t.steps) for t in group.trajectories)
+            windows = list(reference_windows(group.instruction, step_pairs(traj.steps), live.cfg))
+            # Per trajectory: the old, live and ref rows, then each scored.
+            rows = [np.array([featurize_uncached(p, w) for w in windows]) for p in sets]
+            want += list(zip(sets, rows))
+            want += [(p, np.array([forward(p, r) for r in prows])) for p, prows in zip(sets, rows)]
+            # The old replay scores the logits the rollout recorded.
+            assert want[-3][1].tobytes() == np.array([s.logits for s in traj.steps]).tobytes()
+        assert len(seen) == len(want) == 6 * len(group.trajectories)
         for (got_p, got), (want_p, expect) in zip(seen, want):
             assert got_p is want_p
             assert got.tobytes() == expect.tobytes()
@@ -333,14 +348,14 @@ def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
 
 def test_forward_matches_manual_mlp(tiny_policy):
     rng = np.random.default_rng(2)
-    track = window_track(tiny_policy, rand_window(tiny_policy, rng))
-    feats = track.features
+    steps = window_steps(tiny_policy, rand_window(tiny_policy, rng))
+    feats = steps.rows[0]
     want = np.tanh(feats @ tiny_policy.W1 + tiny_policy.b1) @ tiny_policy.W2 + tiny_policy.b2
     assert np.array_equal(forward(tiny_policy, feats), want)
-    logits, cache = forward_cached(tiny_policy, track)
-    assert np.array_equal(logits, want)
-    assert cache.features is track.features  # a view, valid until the next push
-    assert (cache.track, cache.at) == (track, len(track.prev_actions) - tiny_policy.cfg.history_k)
+    logits, cache = forward_cached(tiny_policy, steps)
+    assert logits.shape == (1, 4)
+    assert np.array_equal(logits[0], want)
+    assert cache.steps is steps
 
 
 def test_softmax_is_stable_and_normalized():
@@ -365,14 +380,14 @@ def test_greedy_uses_raw_logits_and_breaks_ties_low():
 
 # ------------------------------------------------------------- gradients
 
-def logprob_and_grad(track, action, temperature):
-    """log pi(action | track's latest step) and its gradient, flattened
-    canonically, under the params the track was built from."""
-    params = track.params
-    logits, cache = forward_cached(params, track)
-    probs = softmax(logits / temperature)
-    dlogits = -probs / temperature
-    dlogits[action] += 1.0 / temperature
+def logprob_and_grad(params, steps, action, temperature):
+    """log pi(action | the last row of steps) and its gradient, flattened
+    canonically; steps must be featurized under params."""
+    logits, cache = forward_cached(params, steps)
+    probs = softmax(logits[-1] / temperature)
+    dlogits = np.zeros_like(logits)
+    dlogits[-1] = -probs / temperature
+    dlogits[-1, action] += 1.0 / temperature
     acc = GradAccumulator(params)
     acc.add_step(cache, dlogits)
     return float(np.log(probs[action])), acc.flat()
@@ -398,11 +413,11 @@ def test_logprob_gradient_matches_finite_differences(tiny_policy):
 
         def f(theta):
             p = PolicyParams(tiny_policy.cfg, theta)
-            lp, _ = logprob_and_grad(window_track(p, window), action, 0.4)
+            lp, _ = logprob_and_grad(p, window_steps(p, window), action, 0.4)
             return lp
 
-        track = window_track(PolicyParams(tiny_policy.cfg, theta0), window)
-        _, grad = logprob_and_grad(track, action, 0.4)
+        params0 = PolicyParams(tiny_policy.cfg, theta0)
+        _, grad = logprob_and_grad(params0, window_steps(params0, window), action, 0.4)
         # Probe a subset of coordinates; full FD is covered in acceptance.
         idx = rng.choice(len(theta0), size=80, replace=False)
         fd = np.zeros_like(grad)
@@ -423,15 +438,29 @@ def test_logprob_consistent_with_distribution(tiny_policy):
     logits = forward(tiny_policy, featurize_uncached(tiny_policy, window))
     probs = softmax(logits / 0.4)
     for a in range(4):
-        lp, _ = logprob_and_grad(window_track(tiny_policy, window), a, 0.4)
+        lp, _ = logprob_and_grad(tiny_policy, window_steps(tiny_policy, window), a, 0.4)
         assert lp == pytest.approx(np.log(probs[a]), rel=1e-12)
 
 
 # ---------------------------------------------------- batched accumulation
+#
+# GradAccumulator backpropagates a whole sequence with matrix products,
+# which sum the rows in another order than adding one step after another.
+# The per-step loop below stays as the reference; the two agree to
+# AGREEMENT relative to the gradient's largest entry (float64 rounding
+# over tens of rows is ~1e-15).
+
+AGREEMENT = 1e-13
+
+
+def assert_agrees(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= AGREEMENT * np.abs(want).max()
+
 
 def per_step_accumulator_reference(params, steps):
-    """The accumulator GradAccumulator replaced: each step's terms added in
-    place into parameter-shaped buffers, one step after another.
+    """Each step's terms added in place into parameter-shaped buffers,
+    one step after another.
 
     steps holds (features, hidden, window, dlogits) in call order; returns
     the flat gradient in canonical block order.
@@ -458,16 +487,20 @@ def per_step_accumulator_reference(params, steps):
     return np.concatenate([buf[n].ravel() for n, _ in params.blocks()])
 
 
-def cached_window(params, cache):
-    """The window of a cached step, read from its track's padded history
-    and checked against the step's features."""
+def row_windows(params, steps):
+    """The window of each row of a StepRows, read from its padded history
+    and checked against the row."""
     k = params.cfg.history_k
-    track, n = cache.track, cache.at
-    window = Window(
-        track.instruction, tuple(track.patches[n : n + k]), tuple(track.prev_actions[n : n + k])
-    )
-    assert cache.features.tobytes() == featurize_uncached(params, window).tobytes()
-    return window
+    windows = []
+    for i, row in enumerate(steps.rows):
+        n = steps.start + i
+        window = Window(
+            steps.instruction, tuple(steps.patches[n : n + k]),
+            tuple(int(a) for a in steps.prev_actions[n : n + k]),
+        )
+        assert row.tobytes() == featurize_uncached(params, window).tobytes()
+        windows.append(window)
+    return windows
 
 
 class ReferenceAccumulator:
@@ -478,98 +511,79 @@ class ReferenceAccumulator:
         self.steps = []
 
     def add_step(self, cache, dlogits):
-        window = cached_window(self.params, cache)
-        self.steps.append((cache.features.copy(), cache.hidden, window, dlogits.copy()))
+        windows = row_windows(self.params, cache.steps)
+        self.steps += zip(cache.steps.rows, cache.hidden, windows, dlogits.copy())
 
     def flat(self):
         return per_step_accumulator_reference(self.params, self.steps)
 
 
-def padded_step(params, rng):
-    """(track, window): a fresh track after 1 to history_k pushes, so its
-    oldest slots are the track's own padding (zero patch, NO_ACTION) as at
-    the start of an episode, and the window spelling out its slots.  The
-    instruction, the patches and the previous actions repeat entries."""
+def random_sequence(params, rng, n_rows):
+    """StepRows of n_rows scored steps behind a few unscored ones.  The
+    instruction, the patches and the previous actions repeat entries, and
+    the first rows read padding slots, as at the start of an episode."""
     cfg = params.cfg
-    k = cfg.history_k
-    n_pad = int(rng.integers(0, k))
-    zero = np.zeros(cfg.patch_cells)
+    start = int(rng.integers(0, cfg.history_k + 2))
+    n = start + n_rows
     tokens = rng.integers(0, cfg.vocab, size=int(rng.integers(1, 4)))
     instruction = tuple(int(t) for t in np.repeat(tokens, rng.integers(1, 4, size=len(tokens))))
     shared = (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float)
-    patches = [zero] * n_pad + [
+    patches = np.array([
         shared if rng.random() < 0.3 else (rng.uniform(0, 1, size=cfg.patch_cells) < 0.3).astype(float)
-        for _ in range(k - n_pad)
-    ]
-    actions = [NO_ACTION] * n_pad + [int(a) for a in rng.choice([0, 0, 1, NO_ACTION], size=k - n_pad)]
-    window = Window(instruction, tuple(patches), tuple(actions))
-    return window_track(params, window, n_pad), window
-
-
-def accumulate_both(params, steps):
-    """steps holds (cache, window, dlogits); each cache's track is not
-    pushed again, so its features are still valid."""
-    acc = GradAccumulator(params)
-    for cache, window, dlogits in steps:
-        acc.add_step(cache, dlogits)
-    want = per_step_accumulator_reference(
-        params, [(c.features, c.hidden, w, d) for c, w, d in steps]
-    )
-    return acc.flat(), want
+        for _ in range(n)
+    ]).reshape(n, cfg.patch_cells)
+    actions = [int(a) for a in rng.choice([0, 0, 1, NO_ACTION], size=n)]
+    return featurize(params, instruction, patches, actions, start)
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 97])
 @pytest.mark.parametrize("policy", ["tiny_policy", "default_policy"])
 def test_accumulator_is_bit_exact_against_per_step_reference(request, policy, n_steps):
+    # n_steps rows in sequences of 1 to 39 steps, into one accumulator;
+    # the gradient agrees with the per-step reference to AGREEMENT.
     params = request.getfixturevalue(policy)
     rng = np.random.default_rng(n_steps)
-    steps = []
-    for i in range(n_steps):
-        track, window = padded_step(params, rng)
-        _, cache = forward_cached(params, track)
+    acc, ref = GradAccumulator(params), ReferenceAccumulator(params)
+    left = n_steps
+    for i in itertools.count():
+        m = min(left, int(rng.integers(1, 40)))
+        _, cache = forward_cached(params, random_sequence(params, rng, m))
+        picked = np.arange(m), rng.integers(4, size=m)
         if i % 2:
             # GRPO-style: a KL-shaped term plus a signed advantage term,
             # scaled by 1 / (group size * trajectory length).
-            p = softmax(rng.normal(size=4))
-            dlogits = -0.01 * p * rng.normal(size=4) / 0.4
-            dlogits[int(rng.integers(4))] += rng.normal() / 0.4
-            dlogits = dlogits * (1.0 / (4 * (1 + i % 23)))
+            p = softmax(rng.normal(size=(m, 4)))
+            dlogits = -0.01 * p * rng.normal(size=(m, 4)) / 0.4
+            dlogits[picked] += rng.normal() / 0.4
+            dlogits = dlogits * (1.0 / (4 * max(m, 1)))
         else:
-            dlogits = softmax(rng.normal(size=4)) / 0.4
-            dlogits[int(rng.integers(4))] -= 1.0 / 0.4
-        steps.append((cache, window, dlogits))
-    got, want = accumulate_both(params, steps)
+            w = 0.95 ** np.arange(m)
+            dlogits = w[:, None] * softmax(rng.normal(size=(m, 4))) / 0.4
+            dlogits[picked] -= w / 0.4
+        acc.add_step(cache, dlogits)
+        ref.add_step(cache, dlogits)
+        left -= m
+        if not left:
+            break
+    got = acc.flat()
     assert got.shape == (params.count,)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_accumulator_keeps_signed_zeros(default_policy):
-    # A first step on a zero patch leaves every slot a zero patch, so
-    # every obs_proj term is a signed zero; the running buffer (+0.0)
-    # must come first, as in the per-step sum.
-    params = default_policy
-    cfg = params.cfg
-    zero = np.zeros(cfg.patch_cells)
-    window = Window((0,), (zero,) * cfg.history_k, (NO_ACTION,) * cfg.history_k)
-    _, cache = forward_cached(params, window_track(params, window, cfg.history_k - 1))
-    steps = [(cache, window, np.array([-1.0, 2.0, -3.0, 4.0]))] * 40
-    got, want = accumulate_both(params, steps)
-    assert got.tobytes() == want.tobytes()
-    obs = got[cfg.vocab * cfg.d_e :][: cfg.patch_cells * cfg.d_o]
-    assert np.all(obs == 0.0) and not np.any(np.signbit(obs))
+    assert len(ref.steps) == n_steps
+    assert_agrees(got, ref.flat())
 
 
 @pytest.fixture(scope="module")
 def desk_batches(desk_cfg):
     """Desk demos and GRPO groups of an untrained policy that rarely stops.
 
-    Desk plans are at most ~18 actions, shorter than one flush chunk, so
-    each sampled walk is also replayed as a demo from the episode start.
+    Desk plans are at most ~18 actions, so each sampled walk is also
+    replayed as a demo from the episode start, and as a one-action STOP
+    demo that keeps the whole walk as its prefix.
     """
     from budnav.grpo import make_group
     from budnav.rectify import RectificationDemo, bc_demo, decay_weights, synthesize_demo
     from budnav.rollout import rollout_stream, run_greedy, run_sampled
     from budnav.trainer import training_episode
+    from budnav.world import Action
 
     cfg = desk_cfg
     params = init_params(cfg.policy, 0)
@@ -589,16 +603,22 @@ def desk_batches(desk_cfg):
             for j in range(cfg.grpo.group_size)
         ]
         groups.append(make_group(rollouts, episode, snap, cfg.reward, cfg.grpo))
-        walk = tuple(s.action for s in rollouts[-1].steps)
+        walk = rollouts[-1]
+        actions = tuple(s.action for s in walk.steps)
         demos.append((RectificationDemo(
             episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
-            retained_prefix=(), oracle_actions=walk,
-            weights=decay_weights(len(walk), cfg.rect.decay_gamma),
+            retained_prefix=(), oracle_actions=actions,
+            weights=decay_weights(len(actions), cfg.rect.decay_gamma),
+        ), episode))
+        demos.append((RectificationDemo(
+            episode_id=episode.id, anchor_step=len(walk.steps), anchor_pose=walk.final_pose,
+            retained_prefix=walk.steps, oracle_actions=(Action.STOP,), weights=np.ones(1),
         ), episode))
     live = PolicyParams(params.cfg, params.theta + 0.05 * np.sin(np.arange(params.count)))
     ref = snapshot(init_params(cfg.policy, 1), "ref")
-    assert max(len(d.oracle_actions) for d, _ in demos) > GradAccumulator.FLUSH_STEPS
-    assert max(len(t.steps) for g in groups for t in g.trajectories) > GradAccumulator.FLUSH_STEPS
+    # Sequences longer than 32 steps, the old per-step path's chunk size.
+    assert max(len(d.oracle_actions) for d, _ in demos) > 32
+    assert max(len(t.steps) for g in groups for t in g.trajectories) > 32
     return cfg, live, ref, demos, groups
 
 
@@ -611,7 +631,7 @@ def test_rect_gradients_are_bit_exact_against_per_step_reference(desk_batches, m
     want = [rectify.rect_loss_and_grad(live, d, ep, cfg.rect) for d, ep in demos]
     for (loss, grad), (want_loss, want_grad) in zip(got, want):
         assert loss == want_loss
-        assert grad.tobytes() == want_grad.tobytes()
+        assert_agrees(grad, want_grad)
 
 
 def test_grpo_gradients_are_bit_exact_against_per_step_reference(desk_batches, monkeypatch):
@@ -623,7 +643,7 @@ def test_grpo_gradients_are_bit_exact_against_per_step_reference(desk_batches, m
     want = [grpo.grpo_loss_and_grad(live, g, ref, cfg.grpo) for g in groups]
     for (loss, grad), (want_loss, want_grad) in zip(got, want):
         assert loss == want_loss
-        assert grad.tobytes() == want_grad.tobytes()
+        assert_agrees(grad, want_grad)
 
 
 # -------------------------------------------------------------------- KL

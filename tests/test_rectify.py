@@ -212,20 +212,20 @@ def test_rect_loss_decomposes_per_token(tiny_policy):
     demo = synthesize_demo(probe, ep, RectConfig(decay_gamma=1.0))
     total, _ = rect_loss_and_grad(params, demo, ep, RectConfig(decay_gamma=1.0))
 
-    from budnav.policy import NO_ACTION, FeatureTrack, featurize, forward, softmax
+    from budnav.policy import NO_ACTION, FeatureRows, forward, initial_features, softmax
     from budnav.world import observe
 
     pcfg = params.cfg
-    track = FeatureTrack(params, ep.instruction)
+    track = FeatureRows(params, initial_features(params, ep.instruction))
     prev_action = NO_ACTION
     for s in demo.retained_prefix:
-        featurize(track, s.observation, prev_action)
+        track.push(s.observation, prev_action)
         prev_action = s.action
     pose = demo.anchor_pose
     manual = 0.0
     for action in demo.oracle_actions:
         obs = observe(ep.world, pose, pcfg.obs_k).ravel()
-        feats = featurize(track, obs, prev_action)
+        feats = track.push(obs, prev_action)
         probs = softmax(forward(params, feats) / pcfg.temperature)
         manual += -np.log(probs[action])
         prev_action = int(action)

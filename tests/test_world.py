@@ -17,6 +17,7 @@ from budnav.world import (
     generate_world,
     left_token,
     observe,
+    observe_many,
     parse_episode,
     right_token,
     serialize_episode,
@@ -160,6 +161,37 @@ def test_observe_matches_per_cell_loop_byte_for_byte(k):
                 assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes(), (w.width, w.height, pose)
     assert crossed_edge == (k > 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_observe_many_equals_per_pose_observe_byte_for_byte(k):
+    # Every free cell and heading of small edge-heavy worlds and of 20
+    # generated ones, gathered in one call per world (poses in a shuffled
+    # order) against observe, one pose at a time.
+    rng = np.random.default_rng(k)
+    worlds = [walled_world(), open_world(3, 2), corridor_world(6)] + [
+        generate_world(seed=s, width=int(rng.integers(5, 13)), height=int(rng.integers(5, 13)),
+                       density=0.3)
+        for s in range(20)
+    ]
+    for w in worlds:
+        poses = [Pose(x, y, h) for x, y in w.free_cells() for h in range(4)]
+        poses = [poses[i] for i in rng.permutation(len(poses))]
+        got = observe_many(w, poses, k)
+        want = np.array([observe(w, pose, k).ravel() for pose in poses])
+        assert got.shape == (len(poses), k * k) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (w.width, w.height)
+        one = observe_many(w, poses[:1], k)
+        assert one.tobytes() == observe(w, poses[0], k).tobytes()
+
+
+def test_observe_many_rejects_off_grid_poses_and_even_sides():
+    w = open_world(3, 3)
+    for bad in (Pose(3, 0, 0), Pose(0, -1, 2), Pose(1, 3, 1)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            observe_many(w, [Pose(1, 1, 0), bad], 3)
+    with pytest.raises(ValueError, match="odd and positive"):
+        observe_many(w, [Pose(1, 1, 0)], 4)
 
 
 def test_observe_returns_a_private_writable_patch():
