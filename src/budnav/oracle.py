@@ -10,7 +10,8 @@ the turns are arithmetic on the low two bits of s.
     free cell to a goal cell, ignoring headings.
   * plan: minimum-action-count pose-graph search where FORWARD and turns
     each cost one action.  The plan ends with STOP as soon as the agent's
-    position is within goal_radius (Euclidean) of the goal.
+    position is within goal_radius (Euclidean) of the goal; that test
+    reads a per-cell table, goal_zone, memoized per (goal, goal_radius).
 
 Both are deterministic.  plan is a breadth-first search by layers of
 equal action count, each layer taken in ascending s, that is in
@@ -114,6 +115,27 @@ class OraclePlan:
         return len(self.actions)
 
 
+def goal_zone(world: GridWorld, goal, goal_radius: float) -> bytes:
+    """Per-cell goal-zone test, indexed y * width + x: 1 where the cell
+    center lies within goal_radius (Euclidean) of the goal, else 0.
+
+    Built once per (world, goal, goal_radius) and memoized on the world;
+    bytes are immutable, so callers cannot corrupt it.
+    """
+    gx, gy = goal
+    return world.derived(
+        ("goal_zone", gx, gy, goal_radius), lambda: _build_goal_zone(world, goal, goal_radius)
+    )
+
+
+def _build_goal_zone(world: GridWorld, goal, goal_radius: float) -> bytes:
+    width, cell_size = world.width, world.cell_size
+    return bytes(
+        euclid_m((c % width, c // width), goal, cell_size) <= goal_radius
+        for c in range(width * world.height)
+    )
+
+
 def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> OraclePlan:
     """Minimum-action-count plan from start into the goal zone, then STOP.
 
@@ -124,36 +146,32 @@ def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> Oracl
         raise InvalidGoal(f"start on blocked cell: {start}")
     if not 0 <= start.heading < 4:
         raise ValueError(f"heading out of range: {start}")
-    width, cell_size = world.width, world.cell_size
-
-    def in_zone(s):
-        c = s >> 2
-        return euclid_m((c % width, c // width), goal, cell_size) <= goal_radius
-
-    s0 = (start.y * width + start.x) * 4 + start.heading
-    if in_zone(s0):
+    zone = goal_zone(world, goal, goal_radius)
+    s0 = (start.y * world.width + start.x) * 4 + start.heading
+    if zone[s0 >> 2]:
         return OraclePlan(actions=(Action.STOP,), poses=(start, start))
 
     fwd = forward_table(world)
-    parent = {s0: s0}
+    parent = [-1] * len(fwd)  # -1 = not yet discovered
+    parent[s0] = s0
     layer = [s0]
     while layer:
         layer.sort()
         for s in layer:
-            if in_zone(s):
+            if zone[s >> 2]:
                 return _trace_back(world, start, parent, s)
         discovered = []
         for s in layer:
             base = s & ~3
             for n in (fwd[s], base | ((s - 1) & 3), base | ((s + 1) & 3)):
-                if n >= 0 and n not in parent:
+                if n >= 0 and parent[n] < 0:
                     parent[n] = s
                     discovered.append(n)
         layer = discovered
     raise Unreachable(f"goal zone around {goal} unreachable from {start}")
 
 
-def _trace_back(world: GridWorld, start: Pose, parent: dict, s: int) -> OraclePlan:
+def _trace_back(world: GridWorld, start: Pose, parent: list, s: int) -> OraclePlan:
     """The plan along parent links from the start state to state s, then STOP."""
     states = [s]
     while parent[s] != s:

@@ -37,6 +37,7 @@ with an integrity checksum.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -92,9 +93,20 @@ class PolicyConfig:
             ("b2", (N_ACTIONS,)),
         )
 
+    @functools.cached_property
+    def block_slices(self) -> tuple:
+        """(name, lo, hi, shape) of each block of layout: its view is
+        theta[lo:hi].reshape(shape).  Computed once per config."""
+        slices, lo = [], 0
+        for name, shape in self.layout:
+            hi = lo + math.prod(shape)
+            slices.append((name, lo, hi, shape))
+            lo = hi
+        return tuple(slices)
+
     @property
     def param_count(self) -> int:
-        return sum(math.prod(shape) for _, shape in self.layout)
+        return self.block_slices[-1][2]
 
     def arch_hash(self) -> str:
         """16-hex digest of the architecture (temperature excluded)."""
@@ -116,11 +128,8 @@ class PolicyParams:
             )
         self.cfg = cfg
         self.theta = theta
-        offset = 0
-        for name, shape in cfg.layout:
-            size = math.prod(shape)
-            setattr(self, name, theta[offset : offset + size].reshape(shape))
-            offset += size
+        for name, lo, hi, shape in cfg.block_slices:
+            setattr(self, name, theta[lo:hi].reshape(shape))
 
     def blocks(self):
         return [(name, getattr(self, name)) for name, _ in self.cfg.layout]
@@ -184,7 +193,11 @@ def initial_features(params: PolicyParams, instruction) -> np.ndarray:
         if not 0 <= t < cfg.vocab:
             raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
     features = np.empty(cfg.feature_dim)
-    features[: cfg.d_e] = params.instr_embed[list(instruction)].mean(axis=0)
+    # The instruction mean, as np.add.reduce / n: the bits of .mean(axis=0),
+    # without its dispatch overhead.
+    features[: cfg.d_e] = np.add.reduce(params.instr_embed[list(instruction)], axis=0) / len(
+        instruction
+    )
     slots = features[cfg.d_e :].reshape(cfg.history_k, cfg.d_o + cfg.d_a)
     slots[:, : cfg.d_o] = row_products(np.zeros(cfg.patch_cells), params.obs_proj)
     slots[:, cfg.d_o :] = params.act_embed[NO_ACTION]

@@ -11,13 +11,18 @@ rollback point:
 
     loss = -alpha * sum_t  w_t * log pi(a*_t | prefix, a*_<t)
 
-A ForcedStop probe is already inside the goal zone, so its anchor is the
-current pose and the completion is the single STOP action.
+A ForcedStop probe (the step cap ended it) anchors at its final pose with
+its whole history retained, wherever that pose is.  Inside the goal zone
+the completion is the single STOP action.  Outside it the completion is a
+fresh plan from the failure state, not from a valid historical one, and
+it need not pass the reference waypoints the probe left unvisited.  A
+desk_full seed-0 run has 36 such failures among its 4,428 failed
+probes.  ROADMAP.md item 2 (rectify step-cap failures from their anchor)
+tracks the fix.
 
-The resulting demonstrations stay consistent with the instruction: every
-completion continues forward along the reference rather than steering
-back to an earlier point, so reference progress never regresses along a
-replayed demo.
+Every other completion starts at the anchor waypoint and is the
+planner's shortest route from there into the goal zone; nothing forces
+it to visit the remaining reference waypoints in order.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from .policy import (
     softmax,
 )
 from .rollout import RolloutConfig, Trajectory, TriggerKind
-from .world import Action, Episode, Pose, expand_instruction, observe_many, step
+from .world import Episode, Pose, expand_instruction, observe_many
 # Unused here: perfbench's tracer patches rectify.observe when it installs.
 from .world import observe  # noqa: F401
 
@@ -52,7 +57,9 @@ class RectificationDemo:
     """Retained probe prefix plus an oracle completion from the anchor.
 
     anchor_step counts the retained steps: replaying that many probe
-    actions from the start lands exactly on anchor_pose.
+    actions from the start lands exactly on anchor_pose.  poses[i] is
+    the pose before oracle_actions[i] (poses[0] = anchor_pose), taken
+    from the plan that produced the actions.
     """
 
     episode_id: int
@@ -61,6 +68,7 @@ class RectificationDemo:
     retained_prefix: tuple
     oracle_actions: tuple
     weights: np.ndarray
+    poses: tuple
 
 
 def decay_weights(n: int, gamma: float) -> np.ndarray:
@@ -86,7 +94,9 @@ def find_anchor(
     A waypoint counts as visited within visit_radius_m, the radius the
     probe's rollout tracked progress with.  Revisited waypoints anchor
     at their first (order-respecting) visit; a probe that visited
-    nothing anchors at the start; ForcedStop anchors at the current pose.
+    nothing anchors at the start.  ForcedStop anchors at the final pose
+    with every step retained, also when the step cap fired outside the
+    goal zone (see the module docstring and ROADMAP.md item 2).
     """
     if probe.trigger is None:
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")
@@ -116,6 +126,7 @@ def synthesize_demo(
         retained_prefix=tuple(probe.steps[:anchor_step]),
         oracle_actions=tuple(completion.actions),
         weights=decay_weights(len(completion.actions), cfg.decay_gamma),
+        poses=completion.poses[:-1],
     )
 
 
@@ -130,6 +141,7 @@ def bc_demo(episode: Episode) -> RectificationDemo:
         retained_prefix=(),
         oracle_actions=actions,
         weights=np.ones(len(actions)),
+        poses=episode.reference_path[:-1],
     )
 
 
@@ -141,19 +153,14 @@ def rect_loss_and_grad(
 ):
     """Weighted cross-entropy of the completion, conditioned on the prefix.
 
-    The environment is replayed from the anchor, so every completion
-    token is scored against the real observation stream: the prefix's
-    recorded observations and the completion's, gathered at its poses,
-    are featurized as one sequence and its completion rows scored in one
-    forward and one backward pass.
+    Every completion token is scored against the real observation
+    stream: the prefix's recorded observations and the completion's,
+    gathered at the demo's poses, are featurized as one sequence and its
+    completion rows scored in one forward and one backward pass.
     """
     pcfg = params.cfg
-    world = episode.world
-    poses = [demo.anchor_pose]
-    for action in demo.oracle_actions[:-1]:
-        poses.append(step(world, poses[-1], Action(action)))
     kept = len(demo.retained_prefix)
-    patches = observe_many(world, poses, pcfg.obs_k)
+    patches = observe_many(episode.world, demo.poses, pcfg.obs_k)
     if kept:
         patches = np.concatenate([[s.observation for s in demo.retained_prefix], patches])
     actions = [s.action for s in demo.retained_prefix] + list(demo.oracle_actions)

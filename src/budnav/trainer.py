@@ -86,18 +86,40 @@ class OptimizerState:
 def adamw_update(
     params: PolicyParams, grad: np.ndarray, state: OptimizerState, hyper: OptHyper
 ):
-    """One decoupled-weight-decay Adam step; pure in all arguments."""
+    """One decoupled-weight-decay Adam step; pure in all arguments.
+
+    Per element it computes
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        theta = (theta - lr * wd * theta) - lr * m_hat / (sqrt(v_hat) + eps)
+
+    with m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t), each
+    operation in that order, so the bits are those of the plain
+    expressions.  The results go into fresh theta, m and v arrays through
+    out= buffers, with one scratch array in between.
+    """
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains NaN or Inf")
-    lr = hyper.learning_rate
-    theta = params.theta
-    theta = theta - lr * hyper.weight_decay * theta  # decay before the moment delta
-    m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grad
-    v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * grad * grad
+    lr, b1, b2 = hyper.learning_rate, hyper.beta1, hyper.beta2
     t = state.step + 1
-    m_hat = m / (1.0 - hyper.beta1**t)
-    v_hat = v / (1.0 - hyper.beta2**t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    m = np.multiply(b1, state.m)
+    scratch = np.multiply(1.0 - b1, grad)
+    np.add(m, scratch, out=m)
+    v = np.multiply(b2, state.v)
+    np.multiply(1.0 - b2, grad, out=scratch)
+    np.multiply(scratch, grad, out=scratch)
+    np.add(v, scratch, out=v)
+    np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat, then sqrt(v_hat) + eps
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, hyper.eps, out=scratch)
+    delta = np.divide(m, 1.0 - b1**t)  # m_hat, then lr * m_hat / scratch
+    np.multiply(lr, delta, out=delta)
+    np.divide(delta, scratch, out=delta)
+    # Decay before the moment delta; the new theta reuses delta's buffer.
+    np.multiply(lr * hyper.weight_decay, params.theta, out=scratch)
+    np.subtract(params.theta, scratch, out=scratch)
+    theta = np.subtract(scratch, delta, out=delta)
     return PolicyParams(params.cfg, theta), OptimizerState(m=m, v=v, step=t)
 
 
@@ -177,6 +199,7 @@ def _error_state_demo(probe, episode: Episode, cfg: TrainConfig) -> Rectificatio
         retained_prefix=tuple(probe.steps),
         oracle_actions=tuple(completion.actions),
         weights=decay_weights(len(completion.actions), cfg.rect.decay_gamma),
+        poses=completion.poses[:-1],
     )
 
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from budnav.errors import InvalidGoal, Unreachable
-from budnav.oracle import forward_table, geodesic_field, path_deviation, plan, progress_index
+from budnav.oracle import (
+    forward_table,
+    geodesic_field,
+    goal_zone,
+    path_deviation,
+    plan,
+    progress_index,
+)
 from budnav.suite import parse_suite, suite_world
 from budnav.world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, step
 
@@ -336,6 +343,34 @@ def test_plan_start_already_in_zone():
     p = plan(w, Pose(2, 2, 0), (3, 2), goal_radius=3.0)
     assert p.actions == (Action.STOP,)
     assert p.poses == (Pose(2, 2, 0), Pose(2, 2, 0))
+
+
+def test_goal_zone_table_is_memoized_per_radius_and_immutable():
+    # A fresh world plans under radius 3.0, then 2.0, then 3.0 again: a
+    # table memoized without its radius would serve the wrong zone.
+    w = scattered_world(4, 9, 7, 0.2)
+    goal = next(c for c in w.free_cells() if c[0] >= 4 and c[1] >= 3)
+    starts = [Pose(x, y, h) for x, y in w.free_cells()[::3] for h in (0, 3)]
+    for radius in (3.0, 2.0, 3.0):
+        for start in starts:
+            want = outcome(heap_plan_reference, w, start, goal, radius)
+            assert outcome(plan, w, start, goal, radius) == want, (start, radius)
+    zone = goal_zone(w, goal, 3.0)
+    assert goal_zone(w, goal, 3.0) is zone
+    assert zone != goal_zone(w, goal, 2.0)
+    assert isinstance(zone, bytes) and len(zone) == w.width * w.height
+    with pytest.raises(TypeError):
+        zone[0] = 1
+
+
+def test_plan_start_exactly_on_the_zone_boundary_stops():
+    w = open_world()
+    start = Pose(5, 2, 1)  # offset (3, 0) from the goal: exactly goal_radius
+    p = plan(w, start, (2, 2), goal_radius=3.0)
+    assert p.actions == (Action.STOP,)
+    assert p.poses == (start, start)
+    assert goal_zone(w, (2, 2), 3.0)[2 * w.width + 5] == 1
+    assert goal_zone(w, (2, 2), 3.0)[2 * w.width + 6] == 0
 
 
 def test_plan_prefers_forward_on_cost_ties():

@@ -267,12 +267,13 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     anchor = 12
     assert anchor > params.cfg.history_k
     pose = traj.steps[anchor].pose_before
-    completion = plan(ep.world, pose, ep.goal, ep.goal_radius).actions
+    oracle = plan(ep.world, pose, ep.goal, ep.goal_radius)
+    completion = oracle.actions
     assert len(completion) > 1
     demo = RectificationDemo(
         episode_id=ep.id, anchor_step=anchor, anchor_pose=pose,
         retained_prefix=traj.steps[:anchor], oracle_actions=tuple(completion),
-        weights=decay_weights(len(completion), 0.95),
+        weights=decay_weights(len(completion), 0.95), poses=oracle.poses[:-1],
     )
     seen = []
 
@@ -609,10 +610,12 @@ def desk_batches(desk_cfg):
             episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
             retained_prefix=(), oracle_actions=actions,
             weights=decay_weights(len(actions), cfg.rect.decay_gamma),
+            poses=tuple(s.pose_before for s in walk.steps),
         ), episode))
         demos.append((RectificationDemo(
             episode_id=episode.id, anchor_step=len(walk.steps), anchor_pose=walk.final_pose,
             retained_prefix=walk.steps, oracle_actions=(Action.STOP,), weights=np.ones(1),
+            poses=(walk.final_pose,),
         ), episode))
     live = PolicyParams(params.cfg, params.theta + 0.05 * np.sin(np.arange(params.count)))
     ref = snapshot(init_params(cfg.policy, 1), "ref")

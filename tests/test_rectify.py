@@ -182,6 +182,42 @@ def test_bc_demo_is_the_full_reference_plan():
     assert end == ep.reference_path[-1]
 
 
+def test_demo_poses_replay_the_oracle_actions_on_the_desk_pool():
+    # Every demo carries the pose before each oracle action, taken from
+    # its plan; rect_loss_and_grad observes at those poses instead of
+    # re-stepping the world, so they must be the step replay exactly.
+    import dataclasses
+    from pathlib import Path
+
+    from budnav.config import load_config
+    from budnav.trainer import route_episode, training_episode
+
+    desk = Path(__file__).resolve().parent.parent / "configs" / "desk_full.cfg"
+    cfg = load_config(desk)[0]
+    eager = init_params(cfg.policy, 0)  # mostly stops at once
+    wanderer = init_params(cfg.policy, 0)
+    wanderer.b2[3] = -10.0  # rarely stops: goes off track or hits the step cap
+    demos = {"bc": [], "rect": [], "dagger": []}
+    for i in range(25):
+        episode = training_episode(cfg, "train", i)
+        for params in (eager, wanderer):
+            for variant in ("bc", "full", "dagger"):
+                outcome = route_episode(params, episode, dataclasses.replace(cfg, variant=variant))
+                if outcome.demo is not None:
+                    error_state = variant == "dagger" and outcome.route == "rect"
+                    kind = "dagger" if error_state else outcome.route
+                    demos[kind].append((outcome.demo, episode))
+    for kind, made in demos.items():
+        assert len(made) >= 10, kind
+        if kind != "bc":  # some completions start mid-episode
+            assert any(len(d.poses) > 1 and d.anchor_step > 0 for d, _ in made), kind
+        for demo, episode in made:
+            poses = [demo.anchor_pose]
+            for a in demo.oracle_actions[:-1]:
+                poses.append(step(episode.world, poses[-1], Action(a)))
+            assert demo.poses == tuple(poses), (kind, episode.id)
+
+
 # -------------------------------------------------------------------- loss
 
 def test_rect_loss_scales_with_alpha_and_truncates_with_gamma_zero(tiny_policy):

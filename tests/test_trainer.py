@@ -99,6 +99,37 @@ def test_adamw_matches_reference_implementation(tiny_policy):
     assert state.step == 7
 
 
+def test_adamw_is_bit_exact_against_the_plain_formula(tiny_policy):
+    # The one-expression-per-line AdamW step, as adamw_update computed it
+    # before it wrote into out= buffers: 50 steps must agree to the bit,
+    # with gradients that hold 0.0, -0.0, subnormals and tiny values.
+    rng = np.random.default_rng(7)
+    for h in (OptHyper(), OptHyper(learning_rate=1e-2, weight_decay=0.05)):
+        params = tiny_policy
+        state = OptimizerState.zeros(params.count)
+        theta = params.flatten()
+        m = np.zeros(params.count)
+        v = np.zeros(params.count)
+        for t in range(1, 51):
+            g = rng.normal(size=params.count) * 10.0 ** rng.integers(-320, 3, size=params.count)
+            g[0::9] = 0.0
+            g[1::9] = -0.0
+            g[2::9] = 5e-324
+            g[3::9] = -1e-300
+            params, state = adamw_update(params, g, state, h)
+            lr = h.learning_rate
+            theta = theta - lr * h.weight_decay * theta
+            m = h.beta1 * m + (1.0 - h.beta1) * g
+            v = h.beta2 * v + (1.0 - h.beta2) * g * g
+            m_hat = m / (1.0 - h.beta1**t)
+            v_hat = v / (1.0 - h.beta2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + h.eps)
+            assert params.theta.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert state.step == t
+
+
 def test_adamw_zero_gradient_only_decays(tiny_policy):
     params = tiny_policy
     h = OptHyper()
