@@ -33,9 +33,9 @@ from .errors import (
     SuiteError,
     TraceError,
 )
-from .metrics import METRICS_HEADER, evaluate, format_metrics_row
+from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_artifacts
 from .policy import load_checkpoint, snapshot
-from .rollout import RolloutConfig, parse_trace, serialize_trace, verify_trace
+from .rollout import RolloutConfig, parse_trace, verify_trace
 from .suite import generate_suite, serialize_suite
 from .trainer import train
 
@@ -152,14 +152,20 @@ def cmd_train(args) -> int:
         extra["trainer.run_seed"] = args.seed
     cfg, values, overrides = load_config(args.config, extra)
     out = _out_dir(args.out)
-    write_manifest(out, values, overrides, cfg.suite, __version__)
-    (out / "suite.suite").write_text(serialize_suite(cfg.suite))
-    result = train(cfg, out_dir=out)
+    result = _train_run(cfg, values, overrides, out)
     last = result.evals[-1][1]
     print(f"run complete: {len(result.reports)} episodes, "
           f"final SR {last.sr:.1f} SPL {last.spl:.1f} NE {last.ne:.2f}")
     print(f"artifacts in {out}")
     return 0
+
+
+def _train_run(cfg, values, overrides, out: Path):
+    """One run directory: the manifest, the suite file, then the training
+    artifacts; returns the TrainResult."""
+    write_manifest(out, values, overrides, cfg.suite, __version__)
+    (out / "suite.suite").write_text(serialize_suite(cfg.suite))
+    return train(cfg, out_dir=out)
 
 
 def cmd_eval(args) -> int:
@@ -173,13 +179,14 @@ def cmd_eval(args) -> int:
             f"checkpoint max_run ({params.cfg.max_run}) does not match suite max_run"
             f" ({suite.max_run}): the instruction vocabularies differ"
         )
+    # Imported at call time, so that perfbench's tracer, which patches
+    # suite.build_held_episodes, wraps this call.
     from .suite import build_held_episodes
 
     episodes = build_held_episodes(suite, args.limit)
     out = _out_dir(args.out) if args.out else None
     outcome = evaluate(snapshot(params, "eval"), episodes, RolloutConfig())
     r = outcome.report
-    row = format_metrics_row(0, r, 0.0, 0)
     if args.json:
         print(json.dumps({
             "n": r.n, "sr": r.sr, "spl": r.spl, "osr": r.osr,
@@ -189,12 +196,8 @@ def cmd_eval(args) -> int:
         print(f"n={r.n} SR={r.sr:.1f} SPL={r.spl:.1f} OSR={r.osr:.1f} "
               f"NE={r.ne:.2f} nDTW={r.ndtw:.1f}")
     if out is not None:
-        (out / "traces").mkdir(exist_ok=True)
-        (out / "metrics.csv").write_text(METRICS_HEADER + "\n" + row + "\n")
-        for episode, traj in list(zip(episodes, outcome.trajectories))[:3]:
-            (out / "traces" / f"episode_{episode.id}.trace").write_text(
-                serialize_trace(traj, episode)
-            )
+        rows = [METRICS_HEADER, format_metrics_row(0, r, 0.0, 0)]
+        write_eval_artifacts(out, rows, episodes, outcome)
     return 0
 
 
@@ -219,14 +222,13 @@ def cmd_compare(args) -> int:
         for seed, cfg, values, overrides in runs:
             run_dir = out_root / f"{label}_seed{seed}"
             try:
-                write_manifest(run_dir, values, overrides, cfg.suite, __version__)
-                result = train(cfg, out_dir=run_dir)
+                result = _train_run(cfg, values, overrides, run_dir)
             except BudnavError as e:  # partial results are still reported
                 print(f"warning: {label} seed {seed} failed: {e}", file=sys.stderr)
                 failures += 1
                 continue
             per_seed.append(result.evals[-1][1])
-            env_totals.append(_env_total(result))
+            env_totals.append(sum(r.env_steps_used for r in result.reports))
         if per_seed:
             n = len(per_seed)
             rows.append((
@@ -256,10 +258,6 @@ def cmd_compare(args) -> int:
         table_lines.append(line)
     (out_root / "compare.txt").write_text("\n".join(table_lines) + "\n")
     return 1 if failures else 0
-
-
-def _env_total(result) -> int:
-    return sum(r.env_steps_used for r in result.reports)
 
 
 def cmd_replay(args) -> int:

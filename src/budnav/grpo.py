@@ -6,9 +6,10 @@ Each rollout earns a scalar reward
 
     R = 1[success] * (c_succ + spl_weight * SPL) - c_dist * d_remain
 
-where d_remain is the geodesic distance (meters) from the final
-position to the goal (straight-line with a logged warning when the
-final cell is cut off from the goal).  Advantages are the group-wise
+where SPL and d_remain are metrics.spl and metrics.navigation_error:
+d_remain is the geodesic distance (meters) from the final position to
+the goal (straight-line, with a logged warning here, when the final cell
+is cut off from the goal).  Advantages are the group-wise
 standardised rewards; a zero-variance group yields all-zero advantages
 and leaves only the KL term.
 
@@ -28,11 +29,13 @@ Gradients are fully analytic.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GroupTooSmall, SnapshotMismatch
+from .metrics import navigation_error, spl
 from .oracle import GeodesicField, geodesic_field
 from .policy import (
     NO_ACTION,
@@ -46,7 +49,7 @@ from .policy import (
     softmax,
 )
 from .rollout import Trajectory
-from .world import Episode, euclid_m
+from .world import Episode
 
 log = logging.getLogger(__name__)
 
@@ -77,19 +80,6 @@ class RolloutGroup:
     snapshot_old: PolicySnapshot
 
 
-def spl(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> float:
-    """Success weighted by best-path efficiency: L_geo / max(L_geo, L_traj)."""
-    if not traj.success:
-        return 0.0
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
-    l_geo = field.at(*episode.start.position)
-    denom = max(l_geo, traj.path_length)
-    if denom <= 0.0:
-        return 1.0  # stopped immediately inside the zone
-    return l_geo / denom
-
-
 def reward(
     traj: Trajectory,
     episode: Episode,
@@ -98,15 +88,13 @@ def reward(
 ) -> float:
     if field is None:
         field = geodesic_field(episode.world, episode.goal)
-    d_remain = field.at(*traj.final_pose.position)
-    if not np.isfinite(d_remain):
-        d_remain = euclid_m(traj.final_pose.position, episode.goal, episode.world.cell_size)
+    if math.isinf(field.at(*traj.final_pose.position)):
         log.warning(
             "episode %s: final cell %s cut off from goal, using straight-line distance",
             episode.id, traj.final_pose.position,
         )
     base = cfg.c_succ + cfg.spl_weight * spl(traj, episode, field) if traj.success else 0.0
-    return base - cfg.c_dist * d_remain
+    return base - cfg.c_dist * navigation_error(traj, episode, field)
 
 
 def group_advantages(rewards: np.ndarray, cfg: GrpoConfig = GrpoConfig()) -> np.ndarray:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grpo import spl as spl_metric
 from .oracle import GeodesicField, geodesic_field
 from .policy import PolicySnapshot
-from .rollout import RolloutConfig, Trajectory, _episode_steps, run_lockstep
+from .rollout import RolloutConfig, Trajectory, _episode_steps, run_lockstep, serialize_trace
 # Unused here: perfbench's tracer patches metrics.run_greedy when it installs.
 from .rollout import run_greedy  # noqa: F401
 from .world import Episode, dedup_positions, euclid_m
@@ -58,6 +57,19 @@ class EvalOutcome:
     report: MetricsReport
     results: tuple
     trajectories: tuple
+
+
+def spl(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> float:
+    """Success weighted by best-path efficiency: L_geo / max(L_geo, L_traj)."""
+    if not traj.success:
+        return 0.0
+    if field is None:
+        field = geodesic_field(episode.world, episode.goal)
+    l_geo = field.at(*episode.start.position)
+    denom = max(l_geo, traj.path_length)
+    if denom <= 0.0:
+        return 1.0  # stopped immediately inside the zone
+    return l_geo / denom
 
 
 def navigation_error(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> float:
@@ -113,7 +125,7 @@ def episode_result(traj: Trajectory, episode: Episode, field: GeodesicField | No
     return EpisodeResult(
         episode_id=episode.id,
         success=traj.success,
-        spl=spl_metric(traj, episode, field),
+        spl=spl(traj, episode, field),
         osr=float(oracle_success(traj, episode, field)),
         ne=navigation_error(traj, episode, field),
         ndtw=ndtw(
@@ -164,3 +176,11 @@ def format_metrics_row(step: int, report: MetricsReport, route_grpo_frac: float,
         f"{step},{report.n},{report.sr:.1f},{report.spl:.1f},{report.osr:.1f},"
         f"{report.ne:.2f},{report.ndtw:.1f},{route_grpo_frac:.3f},{env_steps_total}"
     )
+
+
+def write_eval_artifacts(out, rows, episodes, outcome: EvalOutcome) -> None:
+    """Into the Path out: metrics.csv (rows) and the first three traces."""
+    (out / "traces").mkdir(parents=True, exist_ok=True)
+    (out / "metrics.csv").write_text("\n".join(rows) + "\n")
+    for episode, traj in list(zip(episodes, outcome.trajectories))[:3]:
+        (out / "traces" / f"episode_{episode.id}.trace").write_text(serialize_trace(traj, episode))

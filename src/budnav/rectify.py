@@ -3,13 +3,13 @@
 When the greedy probe trips a failure trigger, training does not imitate
 from the failure state.  Instead the trajectory is rolled back to its
 anchor: the furthest reference waypoint visited in order, at the step it
-was first reached.  The steps up to the anchor are kept verbatim as
-conditioning context, the oracle plans a fresh completion from the
-anchor pose, and the completion is taught with exponentially decaying
-weights w_t = gamma^t (w_0 = 1), concentrating credit right after the
-rollback point:
+was first reached, which the rollout records (Trajectory.anchor_step).
+The steps up to the anchor are kept verbatim as conditioning context,
+the oracle plans a fresh completion from the anchor pose, and the
+completion is taught with the decaying weights each demo carries,
+w_t = alpha * gamma^t, concentrating credit right after the rollback:
 
-    loss = -alpha * sum_t  w_t * log pi(a*_t | prefix, a*_<t)
+    loss = -sum_t  w_t * log pi(a*_t | prefix, a*_<t)
 
 A ForcedStop probe (the step cap ended it) anchors at its final pose with
 its whole history retained, wherever that pose is.  Inside the goal zone
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFailure
-from .oracle import advance_progress, plan
+from .oracle import plan
 from .policy import (
     NO_ACTION,
     GradAccumulator,
@@ -40,7 +40,7 @@ from .policy import (
     forward_cached,
     softmax,
 )
-from .rollout import RolloutConfig, Trajectory, TriggerKind
+from .rollout import Trajectory, TriggerKind
 from .world import Episode, Pose, expand_instruction, observe_many
 # Unused here: perfbench's tracer patches rectify.observe when it installs.
 from .world import observe  # noqa: F401
@@ -71,53 +71,29 @@ class RectificationDemo:
     poses: tuple
 
 
-def decay_weights(n: int, gamma: float) -> np.ndarray:
-    return np.power(float(gamma), np.arange(n, dtype=np.float64))
+def decay_weights(n: int, cfg: RectConfig) -> np.ndarray:
+    """alpha * gamma^t for t = 0 .. n-1."""
+    return cfg.alpha * np.power(float(cfg.decay_gamma), np.arange(n, dtype=np.float64))
 
 
-def _ordered_anchor_index(positions, waypoints, visit_radius, cell_size) -> int:
-    """Arrival index of the furthest order-respecting waypoint, -1 if none."""
-    j = -1
-    arrival = -1
-    for i, pos in enumerate(positions):
-        reached = advance_progress(j, pos, waypoints, visit_radius, cell_size)
-        if reached != j:
-            j, arrival = reached, i
-    return arrival
-
-
-def find_anchor(
-    probe: Trajectory, episode: Episode, visit_radius_m: float = RolloutConfig.visit_radius_m
-):
-    """(anchor_step, anchor_pose) for a failed probe.
-
-    A waypoint counts as visited within visit_radius_m, the radius the
-    probe's rollout tracked progress with.  Revisited waypoints anchor
-    at their first (order-respecting) visit; a probe that visited
-    nothing anchors at the start.  ForcedStop anchors at the final pose
-    with every step retained, also when the step cap fired outside the
-    goal zone (see the module docstring and ROADMAP.md item 2).
+def find_anchor(probe: Trajectory):
+    """(anchor_step, anchor_pose) for a failed probe: its rollout's
+    anchor_step.  ForcedStop anchors at the final pose with every step
+    retained, also when the step cap fired outside the goal zone (see the
+    module docstring and ROADMAP.md item 2).
     """
     if probe.trigger is None:
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")
     if probe.trigger[0] == TriggerKind.FORCED_STOP:
         return len(probe.steps), probe.final_pose
-    arrival = _ordered_anchor_index(
-        probe.positions(), episode.reference_waypoints, visit_radius_m, episode.world.cell_size
-    )
-    if arrival < 0:
-        return 0, episode.start
-    return arrival, probe.poses()[arrival]
+    return probe.anchor_step, probe.poses()[probe.anchor_step]
 
 
 def synthesize_demo(
-    probe: Trajectory,
-    episode: Episode,
-    cfg: RectConfig = RectConfig(),
-    visit_radius_m: float = RolloutConfig.visit_radius_m,
+    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig()
 ) -> RectificationDemo:
     """Build the corrective demo: retained prefix + oracle completion."""
-    anchor_step, anchor_pose = find_anchor(probe, episode, visit_radius_m)
+    anchor_step, anchor_pose = find_anchor(probe)
     completion = plan(episode.world, anchor_pose, episode.goal, episode.goal_radius)
     return RectificationDemo(
         episode_id=episode.id,
@@ -125,7 +101,7 @@ def synthesize_demo(
         anchor_pose=anchor_pose,
         retained_prefix=tuple(probe.steps[:anchor_step]),
         oracle_actions=tuple(completion.actions),
-        weights=decay_weights(len(completion.actions), cfg.decay_gamma),
+        weights=decay_weights(len(completion.actions), cfg),
         poses=completion.poses[:-1],
     )
 
@@ -145,13 +121,9 @@ def bc_demo(episode: Episode) -> RectificationDemo:
     )
 
 
-def rect_loss_and_grad(
-    params: PolicyParams,
-    demo: RectificationDemo,
-    episode: Episode,
-    cfg: RectConfig = RectConfig(),
-):
-    """Weighted cross-entropy of the completion, conditioned on the prefix.
+def rect_loss_and_grad(params: PolicyParams, demo: RectificationDemo, episode: Episode):
+    """Cross-entropy of the completion under demo.weights, conditioned on
+    the prefix.
 
     Every completion token is scored against the real observation
     stream: the prefix's recorded observations and the completion's,
@@ -168,7 +140,7 @@ def rect_loss_and_grad(
     logits, cache = forward_cached(params, steps)
     temp = pcfg.temperature
     probs = softmax(logits / temp)
-    w = cfg.alpha * demo.weights
+    w = demo.weights
     picked = np.arange(len(w)), actions[kept:]
     loss = -float(np.dot(w, np.log(probs[picked])))
     dlogits = w[:, None] * probs / temp

@@ -25,12 +25,15 @@ action:
     PrematureStop  STOP issued further than the goal radius from the goal
     ForcedStop     lingering inside the goal zone beyond the grace
                    period without issuing STOP (also recorded when the
-                   step cap forces termination)
+                   step cap forces termination, inside the zone or not)
 
-A STOP issued inside the goal zone ends the episode successfully and is
-exempt from the checks, so a successful trajectory never carries a
-trigger.  Evaluation-style rollouts disable the triggers entirely and
-terminate only on STOP or the step cap.
+A STOP issued inside the goal zone (oracle.goal_zone, the table the
+planner stops on) ends the episode successfully and is exempt from the
+checks, so a successful trajectory never carries a trigger.
+Evaluation-style rollouts disable the triggers entirely and terminate
+only on STOP or the step cap.  Tracking progress, the loop also records
+the rectification anchor: anchor_step, the steps taken before the first
+visit of the furthest reference waypoint reached in order (0 if none).
 
 Trajectories record, per step, the pose before the action, the
 observation, the chosen action and the raw logits.  Each step feeds
@@ -45,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import advance_progress, path_deviation, progress_index
+from .oracle import advance_progress, goal_zone, path_deviation, progress_index
 from .policy import (
     NO_ACTION,
     FeatureRows,
@@ -56,7 +59,7 @@ from .policy import (
     softmax,
 )
 from .rng import stream_id
-from .world import Action, HEADINGS, Episode, Pose, euclid_m, observe, serialize_episode, step
+from .world import Action, HEADINGS, Episode, Pose, observe, serialize_episode, step
 from .errors import TraceError
 
 
@@ -101,6 +104,7 @@ class Trajectory:
     success: bool  # agent-issued STOP within the goal radius; forced stops fail
     trigger: tuple | None  # (TriggerKind, step index)
     path_length: float
+    anchor_step: int = 0  # the rectification anchor (see the module docstring)
 
     def poses(self) -> list:
         """Visited pose sequence: start plus the pose after every step."""
@@ -134,19 +138,18 @@ def check_triggers(state: RolloutState, episode: Episode, cfg: RolloutConfig):
     A STOP inside the goal zone is a successful termination and never
     triggers.
     """
-    cell = episode.world.cell_size
-    pos = state.pose.position
-    goal_dist = euclid_m(pos, episode.goal, cell)
-    if state.stopped and goal_dist <= episode.goal_radius:
+    world, (x, y) = episode.world, state.pose.position
+    if state.stopped and goal_zone(world, episode.goal, episode.goal_radius)[y * world.width + x]:
         return None
     deviation, heading_err = path_deviation(
-        pos, state.pose.heading, episode.reference_waypoints, state.progress, episode.goal, cell
+        (x, y), state.pose.heading, episode.reference_waypoints, state.progress, episode.goal,
+        world.cell_size,
     )
     if offtrack_exceeded(deviation, heading_err, cfg):
         return TriggerKind.OFF_TRACK
     if state.steps_since_progress >= cfg.stall_limit:
         return TriggerKind.PROGRESS_STALL
-    if state.stopped and goal_dist > episode.goal_radius:
+    if state.stopped:
         return TriggerKind.PREMATURE_STOP
     if state.grace_used > cfg.grace_period:
         return TriggerKind.FORCED_STOP
@@ -176,12 +179,14 @@ def _episode_steps(
     world = episode.world
     waypoints = episode.reference_waypoints
     cell = world.cell_size
+    zone = goal_zone(world, episode.goal, episode.goal_radius)
     max_steps = cfg.max_steps(episode)
     rng = np.random.Generator(np.random.PCG64(rng_stream)) if mode == "sampled" else None
     prev_action = NO_ACTION
 
     pose = episode.start
     progress = progress_index([pose.position], waypoints, cfg.visit_radius_m, cell)
+    anchor_step = 0
     steps_since_progress = 0
     grace_used = 0
     path_length = 0.0
@@ -201,10 +206,12 @@ def _episode_steps(
             path_length += cell
 
         reached = advance_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
-        steps_since_progress = 0 if reached != progress else steps_since_progress + 1
-        progress = reached
-        goal_dist = euclid_m(new_pose.position, episode.goal, cell)
-        grace_used = grace_used + 1 if goal_dist <= episode.goal_radius else 0
+        if reached != progress:
+            progress, anchor_step, steps_since_progress = reached, t + 1, 0
+        else:
+            steps_since_progress += 1
+        in_zone = zone[new_pose.y * world.width + new_pose.x]
+        grace_used = grace_used + 1 if in_zone else 0
         stopped_now = action == Action.STOP
 
         trig = None
@@ -213,17 +220,12 @@ def _episode_steps(
                 new_pose, t, steps_since_progress, stopped_now, grace_used, progress
             )
             trig = check_triggers(state, episode, cfg)
-        if trig is not None:
+        if trig is not None or stopped_now:
             return Trajectory(
                 episode.id, mode, rng_stream, tuple(steps), new_pose,
-                stopped=stopped_now, success=False, trigger=(trig, t),
-                path_length=path_length,
-            )
-        if stopped_now:
-            return Trajectory(
-                episode.id, mode, rng_stream, tuple(steps), new_pose,
-                stopped=True, success=goal_dist <= episode.goal_radius,
-                trigger=None, path_length=path_length,
+                stopped=stopped_now, success=trig is None and bool(in_zone),
+                trigger=None if trig is None else (trig, t),
+                path_length=path_length, anchor_step=anchor_step,
             )
         prev_action = action
         pose = new_pose
@@ -233,6 +235,7 @@ def _episode_steps(
     return Trajectory(
         episode.id, mode, rng_stream, tuple(steps), pose,
         stopped=True, success=False, trigger=trigger, path_length=path_length,
+        anchor_step=anchor_step,
     )
 
 

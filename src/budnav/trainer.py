@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NonFiniteGradient
 from .grpo import GrpoConfig, RewardConfig, grpo_loss_and_grad, make_group
-from .metrics import METRICS_HEADER, evaluate, format_metrics_row
+from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_artifacts
 from .oracle import geodesic_field, plan
 from .policy import (
     PolicyConfig,
@@ -52,15 +52,11 @@ from .rectify import (
     synthesize_demo,
 )
 from .rng import stream_id
-from .rollout import RolloutConfig, rollout_stream, run_greedy, run_sampled, serialize_trace
+from .rollout import RolloutConfig, rollout_stream, run_greedy, run_sampled
 from .suite import Suite, suite_episode
 from .world import Episode
 
 VARIANTS = ("full", "bc", "rect_only", "grpo_only", "dagger")
-
-# Supervision of teacher-forced reference demos (BC pretraining and the
-# "bc" routes): every action weighted 1.
-BC_RECT = RectConfig(decay_gamma=1.0, alpha=1.0)
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def pretrain_bc(params: PolicyParams, episodes, cfg: TrainConfig):
     """
     opt = OptimizerState.zeros(params.count)
     for episode in episodes:
-        loss, grad = rect_loss_and_grad(params, bc_demo(episode), episode, BC_RECT)
+        loss, grad = rect_loss_and_grad(params, bc_demo(episode), episode)
         _check_finite_loss(loss)
         params, opt = adamw_update(params, grad, opt, cfg.opt)
     return params, snapshot(params, "ref")
@@ -198,7 +194,7 @@ def _error_state_demo(probe, episode: Episode, cfg: TrainConfig) -> Rectificatio
         anchor_pose=probe.final_pose,
         retained_prefix=tuple(probe.steps),
         oracle_actions=tuple(completion.actions),
-        weights=decay_weights(len(completion.actions), cfg.rect.decay_gamma),
+        weights=decay_weights(len(completion.actions), cfg.rect),
         poses=completion.poses[:-1],
     )
 
@@ -248,7 +244,7 @@ def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> R
     if cfg.variant == "dagger":
         demo = _error_state_demo(probe, episode, cfg)
     else:
-        demo = synthesize_demo(probe, episode, cfg.rect, cfg.rollout.visit_radius_m)
+        demo = synthesize_demo(probe, episode, cfg.rect)
     return RouteOutcome("rect", False, False, env_steps, 1, probe, demo=demo, episode=episode)
 
 
@@ -257,8 +253,7 @@ def outcome_loss_and_grad(params: PolicyParams, outcome: RouteOutcome, ref: Poli
         return 0.0, np.zeros(params.count)
     if outcome.group is not None:
         return grpo_loss_and_grad(params, outcome.group, ref, cfg.grpo)
-    rect_cfg = cfg.rect if outcome.route == "rect" else BC_RECT
-    return rect_loss_and_grad(params, outcome.demo, outcome.episode, rect_cfg)
+    return rect_loss_and_grad(params, outcome.demo, outcome.episode)
 
 
 def _report(outcome: RouteOutcome, loss: float, grad_norm: float) -> UpdateReport:
@@ -344,17 +339,15 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
     reports = []
     env_total = 0
     grpo_routes = 0
-    final_outcome = None
 
     def run_eval(step_count: int):
-        nonlocal final_outcome
         outcome = evaluate(snapshot(params, "eval"), held, cfg.rollout)
         frac = grpo_routes / len(reports) if reports else 0.0
         rows.append(format_metrics_row(step_count, outcome.report, frac, env_total))
         evals.append((step_count, outcome.report))
-        final_outcome = outcome
+        return outcome
 
-    run_eval(0)
+    final_outcome = run_eval(0)
 
     for i in range(1, cfg.train_episodes + 1):
         episode = training_episode(cfg, "train", i - 1)
@@ -363,23 +356,20 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
         env_total += report.env_steps_used
         grpo_routes += report.route == "grpo"
         if i % cfg.eval_every == 0 or i == cfg.train_episodes:
-            run_eval(i)
+            final_outcome = run_eval(i)
 
     if out_dir is not None:
         out = Path(out_dir)
         (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        (out / "traces").mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoints" / "pretrain.ckpt", ref.params)
         save_checkpoint(out / "checkpoints" / "final.ckpt", params)
-        (out / "metrics.csv").write_text("\n".join(rows) + "\n")
-        if final_outcome is not None:
-            for episode, traj in list(zip(held, final_outcome.trajectories))[:3]:
-                trace_path = out / "traces" / f"episode_{episode.id}.trace"
-                trace_path.write_text(serialize_trace(traj, episode))
+        write_eval_artifacts(out, rows, held, final_outcome)
     return TrainResult(params=params, ref=ref, csv_rows=rows, reports=reports, evals=evals)
 
 
 def _held_episodes(cfg: TrainConfig) -> list:
+    # Imported at call time, so that perfbench's tracer, which patches
+    # suite.build_held_episodes, wraps this call.
     from .suite import build_held_episodes
 
     return build_held_episodes(cfg.suite, cfg.eval_episodes)

@@ -305,7 +305,7 @@ def compile_instruction(actions, max_run: int = DEFAULT_MAX_RUN) -> tuple:
         raise MalformedPlan("STOP before the end of the plan")
     tokens = []
     run = 0
-    for a in actions[:-1]:
+    for a in actions:  # the final STOP flushes the last FORWARD run
         if a == Action.FORWARD:
             run += 1
             continue
@@ -317,13 +317,10 @@ def compile_instruction(actions, max_run: int = DEFAULT_MAX_RUN) -> tuple:
             tokens.append(left_token(max_run))
         elif a == Action.TURN_RIGHT:
             tokens.append(right_token(max_run))
+        elif a == Action.STOP:
+            tokens.append(stop_token(max_run))
         else:
             raise MalformedPlan(f"unencodable action: {a}")
-    while run > 0:
-        chunk = min(run, max_run)
-        tokens.append(fwd_token(chunk, max_run))
-        run -= chunk
-    tokens.append(stop_token(max_run))
     return tuple(tokens)
 
 

@@ -16,8 +16,8 @@ from budnav.grpo import (
     grpo_loss_and_grad,
     make_group,
     reward,
-    spl,
 )
+from budnav.metrics import spl
 from budnav.oracle import geodesic_field
 from budnav.policy import (
     PolicyConfig,

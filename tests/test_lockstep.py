@@ -6,7 +6,9 @@ the loop every rollout ran before: one rolling FeatureRows per episode,
 and push + forward once per step.  Each step's observation and logits
 bytes, action and pose, and each trajectory's trigger, final pose and
 path length must agree exactly, whether an episode runs alone or in a
-batch whose rows end at different ticks.
+batch whose rows end at different ticks.  The reference tracks the
+anchor step and tests the goal zone with euclid_m on its own, so neither
+is taken from the code under test.
 """
 from pathlib import Path
 
@@ -37,6 +39,8 @@ from budnav.suite import build_held_episodes, parse_suite
 from budnav.trainer import pretrain_bc, training_episode
 from budnav.world import Action, euclid_m, observe, step
 
+from test_rectify import ordered_anchor_reference
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CFG = RolloutConfig()
 
@@ -51,7 +55,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
     prev_action = NO_ACTION
     pose = episode.start
     progress = progress_index([pose.position], waypoints, cfg.visit_radius_m, cell)
-    steps_since_progress = grace_used = 0
+    steps_since_progress = grace_used = anchor_step = 0
     path_length = 0.0
     steps = []
     for t in range(max_steps):
@@ -67,6 +71,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
             path_length += cell
         reached = advance_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
         steps_since_progress = 0 if reached != progress else steps_since_progress + 1
+        anchor_step = t + 1 if reached != progress else anchor_step
         progress = reached
         goal_dist = euclid_m(new_pose.position, episode.goal, cell)
         grace_used = grace_used + 1 if goal_dist <= episode.goal_radius else 0
@@ -80,6 +85,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
                 episode.id, mode, rng_stream, tuple(steps), new_pose, stopped=stopped,
                 success=trig is None and goal_dist <= episode.goal_radius,
                 trigger=None if trig is None else (trig, t), path_length=path_length,
+                anchor_step=anchor_step,
             )
         prev_action = action
         pose = new_pose
@@ -87,6 +93,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
     return Trajectory(
         episode.id, mode, rng_stream, tuple(steps), pose,
         stopped=True, success=False, trigger=trigger, path_length=path_length,
+        anchor_step=anchor_step,
     )
 
 
@@ -101,6 +108,7 @@ def assert_same(got, want):
     assert (got.final_pose, got.stopped, got.success) == (want.final_pose, want.stopped, want.success)
     assert got.trigger == want.trigger
     assert got.path_length == want.path_length
+    assert got.anchor_step == want.anchor_step
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +197,24 @@ def test_each_step_owns_its_logits(held, policies):
     for traj in outcome.trajectories:
         for s in traj.steps:
             assert s.logits.base is None and s.logits.shape == (4,)
+
+
+@pytest.mark.parametrize("visit_radius_m", [0.5, 1.5])
+def test_probe_anchor_step_equals_the_rescan_on_every_failed_probe(held, policies, visit_radius_m):
+    # The rollout records the anchor as it tracks progress; a rescan of
+    # the probe's positions under the same radius must find the same step.
+    cfg = RolloutConfig(visit_radius_m=visit_radius_m)
+    failed = 0
+    anchors = set()
+    for snap in policies.values():
+        for episode in held:
+            probe = run_greedy(snap, episode, cfg)
+            if probe.trigger is None:
+                continue
+            failed += 1
+            assert probe.anchor_step == ordered_anchor_reference(probe, episode, visit_radius_m)
+            anchors.add(probe.anchor_step)
+    assert failed >= 200 and len(anchors) >= 5
 
 
 def test_lockstep_with_no_jobs_returns_nothing(policies):

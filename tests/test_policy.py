@@ -258,7 +258,7 @@ def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
 def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     from budnav import rectify
     from budnav.oracle import plan
-    from budnav.rectify import RectificationDemo, decay_weights
+    from budnav.rectify import RectConfig, RectificationDemo, decay_weights
     from budnav.world import Action, observe, step
 
     # Roll back to step 12 and replay an oracle completion from there
@@ -273,7 +273,8 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     demo = RectificationDemo(
         episode_id=ep.id, anchor_step=anchor, anchor_pose=pose,
         retained_prefix=traj.steps[:anchor], oracle_actions=tuple(completion),
-        weights=decay_weights(len(completion), 0.95), poses=oracle.poses[:-1],
+        weights=decay_weights(len(completion), RectConfig(decay_gamma=0.95)),
+        poses=oracle.poses[:-1],
     )
     seen = []
 
@@ -609,7 +610,7 @@ def desk_batches(desk_cfg):
         demos.append((RectificationDemo(
             episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
             retained_prefix=(), oracle_actions=actions,
-            weights=decay_weights(len(actions), cfg.rect.decay_gamma),
+            weights=decay_weights(len(actions), cfg.rect),
             poses=tuple(s.pose_before for s in walk.steps),
         ), episode))
         demos.append((RectificationDemo(
@@ -629,9 +630,9 @@ def test_rect_gradients_are_bit_exact_against_per_step_reference(desk_batches, m
     from budnav import rectify
 
     cfg, live, _, demos, _ = desk_batches
-    got = [rectify.rect_loss_and_grad(live, d, ep, cfg.rect) for d, ep in demos]
+    got = [rectify.rect_loss_and_grad(live, d, ep) for d, ep in demos]
     monkeypatch.setattr(rectify, "GradAccumulator", ReferenceAccumulator)
-    want = [rectify.rect_loss_and_grad(live, d, ep, cfg.rect) for d, ep in demos]
+    want = [rectify.rect_loss_and_grad(live, d, ep) for d, ep in demos]
     for (loss, grad), (want_loss, want_grad) in zip(got, want):
         assert loss == want_loss
         assert_agrees(grad, want_grad)

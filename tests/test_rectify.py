@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from budnav.errors import NotAFailure
-from budnav.oracle import progress_index
+from budnav.oracle import advance_progress, progress_index
 from budnav.policy import PolicyConfig, PolicyParams, init_params
 from budnav.rectify import (
     RectConfig,
@@ -13,7 +13,7 @@ from budnav.rectify import (
     rect_loss_and_grad,
     synthesize_demo,
 )
-from budnav.rollout import TriggerKind
+from budnav.rollout import RolloutConfig, TriggerKind
 from budnav.world import (
     Action,
     Episode,
@@ -35,13 +35,30 @@ def replay(world, pose, actions):
     return pose
 
 
+def ordered_anchor_reference(probe, episode, visit_radius_m):
+    """The anchor step by a rescan of the probe's visited positions: the
+    steps taken before the first visit of the furthest reference waypoint
+    reached in order, 0 if none was.  The rollout tracks the same step
+    as it goes (Trajectory.anchor_step)."""
+    j = arrival = -1
+    for i, pos in enumerate(probe.positions()):
+        reached = advance_progress(
+            j, pos, episode.reference_waypoints, visit_radius_m, episode.world.cell_size
+        )
+        if reached != j:
+            j, arrival = reached, i
+    return max(arrival, 0)
+
+
 # ----------------------------------------------------------------- weights
 
 def test_decay_weights_closed_form():
-    w = decay_weights(4, 0.95)
+    w = decay_weights(4, RectConfig(decay_gamma=0.95))
     assert np.allclose(w, [1.0, 0.95, 0.95**2, 0.95**3])
-    assert np.array_equal(decay_weights(3, 1.0), np.ones(3))
-    assert decay_weights(0, 0.5).shape == (0,)
+    assert np.array_equal(decay_weights(3, RectConfig(decay_gamma=1.0)), np.ones(3))
+    assert decay_weights(0, RectConfig(decay_gamma=0.5)).shape == (0,)
+    scaled = decay_weights(4, RectConfig(decay_gamma=0.95, alpha=2.0))
+    assert scaled.tobytes() == (2.0 * w).tobytes()
 
 
 # ------------------------------------------------------------------ anchor
@@ -51,14 +68,14 @@ def test_anchor_requires_a_failure():
     probe = run_script(ep, [F] * 5 + [S])
     assert probe.success
     with pytest.raises(NotAFailure):
-        find_anchor(probe, ep)
+        find_anchor(probe)
 
 
 def test_anchor_is_furthest_ordered_waypoint():
     ep = corridor_episode()  # reference visits (0,0)..(5,0)
     probe = run_script(ep, [F, F, S])  # premature stop at (2,0)
     assert probe.trigger[0] == TriggerKind.PREMATURE_STOP
-    anchor_step, anchor_pose = find_anchor(probe, ep)
+    anchor_step, anchor_pose = find_anchor(probe)
     assert anchor_step == 2
     assert anchor_pose == Pose(2, 0, 1)
 
@@ -69,7 +86,7 @@ def test_anchor_keeps_first_arrival_on_revisit():
     # at the first visit of (2,0), not the revisit of (1,0).
     probe = run_script(ep, [F, F, L, L, F, S], triggers=True)
     assert probe.trigger is not None
-    anchor_step, anchor_pose = find_anchor(probe, ep)
+    anchor_step, anchor_pose = find_anchor(probe)
     assert anchor_step == 2
     assert anchor_pose == Pose(2, 0, 1)
 
@@ -85,11 +102,14 @@ def test_anchor_without_any_visit_is_the_start():
     )
     probe = run_script(ep, [F, S])
     assert probe.trigger is not None
-    anchor_step, anchor_pose = find_anchor(probe, ep)
+    anchor_step, anchor_pose = find_anchor(probe)
     assert anchor_step == 0
     assert anchor_pose == start
-    # (1,0) is 3.61 m from (3,3): a visit once the radius covers it.
-    assert find_anchor(probe, ep, 3.7) == (1, Pose(1, 0, 1))
+    # (1,0) is 3.61 m from (3,3): a visit once the rollout's radius
+    # covers it.
+    wide = run_script(ep, [F, S], RolloutConfig(visit_radius_m=3.7))
+    assert wide.trigger is not None
+    assert find_anchor(wide) == (1, Pose(1, 0, 1))
 
 
 def test_anchor_order_respecting_vs_raw_furthest():
@@ -105,7 +125,7 @@ def test_anchor_order_respecting_vs_raw_furthest():
     )
     probe = run_script(ep, [F, F, S])
     assert probe.trigger is not None
-    ordered_step, ordered_pose = find_anchor(probe, ep)
+    ordered_step, ordered_pose = find_anchor(probe)
     assert ordered_step == 0
     assert ordered_pose == start
 
@@ -115,7 +135,7 @@ def test_anchor_forced_stop_is_current_pose():
     ep = corridor_episode()
     probe = run_script(ep, [F] * 5 + [L, R] * 20)
     assert probe.trigger[0] == TriggerKind.FORCED_STOP
-    anchor_step, anchor_pose = find_anchor(probe, ep)
+    anchor_step, anchor_pose = find_anchor(probe)
     assert anchor_step == len(probe.steps)
     assert anchor_pose == probe.final_pose
 
@@ -226,13 +246,14 @@ def test_rect_loss_scales_with_alpha_and_truncates_with_gamma_zero(tiny_policy):
     probe = run_script(ep, [F, F, S])
 
     demo1 = synthesize_demo(probe, ep, RectConfig(alpha=1.0))
-    loss1, grad1 = rect_loss_and_grad(params, demo1, ep, RectConfig(alpha=1.0))
-    loss2, grad2 = rect_loss_and_grad(params, demo1, ep, RectConfig(alpha=2.0))
+    demo2 = synthesize_demo(probe, ep, RectConfig(alpha=2.0))
+    loss1, grad1 = rect_loss_and_grad(params, demo1, ep)
+    loss2, grad2 = rect_loss_and_grad(params, demo2, ep)
     assert loss2 == pytest.approx(2.0 * loss1)
     assert np.allclose(grad2, 2.0 * grad1)
 
     demo0 = synthesize_demo(probe, ep, RectConfig(decay_gamma=0.0))
-    loss0, _ = rect_loss_and_grad(params, demo0, ep, RectConfig(decay_gamma=0.0))
+    loss0, _ = rect_loss_and_grad(params, demo0, ep)
     # gamma = 0 keeps only the first completion token (0^0 = 1).
     assert loss0 < loss1
     assert loss0 > 0.0
@@ -246,7 +267,7 @@ def test_rect_loss_decomposes_per_token(tiny_policy):
     ep = corridor_episode()
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep, RectConfig(decay_gamma=1.0))
-    total, _ = rect_loss_and_grad(params, demo, ep, RectConfig(decay_gamma=1.0))
+    total, _ = rect_loss_and_grad(params, demo, ep)
 
     from budnav.policy import NO_ACTION, FeatureRows, forward, initial_features, softmax
     from budnav.world import observe
@@ -275,12 +296,11 @@ def test_rect_gradient_matches_finite_differences():
     ep = corridor_episode()
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep)
-    rcfg = RectConfig()
     theta0 = params.flatten()
-    _, grad = rect_loss_and_grad(params, demo, ep, rcfg)
+    _, grad = rect_loss_and_grad(params, demo, ep)
 
     def f(theta):
-        l, _ = rect_loss_and_grad(PolicyParams(params.cfg, theta), demo, ep, rcfg)
+        l, _ = rect_loss_and_grad(PolicyParams(params.cfg, theta), demo, ep)
         return l
 
     rng = np.random.default_rng(7)
