@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .oracle import GeodesicField, geodesic_field
 from .policy import PolicySnapshot
-from .rollout import RolloutConfig, Trajectory, _episode_steps, run_lockstep, serialize_trace
+from .rollout import RolloutConfig, RolloutJob, Trajectory, run_lockstep, serialize_trace
 # Unused here: perfbench's tracer patches metrics.run_greedy when it installs.
 from .rollout import run_greedy  # noqa: F401
 from .world import Episode, dedup_positions, euclid_m
@@ -161,11 +161,8 @@ def evaluate(
     """Greedy, trigger-free rollouts over the episode list, stepped in
     lockstep; results and trajectories are in episode order."""
     episodes = list(episodes)
-    obs_k = snapshot.params.cfg.obs_k
-    trajectories = run_lockstep(snapshot, [
-        (episode, _episode_steps(episode, cfg, obs_k, "greedy", triggers=False))
-        for episode in episodes
-    ])
+    jobs = [RolloutJob(episode, triggers=False) for episode in episodes]
+    trajectories = run_lockstep(snapshot, jobs, cfg)
     results = tuple(episode_result(traj, episode) for traj, episode in zip(trajectories, episodes))
     return EvalOutcome(report=aggregate(results), results=results, trajectories=tuple(trajectories))
 

@@ -11,7 +11,9 @@ the turns are arithmetic on the low two bits of s.
   * plan: minimum-action-count pose-graph search where FORWARD and turns
     each cost one action.  The plan ends with STOP as soon as the agent's
     position is within goal_radius (Euclidean) of the goal; that test
-    reads a per-cell table, goal_zone, memoized per (goal, goal_radius).
+    reads a per-cell table, goal_zone, memoized per (goal, goal_radius)
+    and built from offsets_within, the table of cell offsets within a
+    radius that waypoint progress reads too.
 
 Both are deterministic.  plan is a breadth-first search by layers of
 equal action count, each layer taken in ascending s, that is in
@@ -30,13 +32,14 @@ deviation / heading-error measure against the reference path.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGoal, Unreachable
-from .world import Action, HEADING_VECS, GridWorld, Pose, euclid_m
+from .world import MAX_SIDE, Action, HEADING_VECS, GridWorld, Pose, euclid_m
 
 
 def forward_table(world: GridWorld) -> list:
@@ -129,10 +132,38 @@ def goal_zone(world: GridWorld, goal, goal_radius: float) -> bytes:
 
 
 def _build_goal_zone(world: GridWorld, goal, goal_radius: float) -> bytes:
-    width, cell_size = world.width, world.cell_size
-    return bytes(
-        euclid_m((c % width, c // width), goal, cell_size) <= goal_radius
-        for c in range(width * world.height)
+    # Only the offsets_within the radius can mark a cell; every other
+    # cell stays 0.
+    width, height = world.width, world.height
+    zone = bytearray(width * height)
+    gx, gy = goal
+    for dx, dy in offsets_within(goal_radius, world.cell_size):
+        if 0 <= gx + dx < width and 0 <= gy + dy < height:
+            zone[(gy + dy) * width + gx + dx] = 1
+    return bytes(zone)
+
+
+@functools.lru_cache(maxsize=64)
+def offsets_within(radius: float, cell_size: float) -> frozenset:
+    """Cell offsets (dx, dy) whose cell center lies within radius of the
+    origin's: for two cells a and b of one world, euclid_m(a, b,
+    cell_size) <= radius exactly when (a[0] - b[0], a[1] - b[1]) is in
+    the set, since both are the same hypot of the same integers.
+
+    euclid_m runs only on the box |dx|, |dy| <= int(radius / cell_size)
+    + 1, which holds every qualifying offset: for integers,
+    math.hypot(dx, dy) >= |dx| holds in floating point, and |dx| >=
+    radius / cell_size + 1 puts |dx| * cell_size a whole cell past the
+    radius, far beyond rounding.  The box stops at the largest offset
+    within one world (MAX_SIDE - 1); a radius that wide, an infinite or
+    NaN one, or a cell size that is not positive scans all of that.
+    Memoized per (radius, cell_size).
+    """
+    per_cell = radius / cell_size if cell_size > 0 else math.inf
+    reach = int(per_cell) + 1 if per_cell < MAX_SIDE - 2 else MAX_SIDE - 1
+    span = range(-reach, reach + 1)
+    return frozenset(
+        (dx, dy) for dy in span for dx in span if euclid_m((dx, dy), (0, 0), cell_size) <= radius
     )
 
 
@@ -196,31 +227,20 @@ def _trace_back(world: GridWorld, start: Pose, parent: list, s: int) -> OraclePl
     return OraclePlan(actions=tuple(actions), poses=tuple(poses))
 
 
-def progress_index(
-    positions,
-    waypoints,
-    visit_radius: float = 0.5,
-    cell_size: float = 1.0,
-) -> int:
-    """Index of the furthest reference waypoint visited in order.
-
-    Waypoint j counts as visited only after j-1 has been; returns -1
-    when not even waypoint 0 was reached.
-    """
-    j = -1
-    for pos in positions:
-        j = advance_progress(j, pos, waypoints, visit_radius, cell_size)
-    return j
-
-
 def advance_progress(j: int, pos, waypoints, visit_radius: float, cell_size: float) -> int:
     """Progress index after standing at pos, given progress j before.
 
     Advances past every next-in-order waypoint within visit_radius of
-    pos; this is the one ordered-waypoint scan that progress tracking,
-    the rollout triggers and the rectification anchor all share.
+    pos, read from the offsets_within table; this is the one
+    ordered-waypoint scan that progress tracking, the rollout triggers
+    and the rectification anchor all share.
     """
-    while j + 1 < len(waypoints) and euclid_m(pos, waypoints[j + 1], cell_size) <= visit_radius:
+    within = offsets_within(visit_radius, cell_size)
+    x, y = pos
+    while j + 1 < len(waypoints):
+        wx, wy = waypoints[j + 1]
+        if (x - wx, y - wy) not in within:
+            break
         j += 1
     return j
 

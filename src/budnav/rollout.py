@@ -2,17 +2,23 @@
 
 A rollout executes the policy step by step: observe, have the step
 scored, pick an action (greedy argmax or inverse-CDF sampling on a named
-stream), apply it to the world, then run the failure checks.  The step
-loop of one episode is one generator, _episode_steps: it yields the
-step's observation and previous action, receives the four logits, and
-returns the Trajectory.  One driver, run_lockstep, advances a list of
-these generators together.  Each tick it pushes every running
-episode's observation and previous action onto that episode's row of a
-feature array and scores all rows with one forward; a row leaves the
-array when its generator returns.  run_greedy and run_sampled are the
-driver with one episode; evaluation is the driver with all of them.
-Products are computed row by row (policy.row_products), so an episode's
-logits do not depend on which others share its ticks.
+stream), apply it to the world, then run the failure checks.  One
+driver, run_lockstep, steps a list of RolloutJobs together.  Each job
+keeps its state as plain numbers: its pose-graph state s = (y * width +
+x) * 4 + heading (the numbering oracle plans over), its progress and
+anchor step, its stall and grace counters and its path length.  Each
+tick gathers every running job's observation with one index into the
+jobs' padded occupancy grids (world.patch_layout), pushes the
+observations and previous actions onto the jobs' rows of a feature
+array, scores all rows with one forward, and takes the greedy actions
+with one argmax.  Every job then moves through oracle.forward_table or
+the turn arithmetic and reads the goal zone and its waypoint progress
+from tables (oracle.goal_zone, oracle.offsets_within); a Pose and a
+TrajectoryStep are built only to record the step.  A row leaves the
+array when its episode ends.  run_greedy and run_sampled are the driver
+with one job; evaluation is the driver with all of them.  Products are
+computed row by row (policy.row_products), so an episode's logits do
+not depend on which others share its ticks.
 
 Four triggers are evaluated in a fixed order after every executed
 action:
@@ -31,7 +37,7 @@ A STOP issued inside the goal zone (oracle.goal_zone, the table the
 planner stops on) ends the episode successfully and is exempt from the
 checks, so a successful trajectory never carries a trigger.
 Evaluation-style rollouts disable the triggers entirely and terminate
-only on STOP or the step cap.  Tracking progress, the loop also records
+only on STOP or the step cap.  Tracking progress, the driver also records
 the rectification anchor: anchor_step, the steps taken before the first
 visit of the furthest reference waypoint reached in order (0 if none).
 
@@ -48,7 +54,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import advance_progress, goal_zone, path_deviation, progress_index
+from .oracle import advance_progress, forward_table, goal_zone, path_deviation
 from .policy import (
     NO_ACTION,
     FeatureRows,
@@ -59,7 +65,9 @@ from .policy import (
     softmax,
 )
 from .rng import stream_id
-from .world import Action, HEADINGS, Episode, Pose, observe, serialize_episode, step
+from .world import Action, HEADINGS, Episode, Pose, patch_layout, serialize_episode, step
+# Unused here: perfbench's tracer patches rollout.observe when it installs.
+from .world import observe  # noqa: F401
 from .errors import TraceError
 
 
@@ -162,81 +170,118 @@ def sample_action(probs: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
-def _episode_steps(
-    episode: Episode,
-    cfg: RolloutConfig,
-    obs_k: int,
-    mode: str,
-    rng_stream: int = 0,
-    temperature: float | None = None,
-    triggers: bool = True,
-):
-    """Step loop of one episode, as a generator driven by run_lockstep.
+@dataclass(frozen=True)
+class RolloutJob:
+    """One episode for run_lockstep to roll out: greedy, or sampled at
+    temperature from the named stream; without triggers it ends only on
+    STOP or the step cap."""
 
-    Each step yields (observation, previous action), receives the step's
-    logits and acts on them; the generator returns the Trajectory.
+    episode: Episode
+    mode: str = "greedy"  # or "sampled"
+    rng_stream: int = 0
+    temperature: float | None = None
+    triggers: bool = True
+
+
+class _Row:
+    """A running job: its pose-graph state s = (y * width + x) * 4 +
+    heading (oracle's numbering), its counters and its recorded steps.
+
+    pose is s as a Pose, taken from poses, which the rows on one world
+    share; corner is where the window around the agent's cell starts in
+    the batch's flat occupancy array (world.patch_layout).  trajectory is
+    set when the episode ends.
     """
-    world = episode.world
-    waypoints = episode.reference_waypoints
-    cell = world.cell_size
-    zone = goal_zone(world, episode.goal, episode.goal_radius)
-    max_steps = cfg.max_steps(episode)
-    rng = np.random.Generator(np.random.PCG64(rng_stream)) if mode == "sampled" else None
-    prev_action = NO_ACTION
 
-    pose = episode.start
-    progress = progress_index([pose.position], waypoints, cfg.visit_radius_m, cell)
-    anchor_step = 0
-    steps_since_progress = 0
-    grace_used = 0
-    path_length = 0.0
-    steps = []
-
-    for t in range(max_steps):
-        obs = observe(world, pose, obs_k).ravel()
-        logits = yield obs, prev_action
-        if mode == "greedy":
-            action = greedy_action(logits)
-        else:
-            probs = softmax(logits / temperature)
-            action = sample_action(probs, rng.random())
-        new_pose = step(world, pose, Action(action))
-        steps.append(TrajectoryStep(t, pose, obs, action, logits))
-        if action == Action.FORWARD and new_pose.position != pose.position:
-            path_length += cell
-
-        reached = advance_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
-        if reached != progress:
-            progress, anchor_step, steps_since_progress = reached, t + 1, 0
-        else:
-            steps_since_progress += 1
-        in_zone = zone[new_pose.y * world.width + new_pose.x]
-        grace_used = grace_used + 1 if in_zone else 0
-        stopped_now = action == Action.STOP
-
-        trig = None
-        if triggers:
-            state = RolloutState(
-                new_pose, t, steps_since_progress, stopped_now, grace_used, progress
-            )
-            trig = check_triggers(state, episode, cfg)
-        if trig is not None or stopped_now:
-            return Trajectory(
-                episode.id, mode, rng_stream, tuple(steps), new_pose,
-                stopped=stopped_now, success=trig is None and bool(in_zone),
-                trigger=None if trig is None else (trig, t),
-                path_length=path_length, anchor_step=anchor_step,
-            )
-        prev_action = action
-        pose = new_pose
-
-    # Step cap reached: forced termination, counted as a failure.
-    trigger = (TriggerKind.FORCED_STOP, max_steps - 1) if triggers else None
-    return Trajectory(
-        episode.id, mode, rng_stream, tuple(steps), pose,
-        stopped=True, success=False, trigger=trigger, path_length=path_length,
-        anchor_step=anchor_step,
+    __slots__ = (
+        "job", "cfg", "rng", "fwd", "width", "zone", "max_steps", "base", "stride", "poses",
+        "s", "pose", "corner", "prev_action", "progress", "anchor_step", "stall", "grace",
+        "path_length", "steps", "trajectory",
     )
+
+    def __init__(self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, poses: dict):
+        episode = job.episode
+        world, start = episode.world, episode.start
+        if not (world.is_free(start.x, start.y) and 0 <= start.heading < 4):
+            raise ValueError(f"start pose on a blocked cell or off the grid: {start}")
+        self.job, self.cfg = job, cfg
+        self.rng = np.random.Generator(np.random.PCG64(job.rng_stream)) if job.mode == "sampled" else None
+        self.fwd = forward_table(world)
+        self.width = world.width
+        self.zone = goal_zone(world, episode.goal, episode.goal_radius)
+        self.max_steps = cfg.max_steps(episode)
+        self.base, self.stride, self.poses = base, stride, poses
+        self.s = (start.y * world.width + start.x) * 4 + start.heading
+        self.pose = start
+        self.corner = base + start.y * stride + start.x
+        self.prev_action = NO_ACTION
+        self.progress = advance_progress(
+            -1, start.position, episode.reference_waypoints, cfg.visit_radius_m, world.cell_size
+        )
+        self.anchor_step = self.stall = self.grace = 0
+        self.path_length = 0.0
+        self.steps = []
+        self.trajectory = None
+        if self.max_steps < 1:
+            self._cap(start)
+
+    def act(self, t: int, obs: np.ndarray, logits: np.ndarray, action: int) -> None:
+        """Record step t, apply its action and run the failure checks."""
+        s, pose = self.s, self.pose
+        self.steps.append(TrajectoryStep(t, pose, obs, action, logits))
+        progressed = False
+        if action == Action.FORWARD:
+            if self.fwd[s] >= 0:
+                episode = self.job.episode
+                s = self.fwd[s]
+                pose = self._pose(s)
+                self.corner = self.base + pose.y * self.stride + pose.x
+                self.path_length += episode.world.cell_size
+                # Progress changes only when the cell does.
+                reached = advance_progress(
+                    self.progress, pose.position, episode.reference_waypoints,
+                    self.cfg.visit_radius_m, episode.world.cell_size,
+                )
+                if reached != self.progress:
+                    self.progress, self.anchor_step, progressed = reached, t + 1, True
+        elif action != Action.STOP:  # TURN_LEFT (1) turns by -1, TURN_RIGHT (2) by +1
+            s = (s & ~3) | ((s + 2 * action - 3) & 3)
+            pose = self._pose(s)
+        self.stall = 0 if progressed else self.stall + 1
+        in_zone = self.zone[s >> 2]
+        self.grace = self.grace + 1 if in_zone else 0
+        stopped = action == Action.STOP
+        trig = None
+        if self.job.triggers:
+            state = RolloutState(pose, t, self.stall, stopped, self.grace, self.progress)
+            trig = check_triggers(state, self.job.episode, self.cfg)
+        if trig is not None or stopped:
+            trigger = None if trig is None else (trig, t)
+            self._end(pose, stopped, trig is None and bool(in_zone), trigger)
+        elif t + 1 == self.max_steps:
+            self._cap(pose)
+        else:
+            self.s, self.pose, self.prev_action = s, pose, action
+
+    def _pose(self, s: int) -> Pose:
+        pose = self.poses.get(s)
+        if pose is None:
+            y, x = divmod(s >> 2, self.width)
+            pose = self.poses[s] = Pose(x, y, s & 3)
+        return pose
+
+    def _cap(self, pose: Pose) -> None:
+        """Step cap reached: forced termination, counted as a failure."""
+        trigger = (TriggerKind.FORCED_STOP, self.max_steps - 1) if self.job.triggers else None
+        self._end(pose, True, False, trigger)
+
+    def _end(self, final_pose: Pose, stopped: bool, success: bool, trigger) -> None:
+        job = self.job
+        self.trajectory = Trajectory(
+            job.episode.id, job.mode, job.rng_stream, tuple(self.steps), final_pose,
+            stopped=stopped, success=success, trigger=trigger,
+            path_length=self.path_length, anchor_step=self.anchor_step,
+        )
 
 
 def snapshot_logits_fn(snapshot: PolicySnapshot):
@@ -251,47 +296,61 @@ def snapshot_logits_fn(snapshot: PolicySnapshot):
     return logits_fn
 
 
-def run_lockstep(snapshot: PolicySnapshot, jobs) -> list:
-    """Drive (episode, _episode_steps generator) jobs in lockstep; returns
-    their trajectories in job order.
+def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutConfig()) -> list:
+    """Roll out every RolloutJob in lockstep; returns their trajectories
+    in job order.
 
-    Each tick scores every running job with one call of the snapshot's
-    logits function over a [running, feature_dim] feature array, one
-    row per job.  A job's row is dropped, and the array compacted, when
-    its generator returns; a lone row is kept 1-D, which takes the plain
-    vector-matrix path (same bits, fewer calls).  Each step receives its
-    own copy of its logits row, so no step keeps a tick's batch alive.
+    Each tick gathers every running job's observation with one index
+    into the jobs' occupancy grids and scores them with one call of the
+    snapshot's logits function over a [running, feature_dim] feature
+    array, one row per job.  Greedy rows take the row's argmax, sampled
+    rows draw from their own stream; each row then moves through the
+    pose graph and updates its counters (_Row.act).  A job's row is
+    dropped, and the array compacted, when its episode ends; a lone row
+    is kept 1-D, which takes the plain vector-matrix path (same bits,
+    fewer calls).  Each step receives its own copy of its logits row, so
+    no step keeps a tick's logits alive; its observation is its row of
+    the tick's gathered observations.
     """
+    if not jobs:
+        return []
     params = snapshot.params
     score = snapshot_logits_fn(snapshot)
+    worlds = list({id(job.episode.world): job.episode.world for job in jobs}.values())
+    flat, stride, offsets, bases = patch_layout(worlds, params.cfg.obs_k)
+    # Per world: its base in flat and the Pose of each state reached so far.
+    layout = {id(world): (base, {}) for world, base in zip(worlds, bases)}
+    every = [_Row(job, cfg, stride, *layout[id(job.episode.world)]) for job in jobs]
+    running = [row for row in every if row.trajectory is None]
 
     def bind(features):
         return FeatureRows(params, features[0] if len(features) == 1 else features)
 
-    features = np.array([initial_features(params, ep.instruction) for ep, _ in jobs])
+    features = np.array([initial_features(params, row.job.episode.instruction) for row in running])
     rows = bind(features)
-    running = list(enumerate(gen for _, gen in jobs))  # (job index, generator)
-    out = [None] * len(running)
-    replies = [None] * len(running)  # what each generator receives next
+    t = 0
     while running:
-        requests, keep = [], []
-        for i, (job, gen) in enumerate(running):
-            try:
-                requests.append(gen.send(replies[i]))
-                keep.append(i)
-            except StopIteration as done:
-                out[job] = done.value
+        if len(running) == 1:
+            (row,) = running
+            obs = flat[row.corner + offsets[row.s & 3]]
+            logits = score(rows, obs, row.prev_action)
+            ticks = ((row, obs, logits, greedy_action(logits)),)
+        else:
+            corners = np.array([row.corner for row in running])
+            obs = flat[corners[:, None] + offsets[[row.s & 3 for row in running]]]
+            logits = score(rows, obs, [row.prev_action for row in running])
+            ticks = zip(running, obs, map(np.ndarray.copy, logits), logits.argmax(axis=1).tolist())
+        for row, ob, lg, action in ticks:
+            if row.rng is not None:
+                action = sample_action(softmax(lg / row.job.temperature), row.rng.random())
+            row.act(t, ob, lg, action)
+        keep = [i for i, row in enumerate(running) if row.trajectory is None]
         if len(keep) < len(running):
             running = [running[i] for i in keep]
             features = features[keep]
             rows = bind(features)
-        if len(running) == 1:
-            (obs, prev_action), = requests
-            replies = [score(rows, obs, prev_action)]
-        elif running:
-            logits = score(rows, np.array([o for o, _ in requests]), [a for _, a in requests])
-            replies = [row.copy() for row in logits]
-    return out
+        t += 1
+    return [row.trajectory for row in every]
 
 
 def run_greedy(
@@ -301,8 +360,7 @@ def run_greedy(
     triggers: bool = True,
 ) -> Trajectory:
     """Deterministic argmax rollout (the probe / evaluation policy)."""
-    steps = _episode_steps(episode, cfg, snapshot.params.cfg.obs_k, "greedy", triggers=triggers)
-    return run_lockstep(snapshot, [(episode, steps)])[0]
+    return run_lockstep(snapshot, [RolloutJob(episode, triggers=triggers)], cfg)[0]
 
 
 def run_sampled(
@@ -314,11 +372,8 @@ def run_sampled(
     triggers: bool = True,
 ) -> Trajectory:
     """Stochastic rollout drawing actions from the named stream."""
-    steps = _episode_steps(
-        episode, cfg, snapshot.params.cfg.obs_k, "sampled",
-        rng_stream=rng_stream, temperature=temperature, triggers=triggers,
-    )
-    return run_lockstep(snapshot, [(episode, steps)])[0]
+    job = RolloutJob(episode, "sampled", rng_stream, temperature, triggers)
+    return run_lockstep(snapshot, [job], cfg)[0]
 
 
 def rollout_stream(run_seed: int, episode_id: int, rollout_index: int) -> int:

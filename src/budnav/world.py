@@ -164,12 +164,37 @@ _TO_EGOCENTRIC = (
 def observe_many(world: GridWorld, poses, k: int = 5) -> np.ndarray:
     """observe(world, pose, k).ravel() of each pose, stacked [len(poses), k*k]
     and gathered with one index into the padded occupancy grid."""
-    grid = _padded_grid(world, k)
-    offsets = world.derived(("egocentric_offsets", k), lambda: _egocentric_offsets(grid, k))
+    flat, stride, offsets, _ = patch_layout([world], k)
     xs, ys, headings = np.array([(p.x, p.y, p.heading) for p in poses]).T
     if not (world.in_bounds(xs.min(), ys.min()) and world.in_bounds(xs.max(), ys.max())):
         raise ValueError(f"pose out of bounds among {len(poses)} poses")
-    return grid.ravel()[(ys * grid.shape[1] + xs)[:, None] + offsets[headings]]
+    return flat[(ys * stride + xs)[:, None] + offsets[headings]]
+
+
+def patch_layout(worlds, k: int) -> tuple:
+    """(flat, stride, offsets, bases): where the k x k patches of poses in
+    any of the distinct worlds lie in one flat occupancy array.
+
+    observe(worlds[i], Pose(x, y, h), k).ravel() equals
+    flat[bases[i] + y * stride + x + offsets[h]], so one fancy index
+    gathers the patches of many poses.  One world reads its own padded
+    grid; several are stacked top to bottom into a fresh array whose rows
+    are as wide as the widest padded grid (the columns past a narrower
+    grid read blocked, and no patch of an in-bounds pose reaches them).
+    """
+    grids = [_padded_grid(world, k) for world in worlds]
+    if len(grids) == 1:
+        (world,), (grid,) = worlds, grids
+        offsets = world.derived(("egocentric_offsets", k), lambda: _egocentric_offsets(grid, k))
+        return grid.ravel(), grid.shape[1], offsets, (0,)
+    stride = max(grid.shape[1] for grid in grids)
+    stacked = np.ones((sum(grid.shape[0] for grid in grids), stride))
+    bases, top = [], 0
+    for grid in grids:
+        stacked[top : top + grid.shape[0], : grid.shape[1]] = grid
+        bases.append(top * stride)
+        top += grid.shape[0]
+    return stacked.ravel(), stride, _egocentric_offsets(stacked, k), tuple(bases)
 
 
 def _egocentric_offsets(grid: np.ndarray, k: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from budnav.oracle import advance_progress
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.world import GridWorld, Pose, generate_episode, generate_world
 
@@ -29,6 +30,15 @@ def walled_world():
     """
     blocked = frozenset({(2, 1), (2, 2), (2, 3)})
     return GridWorld(5, 5, blocked, 1.0)
+
+
+def prefix_progress(positions, waypoints, visit_radius=0.5, cell_size=1.0):
+    """Waypoint progress after each prefix of positions (-1 before waypoint 0)."""
+    j, out = -1, []
+    for pos in positions:
+        j = advance_progress(j, pos, waypoints, visit_radius, cell_size)
+        out.append(j)
+    return out
 
 
 @pytest.fixture(scope="session")

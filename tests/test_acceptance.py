@@ -25,7 +25,7 @@ from budnav.config import load_config
 from budnav.errors import GenerationFailed
 from budnav.grpo import GrpoConfig, RewardConfig, group_advantages, grpo_loss_and_grad, make_group
 from budnav.metrics import dtw_distance, evaluate, ndtw
-from budnav.oracle import geodesic_field, plan, progress_index
+from budnav.oracle import geodesic_field, plan
 from budnav.policy import PolicyConfig, PolicyParams, init_params, snapshot
 from budnav.rectify import rect_loss_and_grad, synthesize_demo
 from budnav.rollout import (
@@ -60,6 +60,7 @@ from budnav.world import (
     step,
 )
 
+from conftest import prefix_progress
 from test_metrics import dtw_oracle
 from test_oracle import bfs_distance_oracle, pose_bfs_cost_oracle
 
@@ -288,8 +289,8 @@ def test_criterion_4_trigger_thresholds_are_strict():
             reference_path=tuple(p.poses), reference_waypoints=dedup_positions(p.poses),
             instruction=compile_instruction(p.actions), goal_radius=3.0,
         )
-        prog = progress_index([(x, 0) for x in range(4)], cep.reference_waypoints,
-                              cfg.visit_radius_m, cell_size)
+        prog = prefix_progress([(x, 0) for x in range(4)], cep.reference_waypoints,
+                               cfg.visit_radius_m, cell_size)[-1]
         got = check_triggers(state(Pose(3, 0, 1), stopped=True, progress=prog), cep, cfg)
         checks[f"stop at 3.0m x {cell_size}"] = got is want
 
@@ -320,10 +321,7 @@ def test_criterion_5_synthesized_demos_stay_consistent():
             if i + 1 == demo.anchor_step and pose != demo.anchor_pose:
                 bad_anchor += 1
         cell = ep.world.cell_size
-        prog = [
-            progress_index(positions[: i + 1], ep.reference_waypoints, 0.5, cell)
-            for i in range(len(positions))
-        ]
+        prog = prefix_progress(positions, ep.reference_waypoints, 0.5, cell)
         if any(b < a for a, b in zip(prog, prog[1:])):
             bad_prog += 1
         if euclid_m(pose.position, ep.goal, cell) > ep.goal_radius:

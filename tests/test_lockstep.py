@@ -6,10 +6,11 @@ the loop every rollout ran before: one rolling FeatureRows per episode,
 and push + forward once per step.  Each step's observation and logits
 bytes, action and pose, and each trajectory's trigger, final pose and
 path length must agree exactly, whether an episode runs alone or in a
-batch whose rows end at different ticks.  The reference tracks the
-anchor step and tests the goal zone with euclid_m on its own, so neither
-is taken from the code under test.
+batch whose rows end at different ticks.  The reference tracks waypoint
+progress, the anchor step and the goal zone with euclid_m on its own,
+so none of them is taken from the code under test.
 """
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +18,16 @@ import pytest
 
 from budnav.config import load_config
 from budnav.metrics import evaluate
-from budnav.oracle import advance_progress, progress_index
 from budnav.policy import (
     NO_ACTION, FeatureRows, forward, greedy_action, init_params, initial_features, snapshot, softmax,
 )
 from budnav.rollout import (
     RolloutConfig,
+    RolloutJob,
     RolloutState,
     Trajectory,
     TrajectoryStep,
     TriggerKind,
-    _episode_steps,
     check_triggers,
     rollout_stream,
     run_greedy,
@@ -37,12 +37,19 @@ from budnav.rollout import (
 )
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.trainer import pretrain_bc, training_episode
-from budnav.world import Action, euclid_m, observe, step
+from budnav.world import Action, euclid_m, generate_episode, generate_world, observe, step
 
 from test_rectify import ordered_anchor_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CFG = RolloutConfig()
+
+
+def euclid_progress(j, pos, waypoints, radius, cell):
+    """Progress past every next-in-order waypoint within radius of pos."""
+    while j + 1 < len(waypoints) and euclid_m(pos, waypoints[j + 1], cell) <= radius:
+        j += 1
+    return j
 
 
 def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, triggers=True):
@@ -54,7 +61,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
     max_steps = cfg.max_steps(episode)
     prev_action = NO_ACTION
     pose = episode.start
-    progress = progress_index([pose.position], waypoints, cfg.visit_radius_m, cell)
+    progress = euclid_progress(-1, pose.position, waypoints, cfg.visit_radius_m, cell)
     steps_since_progress = grace_used = anchor_step = 0
     path_length = 0.0
     steps = []
@@ -69,7 +76,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
         steps.append(TrajectoryStep(t, pose, obs, action, logits))
         if action == Action.FORWARD and new_pose.position != pose.position:
             path_length += cell
-        reached = advance_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
+        reached = euclid_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
         steps_since_progress = 0 if reached != progress else steps_since_progress + 1
         anchor_step = t + 1 if reached != progress else anchor_step
         progress = reached
@@ -100,6 +107,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
 def assert_same(got, want):
     assert len(got.steps) == len(want.steps)
     for a, b in zip(got.steps, want.steps):
+        assert type(a.action) is int
         assert (a.t, a.pose_before, a.action) == (b.t, b.pose_before, b.action)
         assert a.observation.tobytes() == b.observation.tobytes()
         assert a.logits.shape == (4,)
@@ -119,17 +127,41 @@ def held():
     return episodes
 
 
+def pretrained_policy(pretrain_episodes, **policy):
+    """A desk policy BC-pretrained on the first training episodes, with
+    the given policy.* fields replaced."""
+    cfg = load_config(CONFIGS / "desk_full.cfg")[0]
+    cfg = replace(cfg, policy=replace(cfg.policy, **policy))
+    episodes = [training_episode(cfg, "pretrain", i) for i in range(pretrain_episodes)]
+    return snapshot(pretrain_bc(init_params(cfg.policy, 0), episodes, cfg)[0])
+
+
 @pytest.fixture(scope="module")
 def policies():
     """A BC-pretrained desk policy, whose episodes end at many different
     steps, some at the step cap, and an untrained one that never stops,
-    so every episode runs into the cap."""
+    so every episode runs into the cap; two more pretrained ones see a
+    3 x 3 and a 7 x 7 patch."""
     cfg = load_config(CONFIGS / "desk_full.cfg")[0]
-    episodes = [training_episode(cfg, "pretrain", i) for i in range(600)]
-    pretrained, _ = pretrain_bc(init_params(cfg.policy, 0), episodes, cfg)
     wanderer = init_params(cfg.policy, 1)
     wanderer.b2[Action.STOP] = -10.0
-    return {"pretrained": snapshot(pretrained), "wanderer": snapshot(wanderer)}
+    return {
+        "pretrained": pretrained_policy(600),
+        "wanderer": snapshot(wanderer),
+        "obs_k3": pretrained_policy(150, obs_k=3),
+        "obs_k7": pretrained_policy(150, obs_k=7),
+    }
+
+
+@pytest.fixture(scope="module")
+def mixed_worlds():
+    """Episodes from worlds of five different extents, interleaved, so
+    rows of one batch read their patches at different grid strides."""
+    worlds = [
+        generate_world(seed, width, height, 0.15)
+        for seed, (width, height) in enumerate([(6, 14), (14, 6), (10, 10), (9, 13), (16, 5)])
+    ]
+    return [generate_episode(worlds[i % 5], 100 + i, min_length=4.0) for i in range(40)]
 
 
 @pytest.mark.parametrize("name", ["pretrained", "wanderer"])
@@ -167,25 +199,29 @@ def test_single_rollouts_match_the_reference_with_and_without_triggers(held, pol
     assert triggered
 
 
-def test_mixed_jobs_in_one_batch_match_the_reference(held, policies):
+@pytest.mark.parametrize("name, batch", [
+    ("pretrained", "held"), ("pretrained", "mixed_worlds"), ("obs_k3", "held"), ("obs_k7", "mixed_worlds"),
+])
+def test_mixed_jobs_in_one_batch_match_the_reference(held, mixed_worlds, policies, name, batch):
     # Greedy and sampled jobs, with and without triggers, ending at
     # different ticks, share one batch; a job yields its trajectory in
-    # its own slot whatever the order in which jobs finish.
-    snap = policies["pretrained"]
-    specs = []
-    for k, episode in enumerate(held[:40]):
+    # its own slot whatever the order in which jobs finish.  The batch
+    # comes from the desk worlds or from worlds of different extents.
+    snap = policies[name]
+    episodes = held[:40] if batch == "held" else mixed_worlds
+    jobs = []
+    for k, episode in enumerate(episodes):
         if k % 3 == 0:
-            specs.append((episode, "greedy", 0, None, k % 2 == 0))
+            jobs.append(RolloutJob(episode, "greedy", 0, None, k % 2 == 0))
         else:
-            specs.append((episode, "sampled", rollout_stream(3, episode.id, k), 0.4, k % 2 == 0))
-    jobs = [
-        (ep, _episode_steps(ep, CFG, snap.params.cfg.obs_k, mode, stream, temp, triggers))
-        for ep, mode, stream, temp, triggers in specs
-    ]
-    got = run_lockstep(snap, jobs)
+            jobs.append(RolloutJob(episode, "sampled", rollout_stream(3, episode.id, k), 0.4, k % 2 == 0))
+    got = run_lockstep(snap, jobs, CFG)
     lengths = set()
-    for traj, (ep, mode, stream, temp, triggers) in zip(got, specs):
-        assert_same(traj, reference_rollout(snap, ep, CFG, mode, stream, temp, triggers))
+    for traj, job in zip(got, jobs):
+        want = reference_rollout(
+            snap, job.episode, CFG, job.mode, job.rng_stream, job.temperature, job.triggers
+        )
+        assert_same(traj, want)
         lengths.add(len(traj.steps))
     assert len(lengths) >= 10
 

@@ -12,14 +12,14 @@ from budnav.oracle import (
     forward_table,
     geodesic_field,
     goal_zone,
+    offsets_within,
     path_deviation,
     plan,
-    progress_index,
 )
 from budnav.suite import parse_suite, suite_world
 from budnav.world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, step
 
-from conftest import corridor_world, open_world, walled_world
+from conftest import corridor_world, open_world, prefix_progress, walled_world
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -361,6 +361,18 @@ def test_goal_zone_table_is_memoized_per_radius_and_immutable():
     assert isinstance(zone, bytes) and len(zone) == w.width * w.height
     with pytest.raises(TypeError):
         zone[0] = 1
+    # The table is built from the cells of the radius box only; it must
+    # equal a scan of every cell, byte for byte, for radii on and between
+    # lattice distances, one wider than the world, and other cell sizes.
+    for cell_size in (1.0, 0.5, 1.7):
+        world = GridWorld(w.width, w.height, w.blocked, cell_size)
+        for center in [goal, (0, 0), (w.width - 1, w.height - 1)]:
+            for radius in (0.0, 1.0, math.sqrt(2), 2.9999, 3.0, 3 * cell_size, 100.0):
+                full = bytes(
+                    euclid_m((c % world.width, c // world.width), center, cell_size) <= radius
+                    for c in range(world.width * world.height)
+                )
+                assert goal_zone(world, center, radius) == full, (cell_size, center, radius)
 
 
 def test_plan_start_exactly_on_the_zone_boundary_stops():
@@ -426,32 +438,45 @@ def test_plan_rejects_blocked_start():
 def test_progress_requires_order():
     waypoints = [(0, 0), (1, 0), (2, 0), (3, 0)]
     # Touching waypoint 2 before 1 does not count it.
-    assert progress_index([(2, 0)], waypoints) == -1
-    assert progress_index([(0, 0), (2, 0)], waypoints) == 0
-    assert progress_index([(0, 0), (1, 0), (2, 0)], waypoints) == 2
+    assert prefix_progress([(2, 0)], waypoints)[-1] == -1
+    assert prefix_progress([(0, 0), (2, 0)], waypoints)[-1] == 0
+    assert prefix_progress([(0, 0), (1, 0), (2, 0)], waypoints)[-1] == 2
     # A single position can advance several waypoints only when they
     # coincide within the radius; otherwise one at a time.
-    assert progress_index([(0, 0), (1, 0)], waypoints) == 1
+    assert prefix_progress([(0, 0), (1, 0)], waypoints)[-1] == 1
 
 
 def test_progress_counts_earliest_arrival_once():
     waypoints = [(0, 0), (1, 0), (2, 0)]
     # Revisit of waypoint 1 after reaching 2 changes nothing.
     path = [(0, 0), (1, 0), (2, 0), (1, 0)]
-    assert progress_index(path, waypoints) == 2
+    assert prefix_progress(path, waypoints) == [0, 1, 2, 2]
 
 
 def test_progress_is_monotone_in_the_path_prefix():
     waypoints = [(0, 0), (1, 0), (2, 0), (2, 1)]
     path = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1)]
-    values = [progress_index(path[: i + 1], waypoints) for i in range(len(path))]
+    values = prefix_progress(path, waypoints)
     assert values == sorted(values)
 
 
 def test_progress_respects_visit_radius():
     waypoints = [(0, 0), (3, 0)]
-    assert progress_index([(0, 0), (3, 1)], waypoints, visit_radius=0.5) == 0
-    assert progress_index([(0, 0), (3, 1)], waypoints, visit_radius=1.0) == 1
+    assert prefix_progress([(0, 0), (3, 1)], waypoints, visit_radius=0.5)[-1] == 0
+    assert prefix_progress([(0, 0), (3, 1)], waypoints, visit_radius=1.0)[-1] == 1
+
+
+@pytest.mark.parametrize("cell_size", [1.0, 0.5, 1.7])
+def test_offsets_within_match_euclid_on_every_offset_a_world_holds(cell_size):
+    # The progress table and the goal zone read offsets_within; each
+    # offset between two cells of one world is in it exactly when
+    # euclid_m puts the two cell centers within the radius.
+    for radius in (0.0, 0.5, 1.0, math.sqrt(2), 1.5, 2.9999, 3.0, 70.0, math.inf):
+        within = offsets_within(radius, cell_size)
+        for dx in range(-63, 64, 3):
+            for dy in range(-63, 64):
+                want = euclid_m((5 + dx, 9 + dy), (5, 9), cell_size) <= radius
+                assert ((dx, dy) in within) == want, (radius, dx, dy)
 
 
 def test_deviation_is_min_distance_to_reference():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from budnav.errors import NotAFailure
-from budnav.oracle import advance_progress, progress_index
+from budnav.oracle import advance_progress
 from budnav.policy import PolicyConfig, PolicyParams, init_params
 from budnav.rectify import (
     RectConfig,
@@ -23,7 +23,7 @@ from budnav.world import (
     step,
 )
 
-from conftest import open_world
+from conftest import open_world, prefix_progress
 from test_rollout import corridor_episode, run_script
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
@@ -183,10 +183,7 @@ def test_demo_progress_never_regresses():
     for a in demo.oracle_actions:
         pose = step(ep.world, pose, Action(a))
         positions.append(pose.position)
-    progress = [
-        progress_index(positions[: i + 1], ep.reference_waypoints, ep.world.cell_size)
-        for i in range(len(positions))
-    ]
+    progress = prefix_progress(positions, ep.reference_waypoints, 0.5, ep.world.cell_size)
     assert progress == sorted(progress)
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from budnav.errors import TraceError
 from budnav.oracle import plan
-from budnav.policy import snapshot
+from budnav import rollout
+from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rollout import (
     RolloutConfig,
     RolloutState,
     TriggerKind,
-    _episode_steps,
     check_triggers,
     offtrack_exceeded,
     parse_trace,
@@ -31,6 +31,9 @@ from budnav.world import (
 from conftest import corridor_world
 
 
+SCRIPT_SNAP = snapshot(init_params(PolicyConfig(), 0))
+
+
 def corridor_episode(length=12, goal=(8, 0), radius=3.0, start=Pose(0, 0, 1)):
     w = corridor_world(length)
     p = plan(w, start, goal, radius)
@@ -47,17 +50,22 @@ def corridor_episode(length=12, goal=(8, 0), radius=3.0, start=Pose(0, 0, 1)):
 
 
 def run_script(episode, actions, cfg=RolloutConfig(), triggers=True):
-    """Greedy rollout that plays a fixed action sequence (then STOPs)."""
+    """Greedy rollout that plays a fixed action sequence (then STOPs):
+    run_lockstep's scorer is swapped for one that puts all weight on the
+    next scripted action."""
     seq = list(actions) + [Action.STOP] * 500
-    steps = _episode_steps(episode, cfg, 5, "greedy", triggers=triggers)
-    logits = None
-    try:
-        while True:
-            steps.send(logits)
+
+    def scripted(snap):
+        def logits_fn(rows, obs, prev_action):
             logits = np.full(4, -100.0)
             logits[int(seq.pop(0))] = 100.0
-    except StopIteration as done:
-        return done.value
+            return logits
+
+        return logits_fn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rollout, "snapshot_logits_fn", scripted)
+        return run_greedy(SCRIPT_SNAP, episode, cfg, triggers)
 
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP

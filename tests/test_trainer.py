@@ -253,8 +253,7 @@ def test_dagger_failure_corrects_from_the_error_state(warm):
     assert demo.anchor_pose == probe.final_pose
     assert demo.retained_prefix == tuple(probe.steps)
     rollback = synthesize_demo(probe, outcome.episode, cfg.rect)
-    if probe.trigger[0].value != "forced_stop":
-        assert rollback.anchor_step <= demo.anchor_step
+    assert rollback.anchor_step <= demo.anchor_step
 
 
 def test_rect_anchor_uses_the_rollout_visit_radius(warm):
