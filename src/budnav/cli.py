@@ -263,7 +263,7 @@ def cmd_compare(args) -> int:
 def cmd_replay(args) -> int:
     try:
         text = Path(args.trace).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise TraceError(f"cannot read trace {args.trace}: {e}") from e
     doc = parse_trace(text)
     n = verify_trace(doc)

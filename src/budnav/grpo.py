@@ -45,11 +45,12 @@ from .policy import (
     featurize,
     forward,
     forward_cached,
+    initial_features,
     kl_and_log_ratio,
     softmax,
 )
 from .rollout import Trajectory
-from .world import Episode
+from .world import Episode, GridWorld, observe_states
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +75,7 @@ class GrpoConfig:
 class RolloutGroup:
     episode_id: int
     instruction: tuple
+    world: GridWorld  # the episode's, where the trajectories' states gather their observations
     trajectories: tuple
     rewards: np.ndarray
     advantages: np.ndarray
@@ -119,6 +121,7 @@ def make_group(
     return RolloutGroup(
         episode_id=episode.id,
         instruction=tuple(episode.instruction),
+        world=episode.world,
         trajectories=tuple(trajectories),
         rewards=rewards,
         advantages=group_advantages(rewards, grpo_cfg),
@@ -134,37 +137,41 @@ def grpo_loss_and_grad(
 ):
     """(loss, flat gradient) of the advantage-weighted log-likelihood with KL penalty.
 
-    Each trajectory is featurized and scored as one sequence under three
+    Each trajectory's observations are gathered from its states, and the
+    trajectory is featurized and scored as one sequence under three
     parameter sets: the group's snapshot (old), params (live) and
-    snapshot_ref.  Every step's behaviour logits are recomputed under
-    the old one and must match the recorded ones to SNAPSHOT_TOL, else
-    the group is stale and SnapshotMismatch names the first drifting step.
+    snapshot_ref, each with its initial feature vector computed once per
+    group.  Every step's behaviour logits are recomputed under the old
+    one and must match the recorded ones to SNAPSHOT_TOL, else the group
+    is stale and SnapshotMismatch names the first drifting step.
     """
     if len(group.trajectories) < 2:
         raise GroupTooSmall(f"group of {len(group.trajectories)} rollouts")
     temp = params.cfg.temperature
     old_params = group.snapshot_old.params
     ref_params = snapshot_ref.params
+    sets = (old_params, params, ref_params)
+    firsts = [initial_features(w, group.instruction) for w in sets]
     n_groups = len(group.trajectories)
     acc = GradAccumulator(params)
     objective = 0.0
     for adv, traj in zip(group.advantages, group.trajectories):
-        scale = 1.0 / (n_groups * len(traj.steps))
-        patches = np.array([s.observation for s in traj.steps])
-        actions = [s.action for s in traj.steps]
+        steps = traj.steps
+        scale = 1.0 / (n_groups * len(steps))
+        patches = observe_states(group.world, steps.states, params.cfg.obs_k)
+        actions = steps.actions.tolist()
         prev_actions = [NO_ACTION, *actions][:-1]
         old, live, ref = (
-            featurize(w, group.instruction, patches, prev_actions)
-            for w in (old_params, params, ref_params)
+            featurize(w, group.instruction, patches, prev_actions, 0, first)
+            for w, first in zip(sets, firsts)
         )
         recomputed = forward(old_params, old.rows)
-        drift = np.abs(recomputed - np.array([s.logits for s in traj.steps])).max(axis=1)
+        drift = np.abs(recomputed - steps.logits).max(axis=1)
         stale = np.flatnonzero(drift > SNAPSHOT_TOL)
         if stale.size:
             i = stale[0]
             raise SnapshotMismatch(
-                f"episode {group.episode_id} step {traj.steps[i].t}:"
-                f" recorded logits drift {drift[i]:g}"
+                f"episode {group.episode_id} step {i}: recorded logits drift {drift[i]:g}"
             )
         logits, cache = forward_cached(params, live)
         p = softmax(logits / temp)

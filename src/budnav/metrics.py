@@ -25,7 +25,7 @@ from .policy import PolicySnapshot
 from .rollout import RolloutConfig, RolloutJob, Trajectory, run_lockstep, serialize_trace
 # Unused here: perfbench's tracer patches metrics.run_greedy when it installs.
 from .rollout import run_greedy  # noqa: F401
-from .world import Episode, dedup_positions, euclid_m
+from .world import Episode, euclid_m
 
 METRICS_HEADER = "step,n,sr,spl,osr,ne,ndtw,route_grpo_frac,env_steps_total"
 
@@ -82,6 +82,27 @@ def navigation_error(traj: Trajectory, episode: Episode, field: GeodesicField | 
     return d
 
 
+def _visited_cells(traj: Trajectory) -> list:
+    """Flat index y * width + x of the cell before every step, then of
+    the final cell: the cells of traj.positions(), read from the states."""
+    final, width = traj.final_pose, traj.steps.width
+    cells = (traj.steps.states >> 2).tolist()
+    cells.append(final.y * width + final.x)
+    return cells
+
+
+def _path_positions(traj: Trajectory) -> list:
+    """Distinct positions along the trajectory, consecutive repeats
+    collapsed: dedup_positions(traj.poses()), read from the states."""
+    width, out, last = traj.steps.width, [], -1
+    for cell in _visited_cells(traj):
+        if cell != last:
+            y, x = divmod(cell, width)
+            out.append((x, y))
+            last = cell
+    return out
+
+
 def oracle_success(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> bool:
     """Did the agent ever pass within the goal radius (geodesic)?
 
@@ -94,7 +115,7 @@ def oracle_success(traj: Trajectory, episode: Episode, field: GeodesicField | No
         return True
     if field is None:
         field = geodesic_field(episode.world, episode.goal)
-    return any(field.at(*pos) <= episode.goal_radius for pos in traj.positions())
+    return bool((field.dist.ravel()[_visited_cells(traj)] <= episode.goal_radius).any())
 
 
 def dtw_distance(path, reference, cell_size: float = 1.0) -> float:
@@ -129,7 +150,7 @@ def episode_result(traj: Trajectory, episode: Episode, field: GeodesicField | No
         osr=float(oracle_success(traj, episode, field)),
         ne=navigation_error(traj, episode, field),
         ndtw=ndtw(
-            dedup_positions(traj.poses()),
+            _path_positions(traj),
             list(episode.reference_waypoints),
             episode.goal_radius,
             episode.world.cell_size,

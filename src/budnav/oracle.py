@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGoal, Unreachable
-from .world import MAX_SIDE, Action, HEADING_VECS, GridWorld, Pose, euclid_m
+from .world import MAX_SIDE, Action, HEADING_VECS, GridWorld, Pose, euclid_m, pose_state, state_pose
 
 
 def forward_table(world: GridWorld) -> list:
@@ -178,7 +178,7 @@ def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> Oracl
     if not 0 <= start.heading < 4:
         raise ValueError(f"heading out of range: {start}")
     zone = goal_zone(world, goal, goal_radius)
-    s0 = (start.y * world.width + start.x) * 4 + start.heading
+    s0 = pose_state(start, world.width)
     if zone[s0 >> 2]:
         return OraclePlan(actions=(Action.STOP,), poses=(start, start))
 
@@ -218,11 +218,7 @@ def _trace_back(world: GridWorld, start: Pose, parent: list, s: int) -> OraclePl
         else:
             actions.append(Action.TURN_RIGHT)
     actions.append(Action.STOP)
-    width = world.width
-    poses = [start]
-    for s in states[1:]:
-        c = s >> 2
-        poses.append(Pose(c % width, c // width, s & 3))
+    poses = [start] + [state_pose(s, world.width) for s in states[1:]]
     poses.append(poses[-1])
     return OraclePlan(actions=tuple(actions), poses=tuple(poses))
 

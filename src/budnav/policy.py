@@ -185,23 +185,32 @@ def row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], m)[:, 0]
 
 
-def initial_features(params: PolicyParams, instruction) -> np.ndarray:
-    """Feature vector before the first step: the instruction mean and
-    history_k padded slots."""
+def instruction_mean(params: PolicyParams, instruction) -> np.ndarray:
+    """The instruction block of a feature vector: the mean of the tokens'
+    embeddings, as np.add.reduce / n (the bits of .mean(axis=0), without
+    its dispatch overhead)."""
     cfg = params.cfg
     for t in instruction:
         if not 0 <= t < cfg.vocab:
             raise UnknownToken(f"instruction token {t} outside vocabulary {cfg.vocab}")
-    features = np.empty(cfg.feature_dim)
-    # The instruction mean, as np.add.reduce / n: the bits of .mean(axis=0),
-    # without its dispatch overhead.
-    features[: cfg.d_e] = np.add.reduce(params.instr_embed[list(instruction)], axis=0) / len(
-        instruction
-    )
-    slots = features[cfg.d_e :].reshape(cfg.history_k, cfg.d_o + cfg.d_a)
+    return np.add.reduce(params.instr_embed[list(instruction)], axis=0) / len(instruction)
+
+
+def padding_slots(params: PolicyParams) -> np.ndarray:
+    """The history_k slot blocks of a feature vector before the first
+    step, flat: each a zero patch projected through obs_proj followed by
+    the NO_ACTION embedding."""
+    cfg = params.cfg
+    slots = np.empty((cfg.history_k, cfg.d_o + cfg.d_a))
     slots[:, : cfg.d_o] = row_products(np.zeros(cfg.patch_cells), params.obs_proj)
     slots[:, cfg.d_o :] = params.act_embed[NO_ACTION]
-    return features
+    return slots.ravel()
+
+
+def initial_features(params: PolicyParams, instruction) -> np.ndarray:
+    """Feature vector before the first step: the instruction mean and
+    history_k padded slots."""
+    return np.concatenate((instruction_mean(params, instruction), padding_slots(params)))
 
 
 class FeatureRows:
@@ -252,12 +261,15 @@ class StepRows:
 
 
 def featurize(
-    params: PolicyParams, instruction, patches: np.ndarray, prev_actions, start: int = 0
+    params: PolicyParams, instruction, patches: np.ndarray, prev_actions, start: int = 0,
+    first: np.ndarray | None = None,
 ) -> StepRows:
     """Feature rows of steps start..n-1 of a sequence of n steps, each
     given by its [n, patch_cells] observation patch and its previous
     action; every row equals, bit for bit, the rolling vector a
-    FeatureRows holds after the same pushes."""
+    FeatureRows holds after the same pushes.  first is
+    initial_features(params, instruction), for callers that featurize
+    several sequences of one instruction."""
     cfg = params.cfg
     k, block = cfg.history_k, cfg.d_o + cfg.d_a
     n = len(prev_actions)
@@ -266,7 +278,8 @@ def featurize(
     for a in prev_actions:
         if not 0 <= a <= NO_ACTION:
             raise DimensionMismatch(f"previous-action index out of range: {a}")
-    first = initial_features(params, instruction)
+    if first is None:
+        first = initial_features(params, instruction)
     padded = np.zeros((k - 1 + n, cfg.patch_cells))
     padded[k - 1 :] = patches
     actions = np.array([NO_ACTION] * (k - 1) + list(prev_actions))

@@ -40,8 +40,8 @@ from .policy import (
     forward_cached,
     softmax,
 )
-from .rollout import Trajectory, TriggerKind
-from .world import Episode, Pose, expand_instruction, observe_many
+from .rollout import Steps, Trajectory, TriggerKind
+from .world import Episode, Pose, expand_instruction, observe_states, pose_state
 # Unused here: perfbench's tracer patches rectify.observe when it installs.
 from .world import observe  # noqa: F401
 
@@ -56,16 +56,17 @@ class RectConfig:
 class RectificationDemo:
     """Retained probe prefix plus an oracle completion from the anchor.
 
-    anchor_step counts the retained steps: replaying that many probe
-    actions from the start lands exactly on anchor_pose.  poses[i] is
-    the pose before oracle_actions[i] (poses[0] = anchor_pose), taken
+    retained_prefix is the probe's Steps cut at the anchor (no steps for
+    a teacher-forcing demo); anchor_step counts them: replaying that many
+    probe actions from the start lands exactly on anchor_pose.  poses[i]
+    is the pose before oracle_actions[i] (poses[0] = anchor_pose), taken
     from the plan that produced the actions.
     """
 
     episode_id: int
     anchor_step: int
     anchor_pose: Pose
-    retained_prefix: tuple
+    retained_prefix: Steps
     oracle_actions: tuple
     weights: np.ndarray
     poses: tuple
@@ -99,7 +100,7 @@ def synthesize_demo(
         episode_id=episode.id,
         anchor_step=anchor_step,
         anchor_pose=anchor_pose,
-        retained_prefix=tuple(probe.steps[:anchor_step]),
+        retained_prefix=probe.steps.prefix(anchor_step),
         oracle_actions=tuple(completion.actions),
         weights=decay_weights(len(completion.actions), cfg),
         poses=completion.poses[:-1],
@@ -114,7 +115,7 @@ def bc_demo(episode: Episode) -> RectificationDemo:
         episode_id=episode.id,
         anchor_step=0,
         anchor_pose=episode.start,
-        retained_prefix=(),
+        retained_prefix=Steps(episode.world.width),
         oracle_actions=actions,
         weights=np.ones(len(actions)),
         poses=episode.reference_path[:-1],
@@ -126,16 +127,16 @@ def rect_loss_and_grad(params: PolicyParams, demo: RectificationDemo, episode: E
     the prefix.
 
     Every completion token is scored against the real observation
-    stream: the prefix's recorded observations and the completion's,
-    gathered at the demo's poses, are featurized as one sequence and its
-    completion rows scored in one forward and one backward pass.
+    stream: the observations at the prefix's states and at the demo's
+    poses are gathered with one index, featurized as one sequence and
+    the completion rows scored in one forward and one backward pass.
     """
     pcfg = params.cfg
-    kept = len(demo.retained_prefix)
-    patches = observe_many(episode.world, demo.poses, pcfg.obs_k)
-    if kept:
-        patches = np.concatenate([[s.observation for s in demo.retained_prefix], patches])
-    actions = [s.action for s in demo.retained_prefix] + list(demo.oracle_actions)
+    prefix, width = demo.retained_prefix, episode.world.width
+    kept = len(prefix)
+    states = prefix.states.tolist() + [pose_state(pose, width) for pose in demo.poses]
+    patches = observe_states(episode.world, states, pcfg.obs_k)
+    actions = prefix.actions.tolist() + list(demo.oracle_actions)
     steps = featurize(params, episode.instruction, patches, [NO_ACTION, *actions][:-1], kept)
     logits, cache = forward_cached(params, steps)
     temp = pcfg.temperature

@@ -5,18 +5,18 @@ scored, pick an action (greedy argmax or inverse-CDF sampling on a named
 stream), apply it to the world, then run the failure checks.  One
 driver, run_lockstep, steps a list of RolloutJobs together.  Each job
 keeps its state as plain numbers: its pose-graph state s = (y * width +
-x) * 4 + heading (the numbering oracle plans over), its progress and
-anchor step, its stall and grace counters and its path length.  Each
-tick gathers every running job's observation with one index into the
-jobs' padded occupancy grids (world.patch_layout), pushes the
-observations and previous actions onto the jobs' rows of a feature
+x) * 4 + heading (world.pose_state, the numbering oracle plans over),
+its progress and anchor step, its stall and grace counters and its path
+length.  Each tick gathers every running job's observation with one
+index into the jobs' padded occupancy grids (world.patch_layout), pushes
+the observations and previous actions onto the jobs' rows of a feature
 array, scores all rows with one forward, and takes the greedy actions
 with one argmax.  Every job then moves through oracle.forward_table or
 the turn arithmetic and reads the goal zone and its waypoint progress
-from tables (oracle.goal_zone, oracle.offsets_within); a Pose and a
-TrajectoryStep are built only to record the step.  A row leaves the
-array when its episode ends.  run_greedy and run_sampled are the driver
-with one job; evaluation is the driver with all of them.  Products are
+from tables (oracle.goal_zone, oracle.offsets_within); a Pose is built
+only for the trigger checks and the final pose.  A row leaves the array
+when its episode ends.  run_greedy and run_sampled are the driver with
+one job; evaluation is the driver with all of them.  Products are
 computed row by row (policy.row_products), so an episode's logits do
 not depend on which others share its ticks.
 
@@ -41,15 +41,19 @@ only on STOP or the step cap.  Tracking progress, the driver also records
 the rectification anchor: anchor_step, the steps taken before the first
 visit of the furthest reference waypoint reached in order (0 if none).
 
-Trajectories record, per step, the pose before the action, the
-observation, the chosen action and the raw logits.  Each step feeds
-its observation and the previous step's action (NO_ACTION at t = 0)
-to the policy's history, so a loss can rebuild every step's context
-from the steps alone and is recomputable after the fact.
+A trajectory records its steps as three arrays (Steps): the pose-graph
+state before each step, the chosen action and the raw logits.  The
+driver appends two integers per step and, when the call ends, cuts each
+job's [T, 4] logits out of the ticks' logits with one index.
+Observations are not stored: world.observe_states gathers them from the
+states, the same floats the rollout saw.  Each step feeds its
+observation and the previous step's action (NO_ACTION at t = 0) to the
+policy's history, so a loss can rebuild every step's context from the
+steps alone and is recomputable after the fact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,11 +65,15 @@ from .policy import (
     PolicySnapshot,
     forward,
     greedy_action,
-    initial_features,
+    instruction_mean,
+    padding_slots,
     softmax,
 )
 from .rng import stream_id
-from .world import Action, HEADINGS, Episode, Pose, patch_layout, serialize_episode, step
+from .world import (
+    Action, HEADINGS, Episode, Pose, parse_pose, patch_layout, pose_state, serialize_episode,
+    state_pose, step,
+)
 # Unused here: perfbench's tracer patches rollout.observe when it installs.
 from .world import observe  # noqa: F401
 from .errors import TraceError
@@ -92,13 +100,28 @@ class RolloutConfig:
         return max(self.max_steps_floor, self.max_steps_factor * episode.reference_action_count)
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    t: int
-    pose_before: Pose
-    observation: np.ndarray  # flattened egocentric patch
-    action: int
-    logits: np.ndarray
+@dataclass(frozen=True, eq=False)
+class Steps:
+    """A rollout's T steps as arrays: states[t] is the pose-graph state
+    before step t on a grid width cells wide (world.pose_state),
+    actions[t] the action taken and logits[t] the raw logits it was
+    chosen from.  Steps(width) holds no step."""
+
+    width: int
+    states: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # [T]
+    actions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # [T]
+    logits: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))  # float64 [T, 4]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def prefix(self, n: int) -> Steps:
+        """The first n steps."""
+        return Steps(self.width, self.states[:n], self.actions[:n], self.logits[:n])
+
+    def poses(self) -> list:
+        """The pose before every step."""
+        return [state_pose(s, self.width) for s in self.states.tolist()]
 
 
 @dataclass(frozen=True)
@@ -106,7 +129,7 @@ class Trajectory:
     episode_id: int
     mode: str  # "greedy" or "sampled"
     rng_stream_id: int  # 0 for greedy rollouts
-    steps: tuple
+    steps: Steps
     final_pose: Pose
     stopped: bool
     success: bool  # agent-issued STOP within the goal radius; forced stops fail
@@ -116,7 +139,7 @@ class Trajectory:
 
     def poses(self) -> list:
         """Visited pose sequence: start plus the pose after every step."""
-        return [s.pose_before for s in self.steps] + [self.final_pose]
+        return self.steps.poses() + [self.final_pose]
 
     def positions(self) -> list:
         """Visited cell sequence: start plus the cell after every step."""
@@ -184,19 +207,21 @@ class RolloutJob:
 
 
 class _Row:
-    """A running job: its pose-graph state s = (y * width + x) * 4 +
-    heading (oracle's numbering), its counters and its recorded steps.
+    """A running job: its pose-graph state s (world.pose_state), its
+    counters and its recorded steps.
 
-    pose is s as a Pose, taken from poses, which the rows on one world
-    share; corner is where the window around the agent's cell starts in
-    the batch's flat occupancy array (world.patch_layout).  trajectory is
-    set when the episode ends.
+    corner is where the window around the agent's cell starts in the
+    batch's flat occupancy array (world.patch_layout); poses holds the
+    Pose of each state the trigger checks have seen, shared by the rows
+    on one world.  at[t] is where step t's logits row lies in the call's
+    stacked tick logits.  end is (final pose, stopped, success, trigger)
+    once the episode has ended.
     """
 
     __slots__ = (
         "job", "cfg", "rng", "fwd", "width", "zone", "max_steps", "base", "stride", "poses",
-        "s", "pose", "corner", "prev_action", "progress", "anchor_step", "stall", "grace",
-        "path_length", "steps", "trajectory",
+        "s", "corner", "prev_action", "progress", "anchor_step", "stall", "grace",
+        "path_length", "states", "actions", "at", "end",
     )
 
     def __init__(self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, poses: dict):
@@ -211,8 +236,7 @@ class _Row:
         self.zone = goal_zone(world, episode.goal, episode.goal_radius)
         self.max_steps = cfg.max_steps(episode)
         self.base, self.stride, self.poses = base, stride, poses
-        self.s = (start.y * world.width + start.x) * 4 + start.heading
-        self.pose = start
+        self.s = pose_state(start, world.width)
         self.corner = base + start.y * stride + start.x
         self.prev_action = NO_ACTION
         self.progress = advance_progress(
@@ -220,65 +244,72 @@ class _Row:
         )
         self.anchor_step = self.stall = self.grace = 0
         self.path_length = 0.0
-        self.steps = []
-        self.trajectory = None
+        self.states, self.actions, self.at = [], [], []
+        self.end = None
         if self.max_steps < 1:
-            self._cap(start)
+            self._cap(self.s)
 
-    def act(self, t: int, obs: np.ndarray, logits: np.ndarray, action: int) -> None:
-        """Record step t, apply its action and run the failure checks."""
-        s, pose = self.s, self.pose
-        self.steps.append(TrajectoryStep(t, pose, obs, action, logits))
+    def act(self, t: int, at: int, action: int) -> None:
+        """Record step t, whose logits lie at row at of the stacked tick
+        logits, apply its action and run the failure checks."""
+        s = self.s
+        self.states.append(s)
+        self.actions.append(action)
+        self.at.append(at)
         progressed = False
         if action == Action.FORWARD:
             if self.fwd[s] >= 0:
                 episode = self.job.episode
                 s = self.fwd[s]
-                pose = self._pose(s)
-                self.corner = self.base + pose.y * self.stride + pose.x
+                y, x = divmod(s >> 2, self.width)
+                self.corner = self.base + y * self.stride + x
                 self.path_length += episode.world.cell_size
                 # Progress changes only when the cell does.
                 reached = advance_progress(
-                    self.progress, pose.position, episode.reference_waypoints,
+                    self.progress, (x, y), episode.reference_waypoints,
                     self.cfg.visit_radius_m, episode.world.cell_size,
                 )
                 if reached != self.progress:
                     self.progress, self.anchor_step, progressed = reached, t + 1, True
         elif action != Action.STOP:  # TURN_LEFT (1) turns by -1, TURN_RIGHT (2) by +1
             s = (s & ~3) | ((s + 2 * action - 3) & 3)
-            pose = self._pose(s)
         self.stall = 0 if progressed else self.stall + 1
         in_zone = self.zone[s >> 2]
         self.grace = self.grace + 1 if in_zone else 0
         stopped = action == Action.STOP
         trig = None
         if self.job.triggers:
-            state = RolloutState(pose, t, self.stall, stopped, self.grace, self.progress)
+            state = RolloutState(self._pose(s), t, self.stall, stopped, self.grace, self.progress)
             trig = check_triggers(state, self.job.episode, self.cfg)
         if trig is not None or stopped:
             trigger = None if trig is None else (trig, t)
-            self._end(pose, stopped, trig is None and bool(in_zone), trigger)
+            self.end = (self._pose(s), stopped, trig is None and bool(in_zone), trigger)
         elif t + 1 == self.max_steps:
-            self._cap(pose)
+            self._cap(s)
         else:
-            self.s, self.pose, self.prev_action = s, pose, action
+            self.s, self.prev_action = s, action
 
     def _pose(self, s: int) -> Pose:
         pose = self.poses.get(s)
         if pose is None:
-            y, x = divmod(s >> 2, self.width)
-            pose = self.poses[s] = Pose(x, y, s & 3)
+            pose = self.poses[s] = state_pose(s, self.width)
         return pose
 
-    def _cap(self, pose: Pose) -> None:
+    def _cap(self, s: int) -> None:
         """Step cap reached: forced termination, counted as a failure."""
         trigger = (TriggerKind.FORCED_STOP, self.max_steps - 1) if self.job.triggers else None
-        self._end(pose, True, False, trigger)
+        self.end = (self._pose(s), True, False, trigger)
 
-    def _end(self, final_pose: Pose, stopped: bool, success: bool, trigger) -> None:
+    def trajectory(self, logits: np.ndarray) -> Trajectory:
+        """The ended episode's trajectory, given its [T, 4] logits."""
         job = self.job
-        self.trajectory = Trajectory(
-            job.episode.id, job.mode, job.rng_stream, tuple(self.steps), final_pose,
+        final_pose, stopped, success, trigger = self.end
+        steps = Steps(
+            self.width, np.array(self.states, dtype=np.int64),
+            np.array(self.actions, dtype=np.int64), logits,
+        )
+        return Trajectory(
+            job.episode.id, job.mode, job.rng_stream, steps, final_pose,
             stopped=stopped, success=success, trigger=trigger,
             path_length=self.path_length, anchor_step=self.anchor_step,
         )
@@ -308,9 +339,10 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     pose graph and updates its counters (_Row.act).  A job's row is
     dropped, and the array compacted, when its episode ends; a lone row
     is kept 1-D, which takes the plain vector-matrix path (same bits,
-    fewer calls).  Each step receives its own copy of its logits row, so
-    no step keeps a tick's logits alive; its observation is its row of
-    the tick's gathered observations.
+    fewer calls).  The rows record where their logits lie in the ticks'
+    logits; once every job has ended the ticks are stacked and each
+    trajectory's [T, 4] logits taken with one index (a lone job's steps
+    are the ticks themselves).
     """
     if not jobs:
         return []
@@ -318,39 +350,53 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     score = snapshot_logits_fn(snapshot)
     worlds = list({id(job.episode.world): job.episode.world for job in jobs}.values())
     flat, stride, offsets, bases = patch_layout(worlds, params.cfg.obs_k)
-    # Per world: its base in flat and the Pose of each state reached so far.
+    # Per world: its base in flat and the Pose of each state checked so far.
     layout = {id(world): (base, {}) for world, base in zip(worlds, bases)}
     every = [_Row(job, cfg, stride, *layout[id(job.episode.world)]) for job in jobs]
-    running = [row for row in every if row.trajectory is None]
+    running = [row for row in every if row.end is None]
 
     def bind(features):
         return FeatureRows(params, features[0] if len(features) == 1 else features)
 
-    features = np.array([initial_features(params, row.job.episode.instruction) for row in running])
+    d_e = params.cfg.d_e
+    features = np.empty((len(running), params.cfg.feature_dim))
+    features[:, d_e:] = padding_slots(params)
+    for i, row in enumerate(running):
+        features[i, :d_e] = instruction_mean(params, row.job.episode.instruction)
     rows = bind(features)
-    t = 0
+    ticks = []  # each tick's logits, flat: [4 * running]
+    t = at = 0
     while running:
-        if len(running) == 1:
+        lone = len(running) == 1
+        if lone:
             (row,) = running
             obs = flat[row.corner + offsets[row.s & 3]]
             logits = score(rows, obs, row.prev_action)
-            ticks = ((row, obs, logits, greedy_action(logits)),)
+            greedy = (greedy_action(logits) if row.rng is None else None,)
         else:
             corners = np.array([row.corner for row in running])
             obs = flat[corners[:, None] + offsets[[row.s & 3 for row in running]]]
             logits = score(rows, obs, [row.prev_action for row in running])
-            ticks = zip(running, obs, map(np.ndarray.copy, logits), logits.argmax(axis=1).tolist())
-        for row, ob, lg, action in ticks:
+            greedy = logits.argmax(axis=1).tolist()
+        ticks.append(logits.ravel())
+        for i, row in enumerate(running):
+            action = greedy[i]
             if row.rng is not None:
+                lg = logits if lone else logits[i]
                 action = sample_action(softmax(lg / row.job.temperature), row.rng.random())
-            row.act(t, ob, lg, action)
-        keep = [i for i, row in enumerate(running) if row.trajectory is None]
+            row.act(t, at + i, action)
+        at += len(running)
+        keep = [i for i, row in enumerate(running) if row.end is None]
         if len(keep) < len(running):
             running = [running[i] for i in keep]
-            features = features[keep]
-            rows = bind(features)
+            if running:
+                features = features[keep]
+                rows = bind(features)
         t += 1
-    return [row.trajectory for row in every]
+    stacked = np.concatenate(ticks).reshape(-1, 4) if ticks else np.zeros((0, 4))
+    if len(every) == 1:  # its steps are the ticks
+        return [every[0].trajectory(stacked)]
+    return [row.trajectory(stacked[row.at]) for row in every]
 
 
 def run_greedy(
@@ -396,12 +442,14 @@ def serialize_trace(traj: Trajectory, episode: Episode, demo=None) -> str:
     lines.append(f"episode {len(ep_lines)}")
     lines.extend(ep_lines)
     trig_at = {traj.trigger[1]: traj.trigger[0].value} if traj.trigger else {}
-    for s in traj.steps:
-        logit_s = " ".join(repr(float(v)) for v in s.logits)
-        trig = trig_at.get(s.t, "-")
+    steps = traj.steps
+    for t, (pose, action, logits) in enumerate(
+        zip(steps.poses(), steps.actions.tolist(), steps.logits.tolist())
+    ):
+        logit_s = " ".join(map(repr, logits))
+        trig = trig_at.get(t, "-")
         lines.append(
-            f"step {s.t} {s.pose_before.x} {s.pose_before.y}"
-            f" {HEADINGS[s.pose_before.heading]} {int(s.action)} {logit_s} {trig}"
+            f"step {t} {pose.x} {pose.y} {HEADINGS[pose.heading]} {action} {logit_s} {trig}"
         )
     trig = f"{traj.trigger[0].value}@{traj.trigger[1]}" if traj.trigger else "-"
     lines.append(
@@ -442,6 +490,9 @@ class TraceDoc:
 
 
 def parse_trace(text: str) -> TraceDoc:
+    """Parse a trace; TraceError unless every record is well formed and
+    the start, goal, reference path and anchor lie on the grid (the
+    start on a free cell)."""
     from .world import parse_episode
 
     lines = text.splitlines()
@@ -460,7 +511,7 @@ def parse_trace(text: str) -> TraceDoc:
                 steps.append(
                     TraceStep(
                         t=int(parts[1]),
-                        pose_before=Pose(int(parts[2]), int(parts[3]), HEADINGS.index(parts[4])),
+                        pose_before=parse_pose(parts[2:5]),
                         action=int(parts[5]),
                         logits=np.array([float(v) for v in parts[6:10]]),
                         trigger=parts[10],
@@ -472,7 +523,7 @@ def parse_trace(text: str) -> TraceDoc:
                 n = int(parts[5])
                 rect = {
                     "anchor_step": int(parts[1]),
-                    "anchor_pose": Pose(int(parts[2]), int(parts[3]), HEADINGS.index(parts[4])),
+                    "anchor_pose": parse_pose(parts[2:5]),
                     "actions": [int(a) for a in parts[6 : 6 + n]],
                     "weights": [float(w) for w in parts[6 + n : 6 + 2 * n]],
                 }
@@ -480,22 +531,33 @@ def parse_trace(text: str) -> TraceDoc:
                 raise TraceError(f"unknown record: {line!r}")
         if final is None:
             raise TraceError("trace has no final record")
+        trigger = final[6]
+        if trigger != "-":
+            kind, _, at = trigger.partition("@")
+            TriggerKind(kind), int(at)  # ValueError unless "<TriggerKind>@<step>"
+        doc = TraceDoc(
+            episode=episode,
+            mode=mode,
+            rng_stream_id=int(stream_s),
+            steps=tuple(steps),
+            final_pose=parse_pose(final[1:4]),
+            stopped=bool(int(final[4])),
+            success=bool(int(final[5])),
+            trigger=trigger,
+            path_length=float(final[7]),
+            rect=rect,
+        )
     except KeyError as e:
         raise TraceError(f"malformed trace: episode header lacks {e}") from e
     except (IndexError, ValueError) as e:
         raise TraceError(f"malformed trace: {e}") from e
-    return TraceDoc(
-        episode=episode,
-        mode=mode,
-        rng_stream_id=int(stream_s),
-        steps=tuple(steps),
-        final_pose=Pose(int(final[1]), int(final[2]), HEADINGS.index(final[3])),
-        stopped=bool(int(final[4])),
-        success=bool(int(final[5])),
-        trigger=final[6],
-        path_length=float(final[7]),
-        rect=rect,
-    )
+    world, start = episode.world, episode.start
+    cells = [episode.goal, *(pose.position for pose in episode.reference_path)]
+    if rect is not None:
+        cells.append(rect["anchor_pose"].position)
+    if not (world.is_free(start.x, start.y) and all(world.in_bounds(x, y) for x, y in cells)):
+        raise TraceError("malformed trace: start, goal, reference path or anchor off the grid")
+    return doc
 
 
 def verify_trace(doc: TraceDoc) -> int:
@@ -509,6 +571,8 @@ def verify_trace(doc: TraceDoc) -> int:
             raise TraceError(
                 f"divergence at step {s.t}: trace pose {s.pose_before}, replay pose {pose}"
             )
+        if not 0 <= s.action < len(Action):
+            raise TraceError(f"step {s.t}: no action {s.action}")
         if doc.mode == "greedy" and greedy_action(s.logits) != s.action:
             best = greedy_action(s.logits)
             raise TraceError(f"divergence at step {s.t}: action {s.action}, logits argmax {best}")

@@ -192,7 +192,7 @@ def _error_state_demo(probe, episode: Episode, cfg: TrainConfig) -> Rectificatio
         episode_id=episode.id,
         anchor_step=len(probe.steps),
         anchor_pose=probe.final_pose,
-        retained_prefix=tuple(probe.steps),
+        retained_prefix=probe.steps,
         oracle_actions=tuple(completion.actions),
         weights=decay_weights(len(completion.actions), cfg.rect),
         poses=completion.poses[:-1],

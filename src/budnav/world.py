@@ -161,14 +161,35 @@ _TO_EGOCENTRIC = (
 )
 
 
+def pose_state(pose: Pose, width: int) -> int:
+    """The pose-graph state s = (y * width + x) * 4 + heading of pose on a
+    grid width cells wide: the numbering the planner searches and
+    rollouts record."""
+    return (pose.y * width + pose.x) * 4 + pose.heading
+
+
+def state_pose(s: int, width: int) -> Pose:
+    """The pose that state s numbers on a grid width cells wide."""
+    y, x = divmod(s >> 2, width)
+    return Pose(x, y, s & 3)
+
+
 def observe_many(world: GridWorld, poses, k: int = 5) -> np.ndarray:
     """observe(world, pose, k).ravel() of each pose, stacked [len(poses), k*k]
     and gathered with one index into the padded occupancy grid."""
-    flat, stride, offsets, _ = patch_layout([world], k)
     xs, ys, headings = np.array([(p.x, p.y, p.heading) for p in poses]).T
     if not (world.in_bounds(xs.min(), ys.min()) and world.in_bounds(xs.max(), ys.max())):
         raise ValueError(f"pose out of bounds among {len(poses)} poses")
-    return flat[(ys * stride + xs)[:, None] + offsets[headings]]
+    return observe_states(world, (ys * world.width + xs) * 4 + headings, k)
+
+
+def observe_states(world: GridWorld, states, k: int = 5) -> np.ndarray:
+    """observe_many of the poses the pose-graph states number (pose_state),
+    which must be in bounds: one index into the padded occupancy grid."""
+    flat, stride, offsets, _ = patch_layout([world], k)
+    states = np.asarray(states, dtype=np.intp)
+    ys, xs = np.divmod(states >> 2, world.width)
+    return flat[(ys * stride + xs)[:, None] + offsets[states & 3]]
 
 
 def patch_layout(worlds, k: int) -> tuple:
@@ -481,6 +502,15 @@ def serialize_episode(episode: Episode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_pose(fields) -> Pose:
+    """A Pose from its serialized fields [x, y, heading], the heading one
+    of HEADINGS; ValueError on anything else."""
+    if len(fields) != 3 or len(fields[2]) != 1 or fields[2] not in HEADINGS:
+        raise ValueError(f"bad pose: {fields}")
+    x, y, heading = fields
+    return Pose(int(x), int(y), HEADINGS.index(heading))
+
+
 def parse_episode(text: str) -> Episode:
     lines = text.splitlines()
     if not lines or lines[0] != EPISODE_MAGIC:
@@ -496,13 +526,11 @@ def parse_episode(text: str) -> Episode:
         width, height, blocked, float(fields["cell_size"]), int(fields["world_seed"])
     )
     rest = lines[2 + height :]
-    sx, sy, sh = rest[0].removeprefix("start ").split()
-    start = Pose(int(sx), int(sy), HEADINGS.index(sh))
+    start = parse_pose(rest[0].removeprefix("start ").split())
     gx, gy = rest[1].removeprefix("goal ").split()
     path = []
     for triple in rest[2].removeprefix("path ").split():
-        x, y, h = triple.split(",")
-        path.append(Pose(int(x), int(y), HEADINGS.index(h)))
+        path.append(parse_pose(triple.split(",")))
     instruction = tuple(int(t) for t in rest[3].removeprefix("instr ").split())
     return Episode(
         id=int(fields["id"]),

@@ -97,12 +97,14 @@ def window_steps(params, window, n_pad=0):
     return featurize(params, window.instruction, patches, window.prev_actions[n_pad:], n - 1)
 
 
-def replay(params, instruction, steps):
-    """Yield (step, one-row StepRows) for each trajectory step, featurized
-    on its own from the steps up to it."""
+def replay(params, instruction, world, steps):
+    """Yield (action, one-row StepRows) for each step of a trajectory's
+    Steps on world, featurized on its own from the steps up to it."""
     from budnav.policy import NO_ACTION, featurize
+    from budnav.world import observe_states
 
-    patches = np.array([s.observation for s in steps])
-    prev_actions = [NO_ACTION] + [s.action for s in steps[:-1]]
-    for t, s in enumerate(steps):
-        yield s, featurize(params, instruction, patches[: t + 1], prev_actions[: t + 1], t)
+    patches = observe_states(world, steps.states, params.cfg.obs_k)
+    actions = steps.actions.tolist()
+    prev_actions = [NO_ACTION] + actions[:-1]
+    for t, action in enumerate(actions):
+        yield action, featurize(params, instruction, patches[: t + 1], prev_actions[: t + 1], t)

@@ -314,7 +314,7 @@ def test_criterion_5_synthesized_demos_stay_consistent():
         demo = synthesize_demo(probe, ep)
         pose = ep.start
         positions = [pose.position]
-        actions = [s.action for s in demo.retained_prefix] + list(demo.oracle_actions)
+        actions = demo.retained_prefix.actions.tolist() + list(demo.oracle_actions)
         for i, a in enumerate(actions):
             pose = step(ep.world, pose, Action(a))
             positions.append(pose.position)

@@ -1,4 +1,6 @@
 """End-to-end command-line behaviour, including exit codes."""
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import budnav
 import budnav.cli
 from budnav.cli import main, render_map
-from budnav.errors import Unreachable
+from budnav.errors import TraceError, Unreachable
+from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rectify import synthesize_demo
-from budnav.rollout import parse_trace, serialize_trace
+from budnav.rollout import parse_trace, run_sampled, serialize_trace, verify_trace
 from budnav.suite import generate_suite, parse_suite, serialize_suite
 from budnav.world import Action
 
@@ -301,6 +306,107 @@ def test_replay_trace_without_episode_width_exits_5(tmp_path, capsys):
     path.write_text(text.replace(" width=12", "", 1))
     assert main(["replay", "--trace", str(path)]) == 5
     assert "episode header lacks 'width'" in capsys.readouterr().err
+
+
+def replay_outcome(path):
+    """(exit code, stderr) of `budnav replay` on path; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["replay", "--trace", str(path)])
+    return code, err.getvalue()
+
+
+def sampled_trace_lines():
+    ep = corridor_episode()
+    snap = snapshot(init_params(PolicyConfig(), 0))
+    traj = run_sampled(snap, ep, 1.0, 7, triggers=False)
+    assert len(traj.steps) >= 2
+    return serialize_trace(traj, ep).splitlines()
+
+
+@pytest.mark.parametrize("case", ["stream", "final", "action"])
+def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
+    # A non-numeric stream id, a non-numeric final field, and a sampled
+    # trace's step taking an action that does not exist.
+    lines = sampled_trace_lines()
+    if case == "stream":
+        lines[1] = "mode greedy stream abc"
+    elif case == "final":
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("final "))
+        parts = lines[i].split()
+        parts[4] = "yes"  # stopped
+        lines[i] = " ".join(parts)
+    else:
+        assert lines[1].startswith("mode sampled ")
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("step 1 "))
+        parts = lines[i].split()
+        parts[5] = "33"
+        lines[i] = " ".join(parts)
+    path = tmp_path / "bad.trace"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = replay_outcome(path)
+    assert code == 5
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trace_corpus(train_run):
+    """Bytes of real traces: the training run's evaluation traces, a
+    failed probe's trace with its rect record, and a sampled trace."""
+    _, out = train_run
+    corpus = [path.read_bytes() for path in sorted((out / "traces").glob("*.trace"))]
+    ep = corridor_episode()
+    probe = run_script(ep, [F, F, S])
+    corpus.append(serialize_trace(probe, ep, synthesize_demo(probe, ep)).encode())
+    corpus.append(("\n".join(sampled_trace_lines()) + "\n").encode())
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.trace"
+
+
+def test_trace_corpus_replays(trace_corpus, fuzz_path):
+    assert len(trace_corpus) == 5
+    for data in trace_corpus:
+        fuzz_path.write_bytes(data)
+        assert replay_outcome(fuzz_path) == (0, "")
+
+
+EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 1 << 20), st.integers(0, 255)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 4), edits=st.lists(EDIT, min_size=1, max_size=6))
+def test_mutated_traces_raise_only_trace_errors(trace_corpus, fuzz_path, which, edits):
+    # Byte edits anywhere in a real trace: parsing, verifying and drawing
+    # it either succeed or raise TraceError, and `budnav replay` exits 0
+    # or 5 with one error line, never with a traceback.
+    data = bytearray(trace_corpus[which])
+    for kind, at, byte in edits:
+        i = at % (len(data) + 1)
+        if kind == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            if kind == "replace":
+                data[i] = byte
+            else:
+                del data[i]
+    fuzz_path.write_bytes(bytes(data))
+    want = 0
+    try:
+        doc = parse_trace(bytes(data).decode())
+        verify_trace(doc)
+        render_map(doc)
+    except (TraceError, UnicodeDecodeError):
+        want = 5
+    code, err = replay_outcome(fuzz_path)
+    assert code == want
+    if code == 5:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_render_map_marks_anchor_and_trigger():

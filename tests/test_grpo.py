@@ -197,8 +197,8 @@ def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monke
     want = 0.0
     G = len(group.trajectories)
     for traj in group.trajectories:
-        live = replay(default_policy, group.instruction, traj.steps)
-        refs = replay(ref.params, group.instruction, traj.steps)
+        live = replay(default_policy, group.instruction, group.world, traj.steps)
+        refs = replay(ref.params, group.instruction, group.world, traj.steps)
         for (s, live_steps), (_, ref_steps) in zip(live, refs):
             p = softmax(forward(default_policy, live_steps.rows[0]) / 0.4)
             q = softmax(forward(ref.params, ref_steps.rows[0]) / 0.4)
@@ -217,8 +217,8 @@ def test_grpo_matches_policy_gradient_at_origin(sample_episode, default_policy):
     want = np.zeros_like(grad)
     G = len(group.trajectories)
     for adv, traj in zip(group.advantages, group.trajectories):
-        for s, steps in replay(default_policy, group.instruction, traj.steps):
-            _, g = logprob_and_grad(default_policy, steps, s.action, 0.4)
+        for action, steps in replay(default_policy, group.instruction, group.world, traj.steps):
+            _, g = logprob_and_grad(default_policy, steps, action, 0.4)
             want += adv * g / (G * len(traj.steps))
     assert np.allclose(grad, -want, atol=1e-10)
 
@@ -254,8 +254,9 @@ def test_grpo_gradient_matches_finite_differences(sample_episode):
 def test_grpo_detects_stale_snapshot(sample_episode, default_policy):
     group, snap = sampled_group(sample_episode, default_policy)
     traj0 = group.trajectories[0]
-    doctored_step = dataclasses.replace(traj0.steps[0], logits=traj0.steps[0].logits + 1.0)
-    doctored = dataclasses.replace(traj0, steps=(doctored_step,) + traj0.steps[1:])
+    logits = traj0.steps.logits.copy()
+    logits[0] += 1.0
+    doctored = dataclasses.replace(traj0, steps=dataclasses.replace(traj0.steps, logits=logits))
     bad_group = dataclasses.replace(group, trajectories=(doctored,) + group.trajectories[1:])
     with pytest.raises(SnapshotMismatch):
         grpo_loss_and_grad(default_policy, bad_group, snap, GrpoConfig())
@@ -274,20 +275,18 @@ def test_grpo_stale_snapshot_names_the_first_drifting_step(sample_episode, defau
     group = make_group(trajs, sample_episode, snap, RewardConfig(), GrpoConfig())
     i, traj = max(enumerate(group.trajectories), key=lambda it: len(it[1].steps))
     assert len(traj.steps) > 8
-    steps = list(traj.steps)
+    logits = traj.steps.logits.copy()
     for t, bump in ((5, 1e-6), (7, 1.0)):
-        logits = steps[t].logits.copy()
-        logits[2] += bump
-        steps[t] = dataclasses.replace(steps[t], logits=logits)
-    doctored = dataclasses.replace(traj, steps=tuple(steps))
+        logits[t, 2] += bump
+    doctored = dataclasses.replace(traj, steps=dataclasses.replace(traj.steps, logits=logits))
     trajs = group.trajectories[:i] + (doctored,) + group.trajectories[i + 1 :]
     message = f"episode {group.episode_id} step 5: recorded logits drift 1e-06$"
     with pytest.raises(SnapshotMismatch, match=message):
         grpo_loss_and_grad(params, dataclasses.replace(group, trajectories=trajs), snap, GrpoConfig())
     # Below SNAPSHOT_TOL the same group is accepted.
-    steps[5] = dataclasses.replace(steps[5], logits=traj.steps[5].logits + 1e-10)
-    steps[7] = traj.steps[7]
-    doctored = dataclasses.replace(traj, steps=tuple(steps))
+    logits = traj.steps.logits.copy()
+    logits[5] += 1e-10
+    doctored = dataclasses.replace(traj, steps=dataclasses.replace(traj.steps, logits=logits))
     trajs = group.trajectories[:i] + (doctored,) + group.trajectories[i + 1 :]
     grpo_loss_and_grad(params, dataclasses.replace(group, trajectories=trajs), snap, GrpoConfig())
 

@@ -3,14 +3,16 @@
 run_lockstep steps many episodes together and scores every running one
 with one row-batched featurize+forward per tick.  The reference below is
 the loop every rollout ran before: one rolling FeatureRows per episode,
-and push + forward once per step.  Each step's observation and logits
-bytes, action and pose, and each trajectory's trigger, final pose and
-path length must agree exactly, whether an episode runs alone or in a
-batch whose rows end at different ticks.  The reference tracks waypoint
+push + forward once per step, and one record per step.  Each step's
+logits bytes, action and pose, the observation bytes gathered from its
+recorded state, and each trajectory's trigger, final pose and path
+length must agree exactly, whether an episode runs alone or in a batch
+whose rows end at different ticks.  The reference tracks waypoint
 progress, the anchor step and the goal zone with euclid_m on its own,
 so none of them is taken from the code under test.
 """
 from dataclasses import replace
+from typing import NamedTuple
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from budnav.rollout import (
     RolloutJob,
     RolloutState,
     Trajectory,
-    TrajectoryStep,
     TriggerKind,
     check_triggers,
     rollout_stream,
@@ -37,12 +38,24 @@ from budnav.rollout import (
 )
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.trainer import pretrain_bc, training_episode
-from budnav.world import Action, euclid_m, generate_episode, generate_world, observe, step
+from budnav.world import (
+    Action, euclid_m, generate_episode, generate_world, observe, observe_states, pose_state, step,
+)
 
 from test_rectify import ordered_anchor_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CFG = RolloutConfig()
+
+
+class RefStep(NamedTuple):
+    """One step of the reference rollout."""
+
+    t: int
+    pose_before: object
+    observation: np.ndarray
+    action: int
+    logits: np.ndarray
 
 
 def euclid_progress(j, pos, waypoints, radius, cell):
@@ -73,7 +86,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
         else:
             action = sample_action(softmax(logits / temperature), rng.random())
         new_pose = step(world, pose, Action(action))
-        steps.append(TrajectoryStep(t, pose, obs, action, logits))
+        steps.append(RefStep(t, pose, obs, action, logits))
         if action == Action.FORWARD and new_pose.position != pose.position:
             path_length += cell
         reached = euclid_progress(progress, new_pose.position, waypoints, cfg.visit_radius_m, cell)
@@ -104,14 +117,20 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
     )
 
 
-def assert_same(got, want):
-    assert len(got.steps) == len(want.steps)
-    for a, b in zip(got.steps, want.steps):
-        assert type(a.action) is int
-        assert (a.t, a.pose_before, a.action) == (b.t, b.pose_before, b.action)
-        assert a.observation.tobytes() == b.observation.tobytes()
-        assert a.logits.shape == (4,)
-        assert a.logits.tobytes() == b.logits.tobytes()
+def assert_same(got, want, episode, snap):
+    steps = got.steps
+    assert len(steps) == len(want.steps)
+    assert steps.width == episode.world.width
+    assert steps.states.dtype == steps.actions.dtype == np.int64
+    assert steps.logits.dtype == np.float64 and steps.logits.shape == (len(steps), 4)
+    observations = observe_states(episode.world, steps.states, snap.params.cfg.obs_k)
+    for t, b in enumerate(want.steps):
+        assert b.t == t
+        assert steps.states[t] == pose_state(b.pose_before, episode.world.width)
+        assert steps.actions[t] == b.action
+        assert observations[t].tobytes() == b.observation.tobytes()
+        assert steps.logits[t].tobytes() == b.logits.tobytes()
+    assert steps.poses() == [b.pose_before for b in want.steps]
     assert (got.episode_id, got.mode, got.rng_stream_id) == (want.episode_id, want.mode, want.rng_stream_id)
     assert (got.final_pose, got.stopped, got.success) == (want.final_pose, want.stopped, want.success)
     assert got.trigger == want.trigger
@@ -170,7 +189,8 @@ def test_evaluate_matches_the_reference_on_every_held_episode(held, policies, na
     outcome = evaluate(snap, held, CFG)
     assert [t.episode_id for t in outcome.trajectories] == [ep.id for ep in held]
     for episode, traj in zip(held, outcome.trajectories):
-        assert_same(traj, reference_rollout(snap, episode, CFG, "greedy", triggers=False))
+        want = reference_rollout(snap, episode, CFG, "greedy", triggers=False)
+        assert_same(traj, want, episode, snap)
     lengths = [len(t.steps) for t in outcome.trajectories]
     at_cap = sum(n == CFG.max_steps(ep) for n, ep in zip(lengths, held))
     if name == "pretrained":
@@ -189,13 +209,13 @@ def test_single_rollouts_match_the_reference_with_and_without_triggers(held, pol
     for episode in held[:60]:
         for triggers in (True, False):
             want = reference_rollout(snap, episode, CFG, "greedy", triggers=triggers)
-            assert_same(run_greedy(snap, episode, CFG, triggers=triggers), want)
+            assert_same(run_greedy(snap, episode, CFG, triggers=triggers), want, episode, snap)
             if want.trigger is not None:
                 triggered.add(want.trigger[0])
         for i in (1, 2, 3):
             stream = rollout_stream(7, episode.id, i)
             want = reference_rollout(snap, episode, CFG, "sampled", stream, 0.4)
-            assert_same(run_sampled(snap, episode, 0.4, stream, CFG), want)
+            assert_same(run_sampled(snap, episode, 0.4, stream, CFG), want, episode, snap)
     assert triggered
 
 
@@ -221,18 +241,18 @@ def test_mixed_jobs_in_one_batch_match_the_reference(held, mixed_worlds, policie
         want = reference_rollout(
             snap, job.episode, CFG, job.mode, job.rng_stream, job.temperature, job.triggers
         )
-        assert_same(traj, want)
+        assert_same(traj, want, job.episode, snap)
         lengths.add(len(traj.steps))
     assert len(lengths) >= 10
 
 
 def test_each_step_owns_its_logits(held, policies):
-    # A step's logits are its own four floats, not a view into a tick's
-    # batch that would keep the whole batch alive.
+    # A trajectory's logits are its own [T, 4] array, not a view into the
+    # call's stacked tick logits that would keep every job's alive.
     outcome = evaluate(policies["pretrained"], held[:20], CFG)
     for traj in outcome.trajectories:
-        for s in traj.steps:
-            assert s.logits.base is None and s.logits.shape == (4,)
+        logits = traj.steps.logits
+        assert logits.base is None and logits.shape == (len(traj.steps), 4)
 
 
 @pytest.mark.parametrize("visit_radius_m", [0.5, 1.5])

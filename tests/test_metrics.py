@@ -1,11 +1,14 @@
 """Navigation metrics against brute-force oracles, and trigger-free eval."""
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from budnav.metrics import (
     METRICS_HEADER,
+    EpisodeResult,
     aggregate,
     dtw_distance,
     episode_result,
@@ -14,15 +17,22 @@ from budnav.metrics import (
     navigation_error,
     ndtw,
     oracle_success,
+    spl,
 )
 from budnav.oracle import geodesic_field
-from budnav.policy import snapshot
-from budnav.rollout import run_greedy
-from budnav.world import Action, Pose, euclid_m, generate_episode, generate_world
+from budnav.policy import PolicyConfig, init_params, snapshot
+from budnav.rollout import Steps, Trajectory, run_greedy
+from budnav.suite import build_held_episodes, parse_suite
+from budnav.world import (
+    Action, Pose, dedup_positions, euclid_m, generate_episode, generate_world,
+)
 
 from conftest import walled_world
 from test_oracle import bfs_distance_oracle
+from test_lockstep import pretrained_policy
 from test_rollout import corridor_episode, run_script
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
 
@@ -56,11 +66,9 @@ def test_navigation_error_is_geodesic():
     dist = bfs_distance_oracle(w, goal)
     import dataclasses
 
-    from budnav.rollout import Trajectory
-
     for cell in [(1, 2), (0, 0), (4, 4)]:
         traj = Trajectory(
-            episode_id=0, mode="greedy", rng_stream_id=0, steps=(),
+            episode_id=0, mode="greedy", rng_stream_id=0, steps=Steps(w.width),
             final_pose=Pose(cell[0], cell[1], 0), stopped=True, success=False,
             trigger=None, path_length=0.0,
         )
@@ -73,17 +81,15 @@ def test_oracle_success_uses_geodesic_not_euclid():
     w = walled_world()
     import dataclasses
 
-    from budnav.rollout import Trajectory
-
     ep = dataclasses.replace(corridor_episode(), world=w, goal=(3, 2))
     near_wall = Trajectory(
-        episode_id=0, mode="greedy", rng_stream_id=0, steps=(),
+        episode_id=0, mode="greedy", rng_stream_id=0, steps=Steps(w.width),
         final_pose=Pose(1, 2, 0), stopped=True, success=False,
         trigger=None, path_length=0.0,
     )
     assert not oracle_success(near_wall, ep)
     around = Trajectory(
-        episode_id=0, mode="greedy", rng_stream_id=0, steps=(),
+        episode_id=0, mode="greedy", rng_stream_id=0, steps=Steps(w.width),
         final_pose=Pose(3, 0, 0), stopped=True, success=False,
         trigger=None, path_length=0.0,
     )
@@ -96,12 +102,10 @@ def test_oracle_success_counts_walled_off_successful_stop():
     # must not drop below SR there.
     import dataclasses
 
-    from budnav.rollout import Trajectory
-
     w = walled_world()
     ep = dataclasses.replace(corridor_episode(), world=w, goal=(3, 2))
     traj = Trajectory(
-        episode_id=0, mode="greedy", rng_stream_id=0, steps=(),
+        episode_id=0, mode="greedy", rng_stream_id=0, steps=Steps(w.width),
         final_pose=Pose(1, 2, 0), stopped=True, success=True,
         trigger=None, path_length=0.0,
     )
@@ -218,6 +222,47 @@ def test_episode_result_perfect_run():
     assert r.ndtw == 1.0  # visited cells coincide with the reference
 
 
+def episode_result_reference(traj, episode):
+    """episode_result from the poses: OSR by field.at over every visited
+    position, nDTW over dedup_positions(traj.poses())."""
+    field = geodesic_field(episode.world, episode.goal)
+    osr = traj.success or any(field.at(*pos) <= episode.goal_radius for pos in traj.positions())
+    return EpisodeResult(
+        episode_id=episode.id,
+        success=traj.success,
+        spl=spl(traj, episode, field),
+        osr=float(osr),
+        ne=navigation_error(traj, episode, field),
+        ndtw=ndtw(
+            dedup_positions(traj.poses()), list(episode.reference_waypoints),
+            episode.goal_radius, episode.world.cell_size,
+        ),
+        path_length=traj.path_length,
+        steps=len(traj.steps),
+    )
+
+
+@pytest.mark.parametrize("policy", ["initial", "pretrained"])
+def test_episode_result_from_arrays_equals_the_pose_reference(policy):
+    # Every held desk episode, under the initial policy (which mostly
+    # stops at once) and a BC-pretrained one (which walks, revisits
+    # cells and passes through the goal zone).
+    held = build_held_episodes(parse_suite((CONFIGS / "desk.suite").read_text()))
+    assert len(held) == 200
+    if policy == "initial":
+        snap = snapshot(init_params(PolicyConfig(), 0))
+    else:
+        snap = pretrained_policy(600)
+    outcome = evaluate(snap, held)
+    for episode, traj, got in zip(held, outcome.trajectories, outcome.results):
+        want = episode_result_reference(traj, episode)
+        assert repr(astuple(got)) == repr(astuple(want))
+        assert got == want
+    if policy == "pretrained":
+        # Some failures pass through the goal zone: OSR above SR.
+        assert sum(r.osr for r in outcome.results) > sum(r.success for r in outcome.results)
+
+
 def test_aggregate_means_and_percentages():
     ep = corridor_episode()
     good = episode_result(run_script(ep, [F] * 5 + [S]), ep)
@@ -267,7 +312,7 @@ def test_evaluate_matches_direct_greedy_rollouts(default_policy):
     out = evaluate(snap, eps)
     for ep, traj in zip(eps, out.trajectories):
         direct = run_greedy(snap, ep, triggers=False)
-        assert [s.action for s in direct.steps] == [s.action for s in traj.steps]
+        assert direct.steps.actions.tolist() == traj.steps.actions.tolist()
 
 
 # ------------------------------------------------------------------ format

@@ -25,7 +25,7 @@ from budnav.metrics import evaluate
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.trainer import train, training_episode
-from budnav.world import serialize_episode
+from budnav.world import observe_states, serialize_episode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,16 +37,18 @@ DESK_TRAIN_DIGEST = "c1c2ce2e16eb589a9953fabc6c56e88b"
 
 
 def eval_digest(params) -> str:
-    """Results, step logits and observations on 20 desk held episodes."""
+    """Results, step logits and observations on 20 desk held episodes;
+    the observations are gathered from the recorded states."""
     suite = parse_suite((CONFIGS / "desk.suite").read_text())
     held = build_held_episodes(suite, 20)
     outcome = evaluate(snapshot(params, "eval"), held)
     h = hashlib.blake2b(digest_size=16)
-    for result, traj in zip(outcome.results, outcome.trajectories):
+    for result, traj, episode in zip(outcome.results, outcome.trajectories, held):
         h.update(repr(astuple(result)).encode())
-        for s in traj.steps:
-            h.update(s.logits.tobytes())
-            h.update(s.observation.tobytes())
+        observations = observe_states(episode.world, traj.steps.states, params.cfg.obs_k)
+        for logits, observation in zip(traj.steps.logits, observations):
+            h.update(logits.tobytes())
+            h.update(observation.tobytes())
     return h.hexdigest()
 
 

@@ -228,17 +228,20 @@ def walk(desk_cfg):
     return params, episode, traj
 
 
-def step_pairs(steps):
-    """(observation, previous action) of each trajectory step."""
-    prev = [NO_ACTION] + [s.action for s in steps[:-1]]
-    return [(s.observation, a) for s, a in zip(steps, prev)]
+def step_pairs(world, steps, k):
+    """(observation, previous action) of each step of a trajectory's
+    Steps on world, observed pose by pose."""
+    from budnav.world import observe
+
+    prev = [NO_ACTION] + steps.actions.tolist()[:-1]
+    return [(observe(world, pose, k).ravel(), a) for pose, a in zip(steps.poses(), prev)]
 
 
 def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
     # Each row equals the reference concatenation and the rolling vector
     # the rollout scored, and scores to the logits the rollout recorded.
     params, episode, traj = walk
-    pairs = step_pairs(traj.steps)
+    pairs = step_pairs(episode.world, traj.steps, params.cfg.obs_k)
     steps = featurize(
         params, episode.instruction, np.array([o for o, _ in pairs]), [a for _, a in pairs]
     )
@@ -247,12 +250,14 @@ def test_featurizer_is_bit_exact_along_a_sampled_rollout(walk):
     assert len(steps.rows) == len(logits) == len(traj.steps)
     rolling = FeatureRows(params, initial_features(params, episode.instruction))
     windows = reference_windows(episode.instruction, pairs, params.cfg)
-    for s, (obs, prev), window, row, row_logits in zip(traj.steps, pairs, windows, steps.rows, logits):
+    for recorded, (obs, prev), window, row, row_logits in zip(
+        traj.steps.logits, pairs, windows, steps.rows, logits
+    ):
         want = featurize_uncached(params, window)
         assert row.tobytes() == want.tobytes()
         assert rolling.push(obs, prev).tobytes() == want.tobytes()
-        assert s.logits.tobytes() == forward(params, want).tobytes()
-        assert row_logits.tobytes() == s.logits.tobytes()
+        assert recorded.tobytes() == forward(params, want).tobytes()
+        assert row_logits.tobytes() == recorded.tobytes()
 
 
 def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
@@ -266,13 +271,13 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     params, ep, traj = walk
     anchor = 12
     assert anchor > params.cfg.history_k
-    pose = traj.steps[anchor].pose_before
+    pose = traj.steps.poses()[anchor]
     oracle = plan(ep.world, pose, ep.goal, ep.goal_radius)
     completion = oracle.actions
     assert len(completion) > 1
     demo = RectificationDemo(
         episode_id=ep.id, anchor_step=anchor, anchor_pose=pose,
-        retained_prefix=traj.steps[:anchor], oracle_actions=tuple(completion),
+        retained_prefix=traj.steps.prefix(anchor), oracle_actions=tuple(completion),
         weights=decay_weights(len(completion), RectConfig(decay_gamma=0.95)),
         poses=oracle.poses[:-1],
     )
@@ -287,8 +292,8 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     rectify.rect_loss_and_grad(params, demo, ep)
 
     cfg = params.cfg
-    pairs = step_pairs(traj.steps[:anchor])
-    prev = traj.steps[anchor - 1].action
+    pairs = step_pairs(ep.world, traj.steps.prefix(anchor), cfg.obs_k)
+    prev = int(traj.steps.actions[anchor - 1])
     for action in completion:
         pairs.append((observe(ep.world, pose, cfg.obs_k).ravel(), prev))
         prev = int(action)
@@ -333,13 +338,14 @@ def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
         sets = (group.snapshot_old.params, live, ref.params)
         want = []
         for traj in group.trajectories:
-            windows = list(reference_windows(group.instruction, step_pairs(traj.steps), live.cfg))
+            pairs = step_pairs(group.world, traj.steps, live.cfg.obs_k)
+            windows = list(reference_windows(group.instruction, pairs, live.cfg))
             # Per trajectory: the old, live and ref rows, then each scored.
             rows = [np.array([featurize_uncached(p, w) for w in windows]) for p in sets]
             want += list(zip(sets, rows))
             want += [(p, np.array([forward(p, r) for r in prows])) for p, prows in zip(sets, rows)]
             # The old replay scores the logits the rollout recorded.
-            assert want[-3][1].tobytes() == np.array([s.logits for s in traj.steps]).tobytes()
+            assert want[-3][1].tobytes() == traj.steps.logits.tobytes()
         assert len(seen) == len(want) == 6 * len(group.trajectories)
         for (got_p, got), (want_p, expect) in zip(seen, want):
             assert got_p is want_p
@@ -583,7 +589,7 @@ def desk_batches(desk_cfg):
     """
     from budnav.grpo import make_group
     from budnav.rectify import RectificationDemo, bc_demo, decay_weights, synthesize_demo
-    from budnav.rollout import rollout_stream, run_greedy, run_sampled
+    from budnav.rollout import Steps, rollout_stream, run_greedy, run_sampled
     from budnav.trainer import training_episode
     from budnav.world import Action
 
@@ -606,12 +612,12 @@ def desk_batches(desk_cfg):
         ]
         groups.append(make_group(rollouts, episode, snap, cfg.reward, cfg.grpo))
         walk = rollouts[-1]
-        actions = tuple(s.action for s in walk.steps)
+        actions = tuple(walk.steps.actions.tolist())
         demos.append((RectificationDemo(
             episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
-            retained_prefix=(), oracle_actions=actions,
+            retained_prefix=Steps(episode.world.width), oracle_actions=actions,
             weights=decay_weights(len(actions), cfg.rect),
-            poses=tuple(s.pose_before for s in walk.steps),
+            poses=tuple(walk.steps.poses()),
         ), episode))
         demos.append((RectificationDemo(
             episode_id=episode.id, anchor_step=len(walk.steps), anchor_pose=walk.final_pose,

@@ -13,7 +13,7 @@ from budnav.rectify import (
     rect_loss_and_grad,
     synthesize_demo,
 )
-from budnav.rollout import RolloutConfig, TriggerKind
+from budnav.rollout import RolloutConfig, Steps, TriggerKind
 from budnav.world import (
     Action,
     Episode,
@@ -147,7 +147,7 @@ def test_demo_prefix_replays_to_anchor():
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep)
     assert len(demo.retained_prefix) == demo.anchor_step
-    pose = replay(ep.world, ep.start, [s.action for s in demo.retained_prefix])
+    pose = replay(ep.world, ep.start, demo.retained_prefix.actions.tolist())
     assert pose == demo.anchor_pose
 
 
@@ -168,7 +168,9 @@ def test_demo_forced_stop_completion_is_stop():
     assert probe.trigger[0] == TriggerKind.FORCED_STOP
     demo = synthesize_demo(probe, ep)
     assert demo.oracle_actions == (Action.STOP,)
-    assert demo.retained_prefix == tuple(probe.steps)
+    assert demo.retained_prefix.states.tobytes() == probe.steps.states.tobytes()
+    assert demo.retained_prefix.actions.tobytes() == probe.steps.actions.tobytes()
+    assert demo.retained_prefix.logits.tobytes() == probe.steps.logits.tobytes()
 
 
 def test_demo_progress_never_regresses():
@@ -177,8 +179,8 @@ def test_demo_progress_never_regresses():
     demo = synthesize_demo(probe, ep)
     pose = ep.start
     positions = [pose.position]
-    for s in demo.retained_prefix:
-        pose = step(ep.world, pose, Action(s.action))
+    for action in demo.retained_prefix.actions.tolist():
+        pose = step(ep.world, pose, Action(action))
         positions.append(pose.position)
     for a in demo.oracle_actions:
         pose = step(ep.world, pose, Action(a))
@@ -192,7 +194,7 @@ def test_bc_demo_is_the_full_reference_plan():
     demo = bc_demo(ep)
     assert demo.anchor_step == 0
     assert demo.anchor_pose == ep.start
-    assert demo.retained_prefix == ()
+    assert len(demo.retained_prefix) == 0 and demo.retained_prefix.width == ep.world.width
     assert demo.oracle_actions == tuple(expand_instruction(ep.instruction, ep.max_run))
     assert np.array_equal(demo.weights, np.ones(len(demo.oracle_actions)))
     end = replay(ep.world, ep.start, demo.oracle_actions)
@@ -272,9 +274,10 @@ def test_rect_loss_decomposes_per_token(tiny_policy):
     pcfg = params.cfg
     track = FeatureRows(params, initial_features(params, ep.instruction))
     prev_action = NO_ACTION
-    for s in demo.retained_prefix:
-        track.push(s.observation, prev_action)
-        prev_action = s.action
+    prefix = demo.retained_prefix
+    for pose, action in zip(prefix.poses(), prefix.actions.tolist()):
+        track.push(observe(ep.world, pose, pcfg.obs_k).ravel(), prev_action)
+        prev_action = action
     pose = demo.anchor_pose
     manual = 0.0
     for action in demo.oracle_actions:
@@ -319,8 +322,8 @@ def test_rect_prefix_conditioning_changes_the_loss(tiny_policy):
     ep = corridor_episode()
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep)
-    assert demo.retained_prefix
-    stripped = dataclasses.replace(demo, retained_prefix=())
+    assert len(demo.retained_prefix)
+    stripped = dataclasses.replace(demo, retained_prefix=Steps(ep.world.width))
     loss_with, _ = rect_loss_and_grad(params, demo, ep)
     loss_without, _ = rect_loss_and_grad(params, stripped, ep)
     assert loss_with != pytest.approx(loss_without, abs=1e-9)

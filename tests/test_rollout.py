@@ -237,7 +237,7 @@ def test_sample_action_frequencies_match_probs():
 
 def traj_fingerprint(traj):
     return (
-        tuple(s.action for s in traj.steps),
+        tuple(traj.steps.actions.tolist()),
         traj.final_pose,
         traj.success,
         traj.trigger,
@@ -250,7 +250,7 @@ def test_greedy_rollout_deterministic(sample_episode, default_policy):
     a = run_greedy(snap, sample_episode)
     b = run_greedy(snap, sample_episode)
     assert traj_fingerprint(a) == traj_fingerprint(b)
-    assert all(np.array_equal(x.logits, y.logits) for x, y in zip(a.steps, b.steps))
+    assert a.steps.logits.tobytes() == b.steps.logits.tobytes()
 
 
 def test_sampled_rollout_streams(sample_episode, default_policy):
@@ -262,10 +262,9 @@ def test_sampled_rollout_streams(sample_episode, default_policy):
     # Across a handful of stream indices the draws must not all agree.
     seqs = {
         tuple(
-            s.action
-            for s in run_sampled(
+            run_sampled(
                 snap, sample_episode, 0.4, rollout_stream(0, sample_episode.id, i)
-            ).steps
+            ).steps.actions.tolist()
         )
         for i in range(1, 9)
     }
@@ -278,9 +277,9 @@ def test_rollout_records_prestep_pose_chain(sample_episode, default_policy):
     from budnav.world import step as world_step
 
     pose = sample_episode.start
-    for s in traj.steps:
-        assert s.pose_before == pose
-        pose = world_step(sample_episode.world, pose, Action(s.action))
+    for pose_before, action in zip(traj.steps.poses(), traj.steps.actions.tolist()):
+        assert pose_before == pose
+        pose = world_step(sample_episode.world, pose, Action(action))
     assert pose == traj.final_pose
 
 

@@ -7,8 +7,9 @@ BLAS is pinned to one thread here, before numpy can load, and in every
 child.  The script measures, on each side:
 
   * desk_full seed 0: `budnav train --config configs/desk_full.cfg --seed 0`,
-    run DESK_RUNS times; wall and CPU seconds (median) with the final
-    SR/SPL the run prints;
+    run DESK_RUNS times per side in alternating parent/change pairs; wall
+    and CPU seconds (median) with the final SR/SPL the run prints, and
+    the pairs the change wins;
   * per workload: `perfbench/run.py --workload W --seconds SECONDS --trace 0`
     in PAIRS alternating pairs of parent and change (seed S + i for pair i,
     the side that runs first alternating), recording each run's end-to-end
@@ -58,7 +59,10 @@ UNTRACED = {
     "world.observe counts no rollout step, and the gather's time is rollout.* or "
     "metrics.evaluate self time",
     "rect loss observation gather": "rectify.rect_loss_and_grad gathers with "
-    "world.observe_many, which is not wrapped: its time is rectify.loss self time",
+    "world.observe_states, which is not wrapped: its time is rectify.loss self time",
+    "grpo loss observation gather": "grpo.grpo_loss_and_grad gathers each trajectory's "
+    "observations from its states with world.observe_states, which is not wrapped: its "
+    "time is grpo.loss self time",
     "rect loss featurization": "rectify.featurize is not wrapped: its time is "
     "rectify.loss self time, not policy.forward",
 }
@@ -152,14 +156,25 @@ def main(argv=None) -> int:
         "per_layer": {},
         "untraced_layers": UNTRACED,  # as of this checkout
     }
-    for side, root in sides.items():
-        runs = [desk_run(root) for _ in range(DESK_RUNS)]
-        print(side, "desk_full seed 0", json.dumps(runs), flush=True)
+    desk = {side: [] for side in sides}
+    for i in range(DESK_RUNS):
+        order = list(sides.items())
+        if i % 2:
+            order.reverse()
+        for side, root in order:
+            desk[side].append(desk_run(root))
+            print(side, "desk_full seed 0", json.dumps(desk[side][-1]), flush=True)
+    for side, runs in desk.items():
         bench["desk_full_seed0"][side] = {
             "runs": runs,
             "median_wall_s": statistics.median(r["wall_s"] for r in runs),
             "median_cpu_s": statistics.median(r["cpu_s"] for r in runs),
             "sr": runs[0]["sr"], "spl": runs[0]["spl"],
+        }
+    if "parent" in sides:
+        bench["desk_full_seed0"]["change_wins"] = {
+            key: sum(c[key] < p[key] for p, c in zip(desk["parent"], desk["change"]))
+            for key in ("wall_s", "cpu_s")
         }
     for workload in WORKLOADS:
         runs = []
