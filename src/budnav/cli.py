@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="train configs across seeds, tabulate")
     p.add_argument("--configs", nargs="+", required=True)
-    p.add_argument("--seeds", nargs="*", type=int, default=[0])
+    p.add_argument("--seeds", nargs="+", type=int, default=[0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

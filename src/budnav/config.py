@@ -132,7 +132,7 @@ def _section(values: dict, prefix: str) -> dict:
 def read_suite_file(path: Path) -> Suite:
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read suite file {path}: {e}") from e
     return parse_suite(text)
 
@@ -177,7 +177,7 @@ def load_config(path, extra: dict | None = None) -> tuple:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     overrides = {**parse_config_text(text), **(extra or {})}
     values = resolved_values(overrides)

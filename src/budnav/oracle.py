@@ -2,9 +2,8 @@
 
 Both planners run over one int-indexed pose graph per world.  State
 s = (y * width + x) * 4 + heading numbers every pose, so ascending s is
-ascending (y, x, heading); forward_table(world) holds each state's
-FORWARD successor (-1 where FORWARD bumps a wall or the grid edge), and
-the turns are arithmetic on the low two bits of s.
+ascending (y, x, heading), and both read their moves from
+world.transitions (a FORWARD that bumps a wall keeps s).
 
   * geodesic_field: 4-connected BFS distances (in meters) from every
     free cell to a goal cell, ignoring headings.
@@ -21,7 +20,8 @@ equal action count, each layer taken in ascending s, that is in
 the first state of the first layer that lies in the goal zone, and a
 state's parent is the first state of the layer before that reaches it
 (by FORWARD, TURN_LEFT or TURN_RIGHT; the three successors of one state
-are distinct, so their order cannot matter).  This is the order in
+are distinct, so their order cannot matter, and a bump leads back to the
+state itself, which is already discovered).  This is the order in
 which a uniform-cost search popping (cost, y, x, heading) from a heap
 would settle states, so identical inputs always yield the identical
 action sequence.
@@ -39,30 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGoal, Unreachable
-from .world import MAX_SIDE, Action, HEADING_VECS, GridWorld, Pose, euclid_m, pose_state, state_pose
+from .world import (
+    MAX_SIDE, Action, HEADING_VECS, GridWorld, Pose, euclid_m, pose_state, state_pose, transitions,
+)
 
-
-def forward_table(world: GridWorld) -> list:
-    """FORWARD successor of every pose-graph state; -1 = bumps a wall.
-
-    Built once per world and memoized on it; callers must not mutate
-    it.  States on blocked cells also read -1.
-    """
-    return world.derived("forward_table", lambda: _build_forward_table(world))
-
-
-def _build_forward_table(world: GridWorld) -> list:
-    width, height, blocked = world.width, world.height, world.blocked
-    fwd = [-1] * (width * height * 4)
-    for y in range(height):
-        for x in range(width):
-            if (x, y) in blocked:
-                continue
-            for h, (dx, dy) in enumerate(HEADING_VECS):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height and (nx, ny) not in blocked:
-                    fwd[(y * width + x) * 4 + h] = (ny * width + nx) * 4 + h
-    return fwd
+_ACTIONS = tuple(Action)  # _ACTIONS[a] is Action(a), read without the enum's call
 
 
 @dataclass(frozen=True)
@@ -90,17 +71,20 @@ def geodesic_field(world: GridWorld, goal) -> GeodesicField:
 
 
 def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
-    fwd = forward_table(world)
+    table = transitions(world)
     dist = [math.inf] * (world.width * world.height)
     cell = gy * world.width + gx
     dist[cell] = 0.0
     frontier = [cell]
     for c in frontier:  # grows while iterated: a FIFO queue
         d = dist[c] + 1.0
-        for n in fwd[c * 4 : c * 4 + 4]:
-            if n >= 0 and dist[n >> 2] == math.inf:
-                dist[n >> 2] = d
-                frontier.append(n >> 2)
+        # FORWARD from each heading of cell c; a bump stays on c, whose
+        # distance is already set.
+        for n in table[16 * c : 16 * c + 16 : 4]:
+            n >>= 2
+            if dist[n] == math.inf:
+                dist[n] = d
+                frontier.append(n)
     dist = np.array(dist).reshape(world.height, world.width) * world.cell_size
     dist.flags.writeable = False
     return GeodesicField(goal=(gx, gy), dist=dist, cell_size=world.cell_size)
@@ -182,8 +166,8 @@ def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> Oracl
     if zone[s0 >> 2]:
         return OraclePlan(actions=(Action.STOP,), poses=(start, start))
 
-    fwd = forward_table(world)
-    parent = [-1] * len(fwd)  # -1 = not yet discovered
+    table = transitions(world)
+    parent = [-1] * (len(table) // 4)  # -1 = not yet discovered
     parent[s0] = s0
     layer = [s0]
     while layer:
@@ -193,9 +177,8 @@ def plan(world: GridWorld, start: Pose, goal, goal_radius: float = 3.0) -> Oracl
                 return _trace_back(world, start, parent, s)
         discovered = []
         for s in layer:
-            base = s & ~3
-            for n in (fwd[s], base | ((s - 1) & 3), base | ((s + 1) & 3)):
-                if n >= 0 and parent[n] < 0:
+            for n in table[4 * s : 4 * s + 3]:  # FORWARD, TURN_LEFT, TURN_RIGHT
+                if parent[n] < 0:
                     parent[n] = s
                     discovered.append(n)
         layer = discovered
@@ -209,14 +192,10 @@ def _trace_back(world: GridWorld, start: Pose, parent: list, s: int) -> OraclePl
         s = parent[s]
         states.append(s)
     states.reverse()
-    actions = []
-    for prev, cur in zip(states, states[1:]):
-        if prev >> 2 != cur >> 2:
-            actions.append(Action.FORWARD)
-        elif cur & 3 == (prev - 1) & 3:
-            actions.append(Action.TURN_LEFT)
-        else:
-            actions.append(Action.TURN_RIGHT)
+    table = transitions(world)
+    actions = [
+        _ACTIONS[table[4 * prev : 4 * prev + 3].index(cur)] for prev, cur in zip(states, states[1:])
+    ]
     actions.append(Action.STOP)
     poses = [start] + [state_pose(s, world.width) for s in states[1:]]
     poses.append(poses[-1])

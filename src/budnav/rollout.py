@@ -11,11 +11,12 @@ length.  Each tick gathers every running job's observation with one
 index into the jobs' padded occupancy grids (world.patch_layout), pushes
 the observations and previous actions onto the jobs' rows of a feature
 array, scores all rows with one forward, and takes the greedy actions
-with one argmax.  Every job then moves through oracle.forward_table or
-the turn arithmetic and reads the goal zone and its waypoint progress
-from tables (oracle.goal_zone, oracle.offsets_within); a Pose is built
-only for the trigger checks and the final pose.  A row leaves the array
-when its episode ends.  run_greedy and run_sampled are the driver with
+with one argmax.  Every job then moves through world.transitions, the
+table the planner searches, and reads the goal zone and its waypoint
+progress from tables (oracle.goal_zone, oracle.offsets_within); the
+trigger checks read the state and counters as plain numbers, and a Pose
+is built only for the final pose.  A row leaves the array when its
+episode ends.  run_greedy and run_sampled are the driver with
 one job; evaluation is the driver with all of them.  Products are
 computed row by row (policy.row_products), so an episode's logits do
 not depend on which others share its ticks.
@@ -58,7 +59,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import advance_progress, forward_table, goal_zone, path_deviation
+from .oracle import advance_progress, goal_zone, path_deviation
 from .policy import (
     NO_ACTION,
     FeatureRows,
@@ -72,7 +73,7 @@ from .policy import (
 from .rng import stream_id
 from .world import (
     Action, HEADINGS, Episode, Pose, parse_pose, patch_layout, pose_state, serialize_episode,
-    state_pose, step,
+    state_pose, step, transitions,
 )
 # Unused here: perfbench's tracer patches rollout.observe when it installs.
 from .world import observe  # noqa: F401
@@ -146,43 +147,37 @@ class Trajectory:
         return [p.position for p in self.poses()]
 
 
-@dataclass(frozen=True)
-class RolloutState:
-    """Post-action state fed to the trigger checks."""
-
-    pose: Pose
-    t: int
-    steps_since_progress: int
-    stopped: bool
-    grace_used: int
-    progress: int
-
-
 def offtrack_exceeded(deviation_m: float, heading_err_deg: float, cfg: RolloutConfig) -> bool:
     """Strict thresholds: exactly 3.0 m / 120 degrees do not trigger."""
     return deviation_m > cfg.offtrack_dist_m or heading_err_deg > cfg.offtrack_heading_deg
 
 
-def check_triggers(state: RolloutState, episode: Episode, cfg: RolloutConfig):
-    """First matching trigger in the fixed order, or None.
+def check_triggers(
+    s: int, progress: int, stall: int, grace: int, stopped: bool, episode: Episode,
+    cfg: RolloutConfig,
+):
+    """First matching trigger in the fixed order, or None, after a step
+    that left the agent in pose-graph state s (world.pose_state) with
+    waypoint progress, stall steps since progress, grace steps inside the
+    goal zone, and stopped when the step was STOP.
 
     A STOP inside the goal zone is a successful termination and never
     triggers.
     """
-    world, (x, y) = episode.world, state.pose.position
-    if state.stopped and goal_zone(world, episode.goal, episode.goal_radius)[y * world.width + x]:
+    world = episode.world
+    if stopped and goal_zone(world, episode.goal, episode.goal_radius)[s >> 2]:
         return None
+    y, x = divmod(s >> 2, world.width)
     deviation, heading_err = path_deviation(
-        (x, y), state.pose.heading, episode.reference_waypoints, state.progress, episode.goal,
-        world.cell_size,
+        (x, y), s & 3, episode.reference_waypoints, progress, episode.goal, world.cell_size,
     )
     if offtrack_exceeded(deviation, heading_err, cfg):
         return TriggerKind.OFF_TRACK
-    if state.steps_since_progress >= cfg.stall_limit:
+    if stall >= cfg.stall_limit:
         return TriggerKind.PROGRESS_STALL
-    if state.stopped:
+    if stopped:
         return TriggerKind.PREMATURE_STOP
-    if state.grace_used > cfg.grace_period:
+    if grace > cfg.grace_period:
         return TriggerKind.FORCED_STOP
     return None
 
@@ -211,31 +206,29 @@ class _Row:
     counters and its recorded steps.
 
     corner is where the window around the agent's cell starts in the
-    batch's flat occupancy array (world.patch_layout); poses holds the
-    Pose of each state the trigger checks have seen, shared by the rows
-    on one world.  at[t] is where step t's logits row lies in the call's
-    stacked tick logits.  end is (final pose, stopped, success, trigger)
-    once the episode has ended.
+    batch's flat occupancy array (world.patch_layout).  at[t] is where
+    step t's logits row lies in the call's stacked tick logits.  end is
+    (final state, stopped, success, trigger) once the episode has ended.
     """
 
     __slots__ = (
-        "job", "cfg", "rng", "fwd", "width", "zone", "max_steps", "base", "stride", "poses",
+        "job", "cfg", "rng", "table", "width", "zone", "max_steps", "base", "stride",
         "s", "corner", "prev_action", "progress", "anchor_step", "stall", "grace",
         "path_length", "states", "actions", "at", "end",
     )
 
-    def __init__(self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, poses: dict):
+    def __init__(self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int):
         episode = job.episode
         world, start = episode.world, episode.start
         if not (world.is_free(start.x, start.y) and 0 <= start.heading < 4):
             raise ValueError(f"start pose on a blocked cell or off the grid: {start}")
         self.job, self.cfg = job, cfg
         self.rng = np.random.Generator(np.random.PCG64(job.rng_stream)) if job.mode == "sampled" else None
-        self.fwd = forward_table(world)
+        self.table = transitions(world)
         self.width = world.width
         self.zone = goal_zone(world, episode.goal, episode.goal_radius)
         self.max_steps = cfg.max_steps(episode)
-        self.base, self.stride, self.poses = base, stride, poses
+        self.base, self.stride = base, stride
         self.s = pose_state(start, world.width)
         self.corner = base + start.y * stride + start.x
         self.prev_action = NO_ACTION
@@ -256,60 +249,52 @@ class _Row:
         self.states.append(s)
         self.actions.append(action)
         self.at.append(at)
+        moved = self.table[4 * s + action]
         progressed = False
-        if action == Action.FORWARD:
-            if self.fwd[s] >= 0:
-                episode = self.job.episode
-                s = self.fwd[s]
-                y, x = divmod(s >> 2, self.width)
-                self.corner = self.base + y * self.stride + x
-                self.path_length += episode.world.cell_size
-                # Progress changes only when the cell does.
-                reached = advance_progress(
-                    self.progress, (x, y), episode.reference_waypoints,
-                    self.cfg.visit_radius_m, episode.world.cell_size,
-                )
-                if reached != self.progress:
-                    self.progress, self.anchor_step, progressed = reached, t + 1, True
-        elif action != Action.STOP:  # TURN_LEFT (1) turns by -1, TURN_RIGHT (2) by +1
-            s = (s & ~3) | ((s + 2 * action - 3) & 3)
+        if moved >> 2 != s >> 2:  # the agent changed cell, and so may its progress
+            episode = self.job.episode
+            y, x = divmod(moved >> 2, self.width)
+            self.corner = self.base + y * self.stride + x
+            self.path_length += episode.world.cell_size
+            reached = advance_progress(
+                self.progress, (x, y), episode.reference_waypoints,
+                self.cfg.visit_radius_m, episode.world.cell_size,
+            )
+            if reached != self.progress:
+                self.progress, self.anchor_step, progressed = reached, t + 1, True
+        s = moved
         self.stall = 0 if progressed else self.stall + 1
         in_zone = self.zone[s >> 2]
         self.grace = self.grace + 1 if in_zone else 0
         stopped = action == Action.STOP
         trig = None
         if self.job.triggers:
-            state = RolloutState(self._pose(s), t, self.stall, stopped, self.grace, self.progress)
-            trig = check_triggers(state, self.job.episode, self.cfg)
+            trig = check_triggers(
+                s, self.progress, self.stall, self.grace, stopped, self.job.episode, self.cfg
+            )
         if trig is not None or stopped:
             trigger = None if trig is None else (trig, t)
-            self.end = (self._pose(s), stopped, trig is None and bool(in_zone), trigger)
+            self.end = (s, stopped, trig is None and bool(in_zone), trigger)
         elif t + 1 == self.max_steps:
             self._cap(s)
         else:
             self.s, self.prev_action = s, action
 
-    def _pose(self, s: int) -> Pose:
-        pose = self.poses.get(s)
-        if pose is None:
-            pose = self.poses[s] = state_pose(s, self.width)
-        return pose
-
     def _cap(self, s: int) -> None:
         """Step cap reached: forced termination, counted as a failure."""
         trigger = (TriggerKind.FORCED_STOP, self.max_steps - 1) if self.job.triggers else None
-        self.end = (self._pose(s), True, False, trigger)
+        self.end = (s, True, False, trigger)
 
     def trajectory(self, logits: np.ndarray) -> Trajectory:
         """The ended episode's trajectory, given its [T, 4] logits."""
         job = self.job
-        final_pose, stopped, success, trigger = self.end
+        final_s, stopped, success, trigger = self.end
         steps = Steps(
             self.width, np.array(self.states, dtype=np.int64),
             np.array(self.actions, dtype=np.int64), logits,
         )
         return Trajectory(
-            job.episode.id, job.mode, job.rng_stream, steps, final_pose,
+            job.episode.id, job.mode, job.rng_stream, steps, state_pose(final_s, self.width),
             stopped=stopped, success=success, trigger=trigger,
             path_length=self.path_length, anchor_step=self.anchor_step,
         )
@@ -350,9 +335,8 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     score = snapshot_logits_fn(snapshot)
     worlds = list({id(job.episode.world): job.episode.world for job in jobs}.values())
     flat, stride, offsets, bases = patch_layout(worlds, params.cfg.obs_k)
-    # Per world: its base in flat and the Pose of each state checked so far.
-    layout = {id(world): (base, {}) for world, base in zip(worlds, bases)}
-    every = [_Row(job, cfg, stride, *layout[id(job.episode.world)]) for job in jobs]
+    base_of = {id(world): base for world, base in zip(worlds, bases)}
+    every = [_Row(job, cfg, stride, base_of[id(job.episode.world)]) for job in jobs]
     running = [row for row in every if row.end is None]
 
     def bind(features):

@@ -11,9 +11,13 @@ with a discrete action set:
     STOP        declare the episode finished
 
 Coordinates follow screen convention: x grows eastward, y grows
-southward, so heading N decreases y.  All dynamics are pure functions of
-(world, pose, action); the only randomness lives in the generators,
-which are fully determined by their seeds.
+southward, so heading N decreases y.  State s = (y * width + x) * 4 +
+heading numbers every pose (pose_state), and transitions(world) holds
+the one move rule: the successor of every state under every action.
+step, the rollouts, the planner and the BFS distance field all read that
+table.  All dynamics are pure functions of (world, pose, action); the
+only randomness lives in the generators, which are fully determined by
+their seeds.
 
 Episodes bundle a world with a start pose, a goal cell, the oracle
 reference path, and a compiled instruction.  Instructions are token
@@ -119,22 +123,49 @@ class GridWorld:
 
 
 def step(world: GridWorld, pose: Pose, action: Action) -> Pose:
-    """Apply one action.  Total: blocked moves are in-place no-ops."""
+    """Apply one action: the pose its transitions entry names.  Total:
+    blocked moves are in-place no-ops."""
     if not world.is_free(pose.x, pose.y):
         raise ValueError(f"pose on blocked or out-of-bounds cell: {pose}")
-    if action == Action.FORWARD:
-        dx, dy = HEADING_VECS[pose.heading]
-        nx, ny = pose.x + dx, pose.y + dy
-        if world.is_free(nx, ny):
-            return Pose(nx, ny, pose.heading)
-        return pose
-    if action == Action.TURN_LEFT:
-        return Pose(pose.x, pose.y, (pose.heading - 1) % 4)
-    if action == Action.TURN_RIGHT:
-        return Pose(pose.x, pose.y, (pose.heading + 1) % 4)
-    if action == Action.STOP:
-        return pose
-    raise ValueError(f"unknown action: {action}")
+    if not (0 <= pose.heading < 4 and 0 <= action < 4):
+        raise ValueError(f"unknown action {action} or heading of {pose}")
+    s = pose_state(pose, world.width)
+    return state_pose(transitions(world)[4 * s + action], world.width)
+
+
+def transitions(world: GridWorld) -> tuple:
+    """The pose graph's move rule: table[4 * s + action] is the state
+    that action leads to from pose-graph state s (pose_state).
+
+    FORWARD into a wall or the grid edge keeps s, and so does STOP; the
+    turns change the heading bits of s.  States on blocked cells keep s
+    under every action.  Built once per world and memoized on it.
+    """
+    return world.derived("transitions", lambda: _build_transitions(world))
+
+
+def _build_transitions(world: GridWorld) -> tuple:
+    # Every entry naming state s holds the one int object states[s],
+    # which keeps the table small and quick to read.
+    width, height, blocked = world.width, world.height, world.blocked
+    states = list(range(width * height * 4))
+    table = []
+    for y in range(height):
+        for x in range(width):
+            cell = (y * width + x) * 4
+            turns = states[cell : cell + 4]  # the cell's states, by heading
+            if (x, y) in blocked:
+                for s in turns:
+                    table += (s, s, s, s)
+                continue
+            for h, (dx, dy) in enumerate(HEADING_VECS):
+                s = turns[h]
+                nx, ny = x + dx, y + dy
+                ahead = 0 <= nx < width and 0 <= ny < height and (nx, ny) not in blocked
+                forward = states[(ny * width + nx) * 4 + h] if ahead else s
+                # FORWARD, TURN_LEFT, TURN_RIGHT, STOP
+                table += (forward, turns[h - 1], turns[(h + 1) % 4], s)
+    return tuple(table)
 
 
 def observe(world: GridWorld, pose: Pose, k: int = 5) -> np.ndarray:
@@ -174,18 +205,10 @@ def state_pose(s: int, width: int) -> Pose:
     return Pose(x, y, s & 3)
 
 
-def observe_many(world: GridWorld, poses, k: int = 5) -> np.ndarray:
-    """observe(world, pose, k).ravel() of each pose, stacked [len(poses), k*k]
-    and gathered with one index into the padded occupancy grid."""
-    xs, ys, headings = np.array([(p.x, p.y, p.heading) for p in poses]).T
-    if not (world.in_bounds(xs.min(), ys.min()) and world.in_bounds(xs.max(), ys.max())):
-        raise ValueError(f"pose out of bounds among {len(poses)} poses")
-    return observe_states(world, (ys * world.width + xs) * 4 + headings, k)
-
-
 def observe_states(world: GridWorld, states, k: int = 5) -> np.ndarray:
-    """observe_many of the poses the pose-graph states number (pose_state),
-    which must be in bounds: one index into the padded occupancy grid."""
+    """observe(world, pose, k).ravel() of the pose each pose-graph state
+    numbers (pose_state), stacked [len(states), k*k]; the states must lie
+    on the grid.  One index into the padded occupancy grid."""
     flat, stride, offsets, _ = patch_layout([world], k)
     states = np.asarray(states, dtype=np.intp)
     ys, xs = np.divmod(states >> 2, world.width)

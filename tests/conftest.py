@@ -6,7 +6,7 @@ import pytest
 
 from budnav.oracle import advance_progress
 from budnav.policy import PolicyConfig, init_params, snapshot
-from budnav.world import GridWorld, Pose, generate_episode, generate_world
+from budnav.world import HEADING_VECS, Action, GridWorld, Pose, generate_episode, generate_world
 
 
 def open_world(width=8, height=8, cell_size=1.0):
@@ -30,6 +30,26 @@ def walled_world():
     """
     blocked = frozenset({(2, 1), (2, 2), (2, 3)})
     return GridWorld(5, 5, blocked, 1.0)
+
+
+def reference_step(world, pose, action):
+    """One action applied by branching on the Pose, written independently
+    of world.transitions: the move rule the table must reproduce."""
+    if not world.is_free(pose.x, pose.y):
+        raise ValueError(f"pose on blocked or out-of-bounds cell: {pose}")
+    if action == Action.FORWARD:
+        dx, dy = HEADING_VECS[pose.heading]
+        nx, ny = pose.x + dx, pose.y + dy
+        if world.is_free(nx, ny):
+            return Pose(nx, ny, pose.heading)
+        return pose
+    if action == Action.TURN_LEFT:
+        return Pose(pose.x, pose.y, (pose.heading - 1) % 4)
+    if action == Action.TURN_RIGHT:
+        return Pose(pose.x, pose.y, (pose.heading + 1) % 4)
+    if action == Action.STOP:
+        return pose
+    raise ValueError(f"unknown action: {action}")
 
 
 def prefix_progress(positions, waypoints, visit_radius=0.5, cell_size=1.0):

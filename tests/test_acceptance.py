@@ -30,7 +30,6 @@ from budnav.policy import PolicyConfig, PolicyParams, init_params, snapshot
 from budnav.rectify import rect_loss_and_grad, synthesize_demo
 from budnav.rollout import (
     RolloutConfig,
-    RolloutState,
     TriggerKind,
     check_triggers,
     offtrack_exceeded,
@@ -57,6 +56,7 @@ from budnav.world import (
     euclid_m,
     generate_episode,
     generate_world,
+    pose_state,
     step,
 )
 
@@ -261,21 +261,17 @@ def test_criterion_4_trigger_thresholds_are_strict():
         instruction=compile_instruction(ref.actions), goal_radius=0.5,
     )
 
-    def state(pose, stopped=False, stall=0, progress=2):
-        return RolloutState(pose=pose, t=10, steps_since_progress=stall,
-                            stopped=stopped, grace_used=0, progress=progress)
+    def triggers(episode, pose, stopped=False, stall=0, progress=2):
+        s = pose_state(pose, episode.world.width)
+        return check_triggers(s, progress, stall, 0, stopped, episode, cfg)
 
-    checks["on-boundary walk quiet"] = check_triggers(state(Pose(2, 3, 0)), ep, cfg) is None
-    checks["off-track walk fires"] = (
-        check_triggers(state(Pose(2, 4, 0)), ep, cfg) is TriggerKind.OFF_TRACK
-    )
+    checks["on-boundary walk quiet"] = triggers(ep, Pose(2, 3, 0)) is None
+    checks["off-track walk fires"] = triggers(ep, Pose(2, 4, 0)) is TriggerKind.OFF_TRACK
     # Facing away from the next waypoint (161.6 deg) at legal deviation.
-    checks["averted heading fires"] = (
-        check_triggers(state(Pose(2, 3, 2)), ep, cfg) is TriggerKind.OFF_TRACK
-    )
-    checks["59-step stall quiet"] = check_triggers(state(Pose(2, 0, 1), stall=59), ep, cfg) is None
+    checks["averted heading fires"] = triggers(ep, Pose(2, 3, 2)) is TriggerKind.OFF_TRACK
+    checks["59-step stall quiet"] = triggers(ep, Pose(2, 0, 1), stall=59) is None
     checks["60-step stall fires"] = (
-        check_triggers(state(Pose(2, 0, 1), stall=60), ep, cfg) is TriggerKind.PROGRESS_STALL
+        triggers(ep, Pose(2, 0, 1), stall=60) is TriggerKind.PROGRESS_STALL
     )
 
     # Premature stop: same cell geometry, metric scale nudged across the
@@ -291,7 +287,7 @@ def test_criterion_4_trigger_thresholds_are_strict():
         )
         prog = prefix_progress([(x, 0) for x in range(4)], cep.reference_waypoints,
                                cfg.visit_radius_m, cell_size)[-1]
-        got = check_triggers(state(Pose(3, 0, 1), stopped=True, progress=prog), cep, cfg)
+        got = triggers(cep, Pose(3, 0, 1), stopped=True, progress=prog)
         checks[f"stop at 3.0m x {cell_size}"] = got is want
 
     failed = [name for name, ok in checks.items() if not ok]

@@ -18,7 +18,7 @@ import budnav
 import budnav.cli
 from budnav.cli import main, render_map
 from budnav.errors import TraceError, Unreachable
-from budnav.policy import PolicyConfig, init_params, snapshot
+from budnav.policy import PolicyConfig, init_params, save_checkpoint, snapshot
 from budnav.rectify import synthesize_demo
 from budnav.rollout import parse_trace, run_sampled, serialize_trace, verify_trace
 from budnav.suite import generate_suite, parse_suite, serialize_suite
@@ -101,6 +101,19 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")]) == 2
     train_only = tmp_path / "train_only.suite"
     desk = (Path(__file__).resolve().parent.parent / "configs" / "desk.suite").read_text()
+    # A config or suite file that is not UTF-8 cannot be read: no traceback.
+    cfg.write_bytes(b"trainer.run_seed = 1\n\xff\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    not_utf8 = tmp_path / "not_utf8.suite"
+    not_utf8.write_bytes(desk.encode() + b"\xff\n")
+    cfg.write_text(f"suite.file = {not_utf8}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read suite file" in capsys.readouterr().err
+    ckpt = tmp_path / "init.ckpt"
+    save_checkpoint(ckpt, init_params(PolicyConfig(), 0))
+    assert main(["eval", "--ckpt", str(ckpt), "--suite", str(not_utf8)]) == 2
+    assert "cannot read suite file" in capsys.readouterr().err
     train_only.write_text("".join(ln for ln in desk.splitlines(True) if not ln.startswith("held ")))
     # Values out of range exit the same way before any training starts,
     # rather than in a traceback mid-run or an empty run that exits 0.
@@ -657,6 +670,17 @@ def test_compare_config_error_exits_2_before_training(train_run, tmp_path, capsy
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()  # the valid config was not trained either
+
+
+def test_compare_without_a_seed_is_an_argument_error(train_run, tmp_path, capsys):
+    # With no seed nothing would be trained, yet the table would be written.
+    cfg, _ = train_run
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as e:
+        main(["compare", "--configs", str(cfg), "--seeds", "--out", str(out)])
+    assert e.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_is_installed():

@@ -7,9 +7,10 @@ push + forward once per step, and one record per step.  Each step's
 logits bytes, action and pose, the observation bytes gathered from its
 recorded state, and each trajectory's trigger, final pose and path
 length must agree exactly, whether an episode runs alone or in a batch
-whose rows end at different ticks.  The reference tracks waypoint
-progress, the anchor step and the goal zone with euclid_m on its own,
-so none of them is taken from the code under test.
+whose rows end at different ticks.  The reference moves by
+conftest.reference_step and tracks waypoint progress, the anchor step
+and the goal zone with euclid_m on its own, so none of them is taken
+from the code under test.
 """
 from dataclasses import replace
 from typing import NamedTuple
@@ -26,7 +27,6 @@ from budnav.policy import (
 from budnav.rollout import (
     RolloutConfig,
     RolloutJob,
-    RolloutState,
     Trajectory,
     TriggerKind,
     check_triggers,
@@ -39,9 +39,10 @@ from budnav.rollout import (
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.trainer import pretrain_bc, training_episode
 from budnav.world import (
-    Action, euclid_m, generate_episode, generate_world, observe, observe_states, pose_state, step,
+    Action, euclid_m, generate_episode, generate_world, observe, observe_states, pose_state,
 )
 
+from conftest import reference_step
 from test_rectify import ordered_anchor_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,7 +86,7 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
             action = greedy_action(logits)
         else:
             action = sample_action(softmax(logits / temperature), rng.random())
-        new_pose = step(world, pose, Action(action))
+        new_pose = reference_step(world, pose, Action(action))
         steps.append(RefStep(t, pose, obs, action, logits))
         if action == Action.FORWARD and new_pose.position != pose.position:
             path_length += cell
@@ -98,8 +99,10 @@ def reference_rollout(snap, episode, cfg, mode, rng_stream=0, temperature=None, 
         stopped = action == Action.STOP
         trig = None
         if triggers:
-            state = RolloutState(new_pose, t, steps_since_progress, stopped, grace_used, progress)
-            trig = check_triggers(state, episode, cfg)
+            trig = check_triggers(
+                pose_state(new_pose, world.width), progress, steps_since_progress, grace_used,
+                stopped, episode, cfg,
+            )
         if trig is not None or stopped:
             return Trajectory(
                 episode.id, mode, rng_stream, tuple(steps), new_pose, stopped=stopped,

@@ -9,7 +9,6 @@ import pytest
 
 from budnav.errors import InvalidGoal, Unreachable
 from budnav.oracle import (
-    forward_table,
     geodesic_field,
     goal_zone,
     offsets_within,
@@ -17,9 +16,12 @@ from budnav.oracle import (
     plan,
 )
 from budnav.suite import parse_suite, suite_world
-from budnav.world import Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, step
+from budnav.world import (
+    Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, pose_state, state_pose, step,
+    transitions,
+)
 
-from conftest import corridor_world, open_world, prefix_progress, walled_world
+from conftest import corridor_world, open_world, prefix_progress, reference_step, walled_world
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,7 +57,7 @@ def pose_bfs_cost_oracle(world, start, goal, goal_radius):
         if in_zone(pose.x, pose.y):
             return cost + 1  # plus the final STOP
         for action in (Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT):
-            nxt = step(world, pose, action)
+            nxt = reference_step(world, pose, action)
             key = (nxt.x, nxt.y, nxt.heading)
             if key not in seen:
                 seen.add(key)
@@ -97,11 +99,11 @@ def heap_plan_reference(world, start, goal, goal_radius=3.0):
             actions.append(Action.STOP)
             poses = [start]
             for a in actions:
-                poses.append(step(world, poses[-1], a))
+                poses.append(reference_step(world, poses[-1], a))
             return tuple(actions), tuple(poses)
         pose = Pose(x, y, h)
         for action in (Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT):
-            nxt = step(world, pose, action)
+            nxt = reference_step(world, pose, action)
             nkey = (nxt.x, nxt.y, nxt.heading)
             if nkey == key:
                 continue  # bumped a wall
@@ -219,21 +221,21 @@ def test_plan_rejects_a_heading_outside_the_four():
             plan(w, Pose(1, 1, heading), (3, 3), 0.0)
 
 
-def test_forward_table_matches_step():
-    for w in (serpentine_world(), scattered_world(3, 8, 6, 0.3), corridor_world(4)):
-        fwd = forward_table(w)
-        assert forward_table(w) is fwd
-        assert len(fwd) == w.width * w.height * 4
-        for y in range(w.height):
-            for x in range(w.width):
-                for h in range(4):
-                    s = (y * w.width + x) * 4 + h
-                    if not w.is_free(x, y):
-                        assert fwd[s] == -1
-                        continue
-                    nxt = step(w, Pose(x, y, h), Action.FORWARD)
-                    want = -1 if nxt == Pose(x, y, h) else (nxt.y * w.width + nxt.x) * 4 + h
-                    assert fwd[s] == want
+def test_transitions_match_reference_step():
+    # Every state and all four actions; a state on a blocked cell, which
+    # no walk reaches, keeps its own number under every action.
+    worlds = [serpentine_world(), scattered_world(3, 8, 6, 0.3), corridor_world(4), *desk_worlds()]
+    for w in worlds:
+        table = transitions(w)
+        assert transitions(w) is table
+        assert len(table) == w.width * w.height * 16
+        for s in range(w.width * w.height * 4):
+            pose = state_pose(s, w.width)
+            free = w.is_free(pose.x, pose.y)
+            for action in Action:
+                want = reference_step(w, pose, action) if free else pose
+                assert table[4 * s + action] == pose_state(want, w.width), (w, pose, action)
+                assert not free or step(w, pose, action) == want
 
 
 # ---------------------------------------------------------- geodesic field

@@ -8,7 +8,6 @@ from budnav import rollout
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rollout import (
     RolloutConfig,
-    RolloutState,
     TriggerKind,
     check_triggers,
     offtrack_exceeded,
@@ -26,6 +25,7 @@ from budnav.world import (
     Pose,
     compile_instruction,
     dedup_positions,
+    pose_state,
 )
 
 from conftest import corridor_world
@@ -137,31 +137,25 @@ def test_forced_stop_after_loitering_in_zone():
 
 def test_success_short_circuits_all_triggers():
     ep = corridor_episode()
-    state = RolloutState(
-        pose=Pose(5, 0, 1), t=99, steps_since_progress=999, stopped=True,
-        grace_used=999, progress=0,
-    )
-    assert check_triggers(state, ep, RolloutConfig()) is None
+    s = pose_state(Pose(5, 0, 1), ep.world.width)
+    assert check_triggers(s, progress=0, stall=999, grace=999, stopped=True, episode=ep,
+                          cfg=RolloutConfig()) is None
 
 
 def test_trigger_order_offtrack_before_premature_stop():
     ep = corridor_episode(length=20, goal=(8, 0))
     # Stopped far from the goal AND far off the reference (which ends at
     # (5,0)): both OffTrack and PrematureStop hold; OffTrack wins.
-    state = RolloutState(
-        pose=Pose(15, 0, 1), t=5, steps_since_progress=0, stopped=True,
-        grace_used=0, progress=0,
-    )
-    assert check_triggers(state, ep, RolloutConfig()) == TriggerKind.OFF_TRACK
+    s = pose_state(Pose(15, 0, 1), ep.world.width)
+    assert check_triggers(s, progress=0, stall=0, grace=0, stopped=True, episode=ep,
+                          cfg=RolloutConfig()) == TriggerKind.OFF_TRACK
 
 
 def test_trigger_order_stall_before_premature_stop():
     ep = corridor_episode(length=12, goal=(8, 0))
-    state = RolloutState(
-        pose=Pose(1, 0, 1), t=70, steps_since_progress=60, stopped=True,
-        grace_used=0, progress=1,
-    )
-    assert check_triggers(state, ep, RolloutConfig()) == TriggerKind.PROGRESS_STALL
+    s = pose_state(Pose(1, 0, 1), ep.world.width)
+    assert check_triggers(s, progress=1, stall=60, grace=0, stopped=True, episode=ep,
+                          cfg=RolloutConfig()) == TriggerKind.PROGRESS_STALL
 
 
 def test_step_cap_forced_stop_with_triggers():

@@ -17,8 +17,9 @@ from budnav.world import (
     generate_world,
     left_token,
     observe,
-    observe_many,
+    observe_states,
     parse_episode,
+    pose_state,
     right_token,
     serialize_episode,
     step,
@@ -77,6 +78,15 @@ def test_step_rejects_blocked_pose():
     w = walled_world()
     with pytest.raises(ValueError):
         step(w, Pose(2, 2, 0), Action.FORWARD)
+
+
+def test_step_rejects_an_action_or_heading_outside_the_four():
+    # Either would index another state's transitions entries.
+    w = open_world(4, 4)
+    for pose, action in ((Pose(1, 1, 0), 4), (Pose(1, 1, 0), -1), (Pose(1, 1, 4), 0),
+                         (Pose(1, 1, -1), 0)):
+        with pytest.raises(ValueError):
+            step(w, pose, action)
 
 
 def test_world_validation():
@@ -164,7 +174,7 @@ def test_observe_matches_per_cell_loop_byte_for_byte(k):
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
-def test_observe_many_equals_per_pose_observe_byte_for_byte(k):
+def test_observe_states_equals_per_pose_observe_byte_for_byte(k):
     # Every free cell and heading of small edge-heavy worlds and of 20
     # generated ones, gathered in one call per world (poses in a shuffled
     # order) against observe, one pose at a time.
@@ -177,21 +187,15 @@ def test_observe_many_equals_per_pose_observe_byte_for_byte(k):
     for w in worlds:
         poses = [Pose(x, y, h) for x, y in w.free_cells() for h in range(4)]
         poses = [poses[i] for i in rng.permutation(len(poses))]
-        got = observe_many(w, poses, k)
+        states = [pose_state(pose, w.width) for pose in poses]
+        got = observe_states(w, states, k)
         want = np.array([observe(w, pose, k).ravel() for pose in poses])
         assert got.shape == (len(poses), k * k) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), (w.width, w.height)
-        one = observe_many(w, poses[:1], k)
+        one = observe_states(w, states[:1], k)
         assert one.tobytes() == observe(w, poses[0], k).tobytes()
-
-
-def test_observe_many_rejects_off_grid_poses_and_even_sides():
-    w = open_world(3, 3)
-    for bad in (Pose(3, 0, 0), Pose(0, -1, 2), Pose(1, 3, 1)):
-        with pytest.raises(ValueError, match="out of bounds"):
-            observe_many(w, [Pose(1, 1, 0), bad], 3)
     with pytest.raises(ValueError, match="odd and positive"):
-        observe_many(w, [Pose(1, 1, 0)], 4)
+        observe_states(walled_world(), [0], k + 1)
 
 
 def test_observe_returns_a_private_writable_patch():

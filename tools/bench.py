@@ -16,9 +16,13 @@ child.  The script measures, on each side:
     medians, then per metric the median and quartiles of each side, the
     pairs the change wins and whether the medians differ by more than the
     parent's quartile spread;
-  * per workload: one `perfbench/run.py --workload W --seconds SECONDS
-    --trace 1` (seed S), recording the per-layer metrics the tracer
-    reports, with the layers it does not see listed by name.
+  * per workload: `perfbench/run.py --workload W --seconds SECONDS
+    --trace 1` in TRACE_PAIRS alternating pairs (seed S + i for pair i,
+    the side that runs first alternating, so no one phase of a shared
+    machine decides a layer's comparison), recording each run's per-layer
+    metrics, then per layer each side's median and the pairs the change
+    wins (in the direction BENCHMARK.json gives), with the layers the
+    tracer does not see listed by name.
 
 perfbench/run.py is run as a black box: its last stdout line is the JSON
 result.  DIR is a checkout of the parent commit (for example unpacked
@@ -46,6 +50,7 @@ WORKLOADS = ("train_full", "train_bc", "eval_desk")
 DESK_RUNS = 3  # desk_full seed 0 runs per side
 SECONDS = 20  # perfbench/run.py --seconds
 PAIRS = 10  # alternating parent/change pairs per workload
+TRACE_PAIRS = 3  # alternating parent/change pairs of traced runs per workload
 LOWER_IS_BETTER = ("setup_s", "run_s", "peak_rss_mb")
 
 # Work the tracer in perfbench/tracer.py does not wrap where it runs today;
@@ -133,6 +138,31 @@ def compare(pairs: list) -> dict:
     return out
 
 
+def compare_layers(pairs: list) -> dict:
+    """Per traced metric: each side's median over the pairs and, with a
+    parent, the pairs the change wins in the metric's better direction
+    (BENCHMARK.json; ties count for neither side)."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    better = {m["name"]: m["better"] for m in declared}
+    sides = list(pairs[0])
+    out = {}
+    for name in pairs[0][sides[0]]["metrics"]:
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in sides}
+        out[name] = {side: statistics.median(v) for side, v in values.items()}
+        if "parent" in values:
+            sign = 1 if better.get(name, "lower") == "lower" else -1
+            out[name]["change_wins"] = sum(
+                sign * (a - b) > 0 for a, b in zip(values["parent"], values["change"])
+            )
+    return out
+
+
+def alternating(sides: dict, i: int) -> list:
+    """The (side, root) pairs of pair i, parent first in even pairs."""
+    order = list(sides.items())
+    return order[::-1] if i % 2 else order
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -158,10 +188,7 @@ def main(argv=None) -> int:
     }
     desk = {side: [] for side in sides}
     for i in range(DESK_RUNS):
-        order = list(sides.items())
-        if i % 2:
-            order.reverse()
-        for side, root in order:
+        for side, root in alternating(sides, i):
             desk[side].append(desk_run(root))
             print(side, "desk_full seed 0", json.dumps(desk[side][-1]), flush=True)
     for side, runs in desk.items():
@@ -179,17 +206,20 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         runs = []
         for i in range(PAIRS):
-            order = list(sides.items())
-            if i % 2:
-                order.reverse()
             runs.append({side: perfbench(root, workload, args.seed + i, 0)
-                         for side, root in order})
+                         for side, root in alternating(sides, i)})
         entry = {"seeds": [args.seed + i for i in range(len(runs))], "runs": runs}
         if "parent" in sides:
             entry["end_to_end"] = compare(runs)
         bench["workloads"][workload] = entry
+        traced = [
+            {side: perfbench(root, workload, args.seed + i, 1)
+             for side, root in alternating(sides, i)}
+            for i in range(TRACE_PAIRS)
+        ]
         bench["per_layer"][workload] = {
-            side: perfbench(root, workload, args.seed, 1) for side, root in sides.items()
+            "seeds": [args.seed + i for i in range(TRACE_PAIRS)], "runs": traced,
+            "layers": compare_layers(traced),
         }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
