@@ -11,9 +11,14 @@ Evaluation rolls the greedy policy with all failure triggers disabled;
 episodes end only on STOP or the step cap.  It steps every episode in
 lockstep (rollout.run_lockstep): each tick scores all episodes still
 running with one row-batched featurize+forward, bit-identical to
-rolling each episode alone.  Parallelism across runs belongs at run
-level (separate processes).  Reported SR/SPL/OSR/nDTW are percentages,
-NE is in meters.
+rolling each episode alone.  An episode stuck at a fixed point (the
+same action from the same state, leaving it there, for history_k + 1
+steps: FORWARD into a wall) is not scored again: its feature row, and
+so its logits and action, would repeat until the step cap, so the
+driver copies that step up to the cap (rollout.run_lockstep).  This
+rests on the scorer being a function of the feature row.  Parallelism
+across runs belongs at run level (separate processes).  Reported
+SR/SPL/OSR/nDTW are percentages, NE is in meters.
 """
 from __future__ import annotations
 

@@ -21,6 +21,20 @@ one job; evaluation is the driver with all of them.  Products are
 computed row by row (policy.row_products), so an episode's logits do
 not depend on which others share its ticks.
 
+A greedy, trigger-free row (evaluation) also leaves the array at its
+fixed point: once its last history_k + 1 steps took one action from one
+state and left it there (FORWARD into a wall), its next feature row
+holds the same history_k (observation, previous action) slots and no
+step index, so it is the same bits, and so are its logits and action,
+until the step cap.  The row records the remaining steps as copies of
+that step, sharing its logits row, and ends as the cap would end it;
+without a move its progress, anchor step and path length stay put, and
+without triggers only the cap can end it.  The premise is that the
+scorer is a function of the feature row.  A scorer swapped in for one
+that replays a script breaks it: a trigger-free script that bumps a
+wall more than history_k + 1 times in a row would be cut short there.
+Sampled rows and rows with triggers are scored on every step.
+
 Four triggers are evaluated in a fixed order after every executed
 action:
 
@@ -207,17 +221,23 @@ class _Row:
 
     corner is where the window around the agent's cell starts in the
     batch's flat occupancy array (world.patch_layout).  at[t] is where
-    step t's logits row lies in the call's stacked tick logits.  end is
-    (final state, stopped, success, trigger) once the episode has ended.
+    step t's logits row lies in the call's stacked tick logits.  loop
+    counts the trailing steps that took one action from one state and
+    stayed there; a greedy, trigger-free row ends when loop reaches hold
+    (history_k + 1, the fixed point; see run_lockstep), any other row
+    has hold None.  end is (final state, stopped, success, trigger) once
+    the episode has ended.
     """
 
     __slots__ = (
-        "job", "cfg", "rng", "table", "width", "zone", "max_steps", "base", "stride",
-        "s", "corner", "prev_action", "progress", "anchor_step", "stall", "grace",
+        "job", "cfg", "rng", "table", "width", "zone", "max_steps", "base", "stride", "hold",
+        "s", "corner", "prev_action", "progress", "anchor_step", "stall", "grace", "loop",
         "path_length", "states", "actions", "at", "end",
     )
 
-    def __init__(self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int):
+    def __init__(
+        self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, history_k: int,
+    ):
         episode = job.episode
         world, start = episode.world, episode.start
         if not (world.is_free(start.x, start.y) and 0 <= start.heading < 4):
@@ -229,13 +249,14 @@ class _Row:
         self.zone = goal_zone(world, episode.goal, episode.goal_radius)
         self.max_steps = cfg.max_steps(episode)
         self.base, self.stride = base, stride
+        self.hold = history_k + 1 if self.rng is None and not job.triggers else None
         self.s = pose_state(start, world.width)
         self.corner = base + start.y * stride + start.x
         self.prev_action = NO_ACTION
         self.progress = advance_progress(
             -1, start.position, episode.reference_waypoints, cfg.visit_radius_m, world.cell_size
         )
-        self.anchor_step = self.stall = self.grace = 0
+        self.anchor_step = self.stall = self.grace = self.loop = 0
         self.path_length = 0.0
         self.states, self.actions, self.at = [], [], []
         self.end = None
@@ -250,6 +271,10 @@ class _Row:
         self.actions.append(action)
         self.at.append(at)
         moved = self.table[4 * s + action]
+        if moved != s:
+            self.loop = 0
+        else:
+            self.loop = self.loop + 1 if action == self.prev_action else 1
         progressed = False
         if moved >> 2 != s >> 2:  # the agent changed cell, and so may its progress
             episode = self.job.episode
@@ -276,6 +301,12 @@ class _Row:
             trigger = None if trig is None else (trig, t)
             self.end = (s, stopped, trig is None and bool(in_zone), trigger)
         elif t + 1 == self.max_steps:
+            self._cap(s)
+        elif self.loop == self.hold:  # every later step repeats this one
+            rest = self.max_steps - t - 1
+            self.states += [s] * rest
+            self.actions += [action] * rest
+            self.at += [at] * rest
             self._cap(s)
         else:
             self.s, self.prev_action = s, action
@@ -327,7 +358,15 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     fewer calls).  The rows record where their logits lie in the ticks'
     logits; once every job has ended the ticks are stacked and each
     trajectory's [T, 4] logits taken with one index (a lone job's steps
-    are the ticks themselves).
+    are the ticks themselves unless it ended at a fixed point).
+
+    A greedy, trigger-free row also leaves at its fixed point, the step
+    that completes history_k + 1 steps of one action leaving one state
+    where it was: every later step would be scored from the same feature
+    row, so the row fills its steps up to the cap with copies of that
+    step and its logits row and ends as the cap ends it.  This assumes
+    the scorer is a function of the feature row; a scripted scorer that
+    ignores it would be cut short there (see the module docstring).
     """
     if not jobs:
         return []
@@ -336,7 +375,10 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     worlds = list({id(job.episode.world): job.episode.world for job in jobs}.values())
     flat, stride, offsets, bases = patch_layout(worlds, params.cfg.obs_k)
     base_of = {id(world): base for world, base in zip(worlds, bases)}
-    every = [_Row(job, cfg, stride, base_of[id(job.episode.world)]) for job in jobs]
+    every = [
+        _Row(job, cfg, stride, base_of[id(job.episode.world)], params.cfg.history_k)
+        for job in jobs
+    ]
     running = [row for row in every if row.end is None]
 
     def bind(features):
@@ -378,7 +420,7 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
                 rows = bind(features)
         t += 1
     stacked = np.concatenate(ticks).reshape(-1, 4) if ticks else np.zeros((0, 4))
-    if len(every) == 1:  # its steps are the ticks
+    if len(every) == 1 and len(every[0].at) == len(stacked):  # its steps are the ticks
         return [every[0].trajectory(stacked)]
     return [row.trajectory(stacked[row.at]) for row in every]
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import budnav
 import budnav.cli
 from budnav.cli import main, render_map
-from budnav.errors import TraceError, Unreachable
-from budnav.policy import PolicyConfig, init_params, save_checkpoint, snapshot
+from budnav.errors import CheckpointError, TraceError, Unreachable
+from budnav.policy import PolicyConfig, init_params, load_checkpoint, save_checkpoint, snapshot
 from budnav.rectify import synthesize_demo
 from budnav.rollout import parse_trace, run_sampled, serialize_trace, verify_trace
 from budnav.suite import generate_suite, parse_suite, serialize_suite
@@ -214,6 +214,72 @@ def test_eval_rejects_a_suite_with_another_vocabulary(train_run, tmp_path, capsy
         assert main(["eval", "--ckpt", ckpt, "--suite", suite]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint max_run (8) does not match suite max_run ({max_run})" in err
+
+
+def eval_outcome(ckpt, suite):
+    """(exit code, stderr) of `budnav eval` on ckpt and suite; stdout is
+    dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--ckpt", str(ckpt), "--suite", str(suite)])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_corpus(train_run, tmp_path_factory):
+    """A real checkpoint's bytes, where each of its text records (magic,
+    header lines, block headers, checksum) starts, and a path to write
+    edited copies to."""
+    _, out = train_run
+    ckpt = out / "checkpoints" / "final.ckpt"
+    data = ckpt.read_bytes()
+    records = [0] + [
+        m.end() for m in re.finditer(rb"\n(?=config |params |blocks |block |checksum )", data)
+    ]
+    assert len(records) == 5 + len(load_checkpoint(ckpt).blocks())
+    return data, records, tmp_path_factory.mktemp("fuzz") / "mutated.ckpt"
+
+
+CKPT_EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.booleans(),  # anywhere in the file, or near the start of a text record
+    st.integers(0, 1 << 20),
+    st.integers(-4, 40),
+    st.integers(0, 255),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(CKPT_EDIT, min_size=1, max_size=4))
+def test_mutated_checkpoints_raise_only_checkpoint_errors(train_run, checkpoint_corpus, edits):
+    # Byte edits in a real checkpoint: loading it either succeeds or
+    # raises CheckpointError, and `budnav eval --ckpt` exits 0 or 4 with
+    # one error line, never with a traceback.
+    _, out = train_run
+    original, records, path = checkpoint_corpus
+    data = bytearray(original)
+    for kind, anywhere, at, offset, byte in edits:
+        if anywhere:
+            i = at % (len(data) + 1)
+        else:
+            i = min(max(records[at % len(records)] + offset, 0), len(data))
+        if kind == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            if kind == "replace":
+                data[i] = byte
+            else:
+                del data[i]
+    path.write_bytes(bytes(data))
+    want = 0
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        want = 4
+    code, err = eval_outcome(path, out / "suite.suite")
+    assert code == want
+    if code == 4:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("arch", [{"obs_k": 4}, {"history_k": 0}])

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from budnav import rollout
 from budnav.config import load_config
 from budnav.metrics import evaluate
 from budnav.policy import (
@@ -274,6 +275,86 @@ def test_probe_anchor_step_equals_the_rescan_on_every_failed_probe(held, policie
             assert probe.anchor_step == ordered_anchor_reference(probe, episode, visit_radius_m)
             anchors.add(probe.anchor_step)
     assert failed >= 200 and len(anchors) >= 5
+
+
+def scored_steps(traj, history_k):
+    """Steps a greedy, trigger-free rollout scores: up to and including
+    the first step whose last history_k + 1 (pose, action) pairs are one
+    pair that leaves the pose where it was, else every step."""
+    poses, actions = traj.poses(), traj.steps.actions.tolist()
+    for t in range(history_k, len(actions)):
+        pairs = {(poses[j], actions[j]) for j in range(t - history_k, t + 1)}
+        if len(pairs) == 1 and poses[t + 1] == poses[t]:
+            return t + 1
+    return len(actions)
+
+
+def count_scored_rows(monkeypatch):
+    """A list that gets, for every tick of every later rollout, the
+    number of rows scored."""
+    counts = []
+    make = rollout.snapshot_logits_fn
+
+    def counting(snap):
+        score = make(snap)
+
+        def logits_fn(rows, obs, prev_actions):
+            logits = score(rows, obs, prev_actions)
+            counts.append(logits.size // 4)
+            return logits
+
+        return logits_fn
+
+    monkeypatch.setattr(rollout, "snapshot_logits_fn", counting)
+    return counts
+
+
+@pytest.mark.parametrize("alone", [True, False])
+def test_a_row_pressed_against_a_wall_ends_at_its_fixed_point(held, policies, monkeypatch, alone):
+    # A policy that always goes FORWARD, started facing a wall, bumps it
+    # on every step: once history_k + 1 bumps fill its history, its
+    # features, logits and action repeat until the cap, so its row stops
+    # being scored while the trajectory still runs to the cap.  Alone,
+    # its steps outnumber the call's ticks.
+    cfg = load_config(CONFIGS / "desk_full.cfg")[0]
+    params = init_params(cfg.policy, 1)
+    params.b2[Action.FORWARD] = 50.0
+    snap = snapshot(params)
+    k = cfg.policy.history_k
+    episode = held[0]
+    world, start = episode.world, episode.start
+    facing_wall = next(
+        pose for pose in (replace(start, heading=h) for h in range(4))
+        if reference_step(world, pose, Action.FORWARD) == pose
+    )
+    walled = replace(episode, start=facing_wall)
+    counts = count_scored_rows(monkeypatch)
+    jobs = [RolloutJob(walled, triggers=False)] + ([] if alone else [RolloutJob(held[1], triggers=False)])
+    got = run_lockstep(snap, jobs, CFG)
+    want = reference_rollout(snap, walled, CFG, "greedy", triggers=False)
+    assert_same(got[0], want, walled, snap)
+    assert len(got[0].steps) == CFG.max_steps(walled) > k + 1
+    assert set(got[0].steps.actions.tolist()) == {Action.FORWARD}
+    if alone:
+        assert counts == [1] * (k + 1)
+    else:
+        assert_same(got[1], reference_rollout(snap, held[1], CFG, "greedy", triggers=False), held[1], snap)
+        assert counts[: k + 1] == [2] * (k + 1) and set(counts[k + 1 :]) <= {1}
+
+
+def test_evaluation_scores_each_row_up_to_its_fixed_point(held, policies, monkeypatch):
+    # Every greedy, trigger-free row is scored up to the step that
+    # completes its fixed point, or to its last step; the steps after it
+    # are copies, and test_evaluate_matches_the_reference_on_every_held_episode
+    # holds them to the reference.
+    snap = policies["pretrained"]
+    counts = count_scored_rows(monkeypatch)
+    outcome = evaluate(snap, held, CFG)
+    k = snap.params.cfg.history_k
+    scored = [scored_steps(traj, k) for traj in outcome.trajectories]
+    total = sum(len(traj.steps) for traj in outcome.trajectories)
+    assert sum(counts) == sum(scored) < total
+    assert len(counts) == max(scored)
 
 
 def test_lockstep_with_no_jobs_returns_nothing(policies):

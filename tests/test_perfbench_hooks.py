@@ -37,12 +37,15 @@ def test_traced_layer_counts_add_up(tmp_path):
     # parameter sets (old, live, ref) of a trajectory in a GRPO loss;
     # every backward call to one rect loss call or one GRPO trajectory.
     # An evaluation steps its episodes in lockstep and scores all running
-    # ones in one call per tick, so it takes as many ticks as its longest
-    # trajectory has steps; a wrapper around trainer.evaluate counts them
-    # from the outcomes (the traced rollout counters see training
-    # rollouts only), and one around trainer.grpo_loss_and_grad counts
-    # the trajectories its groups hold.  A short desk run with a high
-    # learning rate takes both routes.
+    # ones in one call per tick.  A row runs until its last step, or until
+    # the step whose last history_k + 1 (pose, action) pairs are one pair
+    # that leaves the pose where it was (its fixed point: the later steps
+    # repeat it unscored), so an evaluation takes as many ticks as its
+    # longest-running row.  A wrapper around trainer.evaluate counts them
+    # from the outcomes by that rule (the traced rollout counters see
+    # training rollouts only), and one around trainer.grpo_loss_and_grad
+    # counts the trajectories its groups hold.  A short desk run with a
+    # high learning rate takes both routes.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"suite.file = {ROOT / 'configs' / 'desk.suite'}\n"
@@ -58,10 +61,18 @@ def test_traced_layer_counts_add_up(tmp_path):
         "tracer = Tracer(); install(tracer)\n"
         "import budnav.trainer\n"
         "ticks = []\n"
+        "def scored(traj, k):\n"
+        "    poses, actions = traj.poses(), traj.steps.actions.tolist()\n"
+        "    for t in range(k, len(actions)):\n"
+        "        pairs = {(poses[j], actions[j]) for j in range(t - k, t + 1)}\n"
+        "        if len(pairs) == 1 and poses[t + 1] == poses[t]:\n"
+        "            return t + 1\n"
+        "    return len(actions)\n"
         "def counted(evaluate):\n"
-        "    def wrapper(*args, **kwargs):\n"
-        "        outcome = evaluate(*args, **kwargs)\n"
-        "        ticks.append(max(len(t.steps) for t in outcome.trajectories))\n"
+        "    def wrapper(snap, *args, **kwargs):\n"
+        "        outcome = evaluate(snap, *args, **kwargs)\n"
+        "        k = snap.params.cfg.history_k\n"
+        "        ticks.append(max(scored(t, k) for t in outcome.trajectories))\n"
         "        return outcome\n"
         "    return wrapper\n"
         "budnav.trainer.evaluate = counted(budnav.trainer.evaluate)\n"
