@@ -17,8 +17,8 @@ the completion is the single STOP action.  Outside it the completion is a
 fresh plan from the failure state, not from a valid historical one, and
 it need not pass the reference waypoints the probe left unvisited.  A
 desk_full seed-0 run has 36 such failures among its 4,428 failed
-probes.  ROADMAP.md item 2 (rectify step-cap failures from their anchor)
-tracks the fix.
+probes.  The ROADMAP.md item "rectify step-cap failures from their
+anchor" tracks the fix.
 
 Every other completion starts at the anchor waypoint and is the
 planner's shortest route from there into the goal zone; nothing forces
@@ -81,7 +81,8 @@ def find_anchor(probe: Trajectory):
     """(anchor_step, anchor_pose) for a failed probe: its rollout's
     anchor_step.  ForcedStop anchors at the final pose with every step
     retained, also when the step cap fired outside the goal zone (see the
-    module docstring and ROADMAP.md item 2).
+    module docstring and the ROADMAP.md item "rectify step-cap failures
+    from their anchor").
     """
     if probe.trigger is None:
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")

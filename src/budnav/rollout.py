@@ -420,6 +420,7 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
                 rows = bind(features)
         t += 1
     stacked = np.concatenate(ticks).reshape(-1, 4) if ticks else np.zeros((0, 4))
+    del ticks  # freed first, so that the trajectories cut below can reuse its memory
     if len(every) == 1 and len(every[0].at) == len(stacked):  # its steps are the ticks
         return [every[0].trajectory(stacked)]
     return [row.trajectory(stacked[row.at]) for row in every]

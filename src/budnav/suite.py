@@ -18,6 +18,7 @@ File format "budnav-suite v1" is a plain text document:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import GenerationFailed, SuiteError
@@ -39,10 +40,10 @@ def check_generation_params(width, height, density, cell_size, goal_radius, max_
         raise SuiteError(f"world extent out of range: {width}x{height}")
     if not 0.0 <= density <= MAX_DENSITY:
         raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {density}")
-    if not (cell_size > 0.0 and max_run >= 1):
-        raise SuiteError(f"need cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
-    if not goal_radius >= 0.0:
-        raise SuiteError(f"goal_radius must be >= 0, got {goal_radius}")
+    if not (0.0 < cell_size < math.inf and max_run >= 1):  # nDTW's costs need a finite cell
+        raise SuiteError(f"need a finite cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
+    if not goal_radius > 0.0:  # nDTW divides by it
+        raise SuiteError(f"goal_radius must be > 0, got {goal_radius}")
 
 
 @dataclass(frozen=True)

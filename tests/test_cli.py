@@ -139,7 +139,8 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("suite.n_held", "-1", "n_held >= 0"),
         ("suite.n_train_worlds", "-1", "n_train_worlds >= 0"),
         ("suite.n_train_worlds", "0", "no training worlds"),
-        ("suite.goal_radius", "-1.0", "goal_radius must be >= 0"),
+        ("suite.goal_radius", "-1.0", "goal_radius must be > 0"),
+        ("suite.goal_radius", "0.0", "goal_radius must be > 0"),  # nDTW divided by zero
         ("suite.n_held", "0", "no held-out episodes"),  # trained, then reported SR 0.0
         ("suite.file", str(train_only), "no held-out episodes"),
     ]:
@@ -216,12 +217,12 @@ def test_eval_rejects_a_suite_with_another_vocabulary(train_run, tmp_path, capsy
         assert f"checkpoint max_run (8) does not match suite max_run ({max_run})" in err
 
 
-def eval_outcome(ckpt, suite):
-    """(exit code, stderr) of `budnav eval` on ckpt and suite; stdout is
-    dropped."""
+def eval_outcome(ckpt, suite, *flags):
+    """(exit code, stderr) of `budnav eval` on ckpt and suite with the
+    extra flags; stdout is dropped."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["eval", "--ckpt", str(ckpt), "--suite", str(suite)])
+        code = main(["eval", "--ckpt", str(ckpt), "--suite", str(suite), *flags])
     return code, err.getvalue()
 
 
@@ -249,14 +250,10 @@ CKPT_EDIT = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(edits=st.lists(CKPT_EDIT, min_size=1, max_size=4))
-def test_mutated_checkpoints_raise_only_checkpoint_errors(train_run, checkpoint_corpus, edits):
-    # Byte edits in a real checkpoint: loading it either succeeds or
-    # raises CheckpointError, and `budnav eval --ckpt` exits 0 or 4 with
-    # one error line, never with a traceback.
-    _, out = train_run
-    original, records, path = checkpoint_corpus
+def mutated(original: bytes, records: list, edits) -> bytes:
+    """original with each CKPT_EDIT applied in turn: a byte replaced,
+    inserted or deleted anywhere, or near where one of the records
+    starts."""
     data = bytearray(original)
     for kind, anywhere, at, offset, byte in edits:
         if anywhere:
@@ -270,7 +267,18 @@ def test_mutated_checkpoints_raise_only_checkpoint_errors(train_run, checkpoint_
                 data[i] = byte
             else:
                 del data[i]
-    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(CKPT_EDIT, min_size=1, max_size=4))
+def test_mutated_checkpoints_raise_only_checkpoint_errors(train_run, checkpoint_corpus, edits):
+    # Byte edits in a real checkpoint: loading it either succeeds or
+    # raises CheckpointError, and `budnav eval --ckpt` exits 0 or 4 with
+    # one error line, never with a traceback.
+    _, out = train_run
+    original, records, path = checkpoint_corpus
+    path.write_bytes(mutated(original, records, edits))
     want = 0
     try:
         load_checkpoint(path)
@@ -279,6 +287,40 @@ def test_mutated_checkpoints_raise_only_checkpoint_errors(train_run, checkpoint_
     code, err = eval_outcome(path, out / "suite.suite")
     assert code == want
     if code == 4:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def suite_corpus(tmp_path_factory):
+    """The bytes of configs/desk.suite, where each of its lines up to
+    the third held pair starts (all that `budnav eval --limit 3` turns
+    into episodes), and a path to write edited copies to."""
+    data = (Path(__file__).resolve().parent.parent / "configs" / "desk.suite").read_bytes()
+    starts = [0] + [m.end() for m in re.finditer(rb"\n(?=.)", data)]
+    third_held = [i for i in starts if data.startswith(b"held ", i)][2]
+    return data, [i for i in starts if i <= third_held], tmp_path_factory.mktemp("fuzz") / "mutated.suite"
+
+
+def test_suite_corpus_evaluates(train_run, suite_corpus):
+    _, out = train_run
+    original, records, path = suite_corpus
+    assert len(records) >= 15
+    path.write_bytes(original)
+    assert eval_outcome(out / "checkpoints" / "final.ckpt", path, "--limit", "3") == (0, "")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(CKPT_EDIT, min_size=1, max_size=4))
+def test_mutated_suites_exit_0_or_2(train_run, suite_corpus, edits):
+    # Byte edits in desk.suite, whose vocabulary (max_run 8) is the
+    # checkpoint's: `budnav eval --limit 3` on it exits 0, or 2 with one
+    # error line, never with a traceback.
+    _, out = train_run
+    original, records, path = suite_corpus
+    path.write_bytes(mutated(original, records, edits))
+    code, err = eval_outcome(out / "checkpoints" / "final.ckpt", path, "--limit", "3")
+    assert code in (0, 2), err
+    if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 

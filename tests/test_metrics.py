@@ -1,5 +1,6 @@
 """Navigation metrics against brute-force oracles, and trigger-free eval."""
 import math
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from budnav.metrics import (
     EpisodeResult,
     aggregate,
     dtw_distance,
+    dtw_distances,
     episode_result,
     evaluate,
     format_metrics_row,
@@ -24,12 +26,12 @@ from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rollout import Steps, Trajectory, run_greedy
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.world import (
-    Action, Pose, dedup_positions, euclid_m, generate_episode, generate_world,
+    MAX_SIDE, Action, Pose, dedup_positions, euclid_m, generate_episode, generate_world,
 )
 
 from conftest import walled_world
 from test_oracle import bfs_distance_oracle
-from test_lockstep import pretrained_policy
+from test_lockstep import mixed_worlds, pretrained_policy  # noqa: F401 (a fixture)
 from test_rollout import corridor_episode, run_script
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -163,11 +165,24 @@ def test_dtw_is_bit_identical_to_the_table_reference():
         (ref, [], 1.0),
         ([], [], 1.0),
     ]
-    for path, reference, cell in cases:
+    # Offsets of MAX_SIDE - 1 cells on both axes, the widest one grid holds.
+    far = MAX_SIDE - 1
+    cases += [
+        ([(0, 0), (far, far), (0, far)], [(far, 0), (far, far), (0, 0)], 0.5),
+        ([(far, far)], [(0, 0)], 1.0),
+    ]
+    want = [dtw_table_reference(path, reference, cell) for path, reference, cell in cases]
+    for (path, reference, cell), expected in zip(cases, want):
         got = dtw_distance(path, reference, cell)
-        want = dtw_table_reference(path, reference, cell)
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (path, reference, cell)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (path, reference, cell)
+    # All cases as one batch, forward and reversed: a pair's distance
+    # does not depend on the pairs swept with it.
+    for batch in (cases, cases[::-1]):
+        got = dtw_distances(*zip(*batch))
+        expected = [dtw_table_reference(*case) for case in batch]
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
     assert dtw_distance(ref, list(ref)) == 0.0
 
 
@@ -190,6 +205,23 @@ def test_ndtw_translation_invariant():
     assert ndtw(path, ref) == pytest.approx(ndtw(shifted_path, shifted_ref))
 
 
+def test_dtw_keeps_diagonals_not_the_table():
+    # A 600 x 600 pair: its full accumulated-cost table would be 2.9 MB,
+    # three diagonals are 14 KB (and the offset table of a 64-cell span
+    # 129 KB).  The sweep's peak allocation stays far below the full
+    # table, and the distance matches the reference.
+    path = [(i % 64, i // 64) for i in range(600)]
+    reference = path[::-1]
+    tracemalloc.start()
+    try:
+        got = dtw_distance(path, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert np.float64(got).tobytes() == np.float64(dtw_table_reference(path, reference, 1.0)).tobytes()
+
+
 def test_ndtw_parallel_shift_closed_form():
     # A copy of the reference offset by d has every aligned pair at cost
     # exactly d, so DTW = |R| * d and nDTW = exp(-d / threshold).
@@ -197,6 +229,16 @@ def test_ndtw_parallel_shift_closed_form():
     for d in [1.0, 2.0, 4.0]:
         path = [(x, d) for x in range(6)]
         assert ndtw(path, ref, threshold=3.0) == pytest.approx(math.exp(-d / 3.0))
+
+
+def test_dtw_points_are_integer_cells():
+    # An integral float is its cell; any other coordinate is refused.
+    assert dtw_distance([(1.0, 2.0), (3, 4.0)], [(1, 2)]) == dtw_distance([(1, 2), (3, 4)], [(1, 2)])
+    for bad in (0.5, math.nan, math.inf, "1", None):
+        with pytest.raises(TypeError, match="integer cells"):
+            dtw_distance([(0, 0), (1, bad)], [(0, 0)])
+        with pytest.raises(TypeError, match="integer cells"):
+            ndtw([(0, 0)], [(bad, 0)])
 
 
 # -------------------------------------------------------- per-episode report
@@ -223,27 +265,36 @@ def test_episode_result_perfect_run():
 
 
 def episode_result_reference(traj, episode):
-    """episode_result from the poses: OSR by field.at over every visited
-    position, nDTW over dedup_positions(traj.poses())."""
+    """episode_result from the poses, one episode at a time: OSR by
+    field.at over every visited position, nDTW by the table DTW over
+    dedup_positions(traj.poses())."""
     field = geodesic_field(episode.world, episode.goal)
     osr = traj.success or any(field.at(*pos) <= episode.goal_radius for pos in traj.positions())
+    reference = list(episode.reference_waypoints)
+    distance = dtw_table_reference(
+        list(dedup_positions(traj.poses())), reference, episode.world.cell_size
+    )
     return EpisodeResult(
         episode_id=episode.id,
         success=traj.success,
         spl=spl(traj, episode, field),
         osr=float(osr),
         ne=navigation_error(traj, episode, field),
-        ndtw=ndtw(
-            dedup_positions(traj.poses()), list(episode.reference_waypoints),
-            episode.goal_radius, episode.world.cell_size,
-        ),
+        ndtw=math.exp(-distance / (len(reference) * episode.goal_radius)),
         path_length=traj.path_length,
         steps=len(traj.steps),
     )
 
 
+def assert_results_equal_the_reference(outcome, episodes):
+    for episode, traj, got in zip(episodes, outcome.trajectories, outcome.results, strict=True):
+        want = episode_result_reference(traj, episode)
+        assert repr(astuple(got)) == repr(astuple(want))
+        assert got == want
+
+
 @pytest.mark.parametrize("policy", ["initial", "pretrained"])
-def test_episode_result_from_arrays_equals_the_pose_reference(policy):
+def test_episode_result_from_arrays_equals_the_pose_reference(policy, mixed_worlds):
     # Every held desk episode, under the initial policy (which mostly
     # stops at once) and a BC-pretrained one (which walks, revisits
     # cells and passes through the goal zone).
@@ -254,13 +305,19 @@ def test_episode_result_from_arrays_equals_the_pose_reference(policy):
     else:
         snap = pretrained_policy(600)
     outcome = evaluate(snap, held)
-    for episode, traj, got in zip(held, outcome.trajectories, outcome.results):
-        want = episode_result_reference(traj, episode)
-        assert repr(astuple(got)) == repr(astuple(want))
-        assert got == want
+    assert_results_equal_the_reference(outcome, held)
     if policy == "pretrained":
         # Some failures pass through the goal zone: OSR above SR.
         assert sum(r.osr for r in outcome.results) > sum(r.success for r in outcome.results)
+    # One evaluation over worlds of five extents and one of half-meter
+    # cells: its paths and references are padded to the longest in the
+    # batch, and each pair is scored at its own cell size.
+    half = generate_world(7, 9, 9, 0.12, cell_size=0.5)
+    episodes = mixed_worlds + [generate_episode(half, 300 + i, min_length=3.0) for i in range(8)]
+    outcome = evaluate(snap, episodes)
+    assert_results_equal_the_reference(outcome, episodes)
+    assert len({len(dedup_positions(t.poses())) for t in outcome.trajectories}) >= 2
+    assert len({len(e.reference_waypoints) for e in episodes}) >= 3
 
 
 def test_aggregate_means_and_percentages():

@@ -168,5 +168,9 @@ def test_parse_rejects_malformed_documents():
         parse_suite(good.replace("world 8 8", "world eight 8"))
     with pytest.raises(SuiteError):
         parse_suite(SUITE_MAGIC + "\nname only\n")
-    with pytest.raises(SuiteError, match="goal_radius must be >= 0"):
-        parse_suite(good.replace("episode 3.0", "episode -1.0"))
+    for radius in ("-1.0", "0.0"):  # nDTW divides by the radius
+        with pytest.raises(SuiteError, match="goal_radius must be > 0"):
+            parse_suite(good.replace("episode 3.0", f"episode {radius}"))
+    for cell in ("0.0", "inf", "nan"):  # nDTW's costs are offsets times the cell size
+        with pytest.raises(SuiteError, match="need a finite cell_size > 0"):
+            parse_suite(good.replace("world 8 8 0.1 1.0", f"world 8 8 0.1 {cell}"))

@@ -70,6 +70,11 @@ UNTRACED = {
     "time is grpo.loss self time",
     "rect loss featurization": "rectify.featurize is not wrapped: its time is "
     "rectify.loss self time, not policy.forward",
+    "evaluation metrics": "metrics.evaluate scores its episodes with "
+    "metrics.episode_results, which calls neither metrics.episode_result nor "
+    "metrics.dtw_distance: metrics.episode_result.self_s, metrics.dtw.self_s, "
+    "metrics.evaluate.episodes and metrics.episode_ms_* read 0, and the scoring time "
+    "is metrics.evaluate self time",
 }
 
 
