@@ -8,7 +8,9 @@ graph.  The smoke and desk training digests, and the smoke-trained
 policy's evaluation digest, were recorded when the losses began to
 backpropagate each demo and trajectory with matrix products, which sum
 a gradient's per-step terms in another order and so move the trained
-parameters in their last bits.  Speedups must keep every output byte
+parameters in their last bits.  The desk digests of the four ablation
+variants were recorded before the variants' routing became a table.
+Speedups must keep every output byte
 identical, so a change that moves any of these digests changes results,
 not just speed.  They pin float64
 results as numpy computes them with OpenBLAS; another BLAS build may
@@ -34,6 +36,13 @@ SMOKE_TRAIN_DIGEST = "d2811b46702777870421292259d4e2db"
 SMOKE_EVAL_DIGEST = "02c4fe95558c6b8efc6c5f2dba2f80a3"
 EPISODES_DIGEST = "fe40fb4b830fd23be71c13eef569232f"
 DESK_TRAIN_DIGEST = "c1c2ce2e16eb589a9953fabc6c56e88b"
+# The same short desk run under each ablation variant.
+DESK_VARIANT_DIGESTS = {
+    "rect_only": "54bd20bee818df32987b00577b62c8c6",
+    "grpo_only": "93c58072a6c67903afe9ee387f67a6a2",
+    "dagger": "e5be8d4d740863b01bb775dfaacb3a4c",
+    "bc": "84489ca5d2132447183633912e83fd2a",
+}
 
 
 def eval_digest(params) -> str:
@@ -69,15 +78,28 @@ def test_smoke_training_is_pinned(smoke_run):
     assert h.hexdigest() == SMOKE_TRAIN_DIGEST
 
 
-def test_desk_training_is_pinned():
-    # 600 desk pretraining demos, then 60 routed episodes (49 rect, 11
-    # GRPO) evaluated on 20 held episodes.
+def desk_train_digest(variant: str) -> str:
+    """600 desk pretraining demos, then 60 routed episodes under variant,
+    evaluated on 20 held episodes."""
     cfg = load_config(CONFIGS / "desk_full.cfg")[0]
-    result = train(replace(cfg, train_episodes=60, eval_episodes=20))
+    result = train(replace(cfg, variant=variant, train_episodes=60, eval_episodes=20))
     h = hashlib.blake2b(digest_size=16)
     h.update(result.params.flatten().tobytes())
     h.update("\n".join(result.csv_rows).encode())
-    assert h.hexdigest() == DESK_TRAIN_DIGEST
+    return h.hexdigest()
+
+
+def test_desk_training_is_pinned():
+    # The 60 routed episodes split 49 rect, 11 GRPO.
+    assert desk_train_digest("full") == DESK_TRAIN_DIGEST
+
+
+@pytest.mark.parametrize("variant", sorted(DESK_VARIANT_DIGESTS))
+def test_desk_variant_training_is_pinned(variant):
+    # rect_only skips the 11 proficient episodes and grpo_only the 55
+    # failed ones; dagger teacher-forces 10 and corrects 50 from the
+    # error state; bc teacher-forces all 60.
+    assert desk_train_digest(variant) == DESK_VARIANT_DIGESTS[variant]
 
 
 def test_smoke_trained_policy_evaluation_is_pinned(smoke_run):
