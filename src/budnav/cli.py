@@ -93,6 +93,9 @@ def _out_dir(path) -> Path:
     return out
 
 
+_ALGO_VARIANT = {"gro": "full", "dagger": "dagger", "bc": "bc"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="budnav", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"budnav {__version__}")
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training configuration")
     p.add_argument("--config", required=True, help="config file (key=value lines)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--algo", choices=("gro", "dagger", "bc"), default=None,
+    p.add_argument("--algo", choices=tuple(_ALGO_VARIANT), default=None,
                    help="override the configured variant")
     p.add_argument("--seed", type=int, default=None, help="override trainer.run_seed")
     p.set_defaults(func=cmd_train)
@@ -139,9 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_suite)
     return parser
-
-
-_ALGO_VARIANT = {"gro": "full", "dagger": "dagger", "bc": "bc"}
 
 
 def cmd_train(args) -> int:

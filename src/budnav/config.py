@@ -83,6 +83,9 @@ _RANGES = (
     ("policy.history_k", lambda v: v >= 1, ">= 1"),
     ("policy.temperature", lambda v: v > 0.0, "positive"),
     ("grpo.group_size", lambda v: v >= 2, ">= 2"),
+    # AdamW's bias correction divides by 1 - beta^t.
+    ("opt.beta1", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("opt.beta2", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 )
 
 
@@ -132,7 +135,7 @@ def _section(values: dict, prefix: str) -> dict:
 def read_suite_file(path: Path) -> Suite:
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read suite file {path}: {e}") from e
     return parse_suite(text)
 
@@ -152,8 +155,11 @@ def build_suite(values: dict, base_dir: Path | None = None) -> Suite:
 def build_train_config(values: dict, base_dir: Path | None = None) -> TrainConfig:
     if values["trainer.variant"] not in VARIANTS:
         raise ConfigError(
-            f"trainer.variant must be one of {VARIANTS}, got {values['trainer.variant']!r}"
+            f"trainer.variant must be one of {tuple(VARIANTS)}, got {values['trainer.variant']!r}"
         )
+    for key, value in values.items():
+        if value != value:  # NaN compares false to every bound
+            raise ConfigError(f"{key} must be a number, got {value}")
     for key, ok, requirement in _RANGES:
         if not ok(values[key]):
             raise ConfigError(f"{key} must be {requirement}, got {values[key]}")

@@ -23,6 +23,11 @@ anchor" tracks the fix.
 Every other completion starts at the anchor waypoint and is the
 planner's shortest route from there into the goal zone; nothing forces
 it to visit the remaining reference waypoints in order.
+
+synthesize_demo is the one demo builder for failed probes.  The dagger
+variant passes it the error state, (len(steps), final_pose), as the
+anchor: the whole erroneous history is kept and the completion starts
+where the probe failed.  That anchor is all that tells the two apart.
 """
 from __future__ import annotations
 
@@ -92,10 +97,12 @@ def find_anchor(probe: Trajectory):
 
 
 def synthesize_demo(
-    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig()
+    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig(), anchor=None
 ) -> RectificationDemo:
-    """Build the corrective demo: retained prefix + oracle completion."""
-    anchor_step, anchor_pose = find_anchor(probe)
+    """Build the corrective demo: the probe's steps up to anchor (an
+    (anchor_step, anchor_pose) pair, find_anchor(probe) by default) kept
+    as the prefix, and the oracle's completion from anchor_pose."""
+    anchor_step, anchor_pose = find_anchor(probe) if anchor is None else anchor
     completion = plan(episode.world, anchor_pose, episode.goal, episode.goal_radius)
     return RectificationDemo(
         episode_id=episode.id,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .errors import GenerationFailed, SuiteError
 from .rng import stream
 from .world import (
-    DEFAULT_MAX_RUN, MAX_DENSITY, MAX_SIDE, Episode, GridWorld, generate_episode, generate_world,
+    DEFAULT_MAX_RUN, MAX_CELL_SIZE, MAX_DENSITY, MAX_SIDE, Episode, GridWorld,
+    generate_episode, generate_world,
 )
 
 SUITE_MAGIC = "budnav-suite v1"
@@ -42,6 +43,8 @@ def check_generation_params(width, height, density, cell_size, goal_radius, max_
         raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {density}")
     if not (0.0 < cell_size < math.inf and max_run >= 1):  # nDTW's costs need a finite cell
         raise SuiteError(f"need a finite cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
+    if cell_size > MAX_CELL_SIZE:
+        raise SuiteError(f"cell_size out of range (0, {MAX_CELL_SIZE:g}]: {cell_size}")
     if not goal_radius > 0.0:  # nDTW divides by it
         raise SuiteError(f"goal_radius must be > 0, got {goal_radius}")
 

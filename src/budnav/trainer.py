@@ -13,12 +13,14 @@ two paths based on a deterministic greedy probe:
                       cross-entropy step on it.
 
 Hard episodes therefore consume a single rollout, while group sampling
-is spent only where the policy is already competent.  The ablation
-variants in VARIANTS go through the same step and differ only in how
-route_episode builds the supervision; the dagger variant shares the
-probe and trigger machinery but supervises from the raw error state
-with the full erroneous history retained, and falls back to teacher
-forcing on the reference when the probe succeeds.
+is spent only where the policy is already competent.  The variants are
+one table, VARIANTS: each names the supervision a successful and a
+failed probe get, and route_episode only reads it.  The ablations skip
+one of the two updates; dagger shares the probe and trigger machinery
+but corrects a failure from the raw error state, with the full
+erroneous history retained (the same demo builder as rectification,
+anchored where the probe ended), and teacher-forces the reference plan
+when the probe succeeds.  bc never probes.
 
 All updates use AdamW with decoupled weight decay.  Every random choice
 is drawn from streams named by (run_seed, purpose, ids), so training is
@@ -27,14 +29,16 @@ reproducible to the byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteGradient
 from .grpo import GrpoConfig, RewardConfig, grpo_loss_and_grad, make_group
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_artifacts
-from .oracle import geodesic_field, plan
+from .oracle import geodesic_field
+# Unused here: perfbench's tracer patches trainer.plan when it installs.
+from .oracle import plan  # noqa: F401
 from .policy import (
     PolicyConfig,
     PolicyParams,
@@ -47,16 +51,25 @@ from .rectify import (
     RectConfig,
     RectificationDemo,
     bc_demo,
-    decay_weights,
     rect_loss_and_grad,
     synthesize_demo,
 )
 from .rng import stream_id
-from .rollout import RolloutConfig, rollout_stream, run_greedy, run_sampled
+from .rollout import RolloutConfig, Trajectory, rollout_stream, run_greedy, run_sampled
 from .suite import Suite, suite_episode
 from .world import Episode
 
-VARIANTS = ("full", "bc", "rect_only", "grpo_only", "dagger")
+# The supervision each variant gives (a successful probe, a failed probe):
+# "grpo" a group update, "rect" a rollback demo from the anchor, "dagger"
+# a demo from the error state, "bc" the reference plan, None no update.
+# bc maps to None because it never probes.
+VARIANTS = {
+    "full": ("grpo", "rect"),
+    "bc": None,
+    "rect_only": (None, "rect"),
+    "grpo_only": ("grpo", None),
+    "dagger": ("bc", "dagger"),
+}
 
 
 @dataclass(frozen=True)
@@ -171,81 +184,65 @@ def pretrain_bc(params: PolicyParams, episodes, cfg: TrainConfig):
 
 @dataclass(frozen=True)
 class RouteOutcome:
-    """Rollout phase of one training episode, before any update."""
+    """Rollout phase of one training episode, before any update: its
+    report (loss and grad_norm still 0.0) and what the update reads."""
 
-    route: str
-    probe_success: bool
-    skipped: bool
-    env_steps: int
-    rollouts_used: int
-    probe: object
+    report: UpdateReport
+    episode: Episode
+    probe: Trajectory | None
     group: object = None
     demo: RectificationDemo | None = None
-    episode: Episode | None = None
 
-
-def _error_state_demo(probe, episode: Episode, cfg: TrainConfig) -> RectificationDemo:
-    """DAgger supervision: oracle completion from the failure pose, with
-    the entire erroneous history kept as conditioning."""
-    completion = plan(episode.world, probe.final_pose, episode.goal, episode.goal_radius)
-    return RectificationDemo(
-        episode_id=episode.id,
-        anchor_step=len(probe.steps),
-        anchor_pose=probe.final_pose,
-        retained_prefix=probe.steps,
-        oracle_actions=tuple(completion.actions),
-        weights=decay_weights(len(completion.actions), cfg.rect),
-        poses=completion.poses[:-1],
-    )
+    @property
+    def skipped(self) -> bool:
+        return self.group is None and self.demo is None
 
 
 def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> RouteOutcome:
-    """Probe greedily, then stage exactly one of the two update paths.
+    """Probe greedily, then stage the update VARIANTS gives the probe's
+    outcome under cfg.variant.
 
-    Ablation variants reuse the same probe: rect_only skips proficient
-    episodes (zero update), grpo_only skips failed ones, bc never probes
-    at all, and dagger replaces both branches with imitation (reference
-    plan on success, error-state correction on failure).
+    The route is "bc" when the supervision is the reference plan, and
+    otherwise "grpo" or "rect" by the probe's outcome, skipped or not.
     """
-    if cfg.variant == "bc":
-        return RouteOutcome(
-            route="bc", probe_success=False, skipped=False, env_steps=0,
-            rollouts_used=0, probe=None, demo=bc_demo(episode), episode=episode,
-        )
-    snap_old = snapshot(params, "old")
-    probe = run_greedy(snap_old, episode, cfg.rollout)
-    env_steps = len(probe.steps)
-    if probe.success:
-        if cfg.variant == "rect_only":
-            return RouteOutcome("grpo", True, True, env_steps, 1, probe, episode=episode)
-        if cfg.variant == "dagger":
-            return RouteOutcome(
-                "bc", True, False, env_steps, 1, probe,
-                demo=bc_demo(episode), episode=episode,
-            )
-        rollouts = [probe]
+    routes = VARIANTS[cfg.variant]
+    probe, rollouts, group, demo = None, [], None, None
+    supervision = "bc"
+    if routes is not None:
+        snap_old = snapshot(params, "old")
+        probe = run_greedy(snap_old, episode, cfg.rollout)
+        rollouts.append(probe)
+        supervision = routes[0] if probe.success else routes[1]
+    if supervision == "grpo":
         for i in range(1, cfg.grpo.group_size):
-            r = run_sampled(
+            rollouts.append(run_sampled(
                 snap_old, episode, cfg.policy.temperature,
                 rollout_stream(cfg.run_seed, episode.id, i), cfg.rollout,
-            )
-            rollouts.append(r)
-            env_steps += len(r.steps)
+            ))
         group = make_group(
             rollouts, episode, snap_old, cfg.reward, cfg.grpo,
             geodesic_field(episode.world, episode.goal),
         )
-        return RouteOutcome(
-            "grpo", True, False, env_steps, cfg.grpo.group_size, probe,
-            group=group, episode=episode,
-        )
-    if cfg.variant == "grpo_only":
-        return RouteOutcome("rect", False, True, env_steps, 1, probe, episode=episode)
-    if cfg.variant == "dagger":
-        demo = _error_state_demo(probe, episode, cfg)
-    else:
+    elif supervision == "rect":
         demo = synthesize_demo(probe, episode, cfg.rect)
-    return RouteOutcome("rect", False, False, env_steps, 1, probe, demo=demo, episode=episode)
+    elif supervision == "dagger":
+        demo = synthesize_demo(probe, episode, cfg.rect, (len(probe.steps), probe.final_pose))
+    elif supervision == "bc":
+        demo = bc_demo(episode)
+    success = probe is not None and probe.success
+    trigger = probe.trigger if probe is not None else None
+    report = UpdateReport(
+        episode_id=episode.id,
+        route="bc" if supervision == "bc" else ("grpo" if success else "rect"),
+        probe_success=success,
+        rollouts_used=len(rollouts),
+        env_steps_used=sum(len(r.steps) for r in rollouts),
+        loss=0.0,
+        grad_norm=0.0,
+        trigger=trigger[0].value if trigger else None,
+        trigger_step=trigger[1] if trigger else None,
+    )
+    return RouteOutcome(report, episode, probe, group, demo)
 
 
 def outcome_loss_and_grad(params: PolicyParams, outcome: RouteOutcome, ref: PolicySnapshot, cfg: TrainConfig):
@@ -254,22 +251,6 @@ def outcome_loss_and_grad(params: PolicyParams, outcome: RouteOutcome, ref: Poli
     if outcome.group is not None:
         return grpo_loss_and_grad(params, outcome.group, ref, cfg.grpo)
     return rect_loss_and_grad(params, outcome.demo, outcome.episode)
-
-
-def _report(outcome: RouteOutcome, loss: float, grad_norm: float) -> UpdateReport:
-    probe = outcome.probe
-    trigger = probe.trigger if probe is not None else None
-    return UpdateReport(
-        episode_id=outcome.episode.id,
-        route=outcome.route,
-        probe_success=outcome.probe_success,
-        rollouts_used=outcome.rollouts_used,
-        env_steps_used=outcome.env_steps,
-        loss=loss,
-        grad_norm=grad_norm,
-        trigger=trigger[0].value if trigger else None,
-        trigger_step=trigger[1] if trigger else None,
-    )
 
 
 def gro_step(
@@ -285,15 +266,12 @@ def gro_step(
     A skipped episode takes no optimizer step; any other takes exactly one.
     """
     outcome = route_episode(params, episode, cfg)
-    if outcome.skipped:
-        report = _report(outcome, 0.0, 0.0)
-        if debug is not None:
-            debug.update(outcome=outcome, gradient=np.zeros(params.count))
-        return params, opt, report
+    report = outcome.report
     loss, grad = outcome_loss_and_grad(params, outcome, ref, cfg)
-    _check_finite_loss(loss)
-    params, opt = adamw_update(params, grad, opt, cfg.opt)
-    report = _report(outcome, loss, float(np.linalg.norm(grad)))
+    if not outcome.skipped:
+        _check_finite_loss(loss)
+        params, opt = adamw_update(params, grad, opt, cfg.opt)
+        report = replace(report, loss=loss, grad_norm=float(np.linalg.norm(grad)))
     if debug is not None:
         debug.update(outcome=outcome, gradient=grad)
     return params, opt, report

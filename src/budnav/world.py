@@ -51,6 +51,7 @@ HEADING_VECS = ((0, -1), (1, 0), (0, 1), (-1, 0))  # N, E, S, W
 
 MAX_SIDE = 64
 MAX_DENSITY = 0.35
+MAX_CELL_SIZE = 1e6  # metres; far larger cells overflow distances to inf
 DEFAULT_MAX_RUN = 8
 
 

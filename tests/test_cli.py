@@ -143,6 +143,9 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("suite.goal_radius", "0.0", "goal_radius must be > 0"),  # nDTW divided by zero
         ("suite.n_held", "0", "no held-out episodes"),  # trained, then reported SR 0.0
         ("suite.file", str(train_only), "no held-out episodes"),
+        ("suite.file", "desk\0.suite", "cannot read suite file"),  # was a ValueError traceback
+        ("rollout.visit_radius_m", "nan", "must be a number, got nan"),  # trained silently
+        ("opt.beta2", "1.0", "opt.beta2 must be in [0, 1)"),  # AdamW divided by zero
     ]:
         kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
@@ -307,6 +310,22 @@ def test_suite_corpus_evaluates(train_run, suite_corpus):
     assert len(records) >= 15
     path.write_bytes(original)
     assert eval_outcome(out / "checkpoints" / "final.ckpt", path, "--limit", "3") == (0, "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_rejects_a_cell_size_that_overflows_distances(train_run, suite_corpus):
+    # At 1e308 m per cell the distances overflowed to inf: NE=inf, exit 0.
+    _, out = train_run
+    original, _, path = suite_corpus
+    ckpt = out / "checkpoints" / "final.ckpt"
+    world = b"world 10 10 0.15 1.0\n"
+    assert world in original
+    path.write_bytes(original.replace(world, b"world 10 10 0.15 1e308\n"))
+    code, err = eval_outcome(ckpt, path, "--limit", "3")
+    assert code == 2 and "cell_size out of range (0, 1e+06]: 1e+308" in err
+    # The largest cell allowed evaluates without an overflow warning.
+    path.write_bytes(original.replace(world, b"world 10 10 0.15 1e6\n"))
+    assert eval_outcome(ckpt, path, "--limit", "3") == (0, "")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

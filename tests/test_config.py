@@ -1,9 +1,12 @@
 """Config parsing, validation, and the run manifest."""
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budnav.config import (
     DEFAULTS,
@@ -17,10 +20,12 @@ from budnav.config import (
     world_params_hash,
     write_manifest,
 )
-from budnav.errors import ConfigError
+from budnav.errors import ConfigError, SuiteError
 from budnav.suite import generate_suite, serialize_suite
 from budnav.trainer import TrainConfig
 from budnav.world import vocab_size
+
+from test_cli import CKPT_EDIT, mutated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,6 +151,22 @@ def test_build_train_config_rejects_nonpositive_temperature(temperature):
         build_train_config(values)
 
 
+def test_nan_is_rejected_for_every_float_key():
+    # NaN compares false to every bound, so no range check would see it.
+    for key in (k for k, v in DEFAULTS.items() if isinstance(v, float)):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number, got nan")):
+            build_train_config(small_values({key: float("nan")}))
+
+
+@pytest.mark.parametrize("key", ["opt.beta1", "opt.beta2"])
+def test_adamw_betas_lie_in_the_unit_interval(key):
+    # At 1.0 AdamW's bias correction divides by 1 - beta^t = 0.
+    for value in (1.0, 1.5, -0.1):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be in [0, 1), got {value}")):
+            build_train_config(small_values({key: value}))
+    assert getattr(build_train_config(small_values({key: 0.0})).opt, key[4:]) == 0.0
+
+
 def test_build_train_config_rejects_negative_eval_episodes():
     values = small_values({"trainer.eval_episodes": -1})
     with pytest.raises(ConfigError, match="trainer.eval_episodes must be >= 0"):
@@ -252,6 +273,37 @@ def test_missing_files_raise_config_error(tmp_path):
     values = resolved_values({"suite.file": "nowhere.suite"})
     with pytest.raises(ConfigError, match="suite file"):
         build_suite(values, base_dir=tmp_path)
+
+
+@pytest.fixture(scope="module")
+def config_corpus(tmp_path_factory):
+    """The bytes of configs/desk_full.cfg, where each of its lines
+    starts, and a path beside a copy of desk.suite to write edited
+    copies to."""
+    data = (CONFIGS / "desk_full.cfg").read_bytes()
+    starts = [0] + [m.end() for m in re.finditer(rb"\n(?=.)", data)]
+    root = tmp_path_factory.mktemp("cfgfuzz")
+    (root / "desk.suite").write_bytes((CONFIGS / "desk.suite").read_bytes())
+    return data, starts, root / "mutated.cfg"
+
+
+def test_config_corpus_loads(config_corpus):
+    original, starts, path = config_corpus
+    assert len(starts) >= 5
+    path.write_bytes(original)
+    assert load_config(path)[0].variant == "full"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(CKPT_EDIT, min_size=1, max_size=4))
+def test_mutated_configs_load_or_raise_config_or_suite_errors(config_corpus, edits):
+    # Byte edits anywhere in desk_full.cfg or near a line's start.
+    original, starts, path = config_corpus
+    path.write_bytes(mutated(original, starts, edits))
+    try:
+        load_config(path)
+    except (ConfigError, SuiteError):
+        pass
 
 
 def test_generated_suite_honours_section(tmp_path):

@@ -223,8 +223,8 @@ def test_demo_poses_replay_the_oracle_actions_on_the_desk_pool():
             for variant in ("bc", "full", "dagger"):
                 outcome = route_episode(params, episode, dataclasses.replace(cfg, variant=variant))
                 if outcome.demo is not None:
-                    error_state = variant == "dagger" and outcome.route == "rect"
-                    kind = "dagger" if error_state else outcome.route
+                    error_state = variant == "dagger" and outcome.report.route == "rect"
+                    kind = "dagger" if error_state else outcome.report.route
                     demos[kind].append((outcome.demo, episode))
     for kind, made in demos.items():
         assert len(made) >= 10, kind

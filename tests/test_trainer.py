@@ -53,7 +53,7 @@ def routed_outcomes(warm_state, variant, want_routes, limit=200):
     for i in range(limit):
         episode = training_episode(cfg, "train", i)
         outcome = route_episode(params, episode, cfg)
-        key = (outcome.route, outcome.skipped)
+        key = (outcome.report.route, outcome.skipped)
         if key in want_routes and key not in found:
             found[key] = outcome
         if len(found) == len(want_routes):
@@ -187,28 +187,28 @@ def test_routes_are_mutually_exclusive(warm):
     for i in range(60):
         episode = training_episode(cfg, "train", i)
         outcome = route_episode(params, episode, cfg)
-        saw.add(outcome.route)
-        if outcome.probe_success:
-            assert outcome.route == "grpo"
-            assert outcome.rollouts_used == cfg.grpo.group_size
+        saw.add(outcome.report.route)
+        if outcome.report.probe_success:
+            assert outcome.report.route == "grpo"
+            assert outcome.report.rollouts_used == cfg.grpo.group_size
             assert outcome.group is not None and outcome.demo is None
             assert outcome.group.trajectories[0] is outcome.probe
             sampled = sum(len(t.steps) for t in outcome.group.trajectories)
-            assert outcome.env_steps == sampled
+            assert outcome.report.env_steps_used == sampled
         else:
-            assert outcome.route == "rect"
-            assert outcome.rollouts_used == 1
+            assert outcome.report.route == "rect"
+            assert outcome.report.rollouts_used == 1
             assert outcome.demo is not None and outcome.group is None
-            assert outcome.env_steps == len(outcome.probe.steps)
+            assert outcome.report.env_steps_used == len(outcome.probe.steps)
     assert saw == {"grpo", "rect"}  # the warm policy must hit both paths
 
 
 def test_rect_only_skips_proficient_episodes(warm):
     found = routed_outcomes(warm, "rect_only", {("grpo", True), ("rect", False)})
     skipped = found[("grpo", True)]
-    assert skipped.skipped and skipped.probe_success
+    assert skipped.skipped and skipped.report.probe_success
     assert skipped.group is None and skipped.demo is None
-    assert skipped.rollouts_used == 1  # the probe itself
+    assert skipped.report.rollouts_used == 1  # the probe itself
     active = found[("rect", False)]
     assert active.demo is not None
 
@@ -216,7 +216,7 @@ def test_rect_only_skips_proficient_episodes(warm):
 def test_grpo_only_skips_failed_episodes(warm):
     found = routed_outcomes(warm, "grpo_only", {("rect", True), ("grpo", False)})
     skipped = found[("rect", True)]
-    assert skipped.skipped and not skipped.probe_success
+    assert skipped.skipped and not skipped.report.probe_success
     assert skipped.demo is None and skipped.group is None
 
 
@@ -225,15 +225,15 @@ def test_bc_variant_never_probes(warm):
     cfg = dataclasses.replace(cfg, variant="bc")
     episode = training_episode(cfg, "train", 0)
     outcome = route_episode(params, episode, cfg)
-    assert outcome.route == "bc" and outcome.probe is None
-    assert outcome.env_steps == 0 and outcome.rollouts_used == 0
+    assert outcome.report.route == "bc" and outcome.probe is None
+    assert outcome.report.env_steps_used == 0 and outcome.report.rollouts_used == 0
     assert outcome.demo.oracle_actions == bc_demo(episode).oracle_actions
 
 
 def test_dagger_success_teacher_forces_the_reference(warm):
     found = routed_outcomes(warm, "dagger", {("bc", False)})
     outcome = found[("bc", False)]
-    assert outcome.probe_success
+    assert outcome.report.probe_success
     want = bc_demo(outcome.episode)
     assert outcome.demo.oracle_actions == want.oracle_actions
     assert len(outcome.demo.retained_prefix) == 0
@@ -245,13 +245,14 @@ def test_dagger_failure_corrects_from_the_error_state(warm):
     found = routed_outcomes(warm, "dagger", {("rect", False)})
     outcome = found[("rect", False)]
     probe, demo = outcome.probe, outcome.demo
-    assert not outcome.probe_success
+    assert not outcome.report.probe_success
     # Supervision starts exactly where the probe ended, with the whole
     # erroneous history kept; contrast with the rollback demo, which
     # retreats to the anchor waypoint.
     assert demo.anchor_step == len(probe.steps)
     assert demo.anchor_pose == probe.final_pose
-    assert demo.retained_prefix is probe.steps
+    for name in ("states", "actions", "logits"):
+        assert np.array_equal(getattr(demo.retained_prefix, name), getattr(probe.steps, name))
     rollback = synthesize_demo(probe, outcome.episode, cfg.rect)
     assert rollback.anchor_step <= demo.anchor_step
 
@@ -267,7 +268,7 @@ def test_rect_anchor_uses_the_rollout_visit_radius(warm):
     for i in range(60):
         episode = training_episode(cfg, "train", i)
         outcome = route_episode(params, episode, cfg)
-        if outcome.route != "rect":
+        if outcome.report.route != "rect":
             continue
         probe = outcome.probe
         anchor = (outcome.demo.anchor_step, outcome.demo.anchor_pose)
@@ -293,7 +294,7 @@ def test_outcome_loss_matches_standalone_losses(warm):
     params, ref, cfg = warm
     for key, outcome in routed_outcomes(warm, "full", {("grpo", False), ("rect", False)}).items():
         loss, grad = outcome_loss_and_grad(params, outcome, ref, cfg)
-        if outcome.route == "grpo":
+        if outcome.report.route == "grpo":
             want_loss, want_grad = grpo_loss_and_grad(params, outcome.group, ref, cfg.grpo)
         else:
             want_loss, want_grad = rect_loss_and_grad(params, outcome.demo, outcome.episode)
@@ -310,6 +311,8 @@ def test_gro_step_applies_exactly_the_computed_gradient(warm):
         new_params, new_opt, report = gro_step(params, opt, episode, ref, cfg, debug)
         standalone_loss, standalone = outcome_loss_and_grad(params, debug["outcome"], ref, cfg)
         assert np.max(np.abs(debug["gradient"] - standalone)) <= 1e-12
+        # The step's report is the routed one with the loss filled in.
+        assert dataclasses.replace(report, loss=0.0, grad_norm=0.0) == debug["outcome"].report
         if not debug["outcome"].skipped:
             want, want_opt = adamw_update(params, standalone, opt, cfg.opt)
             assert np.array_equal(new_params.flatten(), want.flatten())
