@@ -4,7 +4,7 @@ A quick training run produces a policy that walks but still fails some
 episodes.  The greedy probe's failure is rolled back to its anchor (the
 furthest reference waypoint visited in order), the erroneous suffix is
 discarded, and the oracle completes the route from there.  The rendered
-trace marks the trigger site X and the anchor A.
+map marks the trigger site X and the anchor A.
 
     python3 demos/failure_to_demo.py
 """
@@ -12,7 +12,7 @@ from budnav.cli import render_map
 from budnav.config import build_train_config, resolved_values
 from budnav.policy import snapshot
 from budnav.rectify import synthesize_demo
-from budnav.rollout import TriggerKind, parse_trace, run_greedy, serialize_trace
+from budnav.rollout import TriggerKind, run_greedy
 from budnav.suite import build_held_episodes
 from budnav.trainer import train
 
@@ -70,8 +70,7 @@ def main():
     weights = " ".join(f"{w:.2f}" for w in demo.weights[:6])
     print(f"decay weights: {weights}{' ...' if len(demo.weights) > 6 else ''}")
 
-    doc = parse_trace(serialize_trace(probe, episode, demo))
-    print(render_map(doc))
+    print(render_map(episode, probe, demo.anchor_pose))
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ Subcommands:
     train      run one training configuration, writing run artifacts
     eval       evaluate a checkpoint on a benchmark suite
     compare    train several configs over seeds, print a summary table
-    replay     re-execute a trace file and render an ASCII map
+    replay     parse a trace back into its trajectory, re-execute it
+               and render an ASCII map
     gen-suite  generate and write a benchmark suite file
 
 Exit codes: 0 success, 1 generic/partial failure, 2 unreadable or
 invalid config/suite/arguments, 3 divergence (non-finite gradient), 4
-checkpoint corruption, 5 trace replay divergence, 141 stdout closed
-before the output was written (128 + SIGPIPE, as `budnav ... | head`).
+checkpoint corruption, 5 malformed or inconsistent trace or replay
+divergence, 141 stdout closed before the output was written (128 +
+SIGPIPE, as `budnav ... | head`).
 """
 from __future__ import annotations
 
@@ -265,17 +267,19 @@ def cmd_replay(args) -> int:
         text = Path(args.trace).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise TraceError(f"cannot read trace {args.trace}: {e}") from e
-    doc = parse_trace(text)
-    n = verify_trace(doc)
-    print(f"trace verified: {n} steps, success={doc.success}, trigger={doc.trigger}")
-    print(render_map(doc))
+    episode, traj, rect = parse_trace(text)
+    n = verify_trace(episode, traj)
+    trigger = f"{traj.trigger[0].value}@{traj.trigger[1]}" if traj.trigger else "-"
+    print(f"trace verified: {n} steps, success={traj.success}, trigger={trigger}")
+    print(render_map(episode, traj, None if rect is None else rect["anchor_pose"]))
     return 0
 
 
-def render_map(doc) -> str:
-    """ASCII map: walls '#', reference path 'o', executed path '*',
-    both '@', start 'S', goal 'G', trigger 'X', rect anchor 'A'."""
-    world = doc.episode.world
+def render_map(episode, traj, anchor_pose=None) -> str:
+    """ASCII map of a trajectory on its episode: walls '#', reference path
+    'o', executed path '*', both '@', start 'S', goal 'G', the pose after
+    the trigger's step 'X', rect anchor 'A'."""
+    world = episode.world
     grid = [
         ["#" if (x, y) in world.blocked else "." for x in range(world.width)]
         for y in range(world.height)
@@ -284,24 +288,18 @@ def render_map(doc) -> str:
     def put(x, y, ch):
         grid[y][x] = ch
 
-    executed = [s.pose_before for s in doc.steps] + [doc.final_pose]
-    for x, y in doc.episode.reference_waypoints:
+    poses = traj.poses()
+    for x, y in episode.reference_waypoints:
         put(x, y, "o")
-    for pose in executed:
+    for pose in poses:
         put(pose.x, pose.y, "@" if grid[pose.y][pose.x] == "o" else "*")
-    trigger_pose = None
-    if doc.trigger != "-":
-        step_idx = int(doc.trigger.split("@")[1])
-        later = [s for s in doc.steps if s.t > step_idx]
-        trigger_pose = later[0].pose_before if later else doc.final_pose
-        put(trigger_pose.x, trigger_pose.y, "X")
-    if doc.rect is not None:
-        p = doc.rect["anchor_pose"]
-        put(p.x, p.y, "A")
-    sx, sy = doc.episode.start.x, doc.episode.start.y
-    gx, gy = doc.episode.goal
-    put(sx, sy, "S")
-    put(gx, gy, "G")
+    if traj.trigger is not None:
+        pose = poses[traj.trigger[1] + 1]
+        put(pose.x, pose.y, "X")
+    if anchor_pose is not None:
+        put(anchor_pose.x, anchor_pose.y, "A")
+    put(episode.start.x, episode.start.y, "S")
+    put(*episode.goal, "G")
     legend = "S start  G goal  o reference  * executed  @ both  X trigger  A anchor"
     return "\n".join("".join(row) for row in grid) + "\n" + legend
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,11 +82,16 @@ _RANGES = (
     ("policy.d_a", lambda v: v >= 1, ">= 1"),
     ("policy.d_h", lambda v: v >= 1, ">= 1"),
     ("policy.history_k", lambda v: v >= 1, ">= 1"),
-    ("policy.temperature", lambda v: v > 0.0, "positive"),
+    # The losses scale their gradients by 1 / temperature: inf trains nothing.
+    ("policy.temperature", lambda v: 0.0 < v < math.inf, "positive and finite"),
     ("grpo.group_size", lambda v: v >= 2, ">= 2"),
     # AdamW's bias correction divides by 1 - beta^t.
     ("opt.beta1", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     ("opt.beta2", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    # AdamW divides by sqrt(v_hat) + eps, which is 0 for a gradient never seen.
+    ("opt.eps", lambda v: 0.0 < v < math.inf, "positive and finite"),
+    # A floor of 0 lets the step cap end a probe before its first step.
+    ("rollout.max_steps_floor", lambda v: v >= 1, ">= 1"),
 )
 
 

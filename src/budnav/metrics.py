@@ -102,7 +102,7 @@ def navigation_error(traj: Trajectory, episode: Episode, field: GeodesicField | 
 
 def _visited_cells(traj: Trajectory) -> list:
     """Flat index y * width + x of the cell before every step, then of
-    the final cell: the cells of traj.positions(), read from the states."""
+    the final cell: the cells of traj.poses(), read from the states."""
     final, width = traj.final_pose, traj.steps.width
     cells = (traj.steps.states >> 2).tolist()
     cells.append(final.y * width + final.x)

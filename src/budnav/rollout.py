@@ -65,6 +65,17 @@ states, the same floats the rollout saw.  Each step feeds its
 observation and the previous step's action (NO_ACTION at t = 0) to the
 policy's history, so a loss can rebuild every step's context from the
 steps alone and is recomputable after the fact.
+
+A trace ("budnav-trace v1", serialize_trace) is a trajectory as text:
+the episode, one record per step (its number, pose, action, logits and
+a trigger column: the trigger's kind at its step, '-' at every other),
+the final record and, for a failed probe, the rect record of its demo.
+parse_trace reads a trace back into the Trajectory that wrote it, which
+serializes to the same bytes; a trace does not record anchor_step, which
+reads 0.  Steps numbered out of place, a step pose off the grid (its
+state would name another cell), an action outside Action, a trigger at
+none of the steps or a trigger column that does not name it is a
+TraceError.  verify_trace replays the states through world.transitions.
 """
 from __future__ import annotations
 
@@ -86,8 +97,8 @@ from .policy import (
 )
 from .rng import stream_id
 from .world import (
-    Action, HEADINGS, Episode, Pose, parse_pose, patch_layout, pose_state, serialize_episode,
-    state_pose, step, transitions,
+    Action, HEADINGS, Episode, Pose, parse_episode, parse_pose, patch_layout, pose_state,
+    serialize_episode, state_pose, transitions,
 )
 # Unused here: perfbench's tracer patches rollout.observe when it installs.
 from .world import observe  # noqa: F401
@@ -155,10 +166,6 @@ class Trajectory:
     def poses(self) -> list:
         """Visited pose sequence: start plus the pose after every step."""
         return self.steps.poses() + [self.final_pose]
-
-    def positions(self) -> list:
-        """Visited cell sequence: start plus the cell after every step."""
-        return [p.position for p in self.poses()]
 
 
 def offtrack_exceeded(deviation_m: float, heading_err_deg: float, cfg: RolloutConfig) -> bool:
@@ -455,8 +462,9 @@ def rollout_stream(run_seed: int, episode_id: int, rollout_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Trace format "budnav-trace v1": line-delimited step records with the
-# episode document embedded, plus an optional rectification record.
+# Trace format "budnav-trace v1": a Trajectory as line-delimited step
+# records with the episode document embedded, plus an optional
+# rectification record (see the module docstring).
 # --------------------------------------------------------------------------
 
 TRACE_MAGIC = "budnav-trace v1"
@@ -493,35 +501,13 @@ def serialize_trace(traj: Trajectory, episode: Episode, demo=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    t: int
-    pose_before: Pose
-    action: int
-    logits: np.ndarray
-    trigger: str  # "-" or a TriggerKind value
-
-
-@dataclass(frozen=True)
-class TraceDoc:
-    episode: Episode
-    mode: str
-    rng_stream_id: int
-    steps: tuple
-    final_pose: Pose
-    stopped: bool
-    success: bool
-    trigger: str
-    path_length: float
-    rect: dict | None
-
-
-def parse_trace(text: str) -> TraceDoc:
-    """Parse a trace; TraceError unless every record is well formed and
-    the start, goal, reference path and anchor lie on the grid (the
-    start on a free cell)."""
-    from .world import parse_episode
-
+def parse_trace(text: str) -> tuple:
+    """(episode, trajectory, rect): the Trajectory that wrote the trace
+    (see the module docstring) and its rect record as a dict, or None.
+    TraceError unless every record is well formed and the records agree:
+    the start on a free cell, every pose, the goal and the anchor on the
+    grid, and the steps, actions and triggers as the module docstring
+    lists them."""
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_MAGIC:
         raise TraceError(f"bad trace magic: {lines[:1]}")
@@ -529,21 +515,23 @@ def parse_trace(text: str) -> TraceDoc:
         _, mode, _, stream_s = lines[1].split()
         n_ep = int(lines[2].split()[1])
         episode = parse_episode("\n".join(lines[3 : 3 + n_ep]) + "\n")
-        steps = []
-        final = None
-        rect = None
+        world = episode.world
+        states, actions, logits, marks = [], [], [], []
+        final = rect = None
         for line in lines[3 + n_ep :]:
             parts = line.split()
             if parts[0] == "step":
-                steps.append(
-                    TraceStep(
-                        t=int(parts[1]),
-                        pose_before=parse_pose(parts[2:5]),
-                        action=int(parts[5]),
-                        logits=np.array([float(v) for v in parts[6:10]]),
-                        trigger=parts[10],
-                    )
-                )
+                t, pose, action = int(parts[1]), parse_pose(parts[2:5]), int(parts[5])
+                if t != len(states):
+                    raise ValueError(f"step {t} recorded as step {len(states)}")
+                if not world.in_bounds(pose.x, pose.y):  # its state would name another cell
+                    raise ValueError(f"step {t}: pose {pose} off the grid")
+                if not 0 <= action < len(Action):
+                    raise ValueError(f"step {t}: no action {action}")
+                states.append(pose_state(pose, world.width))
+                actions.append(action)
+                logits.append([float(v) for v in parts[6:10]])
+                marks.append(parts[10])
             elif parts[0] == "final":
                 final = parts
             elif parts[0] == "rect":
@@ -558,54 +546,58 @@ def parse_trace(text: str) -> TraceDoc:
                 raise TraceError(f"unknown record: {line!r}")
         if final is None:
             raise TraceError("trace has no final record")
-        trigger = final[6]
-        if trigger != "-":
-            kind, _, at = trigger.partition("@")
-            TriggerKind(kind), int(at)  # ValueError unless "<TriggerKind>@<step>"
-        doc = TraceDoc(
-            episode=episode,
-            mode=mode,
-            rng_stream_id=int(stream_s),
-            steps=tuple(steps),
-            final_pose=parse_pose(final[1:4]),
-            stopped=bool(int(final[4])),
-            success=bool(int(final[5])),
-            trigger=trigger,
+        column, trigger = ["-"] * len(states), None
+        if final[6] != "-":
+            kind, _, at = final[6].partition("@")
+            trigger = (TriggerKind(kind), int(at))  # ValueError unless "<TriggerKind>@<step>"
+            if not 0 <= trigger[1] < len(states):
+                raise ValueError(f"trigger {final[6]} at none of the {len(states)} steps")
+            column[trigger[1]] = kind
+        if marks != column:
+            raise ValueError(f"the steps' trigger column does not match final trigger {final[6]}")
+        steps = Steps(
+            world.width, np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+            np.array(logits).reshape(-1, 4),
+        )
+        traj = Trajectory(
+            episode.id, mode, int(stream_s), steps, parse_pose(final[1:4]),
+            stopped=bool(int(final[4])), success=bool(int(final[5])), trigger=trigger,
             path_length=float(final[7]),
-            rect=rect,
         )
     except KeyError as e:
         raise TraceError(f"malformed trace: episode header lacks {e}") from e
     except (IndexError, ValueError) as e:
         raise TraceError(f"malformed trace: {e}") from e
-    world, start = episode.world, episode.start
-    cells = [episode.goal, *(pose.position for pose in episode.reference_path)]
+    start = episode.start
+    cells = [episode.goal, traj.final_pose.position, *(p.position for p in episode.reference_path)]
     if rect is not None:
         cells.append(rect["anchor_pose"].position)
     if not (world.is_free(start.x, start.y) and all(world.in_bounds(x, y) for x, y in cells)):
-        raise TraceError("malformed trace: start, goal, reference path or anchor off the grid")
-    return doc
+        raise TraceError("malformed trace: start, goal, path, final pose or anchor off the grid")
+    return episode, traj, rect
 
 
-def verify_trace(doc: TraceDoc) -> int:
-    """Re-execute the trace; return step count or raise TraceError naming
-    the first divergent step.  Poses are checked in every trace, and in a
-    greedy one each action against the argmax of its stored logits (a
-    sampled trace stores no temperature)."""
-    pose = doc.episode.start
-    for s in doc.steps:
-        if s.pose_before != pose:
+def verify_trace(episode: Episode, traj: Trajectory) -> int:
+    """Re-execute the trajectory from the episode's start through the pose
+    graph (world.transitions); return its step count or raise TraceError
+    naming the first divergent step.  Poses are checked in every
+    trajectory, and in a greedy one each action against the argmax of its
+    stored logits (a sampled trace stores no temperature)."""
+    world = episode.world
+    table, width = transitions(world), world.width
+    s = pose_state(episode.start, width)
+    steps = traj.steps
+    for t, (state, action) in enumerate(zip(steps.states.tolist(), steps.actions.tolist())):
+        if state != s:
             raise TraceError(
-                f"divergence at step {s.t}: trace pose {s.pose_before}, replay pose {pose}"
+                f"divergence at step {t}: trace pose {state_pose(state, width)},"
+                f" replay pose {state_pose(s, width)}"
             )
-        if not 0 <= s.action < len(Action):
-            raise TraceError(f"step {s.t}: no action {s.action}")
-        if doc.mode == "greedy" and greedy_action(s.logits) != s.action:
-            best = greedy_action(s.logits)
-            raise TraceError(f"divergence at step {s.t}: action {s.action}, logits argmax {best}")
-        pose = step(doc.episode.world, pose, Action(s.action))
-    if pose != doc.final_pose:
-        raise TraceError(
-            f"divergence at final pose: trace {doc.final_pose}, replay {pose}"
-        )
-    return len(doc.steps)
+        if traj.mode == "greedy" and greedy_action(steps.logits[t]) != action:
+            best = greedy_action(steps.logits[t])
+            raise TraceError(f"divergence at step {t}: action {action}, logits argmax {best}")
+        s = table[4 * s + action]
+    pose = state_pose(s, width)
+    if pose != traj.final_pose:
+        raise TraceError(f"divergence at final pose: trace {traj.final_pose}, replay {pose}")
+    return len(steps)

@@ -24,7 +24,7 @@ from budnav.rollout import parse_trace, run_sampled, serialize_trace, verify_tra
 from budnav.suite import generate_suite, parse_suite, serialize_suite
 from budnav.world import Action
 
-from test_rollout import corridor_episode, run_script
+from test_rollout import corridor_episode, edit_record, run_script
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
 
@@ -146,6 +146,9 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
         ("suite.file", "desk\0.suite", "cannot read suite file"),  # was a ValueError traceback
         ("rollout.visit_radius_m", "nan", "must be a number, got nan"),  # trained silently
         ("opt.beta2", "1.0", "opt.beta2 must be in [0, 1)"),  # AdamW divided by zero
+        ("opt.eps", "0.0", "opt.eps must be positive and finite"),  # diverged to nan, exit 3
+        ("policy.temperature", "inf", "policy.temperature must be positive and finite"),
+        ("rollout.max_steps_floor", "0", "rollout.max_steps_floor must be >= 1"),
     ]:
         kept = [ln for ln in FAST_CFG.splitlines() if not ln.startswith(f"{key} =")]
         cfg.write_text("\n".join(kept) + f"\n{key} = {value}\n")
@@ -464,24 +467,32 @@ def sampled_trace_lines():
     return serialize_trace(traj, ep).splitlines()
 
 
-@pytest.mark.parametrize("case", ["stream", "final", "action"])
+@pytest.mark.parametrize("case", [
+    "stream", "final", "action", "step_index", "off_grid", "trigger_step", "trigger_column",
+])
 def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
-    # A non-numeric stream id, a non-numeric final field, and a sampled
-    # trace's step taking an action that does not exist.
+    # A non-numeric stream id, a non-numeric final field, a sampled
+    # trace's step taking an action that does not exist, and records
+    # that disagree: a step numbered out of place, a step pose off the
+    # grid, a trigger at none of the steps, and a trigger column naming
+    # a trigger the final record does not.
     lines = sampled_trace_lines()
+    assert lines[1].startswith("mode sampled ") and lines[-1].split()[6] == "-"
     if case == "stream":
         lines[1] = "mode greedy stream abc"
     elif case == "final":
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("final "))
-        parts = lines[i].split()
-        parts[4] = "yes"  # stopped
-        lines[i] = " ".join(parts)
+        lines = edit_record(lines, "final ", 4, "yes")  # stopped
+    elif case == "action":
+        lines = edit_record(lines, "step 1 ", 5, "33")
+    elif case == "step_index":
+        lines = edit_record(lines, "step 1 ", 1, "0")
+    elif case == "off_grid":
+        lines = edit_record(lines, "step 1 ", 3, "5")  # a 12 x 1 corridor
+    elif case == "trigger_step":
+        n_steps = sum(ln.startswith("step ") for ln in lines)
+        lines = edit_record(lines, "final ", 6, f"OffTrack@{n_steps}")
     else:
-        assert lines[1].startswith("mode sampled ")
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("step 1 "))
-        parts = lines[i].split()
-        parts[5] = "33"
-        lines[i] = " ".join(parts)
+        lines = edit_record(lines, "step 0 ", 10, "OffTrack")
     path = tmp_path / "bad.trace"
     path.write_text("\n".join(lines) + "\n")
     code, err = replay_outcome(path)
@@ -514,6 +525,18 @@ def test_trace_corpus_replays(trace_corpus, fuzz_path):
         assert replay_outcome(fuzz_path) == (0, "")
 
 
+def test_trace_corpus_parses_back_into_its_trajectory(trace_corpus):
+    # Each trace serializes from its parsed Trajectory to the same bytes;
+    # the rect trace with the demo it was written with.
+    ep = corridor_episode()
+    probe = run_script(ep, [F, F, S])
+    demo = synthesize_demo(probe, ep)
+    for data in trace_corpus:
+        episode, traj, rect = parse_trace(data.decode())
+        assert serialize_trace(traj, episode, demo if rect else None).encode() == data
+    assert serialize_trace(probe, ep, demo).encode() in trace_corpus
+
+
 EDIT = st.tuples(
     st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 1 << 20), st.integers(0, 255)
 )
@@ -538,9 +561,9 @@ def test_mutated_traces_raise_only_trace_errors(trace_corpus, fuzz_path, which, 
     fuzz_path.write_bytes(bytes(data))
     want = 0
     try:
-        doc = parse_trace(bytes(data).decode())
-        verify_trace(doc)
-        render_map(doc)
+        episode, traj, rect = parse_trace(bytes(data).decode())
+        verify_trace(episode, traj)
+        render_map(episode, traj, None if rect is None else rect["anchor_pose"])
     except (TraceError, UnicodeDecodeError):
         want = 5
     code, err = replay_outcome(fuzz_path)
@@ -553,10 +576,12 @@ def test_render_map_marks_anchor_and_trigger():
     ep = corridor_episode()
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep)
-    doc = parse_trace(serialize_trace(probe, ep, demo))
-    art = render_map(doc)
+    art = render_map(ep, probe, demo.anchor_pose)
     assert "A" in art and "X" in art and "S" in art and "G" in art
     assert "A anchor" in art
+    # The parsed trace draws the same map.
+    episode, traj, rect = parse_trace(serialize_trace(probe, ep, demo))
+    assert render_map(episode, traj, rect["anchor_pose"]) == art
 
 
 def test_gen_suite_round_trip(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_build_train_config_rejects_unknown_variant():
         build_train_config(values)
 
 
-@pytest.mark.parametrize("temperature", [0.0, -0.4, float("nan")])
+@pytest.mark.parametrize("temperature", [0.0, -0.4, float("nan"), float("inf")])
 def test_build_train_config_rejects_nonpositive_temperature(temperature):
     values = small_values({"policy.temperature": temperature})
     with pytest.raises(ConfigError, match="policy.temperature"):

@@ -269,7 +269,7 @@ def episode_result_reference(traj, episode):
     field.at over every visited position, nDTW by the table DTW over
     dedup_positions(traj.poses())."""
     field = geodesic_field(episode.world, episode.goal)
-    osr = traj.success or any(field.at(*pos) <= episode.goal_radius for pos in traj.positions())
+    osr = traj.success or any(field.at(p.x, p.y) <= episode.goal_radius for p in traj.poses())
     reference = list(episode.reference_waypoints)
     distance = dtw_table_reference(
         list(dedup_positions(traj.poses())), reference, episode.world.cell_size

@@ -41,9 +41,10 @@ def ordered_anchor_reference(probe, episode, visit_radius_m):
     reached in order, 0 if none was.  The rollout tracks the same step
     as it goes (Trajectory.anchor_step)."""
     j = arrival = -1
-    for i, pos in enumerate(probe.positions()):
+    for i, pose in enumerate(probe.poses()):
         reached = advance_progress(
-            j, pos, episode.reference_waypoints, visit_radius_m, episode.world.cell_size
+            j, pose.position, episode.reference_waypoints, visit_radius_m,
+            episode.world.cell_size,
         )
         if reached != j:
             j, arrival = reached, i

@@ -1,4 +1,6 @@
 """Rollout loop, failure triggers at exact thresholds, traces, sampling."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -295,19 +297,19 @@ def test_trace_round_trip_bytes(sample_episode, default_policy):
     snap = snapshot(default_policy, "t")
     traj = run_greedy(snap, sample_episode)
     text = serialize_trace(traj, sample_episode)
-    doc = parse_trace(text)
-    assert doc.episode == sample_episode
-    assert len(doc.steps) == len(traj.steps)
-    assert verify_trace(doc) == len(traj.steps)
-    # Round trip through the parsed document is byte-identical.
-    from budnav.rollout import Trajectory
-
-    re_traj = Trajectory(
-        episode_id=doc.episode.id, mode=doc.mode, rng_stream_id=doc.rng_stream_id,
-        steps=traj.steps, final_pose=doc.final_pose, stopped=doc.stopped,
-        success=doc.success, trigger=traj.trigger, path_length=doc.path_length,
-    )
-    assert serialize_trace(re_traj, doc.episode) == text
+    episode, parsed, rect = parse_trace(text)
+    assert episode == sample_episode and rect is None
+    assert verify_trace(episode, parsed) == len(traj.steps)
+    # The trace parses back into the Trajectory that wrote it, all but
+    # the anchor step, which a trace does not record.
+    for name in ("states", "actions", "logits"):
+        got, want = getattr(parsed.steps, name), getattr(traj.steps, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert parsed.steps.width == traj.steps.width
+    assert replace(parsed, steps=traj.steps, anchor_step=traj.anchor_step) == traj
+    assert parsed.anchor_step == 0
+    assert serialize_trace(parsed, episode) == text
 
 
 def test_trace_detects_edited_action():
@@ -319,10 +321,10 @@ def test_trace_detects_edited_action():
     parts = lines[idx].split()
     parts[5] = str(Action.TURN_RIGHT.value)  # was FORWARD
     lines[idx] = " ".join(parts)
-    doc = parse_trace("\n".join(lines) + "\n")
+    episode, traj, _ = parse_trace("\n".join(lines) + "\n")
     # The greedy check sees the edit at once; the poses would diverge at step 2.
     with pytest.raises(TraceError, match="step 1"):
-        verify_trace(doc)
+        verify_trace(episode, traj)
 
 
 def test_trace_checks_logits_of_greedy_traces_only():
@@ -335,16 +337,49 @@ def test_trace_checks_logits_of_greedy_traces_only():
     lines[idx] = " ".join(parts)
     edited = "\n".join(lines) + "\n"
     with pytest.raises(TraceError, match="step 1: action 0, logits argmax 1"):
-        verify_trace(parse_trace(edited))
+        verify_trace(*parse_trace(edited)[:2])
     # A sampled trace stores no temperature: its poses are all replay checks.
     assert lines[1].startswith("mode greedy ")
     sampled = edited.replace("mode greedy ", "mode sampled ", 1)
-    assert verify_trace(parse_trace(sampled)) == 3
+    assert verify_trace(*parse_trace(sampled)[:2]) == 3
+
+
+def edit_record(lines, prefix, field, value):
+    """lines with field `field` of the first record starting with prefix
+    set to value."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    parts = lines[i].split()
+    parts[field] = value
+    return [*lines[:i], " ".join(parts), *lines[i + 1 :]]
+
+
+# Edits of a three-step trace (FORWARD, FORWARD, then PrematureStop at
+# step 2 in a 12 x 1 corridor) that leave every record well formed but
+# the records disagreeing.
+TRACE_EDITS = {
+    "garbage": lambda lines: ["not a trace"],
+    "step numbered out of place": lambda lines: edit_record(lines, "step 1 ", 1, "2"),
+    # (13, -1) numbers the same pose-graph state as (1, 0) on a grid 12 wide.
+    "pose off the grid": lambda lines: edit_record(
+        edit_record(lines, "step 1 ", 2, "13"), "step 1 ", 3, "-1"
+    ),
+    "trigger at no step": lambda lines: edit_record(lines, "final ", 6, "PrematureStop@9"),
+    "trigger at a negative step": lambda lines: edit_record(lines, "final ", 6, "PrematureStop@-1"),
+    "trigger column off its step": lambda lines: edit_record(lines, "step 0 ", 10, "OffTrack"),
+    "trigger column of another kind": lambda lines: edit_record(lines, "step 2 ", 10, "OffTrack"),
+    "trigger column without a trigger": lambda lines: edit_record(lines, "final ", 6, "-"),
+}
 
 
 def test_trace_rejects_garbage():
-    with pytest.raises(TraceError):
-        parse_trace("not a trace\n")
+    ep = corridor_episode()
+    lines = serialize_trace(run_script(ep, [F, F, S]), ep).splitlines()
+    assert lines[-1] == "final 2 0 E 1 0 PrematureStop@2 2.0"
+    verify_trace(*parse_trace("\n".join(lines) + "\n")[:2])
+    for name, edit in TRACE_EDITS.items():
+        with pytest.raises(TraceError):
+            parse_trace("\n".join(edit(lines)) + "\n")
+            pytest.fail(f"parsed a trace with edit {name!r}")
 
 
 @pytest.mark.parametrize("field", ["id", "width", "height", "world_seed", "cell_size"])

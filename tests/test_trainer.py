@@ -445,4 +445,4 @@ def test_train_writes_run_artifacts(tiny_suite, tmp_path):
     traces = sorted((tmp_path / "traces").glob("*.trace"))
     assert len(traces) == 3
     for t in traces:
-        verify_trace(parse_trace(t.read_text()))
+        verify_trace(*parse_trace(t.read_text())[:2])
