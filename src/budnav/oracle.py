@@ -6,7 +6,8 @@ ascending (y, x, heading), and both read their moves from
 world.transitions (a FORWARD that bumps a wall keeps s).
 
   * geodesic_field: 4-connected BFS distances (in meters) from every
-    free cell to a goal cell, ignoring headings.
+    free cell to a goal cell, ignoring headings; generate_world's
+    connectivity test reads the same BFS's step counts (bfs_steps).
   * plan: minimum-action-count pose-graph search where FORWARD and turns
     each cost one action.  The plan ends with STOP as soon as the agent's
     position is within goal_radius (Euclidean) of the goal; that test
@@ -70,22 +71,29 @@ def geodesic_field(world: GridWorld, goal) -> GeodesicField:
     return world.derived(("geodesic_field", gx, gy), lambda: _bfs_field(world, gx, gy))
 
 
-def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
+def bfs_steps(world: GridWorld, cell: int) -> list:
+    """FORWARD steps from cell (y * width + x) to every cell, indexed
+    like it: 4-connected BFS over world.transitions, inf where a cell is
+    cut off (blocked cells always are).  Not memoized."""
     table = transitions(world)
-    dist = [math.inf] * (world.width * world.height)
-    cell = gy * world.width + gx
-    dist[cell] = 0.0
+    steps = [math.inf] * (world.width * world.height)
+    steps[cell] = 0.0
     frontier = [cell]
     for c in frontier:  # grows while iterated: a FIFO queue
-        d = dist[c] + 1.0
+        d = steps[c] + 1.0
         # FORWARD from each heading of cell c; a bump stays on c, whose
-        # distance is already set.
+        # count is already set.
         for n in table[16 * c : 16 * c + 16 : 4]:
             n >>= 2
-            if dist[n] == math.inf:
-                dist[n] = d
+            if steps[n] == math.inf:
+                steps[n] = d
                 frontier.append(n)
-    dist = np.array(dist).reshape(world.height, world.width) * world.cell_size
+    return steps
+
+
+def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
+    steps = bfs_steps(world, gy * world.width + gx)
+    dist = np.array(steps).reshape(world.height, world.width) * world.cell_size
     dist.flags.writeable = False
     return GeodesicField(goal=(gx, gy), dist=dist, cell_size=world.cell_size)
 

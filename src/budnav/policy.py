@@ -504,9 +504,10 @@ def load_checkpoint(path) -> PolicyParams:
     )
     if {name: arr.shape for name, arr in arrays.items()} != dict(cfg.layout):
         raise CheckpointError(f"block set or shapes are mutually inconsistent: {sorted(arrays)}")
-    if cfg.obs_k % 2 == 0 or cfg.history_k < 1:
+    if cfg.obs_k % 2 == 0 or min(cfg.history_k, cfg.d_e, cfg.d_o, cfg.d_a, cfg.d_h) < 1:
         raise CheckpointError(
-            f"no policy has this architecture: obs_k {cfg.obs_k}, history_k {cfg.history_k}"
+            f"no policy has this architecture: obs_k {cfg.obs_k}, history_k {cfg.history_k},"
+            f" d_e {cfg.d_e}, d_o {cfg.d_o}, d_a {cfg.d_a}, d_h {cfg.d_h}"
         )
     if cfg.arch_hash() != header["config"]:
         raise CheckpointError(f"config hash mismatch in {path}")

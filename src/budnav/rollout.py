@@ -122,6 +122,10 @@ class RolloutConfig:
     offtrack_heading_deg: float = 120.0
     visit_radius_m: float = 0.5
 
+    def __post_init__(self):
+        if self.max_steps_floor < 1:  # every rollout takes a step
+            raise ValueError(f"max_steps_floor must be >= 1, got {self.max_steps_floor}")
+
     def max_steps(self, episode: Episode) -> int:
         return max(self.max_steps_floor, self.max_steps_factor * episode.reference_action_count)
 
@@ -267,8 +271,6 @@ class _Row:
         self.path_length = 0.0
         self.states, self.actions, self.at = [], [], []
         self.end = None
-        if self.max_steps < 1:
-            self._cap(self.s)
 
     def act(self, t: int, at: int, action: int) -> None:
         """Record step t, whose logits lie at row at of the stacked tick
@@ -386,7 +388,7 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
         _Row(job, cfg, stride, base_of[id(job.episode.world)], params.cfg.history_k)
         for job in jobs
     ]
-    running = [row for row in every if row.end is None]
+    running = list(every)
 
     def bind(features):
         return FeatureRows(params, features[0] if len(features) == 1 else features)

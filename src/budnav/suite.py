@@ -128,8 +128,9 @@ def generate_suite(
 ) -> Suite:
     """Draw validated, disjoint train/held splits from the suite seed.
 
-    Raises SuiteError on counts it cannot meet, before any draw, and
-    after MAX_REJECTED_DRAWS rejected world or episode draws in a row.
+    Every world and held episode seed comes from one rejection loop,
+    draw.  Raises SuiteError on counts it cannot meet, before any draw,
+    and after MAX_REJECTED_DRAWS rejected world or episode draws in a row.
     """
     check_generation_params(width, height, density, cell_size, goal_radius, max_run)
     if not (n_train_worlds >= 0 and n_held >= 0 and held_per_world >= 1):
@@ -138,61 +139,48 @@ def generate_suite(
             f" {n_train_worlds}, {n_held}, {held_per_world}"
         )
 
-    def give_up(what):
+    def draw(rng, build, what):
+        """(seed, build(seed)) for the first seed drawn from rng that
+        build accepts; build rejects a seed by raising GenerationFailed
+        or by returning None."""
+        for _ in range(MAX_REJECTED_DRAWS):
+            candidate = int(rng.integers(1, 2**31))
+            try:
+                value = build(candidate)
+            except GenerationFailed:
+                continue  # a world too small or choppy, or an episode seed that fails
+            if value is not None:
+                return candidate, value
         raise SuiteError(
             f"no {what} with an episode of geodesic >= {min_episode_length} after"
             f" {MAX_REJECTED_DRAWS} draws in a row ({width}x{height}, density={density})"
         )
 
-    def draw_worlds(rng, count, taken):
-        """`count` (seed, world) pairs, each able to hold an episode."""
-        drawn = []
-        rejected = 0
-        while len(drawn) < count:
-            if rejected == MAX_REJECTED_DRAWS:
-                give_up("world")
-            candidate = int(rng.integers(1, 2**31))
-            rejected += 1
-            if candidate in taken:
-                continue
-            try:
-                world = generate_world(candidate, width, height, density, cell_size)
-                generate_episode(
-                    world, 0, goal_radius=goal_radius,
-                    min_length=min_episode_length, max_run=max_run,
-                )
-            except GenerationFailed:
-                continue  # world too small or choppy for the episode length
-            taken.add(candidate)
-            drawn.append((candidate, world))
-            rejected = 0
-        return drawn
+    episode_params = dict(goal_radius=goal_radius, min_length=min_episode_length, max_run=max_run)
+
+    def new_world(world_seed):
+        """The world of an unused seed that holds an episode, else None."""
+        if world_seed in taken:
+            return None
+        world = generate_world(world_seed, width, height, density, cell_size)
+        generate_episode(world, 0, **episode_params)
+        taken.add(world_seed)
+        return world
 
     taken: set = set()
     train_rng = stream(seed, "suite-train-worlds")
-    train_seeds = [ws for ws, _ in draw_worlds(train_rng, n_train_worlds, taken)]
+    train_seeds = [draw(train_rng, new_world, "world")[0] for _ in range(n_train_worlds)]
 
     held_rng = stream(seed, "suite-held")
     held_pairs = []
     while len(held_pairs) < n_held:
-        ((world_seed, world),) = draw_worlds(held_rng, 1, taken)
-        produced = 0
-        rejected = 0
-        while produced < held_per_world and len(held_pairs) < n_held:
-            if rejected == MAX_REJECTED_DRAWS:
-                give_up(f"held episode in world {world_seed}")
-            episode_seed = int(held_rng.integers(1, 2**31))
-            try:
-                generate_episode(
-                    world, episode_seed, goal_radius=goal_radius,
-                    min_length=min_episode_length, max_run=max_run,
-                )
-            except GenerationFailed:
-                rejected += 1
-                continue
+        world_seed, world = draw(held_rng, new_world, "world")
+        for _ in range(min(held_per_world, n_held - len(held_pairs))):
+            episode_seed = draw(
+                held_rng, lambda es: generate_episode(world, es, **episode_params),
+                f"held episode in world {world_seed}",
+            )[0]
             held_pairs.append((world_seed, episode_seed))
-            produced += 1
-            rejected = 0
     return Suite(
         name=name,
         width=width,

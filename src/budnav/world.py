@@ -14,10 +14,10 @@ Coordinates follow screen convention: x grows eastward, y grows
 southward, so heading N decreases y.  State s = (y * width + x) * 4 +
 heading numbers every pose (pose_state), and transitions(world) holds
 the one move rule: the successor of every state under every action.
-step, the rollouts, the planner and the BFS distance field all read that
-table.  All dynamics are pure functions of (world, pose, action); the
-only randomness lives in the generators, which are fully determined by
-their seeds.
+step, the rollouts, the planner, the BFS distance field and world
+generation's connectivity test all read that table.  All dynamics are
+pure functions of (world, pose, action); the only randomness lives in
+the generators, which are fully determined by their seeds.
 
 Episodes bundle a world with a start pose, a goal cell, the oracle
 reference path, and a compiled instruction.  Instructions are token
@@ -265,30 +265,6 @@ def _padded_occupancy(world: GridWorld, pad: int) -> np.ndarray:
     return grid
 
 
-def _connected(width: int, height: int, blocked: set) -> bool:
-    """True when the free cells form a single 4-connected component."""
-    free = [
-        (x, y) for y in range(height) for x in range(width) if (x, y) not in blocked
-    ]
-    if not free:
-        return False
-    seen = {free[0]}
-    frontier = [free[0]]
-    while frontier:
-        x, y = frontier.pop()
-        for dx, dy in HEADING_VECS:
-            nxt = (x + dx, y + dy)
-            if (
-                0 <= nxt[0] < width
-                and 0 <= nxt[1] < height
-                and nxt not in blocked
-                and nxt not in seen
-            ):
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(free)
-
-
 def generate_world(
     seed: int,
     width: int,
@@ -300,18 +276,23 @@ def generate_world(
     """Sample a connected world with roughly `density` blocked cells.
 
     Candidate obstacle sets are drawn from the seed's stream and
-    resampled until the free cells form one connected component.
+    resampled until oracle.bfs_steps (the BFS over transitions) from the
+    first free cell reaches every free cell; it counts steps, not meters.
     """
+    from . import oracle  # deferred: oracle depends on this module's types
+
     if not (0.0 <= density <= MAX_DENSITY):
         raise ValueError(f"density out of range [0, {MAX_DENSITY}]: {density}")
     rng = stream("world", seed, width, height)
     n_cells = width * height
-    n_blocked = int(round(density * n_cells))
+    n_blocked = int(round(density * n_cells))  # < n_cells, so a free cell exists
     for _ in range(max_tries):
         picks = rng.choice(n_cells, size=n_blocked, replace=False)
-        blocked = {(int(i) % width, int(i) // width) for i in picks}
-        if _connected(width, height, blocked):
-            return GridWorld(width, height, frozenset(blocked), cell_size, seed)
+        blocked = frozenset((int(i) % width, int(i) // width) for i in picks)
+        world = GridWorld(width, height, blocked, cell_size, seed)
+        x, y = world.free_cells()[0]
+        if oracle.bfs_steps(world, y * width + x).count(math.inf) == n_blocked:
+            return world
     raise GenerationFailed(
         f"no connected world after {max_tries} tries (seed={seed}, density={density})"
     )

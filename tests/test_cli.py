@@ -346,13 +346,16 @@ def test_mutated_suites_exit_0_or_2(train_run, suite_corpus, edits):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("arch", [{"obs_k": 4}, {"history_k": 0}])
+@pytest.mark.parametrize("arch", [
+    {"obs_k": 4}, {"history_k": 0}, {"d_e": 0}, {"d_o": 0}, {"d_a": 0}, {"d_h": 0},
+])
 def test_eval_checkpoint_no_config_could_build_exits_4(train_run, tmp_path, capsys, arch):
-    from budnav.policy import PolicyConfig, init_params, save_checkpoint
+    from budnav.policy import PolicyConfig, PolicyParams, save_checkpoint
 
     _, out = train_run
     ckpt = tmp_path / "arch.ckpt"
-    save_checkpoint(ckpt, init_params(PolicyConfig(**arch), 0))
+    cfg = PolicyConfig(**arch)  # zero parameters: init_params divides by the fan-in
+    save_checkpoint(ckpt, PolicyParams(cfg, np.zeros(cfg.param_count)))
     suite = str(out / "suite.suite")
     assert main(["eval", "--ckpt", str(ckpt), "--suite", suite, "--limit", "3"]) == 4
     assert "no policy has this architecture" in capsys.readouterr().err
@@ -605,6 +608,17 @@ def test_gen_suite_defaults_are_generate_suites(tmp_path):
     assert main(["gen-suite", "--name", "d", "--seed", "5", "--train-worlds", "2",
                  "--held", "3", "--out", str(out)]) == 0
     assert out.read_text() == serialize_suite(generate_suite("d", 5, 2, 3))
+
+
+def test_gen_suite_writes_the_desk_suite(tmp_path, capsys):
+    # The README's command for configs/desk.suite: its 28 worlds (and the
+    # candidates rejected on the way), their episodes and the draw order.
+    out = tmp_path / "desk.suite"
+    assert main(["gen-suite", "--name", "desk", "--seed", "7", "--train-worlds", "8",
+                 "--held", "200", "--out", str(out)]) == 0
+    desk = Path(__file__).resolve().parent.parent / "configs" / "desk.suite"
+    assert out.read_bytes() == desk.read_bytes()
+    assert "8 train worlds, 200 held episodes" in capsys.readouterr().out
 
 
 def test_train_on_a_suite_without_training_worlds_exits_2(train_run, tmp_path, capsys):

@@ -765,12 +765,16 @@ def test_checkpoint_detects_corruption(tmp_path, tiny_policy):
         load_checkpoint(truncated)
 
 
-@pytest.mark.parametrize("arch", [{"obs_k": 4}, {"history_k": 0}])
+@pytest.mark.parametrize("arch", [
+    {"obs_k": 4}, {"history_k": 0}, {"d_e": 0}, {"d_o": 0}, {"d_a": 0}, {"d_h": 0},
+])
 def test_checkpoint_no_config_could_build_is_a_checkpoint_error(tmp_path, arch):
     # The shapes agree with each other, but config validation rejects
-    # an even patch side and an empty history.
+    # an even patch side, an empty history and an empty layer.  Zero
+    # parameters, since init_params divides by an empty layer's fan-in.
     path = tmp_path / "p.ckpt"
-    save_checkpoint(path, init_params(PolicyConfig(**arch), 0))
+    cfg = PolicyConfig(**arch)
+    save_checkpoint(path, PolicyParams(cfg, np.zeros(cfg.param_count)))
     with pytest.raises(CheckpointError, match="no policy has this architecture"):
         load_checkpoint(path)
 

@@ -179,6 +179,19 @@ def test_step_cap_without_triggers_is_plain_failure():
     assert traj.stopped and not traj.success
 
 
+def test_step_cap_is_at_least_one_step():
+    # A cap of 0 would end a rollout before its first step, with its
+    # trigger at none of its steps.
+    with pytest.raises(ValueError, match="max_steps_floor must be >= 1"):
+        RolloutConfig(max_steps_floor=0, max_steps_factor=0)
+    ep = corridor_episode()
+    traj = run_script(ep, [L], RolloutConfig(max_steps_floor=1, max_steps_factor=0))
+    assert len(traj.steps) == 1
+    assert traj.trigger == (TriggerKind.FORCED_STOP, 0)
+    _, parsed, _ = parse_trace(serialize_trace(traj, ep))
+    assert parsed.trigger == traj.trigger
+
+
 def test_eval_mode_ignores_offtrack():
     ep = corridor_episode(length=12, goal=(8, 0))
     # Wander past the reference end, then return and stop in the zone.

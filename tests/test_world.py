@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from budnav.errors import GenerationFailed, MalformedPlan, UnknownToken
+from budnav.rng import stream
 from budnav.world import (
     Action,
     GridWorld,
@@ -280,6 +281,70 @@ def test_free_cells_are_memoized_in_row_major_order():
 def test_generate_world_rejects_bad_density():
     with pytest.raises(ValueError):
         generate_world(seed=0, width=5, height=5, density=0.9)
+
+
+def flood_fill_connected(width: int, height: int, blocked) -> bool:
+    """True when the free cells form a single 4-connected component: a
+    flood fill that does not read the move table."""
+    free = [(x, y) for y in range(height) for x in range(width) if (x, y) not in blocked]
+    if not free:
+        return False
+    seen = {free[0]}
+    frontier = [free[0]]
+    while frontier:
+        x, y = frontier.pop()
+        for dx, dy in HEADING_VECS:
+            nxt = (x + dx, y + dy)
+            if (
+                0 <= nxt[0] < width
+                and 0 <= nxt[1] < height
+                and nxt not in blocked
+                and nxt not in seen
+            ):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(free)
+
+
+def reference_world(seed, width, height, density, max_tries=200):
+    """(blocked, rejected): the first candidate drawn from the seed's
+    stream that the flood fill calls connected, and how many came before
+    it; blocked is None when none of max_tries is."""
+    rng = stream("world", seed, width, height)
+    n_cells = width * height
+    for rejected in range(max_tries):
+        picks = rng.choice(n_cells, size=int(round(density * n_cells)), replace=False)
+        blocked = frozenset((int(i) % width, int(i) // width) for i in picks)
+        if flood_fill_connected(width, height, blocked):
+            return blocked, rejected
+    return None, max_tries
+
+
+def test_generate_world_matches_the_flood_fill_reference():
+    shapes = [
+        (10, 10, 0.15), (10, 10, 0.35), (8, 8, 0.12), (12, 12, 0.2), (5, 1, 0.2), (3, 7, 0.35),
+    ]
+    rejected_first, failed = {}, 0
+    for width, height, density in shapes:
+        rejected_first[width, height, density] = 0
+        for seed in range(150):
+            blocked, rejected = reference_world(seed, width, height, density)
+            if blocked is None:
+                failed += 1
+                with pytest.raises(GenerationFailed):
+                    generate_world(seed, width, height, density)
+                continue
+            shape = (seed, width, height, density)
+            assert generate_world(*shape).blocked == blocked, shape
+            rejected_first[width, height, density] += rejected > 0
+            if seed < 5:  # connectivity counts steps: distances in metres overflow here
+                for cell_size in (1e308, float("inf")):
+                    world = generate_world(*shape, cell_size=cell_size)
+                    assert world.blocked == blocked and world.cell_size == cell_size, shape
+    # The corpus exercises rejection and failure, not only first draws.
+    assert all(rejected_first.values()), rejected_first
+    assert rejected_first[10, 10, 0.35] > 100 and failed > 0
+
 
 
 # ------------------------------------------------------------ instructions
