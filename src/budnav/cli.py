@@ -39,7 +39,7 @@ from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_ar
 from .policy import load_checkpoint, snapshot
 from .rollout import RolloutConfig, parse_trace, verify_trace
 from .suite import generate_suite, serialize_suite
-from .trainer import train
+from .trainer import VARIANTS, train
 
 
 def main(argv=None) -> int:
@@ -95,9 +95,6 @@ def _out_dir(path) -> Path:
     return out
 
 
-_ALGO_VARIANT = {"gro": "full", "dagger": "dagger", "bc": "bc"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="budnav", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"budnav {__version__}")
@@ -106,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training configuration")
     p.add_argument("--config", required=True, help="config file (key=value lines)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--algo", choices=tuple(_ALGO_VARIANT), default=None,
-                   help="override the configured variant")
+    p.add_argument("--algo", choices=("gro", *VARIANTS), default=None,
+                   help="override the configured variant (gro is full)")
     p.add_argument("--seed", type=int, default=None, help="override trainer.run_seed")
     p.set_defaults(func=cmd_train)
 
@@ -149,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args) -> int:
     extra = {}
     if args.algo is not None:
-        extra["trainer.variant"] = _ALGO_VARIANT[args.algo]
+        extra["trainer.variant"] = "full" if args.algo == "gro" else args.algo
     if args.seed is not None:
         extra["trainer.run_seed"] = args.seed
     cfg, values, overrides = load_config(args.config, extra)
@@ -204,17 +201,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # Build every run's config before training any, so a bad config
-    # exits 2 without leaving partial results behind.
-    plans = []
+    # Build every run's config before training any, so a bad config, or
+    # two runs that would share a directory, exits 2 without leaving
+    # partial results behind.
+    for i, seed in enumerate(args.seeds):
+        if seed in args.seeds[:i]:
+            raise ConfigError(f"seed {seed} repeats in --seeds")
+    labels, plans = {}, []
     for cfg_path in args.configs:
+        label = Path(cfg_path).stem
+        if label in labels:
+            raise ConfigError(f"configs {labels[label]} and {cfg_path} share the run label {label!r}")
+        labels[label] = cfg_path
         cfg, values, overrides = load_config(cfg_path)
         runs = [
             (seed, replace(cfg, run_seed=seed), {**values, "trainer.run_seed": seed},
              {**overrides, "trainer.run_seed": seed})
             for seed in args.seeds
         ]
-        plans.append((Path(cfg_path).stem, runs))
+        plans.append((label, runs))
     out_root = _out_dir(args.out)
     rows = []
     failures = 0
@@ -309,7 +314,10 @@ def cmd_gen_suite(args) -> int:
     suite = generate_suite(
         **{k: v for k, v in vars(args).items() if k in params and v is not None}
     )
-    Path(args.out).write_text(serialize_suite(suite))
+    try:
+        Path(args.out).write_text(serialize_suite(suite))
+    except OSError as e:
+        raise ConfigError(f"cannot write suite file {args.out}: {e}") from e
     print(f"wrote suite {suite.name!r}: {len(suite.train_world_seeds)} train worlds, "
           f"{len(suite.held_pairs)} held episodes -> {args.out}")
     return 0

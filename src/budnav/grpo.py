@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GroupTooSmall, SnapshotMismatch
 from .metrics import navigation_error, spl
-from .oracle import GeodesicField, geodesic_field
+from .oracle import geodesic_field
 from .policy import (
     NO_ACTION,
     GradAccumulator,
@@ -82,21 +82,14 @@ class RolloutGroup:
     snapshot_old: PolicySnapshot
 
 
-def reward(
-    traj: Trajectory,
-    episode: Episode,
-    cfg: RewardConfig = RewardConfig(),
-    field: GeodesicField | None = None,
-) -> float:
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
-    if math.isinf(field.at(*traj.final_pose.position)):
+def reward(traj: Trajectory, episode: Episode, cfg: RewardConfig = RewardConfig()) -> float:
+    if math.isinf(geodesic_field(episode.world, episode.goal).at(*traj.final_pose.position)):
         log.warning(
             "episode %s: final cell %s cut off from goal, using straight-line distance",
             episode.id, traj.final_pose.position,
         )
-    base = cfg.c_succ + cfg.spl_weight * spl(traj, episode, field) if traj.success else 0.0
-    return base - cfg.c_dist * navigation_error(traj, episode, field)
+    base = cfg.c_succ + cfg.spl_weight * spl(traj, episode) if traj.success else 0.0
+    return base - cfg.c_dist * navigation_error(traj, episode)
 
 
 def group_advantages(rewards: np.ndarray, cfg: GrpoConfig = GrpoConfig()) -> np.ndarray:
@@ -113,11 +106,8 @@ def make_group(
     snapshot_old: PolicySnapshot,
     reward_cfg: RewardConfig,
     grpo_cfg: GrpoConfig,
-    field: GeodesicField | None = None,
 ) -> RolloutGroup:
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
-    rewards = np.array([reward(t, episode, reward_cfg, field) for t in trajectories])
+    rewards = np.array([reward(t, episode, reward_cfg) for t in trajectories])
     return RolloutGroup(
         episode_id=episode.id,
         instruction=tuple(episode.instruction),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import GeodesicField, geodesic_field
+from .oracle import geodesic_field
 from .policy import PolicySnapshot
 from .rollout import RolloutConfig, RolloutJob, Trajectory, run_lockstep, serialize_trace
 # Unused here: perfbench's tracer patches metrics.run_greedy when it installs.
@@ -77,24 +77,20 @@ class EvalOutcome:
     trajectories: tuple
 
 
-def spl(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> float:
+def spl(traj: Trajectory, episode: Episode) -> float:
     """Success weighted by best-path efficiency: L_geo / max(L_geo, L_traj)."""
     if not traj.success:
         return 0.0
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
-    l_geo = field.at(*episode.start.position)
+    l_geo = geodesic_field(episode.world, episode.goal).at(*episode.start.position)
     denom = max(l_geo, traj.path_length)
     if denom <= 0.0:
         return 1.0  # stopped immediately inside the zone
     return l_geo / denom
 
 
-def navigation_error(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> float:
+def navigation_error(traj: Trajectory, episode: Episode) -> float:
     """Geodesic final-to-goal distance; straight line if cut off."""
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
-    d = field.at(*traj.final_pose.position)
+    d = geodesic_field(episode.world, episode.goal).at(*traj.final_pose.position)
     if math.isinf(d):
         return euclid_m(traj.final_pose.position, episode.goal, episode.world.cell_size)
     return d
@@ -109,7 +105,7 @@ def _visited_cells(traj: Trajectory) -> list:
     return cells
 
 
-def oracle_success(traj: Trajectory, episode: Episode, field: GeodesicField | None = None) -> bool:
+def oracle_success(traj: Trajectory, episode: Episode) -> bool:
     """Did the agent ever pass within the goal radius (geodesic)?
 
     A successful stop counts unconditionally: the goal zone is Euclidean,
@@ -119,8 +115,7 @@ def oracle_success(traj: Trajectory, episode: Episode, field: GeodesicField | No
     """
     if traj.success:
         return True
-    if field is None:
-        field = geodesic_field(episode.world, episode.goal)
+    field = geodesic_field(episode.world, episode.goal)
     return bool((field.dist.ravel()[_visited_cells(traj)] <= episode.goal_radius).any())
 
 
@@ -317,13 +312,12 @@ def episode_results(trajectories, episodes) -> list:
     )
     results = []
     for traj, episode, distance in zip(trajectories, episodes, distances):
-        field = geodesic_field(episode.world, episode.goal)
         results.append(EpisodeResult(
             episode_id=episode.id,
             success=traj.success,
-            spl=spl(traj, episode, field),
-            osr=float(oracle_success(traj, episode, field)),
-            ne=navigation_error(traj, episode, field),
+            spl=spl(traj, episode),
+            osr=float(oracle_success(traj, episode)),
+            ne=navigation_error(traj, episode),
             ndtw=_ndtw(distance, len(episode.reference_waypoints), episode.goal_radius),
             path_length=traj.path_length,
             steps=len(traj.steps),

@@ -439,10 +439,9 @@ def run_greedy(
     snapshot: PolicySnapshot,
     episode: Episode,
     cfg: RolloutConfig = RolloutConfig(),
-    triggers: bool = True,
 ) -> Trajectory:
-    """Deterministic argmax rollout (the probe / evaluation policy)."""
-    return run_lockstep(snapshot, [RolloutJob(episode, triggers=triggers)], cfg)[0]
+    """Deterministic argmax rollout with triggers (the probe)."""
+    return run_lockstep(snapshot, [RolloutJob(episode)], cfg)[0]
 
 
 def run_sampled(
@@ -451,10 +450,9 @@ def run_sampled(
     temperature: float,
     rng_stream: int,
     cfg: RolloutConfig = RolloutConfig(),
-    triggers: bool = True,
 ) -> Trajectory:
-    """Stochastic rollout drawing actions from the named stream."""
-    job = RolloutJob(episode, "sampled", rng_stream, temperature, triggers)
+    """Stochastic rollout with triggers, sampling from the named stream (a group member)."""
+    job = RolloutJob(episode, "sampled", rng_stream, temperature)
     return run_lockstep(snapshot, [job], cfg)[0]
 
 

@@ -31,7 +31,7 @@ from .world import (
 SUITE_MAGIC = "budnav-suite v1"
 
 # Rejected draws in a row after which generate_suite gives up, like
-# generate_world's max_tries: no world may hold an episode that long.
+# world.MAX_TRIES: no world may hold an episode that long.
 MAX_REJECTED_DRAWS = 200
 
 

@@ -36,9 +36,9 @@ import numpy as np
 from .errors import NonFiniteGradient
 from .grpo import GrpoConfig, RewardConfig, grpo_loss_and_grad, make_group
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_artifacts
-from .oracle import geodesic_field
-# Unused here: perfbench's tracer patches trainer.plan when it installs.
-from .oracle import plan  # noqa: F401
+# Unused here: perfbench's tracer patches trainer.geodesic_field and
+# trainer.plan when it installs.
+from .oracle import geodesic_field, plan  # noqa: F401
 from .policy import (
     PolicyConfig,
     PolicyParams,
@@ -219,10 +219,7 @@ def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> R
                 snap_old, episode, cfg.policy.temperature,
                 rollout_stream(cfg.run_seed, episode.id, i), cfg.rollout,
             ))
-        group = make_group(
-            rollouts, episode, snap_old, cfg.reward, cfg.grpo,
-            geodesic_field(episode.world, episode.goal),
-        )
+        group = make_group(rollouts, episode, snap_old, cfg.reward, cfg.grpo)
     elif supervision == "rect":
         demo = synthesize_demo(probe, episode, cfg.rect)
     elif supervision == "dagger":
@@ -259,7 +256,6 @@ def gro_step(
     episode: Episode,
     ref: PolicySnapshot,
     cfg: TrainConfig,
-    debug: dict | None = None,
 ):
     """One greedy-routed update under cfg.variant; returns (params, opt, UpdateReport).
 
@@ -272,8 +268,6 @@ def gro_step(
         _check_finite_loss(loss)
         params, opt = adamw_update(params, grad, opt, cfg.opt)
         report = replace(report, loss=loss, grad_norm=float(np.linalg.norm(grad)))
-    if debug is not None:
-        debug.update(outcome=outcome, gradient=grad)
     return params, opt, report
 
 

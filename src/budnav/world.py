@@ -53,6 +53,7 @@ MAX_SIDE = 64
 MAX_DENSITY = 0.35
 MAX_CELL_SIZE = 1e6  # metres; far larger cells overflow distances to inf
 DEFAULT_MAX_RUN = 8
+MAX_TRIES = 200  # candidates generate_world and generate_episode draw before giving up
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,13 @@ def generate_world(
     height: int,
     density: float,
     cell_size: float = 1.0,
-    max_tries: int = 200,
 ) -> GridWorld:
     """Sample a connected world with roughly `density` blocked cells.
 
     Candidate obstacle sets are drawn from the seed's stream and
     resampled until oracle.bfs_steps (the BFS over transitions) from the
     first free cell reaches every free cell; it counts steps, not meters.
+    Raises GenerationFailed after MAX_TRIES disconnected candidates.
     """
     from . import oracle  # deferred: oracle depends on this module's types
 
@@ -286,7 +287,7 @@ def generate_world(
     rng = stream("world", seed, width, height)
     n_cells = width * height
     n_blocked = int(round(density * n_cells))  # < n_cells, so a free cell exists
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         picks = rng.choice(n_cells, size=n_blocked, replace=False)
         blocked = frozenset((int(i) % width, int(i) // width) for i in picks)
         world = GridWorld(width, height, blocked, cell_size, seed)
@@ -294,7 +295,7 @@ def generate_world(
         if oracle.bfs_steps(world, y * width + x).count(math.inf) == n_blocked:
             return world
     raise GenerationFailed(
-        f"no connected world after {max_tries} tries (seed={seed}, density={density})"
+        f"no connected world after {MAX_TRIES} tries (seed={seed}, density={density})"
     )
 
 
@@ -438,19 +439,19 @@ def generate_episode(
     goal_radius: float = 3.0,
     min_length: float = 6.0,
     max_run: int = DEFAULT_MAX_RUN,
-    max_tries: int = 200,
 ) -> Episode:
     """Sample an episode whose start-goal geodesic is at least min_length.
 
     Draws goal and start from the (world.seed, seed) stream, plans with
     the oracle, and compiles the instruction from the plan.  Raises
-    GenerationFailed when the world cannot support the requested length.
+    GenerationFailed when none of MAX_TRIES goals drawn has a free cell
+    that far from it.
     """
     from . import oracle  # deferred: oracle depends on this module's types
 
     rng = stream("episode", world.seed, seed)
     free = world.free_cells()
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         goal = free[int(rng.integers(len(free)))]
         d = oracle.geodesic_field(world, goal).dist.ravel()
         # Row-major cell indices, in the order of free_cells().
@@ -473,7 +474,7 @@ def generate_episode(
             max_run=max_run,
         )
     raise GenerationFailed(
-        f"no start/goal pair with geodesic >= {min_length} after {max_tries} tries"
+        f"no start/goal pair with geodesic >= {min_length} after {MAX_TRIES} tries"
     )
 
 

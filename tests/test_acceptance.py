@@ -40,9 +40,11 @@ from budnav.rollout import (
 from budnav.suite import build_held_episodes
 from budnav.trainer import (
     OptimizerState,
+    adamw_update,
     gro_step,
     outcome_loss_and_grad,
     pretrain_bc,
+    route_episode,
     train,
     training_episode,
 )
@@ -342,22 +344,25 @@ def test_criterion_6_routes_are_mutually_exclusive():
     clean = True
     for i in range(1000):
         ep = training_episode(cfg, "train", i)
-        debug = {}
-        before = params
-        params, opt, report = gro_step(params, opt, ep, ref, cfg, debug)
-        outcome = debug["outcome"]
+        # Routing is deterministic, so this is the outcome gro_step routes.
+        outcome = route_episode(params, ep, cfg)
+        new_params, new_opt, report = gro_step(params, opt, ep, ref, cfg)
         routes[report.route] += 1
         clean &= not outcome.skipped
         clean &= (outcome.group is None) != (outcome.demo is None)
         clean &= report.route == ("grpo" if outcome.group is not None else "rect")
         want_rollouts = cfg.grpo.group_size if report.route == "grpo" else 1
         clean &= report.rollouts_used == want_rollouts
-        # The update must apply exactly the routed standalone gradient.
-        _, standalone = outcome_loss_and_grad(before, outcome, ref, cfg)
-        worst = max(worst, float(np.max(np.abs(debug["gradient"] - standalone))))
-    ok = clean and worst <= 1e-12 and routes["grpo"] > 0 and routes["rect"] > 0
+        # The update must be exactly one AdamW step on the routed
+        # standalone gradient, bit for bit.
+        _, standalone = outcome_loss_and_grad(params, outcome, ref, cfg)
+        want, _ = adamw_update(params, standalone, opt, cfg.opt)
+        clean &= np.array_equal(new_params.theta, want.theta)
+        worst = max(worst, float(np.max(np.abs(new_params.theta - want.theta))))
+        params, opt = new_params, new_opt
+    ok = clean and worst == 0.0 and routes["grpo"] > 0 and routes["rect"] > 0
     verdict(6, ok, f"1000 episodes: {routes['grpo']} grpo / {routes['rect']} rect, "
-                   f"one exclusive route each, applied grad diff <= {worst:.1e}")
+                   f"one exclusive route each, applied params diff {worst:.1e}")
 
 
 # --------------------------------------------------- 7-9: benchmark direction

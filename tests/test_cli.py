@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import budnav
 import budnav.cli
 from budnav.cli import main, render_map
-from budnav.errors import CheckpointError, TraceError, Unreachable
+from budnav.errors import CheckpointError, ConfigError, TraceError, Unreachable
 from budnav.policy import PolicyConfig, init_params, load_checkpoint, save_checkpoint, snapshot
 from budnav.rectify import synthesize_demo
-from budnav.rollout import parse_trace, run_sampled, serialize_trace, verify_trace
+from budnav.rollout import RolloutJob, parse_trace, run_lockstep, serialize_trace, verify_trace
 from budnav.suite import generate_suite, parse_suite, serialize_suite
 from budnav.world import Action
 
@@ -91,6 +91,26 @@ def test_train_cli_overrides_reach_the_manifest(train_run, tmp_path):
     csv_last = (out / "metrics.csv").read_text().splitlines()[-1]
     assert csv_last.split(",")[-1] == "0"
     assert csv_last.split(",")[-2] == "0.000"
+
+
+def test_algo_choices_are_gro_and_every_variant(monkeypatch, capsys):
+    import budnav.cli
+    from budnav.trainer import VARIANTS
+
+    seen = []
+
+    def stop(path, extra):
+        seen.append(extra["trainer.variant"])
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(budnav.cli, "load_config", stop)
+    for algo in ("gro", *VARIANTS):
+        assert main(["train", "--config", "c", "--out", "o", "--algo", algo]) == 2
+    assert seen == ["full", *VARIANTS]  # gro is the alias of full
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--config", "c", "--out", "o", "--algo", "ppo"])
+    assert e.value.code == 2
+    assert "choose from 'gro', 'full', 'bc', 'rect_only', 'grpo_only', 'dagger'" in capsys.readouterr().err
 
 
 def test_train_bad_config_exits_2(tmp_path, capsys):
@@ -465,7 +485,7 @@ def replay_outcome(path):
 def sampled_trace_lines():
     ep = corridor_episode()
     snap = snapshot(init_params(PolicyConfig(), 0))
-    traj = run_sampled(snap, ep, 1.0, 7, triggers=False)
+    traj = run_lockstep(snap, [RolloutJob(ep, "sampled", 7, 1.0, triggers=False)])[0]
     assert len(traj.steps) >= 2
     return serialize_trace(traj, ep).splitlines()
 
@@ -601,6 +621,19 @@ def test_gen_suite_round_trip(tmp_path, capsys):
     assert suite.name == "mini"
     assert len(suite.train_world_seeds) == 2
     assert len(suite.held_pairs) == 3
+
+
+@pytest.mark.parametrize("target", ["missing/dir/w.suite", "a_dir"])
+def test_gen_suite_unwritable_out_exits_2(tmp_path, capsys, target):
+    (tmp_path / "a_dir").mkdir()
+    out = tmp_path / target
+    code = main(["gen-suite", "--name", "w", "--seed", "4", "--train-worlds", "1", "--held", "1",
+                 "--width", "8", "--height", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write suite file {out}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_gen_suite_defaults_are_generate_suites(tmp_path):
@@ -836,6 +869,33 @@ def test_compare_config_error_exits_2_before_training(train_run, tmp_path, capsy
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()  # the valid config was not trained either
+
+
+@pytest.mark.parametrize("case", ["stem", "same_path", "seed"])
+def test_compare_runs_sharing_a_directory_exit_2_before_training(
+    train_run, tmp_path, capsys, monkeypatch, case
+):
+    # Run directories are named <config stem>_seed<seed>: two configs with
+    # one stem, or a repeated seed, would train into the same directory.
+    cfg, _ = train_run
+    import budnav.cli
+
+    monkeypatch.setattr(budnav.cli, "train", lambda *a, **k: pytest.fail("trained"))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a, b = tmp_path / "a" / "run.cfg", tmp_path / "b" / "run.cfg"
+    a.write_text(FAST_CFG)
+    b.write_text(FAST_CFG + "trainer.variant = bc\n")
+    configs, seeds, message = {
+        "stem": ([a, b], ["0", "1"], f"configs {a} and {b} share the run label 'run'"),
+        "same_path": ([cfg, cfg], ["0"], f"configs {cfg} and {cfg} share the run label 'fast'"),
+        "seed": ([cfg], ["0", "1", "0"], "seed 0 repeats in --seeds"),
+    }[case]
+    out = tmp_path / "cmp"
+    code = main(["compare", "--configs", *map(str, configs), "--seeds", *seeds, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_compare_without_a_seed_is_an_argument_error(train_run, tmp_path, capsys):

@@ -18,7 +18,6 @@ from budnav.grpo import (
     reward,
 )
 from budnav.metrics import spl
-from budnav.oracle import geodesic_field
 from budnav.policy import (
     PolicyConfig,
     PolicyParams,
@@ -28,7 +27,7 @@ from budnav.policy import (
     snapshot,
     softmax,
 )
-from budnav.rollout import rollout_stream, run_sampled
+from budnav.rollout import RolloutJob, rollout_stream, run_lockstep, run_sampled
 from budnav.world import (
     Action,
     Episode,
@@ -152,8 +151,7 @@ def sampled_group(episode, params, n=4, seed=0):
 
 def test_make_group_wires_rewards_and_advantages(sample_episode, default_policy):
     group, _ = sampled_group(sample_episode, default_policy)
-    field = geodesic_field(sample_episode.world, sample_episode.goal)
-    want = np.array([reward(t, sample_episode, RewardConfig(), field) for t in group.trajectories])
+    want = np.array([reward(t, sample_episode, RewardConfig()) for t in group.trajectories])
     assert np.array_equal(group.rewards, want)
     if want.std() > 0:
         assert abs(group.advantages.mean()) < 1e-9
@@ -269,7 +267,9 @@ def test_grpo_stale_snapshot_names_the_first_drifting_step(sample_episode, defau
     params.b2[3] = -10.0  # STOP: the walks run long
     snap = snapshot(params, "old")
     trajs = [
-        run_sampled(snap, sample_episode, 1.0, rollout_stream(0, sample_episode.id, j), triggers=False)
+        run_lockstep(snap, [RolloutJob(
+            sample_episode, "sampled", rollout_stream(0, sample_episode.id, j), 1.0, triggers=False,
+        )])[0]
         for j in range(4)
     ]
     group = make_group(trajs, sample_episode, snap, RewardConfig(), GrpoConfig())

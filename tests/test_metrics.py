@@ -23,7 +23,7 @@ from budnav.metrics import (
 )
 from budnav.oracle import geodesic_field
 from budnav.policy import PolicyConfig, init_params, snapshot
-from budnav.rollout import Steps, Trajectory, run_greedy
+from budnav.rollout import RolloutJob, Steps, Trajectory, run_lockstep
 from budnav.suite import build_held_episodes, parse_suite
 from budnav.world import (
     MAX_SIDE, Action, Pose, dedup_positions, euclid_m, generate_episode, generate_world,
@@ -64,7 +64,6 @@ def test_navigation_error_is_geodesic():
     # On the walled world the straight line under-counts; the metric
     # must agree with an independent BFS from the goal.
     goal = (3, 2)
-    field = geodesic_field(w, goal)
     dist = bfs_distance_oracle(w, goal)
     import dataclasses
 
@@ -75,7 +74,7 @@ def test_navigation_error_is_geodesic():
             trigger=None, path_length=0.0,
         )
         ep2 = dataclasses.replace(ep, world=w, goal=goal)
-        assert navigation_error(traj, ep2, field) == pytest.approx(dist[cell])
+        assert navigation_error(traj, ep2) == pytest.approx(dist[cell])
 
 
 def test_oracle_success_uses_geodesic_not_euclid():
@@ -277,9 +276,9 @@ def episode_result_reference(traj, episode):
     return EpisodeResult(
         episode_id=episode.id,
         success=traj.success,
-        spl=spl(traj, episode, field),
+        spl=spl(traj, episode),
         osr=float(osr),
-        ne=navigation_error(traj, episode, field),
+        ne=navigation_error(traj, episode),
         ndtw=math.exp(-distance / (len(reference) * episode.goal_radius)),
         path_length=traj.path_length,
         steps=len(traj.steps),
@@ -368,7 +367,7 @@ def test_evaluate_matches_direct_greedy_rollouts(default_policy):
     snap = snapshot(default_policy, "eval")
     out = evaluate(snap, eps)
     for ep, traj in zip(eps, out.trajectories):
-        direct = run_greedy(snap, ep, triggers=False)
+        direct = run_lockstep(snap, [RolloutJob(ep, triggers=False)])[0]
         assert direct.steps.actions.tolist() == traj.steps.actions.tolist()
 
 

@@ -13,8 +13,11 @@ variants were recorded before the variants' routing became a table.
 Speedups must keep every output byte
 identical, so a change that moves any of these digests changes results,
 not just speed.  They pin float64
-results as numpy computes them with OpenBLAS; another BLAS build may
-legitimately differ in the last bits.
+results as numpy computes them with one OpenBLAS kernel (SkylakeX, which
+numpy's DYNAMIC_ARCH OpenBLAS picks on an AVX-512 Xeon).  Another BLAS
+build differs in the last bits, and so does another kernel of the same
+build (OPENBLAS_CORETYPE=Haswell, or a CPU without AVX-512): each kernel
+sums its products in its own order.
 """
 import hashlib
 from dataclasses import astuple, replace

@@ -215,15 +215,14 @@ def desk_cfg():
 def walk(desk_cfg):
     """(params, episode, trajectory): an untrained desk policy that rarely
     stops, and one long sampled rollout of it on a desk episode."""
-    from budnav.rollout import rollout_stream, run_sampled
+    from budnav.rollout import RolloutJob, rollout_stream, run_lockstep
     from budnav.trainer import training_episode
 
     params = init_params(desk_cfg.policy, 0)
     params.b2[3] = -10.0  # STOP
     episode = training_episode(desk_cfg, "train", 0)
-    traj = run_sampled(
-        snapshot(params), episode, 1.0, rollout_stream(0, episode.id, 1), triggers=False,
-    )
+    job = RolloutJob(episode, "sampled", rollout_stream(0, episode.id, 1), 1.0, triggers=False)
+    traj = run_lockstep(snapshot(params), [job])[0]
     assert len(traj.steps) > 2 * params.cfg.history_k  # the slots shift
     return params, episode, traj
 
@@ -589,7 +588,7 @@ def desk_batches(desk_cfg):
     """
     from budnav.grpo import make_group
     from budnav.rectify import RectificationDemo, bc_demo, decay_weights, synthesize_demo
-    from budnav.rollout import Steps, rollout_stream, run_greedy, run_sampled
+    from budnav.rollout import RolloutJob, Steps, rollout_stream, run_greedy, run_lockstep
     from budnav.trainer import training_episode
     from budnav.world import Action
 
@@ -605,9 +604,9 @@ def desk_batches(desk_cfg):
         if not probe.success:
             demos.append((synthesize_demo(probe, episode, cfg.rect), episode))
         rollouts = [
-            run_sampled(
-                snap, episode, 1.0, rollout_stream(0, episode.id, j), cfg.rollout, triggers=False
-            )
+            run_lockstep(snap, [RolloutJob(
+                episode, "sampled", rollout_stream(0, episode.id, j), 1.0, triggers=False,
+            )], cfg.rollout)[0]
             for j in range(cfg.grpo.group_size)
         ]
         groups.append(make_group(rollouts, episode, snap, cfg.reward, cfg.grpo))

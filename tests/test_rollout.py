@@ -10,12 +10,14 @@ from budnav import rollout
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rollout import (
     RolloutConfig,
+    RolloutJob,
     TriggerKind,
     check_triggers,
     offtrack_exceeded,
     parse_trace,
     rollout_stream,
     run_greedy,
+    run_lockstep,
     run_sampled,
     sample_action,
     serialize_trace,
@@ -67,7 +69,7 @@ def run_script(episode, actions, cfg=RolloutConfig(), triggers=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rollout, "snapshot_logits_fn", scripted)
-        return run_greedy(SCRIPT_SNAP, episode, cfg, triggers)
+        return run_lockstep(SCRIPT_SNAP, [RolloutJob(episode, triggers=triggers)], cfg)[0]
 
 
 F, L, R, S = Action.FORWARD, Action.TURN_LEFT, Action.TURN_RIGHT, Action.STOP
