@@ -22,6 +22,7 @@ import inspect
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,14 +85,25 @@ def _stdout_closed() -> int:
     return EXIT_STDOUT_CLOSED
 
 
-def _out_dir(path) -> Path:
-    """Create an --out directory before any work, so a path that cannot
-    be one exits 2 instead of failing after the work is done."""
-    out = Path(path)
+@contextmanager
+def _run_files(out: Path):
+    """An OSError while making or writing the files of the run directory
+    out is a ConfigError (exit 2)."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as e:
-        raise ConfigError(f"--out {path} cannot be a directory: {e}") from e
+        raise ConfigError(f"--out {out} cannot hold the run's files: {e}") from e
+
+
+def _out_dir(path, *subdirs) -> Path:
+    """Create an --out directory, and the subdirectories its files go
+    into, before any work, so a path that cannot hold them exits 2
+    instead of failing after the work is done."""
+    out = Path(path)
+    with _run_files(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for name in subdirs:
+            (out / name).mkdir(exist_ok=True)
     return out
 
 
@@ -150,7 +162,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         extra["trainer.run_seed"] = args.seed
     cfg, values, overrides = load_config(args.config, extra)
-    out = _out_dir(args.out)
+    out = Path(args.out)
     result = _train_run(cfg, values, overrides, out)
     last = result.evals[-1][1]
     print(f"run complete: {len(result.reports)} episodes, "
@@ -161,10 +173,13 @@ def cmd_train(args) -> int:
 
 def _train_run(cfg, values, overrides, out: Path):
     """One run directory: the manifest, the suite file, then the training
-    artifacts; returns the TrainResult."""
-    write_manifest(out, values, overrides, cfg.suite, __version__)
-    (out / "suite.suite").write_text(serialize_suite(cfg.suite))
-    return train(cfg, out_dir=out)
+    artifacts; returns the TrainResult.  The directories come first, so a
+    file in their place stops the run before it trains."""
+    _out_dir(out, "checkpoints", "traces")
+    with _run_files(out):
+        write_manifest(out, values, overrides, cfg.suite, __version__)
+        (out / "suite.suite").write_text(serialize_suite(cfg.suite))
+        return train(cfg, out_dir=out)
 
 
 def cmd_eval(args) -> int:
@@ -183,7 +198,7 @@ def cmd_eval(args) -> int:
     from .suite import build_held_episodes
 
     episodes = build_held_episodes(suite, args.limit)
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out, "traces") if args.out else None
     outcome = evaluate(snapshot(params, "eval"), episodes, RolloutConfig())
     r = outcome.report
     if args.json:
@@ -196,7 +211,8 @@ def cmd_eval(args) -> int:
               f"NE={r.ne:.2f} nDTW={r.ndtw:.1f}")
     if out is not None:
         rows = [METRICS_HEADER, format_metrics_row(0, r, 0.0, 0)]
-        write_eval_artifacts(out, rows, episodes, outcome)
+        with _run_files(out):
+            write_eval_artifacts(out, rows, episodes, outcome)
     return 0
 
 

@@ -50,7 +50,7 @@ from .policy import (
     softmax,
 )
 from .rollout import Trajectory
-from .world import Episode, GridWorld, observe_states
+from .world import Episode, observe_states
 
 log = logging.getLogger(__name__)
 
@@ -73,9 +73,7 @@ class GrpoConfig:
 
 @dataclass(frozen=True)
 class RolloutGroup:
-    episode_id: int
-    instruction: tuple
-    world: GridWorld  # the episode's, where the trajectories' states gather their observations
+    episode: Episode  # whose world the trajectories' states gather their observations from
     trajectories: tuple
     rewards: np.ndarray
     advantages: np.ndarray
@@ -109,9 +107,7 @@ def make_group(
 ) -> RolloutGroup:
     rewards = np.array([reward(t, episode, reward_cfg) for t in trajectories])
     return RolloutGroup(
-        episode_id=episode.id,
-        instruction=tuple(episode.instruction),
-        world=episode.world,
+        episode=episode,
         trajectories=tuple(trajectories),
         rewards=rewards,
         advantages=group_advantages(rewards, grpo_cfg),
@@ -138,21 +134,22 @@ def grpo_loss_and_grad(
     if len(group.trajectories) < 2:
         raise GroupTooSmall(f"group of {len(group.trajectories)} rollouts")
     temp = params.cfg.temperature
+    episode = group.episode
     old_params = group.snapshot_old.params
     ref_params = snapshot_ref.params
     sets = (old_params, params, ref_params)
-    firsts = [initial_features(w, group.instruction) for w in sets]
+    firsts = [initial_features(w, episode.instruction) for w in sets]
     n_groups = len(group.trajectories)
     acc = GradAccumulator(params)
     objective = 0.0
     for adv, traj in zip(group.advantages, group.trajectories):
         steps = traj.steps
         scale = 1.0 / (n_groups * len(steps))
-        patches = observe_states(group.world, steps.states, params.cfg.obs_k)
+        patches = observe_states(episode.world, steps.states, params.cfg.obs_k)
         actions = steps.actions.tolist()
         prev_actions = [NO_ACTION, *actions][:-1]
         old, live, ref = (
-            featurize(w, group.instruction, patches, prev_actions, 0, first)
+            featurize(w, episode.instruction, patches, prev_actions, 0, first)
             for w, first in zip(sets, firsts)
         )
         recomputed = forward(old_params, old.rows)
@@ -161,7 +158,7 @@ def grpo_loss_and_grad(
         if stale.size:
             i = stale[0]
             raise SnapshotMismatch(
-                f"episode {group.episode_id} step {i}: recorded logits drift {drift[i]:g}"
+                f"episode {episode.id} step {i}: recorded logits drift {drift[i]:g}"
             )
         logits, cache = forward_cached(params, live)
         p = softmax(logits / temp)

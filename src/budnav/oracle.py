@@ -51,9 +51,7 @@ _ACTIONS = tuple(Action)  # _ACTIONS[a] is Action(a), read without the enum's ca
 class GeodesicField:
     """Distances in meters from each cell to a fixed goal; inf = cut off."""
 
-    goal: tuple
     dist: np.ndarray  # [height, width], float64, read-only
-    cell_size: float
 
     def at(self, x: int, y: int) -> float:
         return float(self.dist[y, x])
@@ -95,7 +93,7 @@ def _bfs_field(world: GridWorld, gx: int, gy: int) -> GeodesicField:
     steps = bfs_steps(world, gy * world.width + gx)
     dist = np.array(steps).reshape(world.height, world.width) * world.cell_size
     dist.flags.writeable = False
-    return GeodesicField(goal=(gx, gy), dist=dist, cell_size=world.cell_size)
+    return GeodesicField(dist)
 
 
 @dataclass(frozen=True)

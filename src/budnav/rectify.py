@@ -24,10 +24,11 @@ Every other completion starts at the anchor waypoint and is the
 planner's shortest route from there into the goal zone; nothing forces
 it to visit the remaining reference waypoints in order.
 
-synthesize_demo is the one demo builder for failed probes.  The dagger
-variant passes it the error state, (len(steps), final_pose), as the
-anchor: the whole erroneous history is kept and the completion starts
-where the probe failed.  That anchor is all that tells the two apart.
+synthesize_demo is the one demo builder for failed probes.  Its anchor
+is the step count it keeps, and the completion starts at the pose those
+steps reach.  The dagger variant passes the error state, len(steps): the
+whole erroneous history is kept and the completion starts where the
+probe failed.  That anchor is all that tells the two apart.
 """
 from __future__ import annotations
 
@@ -68,13 +69,18 @@ class RectificationDemo:
     from the plan that produced the actions.
     """
 
-    episode_id: int
-    anchor_step: int
-    anchor_pose: Pose
     retained_prefix: Steps
     oracle_actions: tuple
     weights: np.ndarray
     poses: tuple
+
+    @property
+    def anchor_step(self) -> int:
+        return len(self.retained_prefix)
+
+    @property
+    def anchor_pose(self) -> Pose:
+        return self.poses[0]
 
 
 def decay_weights(n: int, cfg: RectConfig) -> np.ndarray:
@@ -82,32 +88,29 @@ def decay_weights(n: int, cfg: RectConfig) -> np.ndarray:
     return cfg.alpha * np.power(float(cfg.decay_gamma), np.arange(n, dtype=np.float64))
 
 
-def find_anchor(probe: Trajectory):
-    """(anchor_step, anchor_pose) for a failed probe: its rollout's
-    anchor_step.  ForcedStop anchors at the final pose with every step
-    retained, also when the step cap fired outside the goal zone (see the
-    module docstring and the ROADMAP.md item "rectify step-cap failures
-    from their anchor").
+def find_anchor(probe: Trajectory) -> int:
+    """The anchor step of a failed probe: its rollout's anchor_step.
+    ForcedStop keeps every step, also when the step cap fired outside
+    the goal zone (see the module docstring and the ROADMAP.md item
+    "rectify step-cap failures from their anchor").
     """
     if probe.trigger is None:
         raise NotAFailure(f"probe for episode {probe.episode_id} has no trigger")
     if probe.trigger[0] == TriggerKind.FORCED_STOP:
-        return len(probe.steps), probe.final_pose
-    return probe.anchor_step, probe.poses()[probe.anchor_step]
+        return len(probe.steps)
+    return probe.anchor_step
 
 
 def synthesize_demo(
-    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig(), anchor=None
+    probe: Trajectory, episode: Episode, cfg: RectConfig = RectConfig(), anchor_step=None
 ) -> RectificationDemo:
-    """Build the corrective demo: the probe's steps up to anchor (an
-    (anchor_step, anchor_pose) pair, find_anchor(probe) by default) kept
-    as the prefix, and the oracle's completion from anchor_pose."""
-    anchor_step, anchor_pose = find_anchor(probe) if anchor is None else anchor
+    """Build the corrective demo: the probe's first anchor_step steps
+    (find_anchor(probe) by default) kept as the prefix, and the oracle's
+    completion from the pose they reach, probe.poses()[anchor_step]."""
+    anchor_step = find_anchor(probe) if anchor_step is None else anchor_step
+    anchor_pose = probe.poses()[anchor_step]
     completion = plan(episode.world, anchor_pose, episode.goal, episode.goal_radius)
     return RectificationDemo(
-        episode_id=episode.id,
-        anchor_step=anchor_step,
-        anchor_pose=anchor_pose,
         retained_prefix=probe.steps.prefix(anchor_step),
         oracle_actions=tuple(completion.actions),
         weights=decay_weights(len(completion.actions), cfg),
@@ -120,9 +123,6 @@ def bc_demo(episode: Episode) -> RectificationDemo:
     every action weighted 1."""
     actions = tuple(expand_instruction(episode.instruction, episode.max_run))
     return RectificationDemo(
-        episode_id=episode.id,
-        anchor_step=0,
-        anchor_pose=episode.start,
         retained_prefix=Steps(episode.world.width),
         oracle_actions=actions,
         weights=np.ones(len(actions)),

@@ -75,7 +75,8 @@ serializes to the same bytes; a trace does not record anchor_step, which
 reads 0.  Steps numbered out of place, a step pose off the grid (its
 state would name another cell), an action outside Action, a trigger at
 none of the steps or a trigger column that does not name it is a
-TraceError.  verify_trace replays the states through world.transitions.
+TraceError.  verify_trace replays the states through world.transitions
+and recomputes the final record's success and path length.
 """
 from __future__ import annotations
 
@@ -215,14 +216,13 @@ def sample_action(probs: np.ndarray, u: float) -> int:
 
 @dataclass(frozen=True)
 class RolloutJob:
-    """One episode for run_lockstep to roll out: greedy, or sampled at
-    temperature from the named stream; without triggers it ends only on
-    STOP or the step cap."""
+    """One episode for run_lockstep to roll out: sampled at temperature
+    from the named stream when it has one, else greedy; without triggers
+    it ends only on STOP or the step cap."""
 
     episode: Episode
-    mode: str = "greedy"  # or "sampled"
-    rng_stream: int = 0
     temperature: float | None = None
+    rng_stream: int = 0
     triggers: bool = True
 
 
@@ -254,7 +254,7 @@ class _Row:
         if not (world.is_free(start.x, start.y) and 0 <= start.heading < 4):
             raise ValueError(f"start pose on a blocked cell or off the grid: {start}")
         self.job, self.cfg = job, cfg
-        self.rng = np.random.Generator(np.random.PCG64(job.rng_stream)) if job.mode == "sampled" else None
+        self.rng = None if job.temperature is None else np.random.Generator(np.random.PCG64(job.rng_stream))
         self.table = transitions(world)
         self.width = world.width
         self.zone = goal_zone(world, episode.goal, episode.goal_radius)
@@ -333,8 +333,9 @@ class _Row:
             self.width, np.array(self.states, dtype=np.int64),
             np.array(self.actions, dtype=np.int64), logits,
         )
+        mode = "greedy" if self.rng is None else "sampled"
         return Trajectory(
-            job.episode.id, job.mode, job.rng_stream, steps, state_pose(final_s, self.width),
+            job.episode.id, mode, job.rng_stream, steps, state_pose(final_s, self.width),
             stopped=stopped, success=success, trigger=trigger,
             path_length=self.path_length, anchor_step=self.anchor_step,
         )
@@ -452,7 +453,7 @@ def run_sampled(
     cfg: RolloutConfig = RolloutConfig(),
 ) -> Trajectory:
     """Stochastic rollout with triggers, sampling from the named stream (a group member)."""
-    job = RolloutJob(episode, "sampled", rng_stream, temperature)
+    job = RolloutJob(episode, temperature, rng_stream)
     return run_lockstep(snapshot, [job], cfg)[0]
 
 
@@ -582,10 +583,14 @@ def verify_trace(episode: Episode, traj: Trajectory) -> int:
     graph (world.transitions); return its step count or raise TraceError
     naming the first divergent step.  Poses are checked in every
     trajectory, and in a greedy one each action against the argmax of its
-    stored logits (a sampled trace stores no temperature)."""
+    stored logits (a sampled trace stores no temperature).  The recorded
+    success and path_length must be the replay's: success is a last action
+    STOP in the goal zone, and path_length adds the cell size once per step
+    that changes cell, in step order, as the rollout does."""
     world = episode.world
     table, width = transitions(world), world.width
     s = pose_state(episode.start, width)
+    path_length = 0.0
     steps = traj.steps
     for t, (state, action) in enumerate(zip(steps.states.tolist(), steps.actions.tolist())):
         if state != s:
@@ -597,7 +602,17 @@ def verify_trace(episode: Episode, traj: Trajectory) -> int:
             best = greedy_action(steps.logits[t])
             raise TraceError(f"divergence at step {t}: action {action}, logits argmax {best}")
         s = table[4 * s + action]
+        if s >> 2 != state >> 2:
+            path_length += world.cell_size
     pose = state_pose(s, width)
     if pose != traj.final_pose:
         raise TraceError(f"divergence at final pose: trace {traj.final_pose}, replay {pose}")
+    in_zone = goal_zone(world, episode.goal, episode.goal_radius)[s >> 2]
+    success = bool(len(steps) and steps.actions[-1] == Action.STOP and in_zone)
+    if success != traj.success:
+        raise TraceError(f"divergence at success: trace {traj.success}, replay {success}")
+    if path_length != traj.path_length:
+        raise TraceError(
+            f"divergence at path_length: trace {traj.path_length!r}, replay {path_length!r}"
+        )
     return len(steps)

@@ -223,7 +223,7 @@ def route_episode(params: PolicyParams, episode: Episode, cfg: TrainConfig) -> R
     elif supervision == "rect":
         demo = synthesize_demo(probe, episode, cfg.rect)
     elif supervision == "dagger":
-        demo = synthesize_demo(probe, episode, cfg.rect, (len(probe.steps), probe.final_pose))
+        demo = synthesize_demo(probe, episode, cfg.rect, len(probe.steps))
     elif supervision == "bc":
         demo = bc_demo(episode)
     success = probe is not None and probe.success

@@ -28,6 +28,7 @@ pose reproduces the reference path exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -332,16 +333,26 @@ def stop_token(max_run: int) -> int:
     return max_run + 2
 
 
-def token_name(token: int, max_run: int) -> str:
+# The one-action tokens' names, in id order after the FWD runs:
+# left_token, right_token, stop_token.
+_SINGLE_NAMES = {Action.TURN_LEFT: "LEFT", Action.TURN_RIGHT: "RIGHT", Action.STOP: "STOP_AT_GOAL"}
+_SINGLE_ACTIONS = tuple(_SINGLE_NAMES)
+
+
+def _decode_token(token: int, max_run: int) -> tuple:
+    """(action, repeat count) a token stands for: FWD(n) is FORWARD n
+    times, LEFT, RIGHT and STOP_AT_GOAL one action each.  UnknownToken
+    outside the vocabulary."""
     if 0 <= token < max_run:
-        return f"FWD({token + 1})"
-    if token == max_run:
-        return "LEFT"
-    if token == max_run + 1:
-        return "RIGHT"
-    if token == max_run + 2:
-        return "STOP_AT_GOAL"
+        return Action.FORWARD, token + 1
+    if left_token(max_run) <= token <= stop_token(max_run):
+        return _SINGLE_ACTIONS[token - left_token(max_run)], 1
     raise UnknownToken(f"token id {token} outside vocabulary (max_run={max_run})")
+
+
+def token_name(token: int, max_run: int) -> str:
+    action, count = _decode_token(token, max_run)
+    return f"FWD({count})" if action == Action.FORWARD else _SINGLE_NAMES[action]
 
 
 def compile_instruction(actions, max_run: int = DEFAULT_MAX_RUN) -> tuple:
@@ -380,16 +391,8 @@ def expand_instruction(tokens, max_run: int = DEFAULT_MAX_RUN) -> list:
     """Semantic expansion of instruction tokens back into actions."""
     actions = []
     for token in tokens:
-        if 0 <= token < max_run:
-            actions.extend([Action.FORWARD] * (token + 1))
-        elif token == max_run:
-            actions.append(Action.TURN_LEFT)
-        elif token == max_run + 1:
-            actions.append(Action.TURN_RIGHT)
-        elif token == max_run + 2:
-            actions.append(Action.STOP)
-        else:
-            raise UnknownToken(f"token id {token} outside vocabulary (max_run={max_run})")
+        action, count = _decode_token(token, max_run)
+        actions.extend([action] * count)
     return actions
 
 
@@ -399,8 +402,7 @@ class Episode:
 
     reference_path is the oracle pose sequence from start into the goal
     zone (one pose per plan action, STOP included, so its length is the
-    plan's action count plus one).  reference_waypoints are the distinct
-    positions along it, in visiting order.
+    plan's action count plus one).
     """
 
     id: int
@@ -408,7 +410,6 @@ class Episode:
     start: Pose
     goal: tuple
     reference_path: tuple
-    reference_waypoints: tuple
     instruction: tuple
     goal_radius: float = 3.0
     max_run: int = DEFAULT_MAX_RUN
@@ -416,6 +417,11 @@ class Episode:
     @property
     def reference_action_count(self) -> int:
         return len(self.reference_path) - 1
+
+    @functools.cached_property
+    def reference_waypoints(self) -> tuple:
+        """The distinct positions along reference_path, in visiting order."""
+        return dedup_positions(self.reference_path)
 
 
 def euclid_m(a, b, cell_size: float = 1.0) -> float:
@@ -468,7 +474,6 @@ def generate_episode(
             start=start,
             goal=goal,
             reference_path=tuple(plan.poses),
-            reference_waypoints=dedup_positions(plan.poses),
             instruction=compile_instruction(plan.actions, max_run),
             goal_radius=goal_radius,
             max_run=max_run,
@@ -544,7 +549,6 @@ def parse_episode(text: str) -> Episode:
         start=start,
         goal=(int(gx), int(gy)),
         reference_path=tuple(path),
-        reference_waypoints=dedup_positions(path),
         instruction=instruction,
         goal_radius=float(fields["goal_radius"]),
         max_run=int(fields["max_run"]),

@@ -54,7 +54,6 @@ from budnav.world import (
     GridWorld,
     Pose,
     compile_instruction,
-    dedup_positions,
     euclid_m,
     generate_episode,
     generate_world,
@@ -259,7 +258,7 @@ def test_criterion_4_trigger_thresholds_are_strict():
     ref = plan(w, Pose(0, 0, 1), (8, 0), 0.5)
     ep = Episode(
         id=4, world=w, start=Pose(0, 0, 1), goal=(8, 0),
-        reference_path=tuple(ref.poses), reference_waypoints=dedup_positions(ref.poses),
+        reference_path=tuple(ref.poses),
         instruction=compile_instruction(ref.actions), goal_radius=0.5,
     )
 
@@ -284,7 +283,7 @@ def test_criterion_4_trigger_thresholds_are_strict():
         p = plan(cw, Pose(0, 0, 1), (6, 0), 3.0)
         cep = Episode(
             id=5, world=cw, start=Pose(0, 0, 1), goal=(6, 0),
-            reference_path=tuple(p.poses), reference_waypoints=dedup_positions(p.poses),
+            reference_path=tuple(p.poses),
             instruction=compile_instruction(p.actions), goal_radius=3.0,
         )
         prog = prefix_progress([(x, 0) for x in range(4)], cep.reference_waypoints,

@@ -485,23 +485,29 @@ def replay_outcome(path):
 def sampled_trace_lines():
     ep = corridor_episode()
     snap = snapshot(init_params(PolicyConfig(), 0))
-    traj = run_lockstep(snap, [RolloutJob(ep, "sampled", 7, 1.0, triggers=False)])[0]
+    traj = run_lockstep(snap, [RolloutJob(ep, 1.0, 7, triggers=False)])[0]
     assert len(traj.steps) >= 2
     return serialize_trace(traj, ep).splitlines()
 
 
 @pytest.mark.parametrize("case", [
     "stream", "final", "action", "step_index", "off_grid", "trigger_step", "trigger_column",
+    "success", "path_length",
 ])
 def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
     # A non-numeric stream id, a non-numeric final field, a sampled
     # trace's step taking an action that does not exist, and records
     # that disagree: a step numbered out of place, a step pose off the
-    # grid, a trigger at none of the steps, and a trigger column naming
-    # a trigger the final record does not.
+    # grid, a trigger at none of the steps, a trigger column naming a
+    # trigger the final record does not, and a success flag or path
+    # length the replay does not reproduce.
     lines = sampled_trace_lines()
     assert lines[1].startswith("mode sampled ") and lines[-1].split()[6] == "-"
-    if case == "stream":
+    if case == "success":
+        lines = edit_record(lines, "final ", 5, str(1 - int(lines[-1].split()[5])))
+    elif case == "path_length":
+        lines = edit_record(lines, "final ", 7, "12345.0")
+    elif case == "stream":
         lines[1] = "mode greedy stream abc"
     elif case == "final":
         lines = edit_record(lines, "final ", 4, "yes")  # stopped
@@ -755,6 +761,47 @@ def test_train_out_under_a_file_exits_2_before_training(train_run, tmp_path, cap
     parent.write_text("")
     assert main(["train", "--config", str(cfg), "--out", str(parent / "run")]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocker, trains", [
+    ("checkpoints", False), ("traces", False), ("manifest.txt", False), ("metrics.csv", True),
+])
+def test_train_out_that_cannot_hold_its_files_exits_2(train_run, tmp_path, capsys, monkeypatch,
+                                                      blocker, trains):
+    # A file where the run puts a directory, or a directory where it puts
+    # a file: one error line and exit 2, and before any training unless
+    # the clash is with a file written after it.
+    cfg, _ = train_run
+    import budnav.cli
+
+    out = tmp_path / "run"
+    out.mkdir()
+    if blocker.endswith((".txt", ".csv")):
+        (out / blocker).mkdir()
+    else:
+        (out / blocker).write_text("")
+    if not trains:
+        monkeypatch.setattr(budnav.cli, "train", lambda *a, **k: pytest.fail("trained"))
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and blocker in err
+
+
+def test_eval_out_whose_traces_is_a_file_exits_2_before_evaluating(train_run, tmp_path, capsys,
+                                                                   monkeypatch):
+    _, out = train_run
+    import budnav.cli
+
+    monkeypatch.setattr(budnav.cli, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+    target = tmp_path / "eval"
+    target.mkdir()
+    (target / "traces").write_text("keep me\n")
+    code = main(["eval", "--ckpt", str(out / "checkpoints" / "final.ckpt"),
+                 "--suite", str(out / "suite.suite"), "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "traces" in err
+    assert (target / "traces").read_text() == "keep me\n"
 
 
 def test_negative_eval_limits_exit_2(train_run, tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_reward_straight_line_fallback_warns(caplog):
     start = Pose(2, 0, 3)
     ep = Episode(
         id=9, world=w, start=start, goal=(0, 0),
-        reference_path=(start, start), reference_waypoints=((2, 0),),
+        reference_path=(start, start),
         instruction=compile_instruction([S]), goal_radius=0.5,
     )
     from budnav.rollout import Trajectory
@@ -194,9 +194,10 @@ def test_grpo_kl_term_is_the_policy_helper(sample_episode, default_policy, monke
     loss, _ = grpo_loss_and_grad(default_policy, group, ref, cfg)
     want = 0.0
     G = len(group.trajectories)
+    ep = group.episode
     for traj in group.trajectories:
-        live = replay(default_policy, group.instruction, group.world, traj.steps)
-        refs = replay(ref.params, group.instruction, group.world, traj.steps)
+        live = replay(default_policy, ep.instruction, ep.world, traj.steps)
+        refs = replay(ref.params, ep.instruction, ep.world, traj.steps)
         for (s, live_steps), (_, ref_steps) in zip(live, refs):
             p = softmax(forward(default_policy, live_steps.rows[0]) / 0.4)
             q = softmax(forward(ref.params, ref_steps.rows[0]) / 0.4)
@@ -214,8 +215,9 @@ def test_grpo_matches_policy_gradient_at_origin(sample_episode, default_policy):
     loss, grad = grpo_loss_and_grad(default_policy, group, snap, GrpoConfig())
     want = np.zeros_like(grad)
     G = len(group.trajectories)
+    ep = group.episode
     for adv, traj in zip(group.advantages, group.trajectories):
-        for action, steps in replay(default_policy, group.instruction, group.world, traj.steps):
+        for action, steps in replay(default_policy, ep.instruction, ep.world, traj.steps):
             _, g = logprob_and_grad(default_policy, steps, action, 0.4)
             want += adv * g / (G * len(traj.steps))
     assert np.allclose(grad, -want, atol=1e-10)
@@ -268,7 +270,7 @@ def test_grpo_stale_snapshot_names_the_first_drifting_step(sample_episode, defau
     snap = snapshot(params, "old")
     trajs = [
         run_lockstep(snap, [RolloutJob(
-            sample_episode, "sampled", rollout_stream(0, sample_episode.id, j), 1.0, triggers=False,
+            sample_episode, 1.0, rollout_stream(0, sample_episode.id, j), triggers=False,
         )])[0]
         for j in range(4)
     ]
@@ -280,7 +282,7 @@ def test_grpo_stale_snapshot_names_the_first_drifting_step(sample_episode, defau
         logits[t, 2] += bump
     doctored = dataclasses.replace(traj, steps=dataclasses.replace(traj.steps, logits=logits))
     trajs = group.trajectories[:i] + (doctored,) + group.trajectories[i + 1 :]
-    message = f"episode {group.episode_id} step 5: recorded logits drift 1e-06$"
+    message = f"episode {group.episode.id} step 5: recorded logits drift 1e-06$"
     with pytest.raises(SnapshotMismatch, match=message):
         grpo_loss_and_grad(params, dataclasses.replace(group, trajectories=trajs), snap, GrpoConfig())
     # Below SNAPSHOT_TOL the same group is accepted.

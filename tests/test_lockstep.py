@@ -240,14 +240,15 @@ def test_mixed_jobs_in_one_batch_match_the_reference(held, mixed_worlds, policie
     jobs = []
     for k, episode in enumerate(episodes):
         if k % 3 == 0:
-            jobs.append(RolloutJob(episode, "greedy", 0, None, k % 2 == 0))
+            jobs.append(RolloutJob(episode, None, 0, k % 2 == 0))
         else:
-            jobs.append(RolloutJob(episode, "sampled", rollout_stream(3, episode.id, k), 0.4, k % 2 == 0))
+            jobs.append(RolloutJob(episode, 0.4, rollout_stream(3, episode.id, k), k % 2 == 0))
     got = run_lockstep(snap, jobs, CFG)
     lengths = set()
-    for traj, job in zip(got, jobs):
+    for k, (traj, job) in enumerate(zip(got, jobs)):
+        mode = "greedy" if k % 3 == 0 else "sampled"
         want = reference_rollout(
-            snap, job.episode, CFG, job.mode, job.rng_stream, job.temperature, job.triggers
+            snap, job.episode, CFG, mode, job.rng_stream, job.temperature, job.triggers
         )
         assert_same(traj, want, job.episode, snap)
         lengths.add(len(traj.steps))

@@ -221,7 +221,7 @@ def walk(desk_cfg):
     params = init_params(desk_cfg.policy, 0)
     params.b2[3] = -10.0  # STOP
     episode = training_episode(desk_cfg, "train", 0)
-    job = RolloutJob(episode, "sampled", rollout_stream(0, episode.id, 1), 1.0, triggers=False)
+    job = RolloutJob(episode, 1.0, rollout_stream(0, episode.id, 1), triggers=False)
     traj = run_lockstep(snapshot(params), [job])[0]
     assert len(traj.steps) > 2 * params.cfg.history_k  # the slots shift
     return params, episode, traj
@@ -275,7 +275,6 @@ def test_featurizer_is_bit_exact_along_a_rect_demo_replay(walk, monkeypatch):
     completion = oracle.actions
     assert len(completion) > 1
     demo = RectificationDemo(
-        episode_id=ep.id, anchor_step=anchor, anchor_pose=pose,
         retained_prefix=traj.steps.prefix(anchor), oracle_actions=tuple(completion),
         weights=decay_weights(len(completion), RectConfig(decay_gamma=0.95)),
         poses=oracle.poses[:-1],
@@ -337,8 +336,8 @@ def test_featurizer_is_bit_exact_along_a_grpo_group(desk_batches, monkeypatch):
         sets = (group.snapshot_old.params, live, ref.params)
         want = []
         for traj in group.trajectories:
-            pairs = step_pairs(group.world, traj.steps, live.cfg.obs_k)
-            windows = list(reference_windows(group.instruction, pairs, live.cfg))
+            pairs = step_pairs(group.episode.world, traj.steps, live.cfg.obs_k)
+            windows = list(reference_windows(group.episode.instruction, pairs, live.cfg))
             # Per trajectory: the old, live and ref rows, then each scored.
             rows = [np.array([featurize_uncached(p, w) for w in windows]) for p in sets]
             want += list(zip(sets, rows))
@@ -605,7 +604,7 @@ def desk_batches(desk_cfg):
             demos.append((synthesize_demo(probe, episode, cfg.rect), episode))
         rollouts = [
             run_lockstep(snap, [RolloutJob(
-                episode, "sampled", rollout_stream(0, episode.id, j), 1.0, triggers=False,
+                episode, 1.0, rollout_stream(0, episode.id, j), triggers=False,
             )], cfg.rollout)[0]
             for j in range(cfg.grpo.group_size)
         ]
@@ -613,13 +612,11 @@ def desk_batches(desk_cfg):
         walk = rollouts[-1]
         actions = tuple(walk.steps.actions.tolist())
         demos.append((RectificationDemo(
-            episode_id=episode.id, anchor_step=0, anchor_pose=episode.start,
             retained_prefix=Steps(episode.world.width), oracle_actions=actions,
             weights=decay_weights(len(actions), cfg.rect),
             poses=tuple(walk.steps.poses()),
         ), episode))
         demos.append((RectificationDemo(
-            episode_id=episode.id, anchor_step=len(walk.steps), anchor_pose=walk.final_pose,
             retained_prefix=walk.steps, oracle_actions=(Action.STOP,), weights=np.ones(1),
             poses=(walk.final_pose,),
         ), episode))

@@ -76,7 +76,8 @@ def test_anchor_is_furthest_ordered_waypoint():
     ep = corridor_episode()  # reference visits (0,0)..(5,0)
     probe = run_script(ep, [F, F, S])  # premature stop at (2,0)
     assert probe.trigger[0] == TriggerKind.PREMATURE_STOP
-    anchor_step, anchor_pose = find_anchor(probe)
+    anchor_step = find_anchor(probe)
+    anchor_pose = probe.poses()[anchor_step]
     assert anchor_step == 2
     assert anchor_pose == Pose(2, 0, 1)
 
@@ -87,7 +88,8 @@ def test_anchor_keeps_first_arrival_on_revisit():
     # at the first visit of (2,0), not the revisit of (1,0).
     probe = run_script(ep, [F, F, L, L, F, S], triggers=True)
     assert probe.trigger is not None
-    anchor_step, anchor_pose = find_anchor(probe)
+    anchor_step = find_anchor(probe)
+    anchor_pose = probe.poses()[anchor_step]
     assert anchor_step == 2
     assert anchor_pose == Pose(2, 0, 1)
 
@@ -95,22 +97,25 @@ def test_anchor_keeps_first_arrival_on_revisit():
 def test_anchor_without_any_visit_is_the_start():
     w = open_world(6, 6)
     start = Pose(0, 0, 1)
-    ref = (start, Pose(1, 0, 1), Pose(2, 0, 1))
+    # A reference path whose waypoints, (3,3) and (4,4), lie off the
+    # probe's route; two actions long, so the step cap stays 50.
+    ref = (Pose(3, 3, 1), Pose(4, 4, 1), Pose(4, 4, 1))
     ep = Episode(
-        id=1, world=w, start=start, goal=(5, 5),
-        reference_path=ref, reference_waypoints=((3, 3), (4, 4)),
+        id=1, world=w, start=start, goal=(5, 5), reference_path=ref,
         instruction=compile_instruction([F, F, S]), goal_radius=0.5,
     )
     probe = run_script(ep, [F, S])
     assert probe.trigger is not None
-    anchor_step, anchor_pose = find_anchor(probe)
+    anchor_step = find_anchor(probe)
+    anchor_pose = probe.poses()[anchor_step]
     assert anchor_step == 0
     assert anchor_pose == start
     # (1,0) is 3.61 m from (3,3): a visit once the rollout's radius
     # covers it.
     wide = run_script(ep, [F, S], RolloutConfig(visit_radius_m=3.7))
     assert wide.trigger is not None
-    assert find_anchor(wide) == (1, Pose(1, 0, 1))
+    assert find_anchor(wide) == 1
+    assert wide.poses()[1] == Pose(1, 0, 1)
 
 
 def test_anchor_order_respecting_vs_raw_furthest():
@@ -119,14 +124,15 @@ def test_anchor_order_respecting_vs_raw_furthest():
     # at the start instead of jumping ahead to the furthest raw visit.
     w = open_world(6, 6)
     start = Pose(0, 0, 1)
+    ref = (start, Pose(4, 0, 1), Pose(2, 0, 3))  # two actions: the step cap stays 50
     ep = Episode(
-        id=2, world=w, start=start, goal=(5, 5),
-        reference_path=(start, start), reference_waypoints=((0, 0), (4, 0), (2, 0)),
+        id=2, world=w, start=start, goal=(5, 5), reference_path=ref,
         instruction=compile_instruction([S]), goal_radius=0.5,
     )
     probe = run_script(ep, [F, F, S])
     assert probe.trigger is not None
-    ordered_step, ordered_pose = find_anchor(probe)
+    ordered_step = find_anchor(probe)
+    ordered_pose = probe.poses()[ordered_step]
     assert ordered_step == 0
     assert ordered_pose == start
 
@@ -136,7 +142,8 @@ def test_anchor_forced_stop_is_current_pose():
     ep = corridor_episode()
     probe = run_script(ep, [F] * 5 + [L, R] * 20)
     assert probe.trigger[0] == TriggerKind.FORCED_STOP
-    anchor_step, anchor_pose = find_anchor(probe)
+    anchor_step = find_anchor(probe)
+    anchor_pose = probe.poses()[anchor_step]
     assert anchor_step == len(probe.steps)
     assert anchor_pose == probe.final_pose
 

@@ -28,7 +28,6 @@ from budnav.world import (
     Episode,
     Pose,
     compile_instruction,
-    dedup_positions,
     pose_state,
 )
 
@@ -47,7 +46,6 @@ def corridor_episode(length=12, goal=(8, 0), radius=3.0, start=Pose(0, 0, 1)):
         start=start,
         goal=goal,
         reference_path=tuple(p.poses),
-        reference_waypoints=dedup_positions(p.poses),
         instruction=compile_instruction(p.actions),
         goal_radius=radius,
     )

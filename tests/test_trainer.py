@@ -271,8 +271,8 @@ def test_rect_anchor_uses_the_rollout_visit_radius(warm):
         if outcome.report.route != "rect":
             continue
         probe = outcome.probe
-        anchor = (outcome.demo.anchor_step, outcome.demo.anchor_pose)
-        assert anchor == find_anchor(probe)
+        assert outcome.demo.anchor_step == find_anchor(probe)
+        assert outcome.demo.anchor_pose == probe.poses()[outcome.demo.anchor_step]
         if probe.trigger[0] != TriggerKind.FORCED_STOP:
             assert outcome.demo.anchor_step == ordered_anchor_reference(probe, episode, 1.5)
             moved += outcome.demo.anchor_step != ordered_anchor_reference(probe, episode, 0.5)

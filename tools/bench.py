@@ -4,7 +4,9 @@ for this checkout and, optionally, the checkout of its parent commit.
     python3 tools/bench.py --out BENCH_1.json --parent DIR [--seed 1000]
 
 BLAS is pinned to one thread here, before numpy can load, and in every
-child.  The script measures, on each side:
+child.  The environment block records the OpenBLAS kernel numpy runs,
+since each kernel rounds its products differently.  The script measures,
+on each side:
 
   * desk_full seed 0: `budnav train --config configs/desk_full.cfg --seed 0`,
     run DESK_RUNS times per side in alternating parent/change pairs; wall
@@ -162,6 +164,25 @@ def compare_layers(pairs: list) -> dict:
     return out
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, as its
+    scipy_openblas_get_corename64_ reports it (for example "SkylakeX"),
+    or "unknown" when that library or symbol is missing."""
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def alternating(sides: dict, i: int) -> list:
     """The (side, root) pairs of pair i, parent first in even pairs."""
     order = list(sides.items())
@@ -185,6 +206,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(), "machine": platform.machine(),
             "processor": platform.processor() or "unknown",
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "blas_kernel": blas_kernel(),
         },
         "desk_full_seed0": {},
         "workloads": {},
