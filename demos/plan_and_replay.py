@@ -7,12 +7,11 @@ expanding the instruction back into actions lands inside the goal zone.
     python3 demos/plan_and_replay.py
 """
 from budnav.oracle import geodesic_field
+from budnav.suite import generate_episode, generate_world
 from budnav.world import (
     dedup_positions,
     euclid_m,
     expand_instruction,
-    generate_episode,
-    generate_world,
     step,
     token_name,
 )

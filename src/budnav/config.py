@@ -15,17 +15,21 @@ ConfigError.  Types follow the default's type.  Command-line overrides
 are merged into a file's keys by load_config, before its one build.
 
 A run's manifest records the resolved value of every key, the explicit
-overrides, the content hash of the world-generation parameters, and the
-tool version, so the run is reproducible from the manifest alone.  The
-start timestamp is the only non-deterministic line.
+overrides, the content hash of the world-generation parameters, the
+tool version, and the OpenBLAS kernel (blas_kernel), so the run is
+reproducible from the manifest alone.  The start timestamp is the only
+non-deterministic line; the kernel line changes with the CPU.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import inspect
 import math
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .grpo import GrpoConfig, RewardConfig
@@ -212,6 +216,23 @@ def world_params_hash(suite: Suite) -> str:
     return hashlib.blake2b(serialize_suite(suite).encode(), digest_size=16).hexdigest()
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, as its
+    scipy_openblas_get_corename64_ reports it (for example "SkylakeX"),
+    or "unknown" when that library or symbol is missing.  Each kernel sums
+    float64 products in its own order, so the pinned digests hold only
+    under the kernel they were recorded with."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def write_manifest(out_dir, values: dict, overrides: dict, suite: Suite, version: str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,6 +240,7 @@ def write_manifest(out_dir, values: dict, overrides: dict, suite: Suite, version
     lines.append(f"version={version}")
     lines.append(f"started_at={datetime.now(timezone.utc).isoformat()}")
     lines.append(f"out_dir={out}")
+    lines.append(f"blas_kernel={blas_kernel()}")
     lines.append(f"world_params_hash={world_params_hash(suite)}")
     for k in sorted(overrides):
         lines.append(f"override.{k}={_format_value(overrides[k])}")

@@ -6,8 +6,9 @@ ascending (y, x, heading), and both read their moves from
 world.transitions (a FORWARD that bumps a wall keeps s).
 
   * geodesic_field: 4-connected BFS distances (in meters) from every
-    free cell to a goal cell, ignoring headings; generate_world's
-    connectivity test reads the same BFS's step counts (bfs_steps).
+    free cell to a goal cell, ignoring headings; suite.generate_world's
+    connectivity test reads the same BFS's step counts (bfs_steps), and
+    suite.generate_episode plans each reference path with plan.
   * plan: minimum-action-count pose-graph search where FORWARD and turns
     each cost one action.  The plan ends with STOP as soon as the agent's
     position is within goal_radius (Euclidean) of the goal; that test

@@ -72,11 +72,13 @@ a trigger column: the trigger's kind at its step, '-' at every other),
 the final record and, for a failed probe, the rect record of its demo.
 parse_trace reads a trace back into the Trajectory that wrote it, which
 serializes to the same bytes; a trace does not record anchor_step, which
-reads 0.  Steps numbered out of place, a step pose off the grid (its
-state would name another cell), an action outside Action, a trigger at
-none of the steps or a trigger column that does not name it is a
-TraceError.  verify_trace replays the states through world.transitions
-and recomputes the final record's success and path length.
+reads 0.  A mode record other than "mode <greedy|sampled> stream <int>",
+an episode record other than "episode <n>", steps numbered out of place,
+a step pose off the grid (its state would name another cell), an action
+outside Action, a trigger at none of the steps or a trigger column that
+does not name it is a TraceError.  verify_trace replays the states
+through world.transitions, recomputes the final record's success and
+path length, and checks its stopped flag wherever the trace decides it.
 """
 from __future__ import annotations
 
@@ -513,8 +515,13 @@ def parse_trace(text: str) -> tuple:
     if not lines or lines[0] != TRACE_MAGIC:
         raise TraceError(f"bad trace magic: {lines[:1]}")
     try:
-        _, mode, _, stream_s = lines[1].split()
-        n_ep = int(lines[2].split()[1])
+        head, mode, stream_key, stream_s = lines[1].split()
+        if head != "mode" or mode not in ("greedy", "sampled") or stream_key != "stream":
+            raise ValueError(f"not 'mode <greedy|sampled> stream <int>': {lines[1]!r}")
+        ep_key, n_ep = lines[2].split()
+        if ep_key != "episode":
+            raise ValueError(f"not 'episode <n>': {lines[2]!r}")
+        n_ep = int(n_ep)
         episode = parse_episode("\n".join(lines[3 : 3 + n_ep]) + "\n")
         world = episode.world
         states, actions, logits, marks = [], [], [], []
@@ -586,7 +593,18 @@ def verify_trace(episode: Episode, traj: Trajectory) -> int:
     stored logits (a sampled trace stores no temperature).  The recorded
     success and path_length must be the replay's: success is a last action
     STOP in the goal zone, and path_length adds the cell size once per step
-    that changes cell, in step order, as the rollout does."""
+    that changes cell, in step order, as the rollout does.
+
+    Every rollout takes a step (RolloutConfig.max_steps_floor >= 1), so a
+    trace without one is a TraceError.  The recorded stopped flag must be 1
+    after a last action STOP, without a trigger (only the step cap ends a
+    trigger-free rollout on a move) and after a ForcedStop outside the goal
+    zone (the grace period fires only inside it, so that was the cap); it
+    must be 0 after an OffTrack or ProgressStall on a move.  A ForcedStop on
+    a move inside the zone is the grace period or the cap, and a trace
+    records neither the cap nor the config, so its flag is not checked."""
+    if not len(traj.steps):
+        raise TraceError("trace has no steps: every rollout takes at least one")
     world = episode.world
     table, width = transitions(world), world.width
     s = pose_state(episode.start, width)
@@ -608,9 +626,18 @@ def verify_trace(episode: Episode, traj: Trajectory) -> int:
     if pose != traj.final_pose:
         raise TraceError(f"divergence at final pose: trace {traj.final_pose}, replay {pose}")
     in_zone = goal_zone(world, episode.goal, episode.goal_radius)[s >> 2]
-    success = bool(len(steps) and steps.actions[-1] == Action.STOP and in_zone)
+    last_stop = steps.actions[-1] == Action.STOP
+    success = bool(last_stop and in_zone)
     if success != traj.success:
         raise TraceError(f"divergence at success: trace {traj.success}, replay {success}")
+    kind = traj.trigger[0] if traj.trigger else None
+    stopped = traj.stopped  # any other trigger's flag on a move is not checked
+    if last_stop or kind is None or (kind == TriggerKind.FORCED_STOP and not in_zone):
+        stopped = True
+    elif kind in (TriggerKind.OFF_TRACK, TriggerKind.PROGRESS_STALL):
+        stopped = False
+    if stopped != traj.stopped:
+        raise TraceError(f"divergence at stopped: trace {traj.stopped}, replay {stopped}")
     if path_length != traj.path_length:
         raise TraceError(
             f"divergence at path_length: trace {traj.path_length!r}, replay {path_length!r}"

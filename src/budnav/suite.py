@@ -1,11 +1,19 @@
-"""Benchmark suites: named, reproducible train/held-out episode splits.
+"""Benchmark suites, and the generators that draw their worlds and episodes.
 
 A suite pins the world-generation parameters, a pool of training world
 seeds, and an explicit list of (world_seed, episode_seed) pairs for the
 held-out set.  Train and held-out world seeds are disjoint, so
-evaluation always happens on unseen layouts.  Every pair in a generated
-suite is validated (the episode actually generates), which keeps
-downstream consumers free of generation failures.
+evaluation always happens on unseen layouts, and no seed or pair
+appears twice.  Every pair in a generated suite is validated (the
+episode actually generates), which keeps downstream consumers free of
+generation failures.
+
+World and episode generation lives here too: generate_world and
+generate_episode draw from their seeds' streams and reach the oracle
+through its module (oracle.bfs_steps, oracle.geodesic_field,
+oracle.plan), where perfbench's tracer patches it.  suite_world builds
+each world once per process, and suite_episode and generate_suite draw
+through it.  MAX_TRIES bounds every rejection loop.
 
 File format "budnav-suite v1" is a plain text document:
 
@@ -18,39 +26,106 @@ File format "budnav-suite v1" is a plain text document:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import oracle
 from .errors import GenerationFailed, SuiteError
 from .rng import stream
-from .world import (
-    DEFAULT_MAX_RUN, MAX_CELL_SIZE, MAX_DENSITY, MAX_SIDE, Episode, GridWorld,
-    generate_episode, generate_world,
-)
+from .world import DEFAULT_MAX_RUN, MAX_SIDE, Episode, GridWorld, Pose, compile_instruction
 
 SUITE_MAGIC = "budnav-suite v1"
 
-# Rejected draws in a row after which generate_suite gives up, like
-# world.MAX_TRIES: no world may hold an episode that long.
-MAX_REJECTED_DRAWS = 200
+MAX_DENSITY = 0.35
+MAX_CELL_SIZE = 1e6  # metres; far larger cells overflow distances to inf
+# Draws a rejection loop makes before giving up: obstacle sets per world,
+# goals per episode, and seeds in a row per suite.
+MAX_TRIES = 200
 
 
-def check_generation_params(width, height, density, cell_size, goal_radius, max_run) -> None:
-    """Raise SuiteError unless worlds and episodes can be drawn with these."""
-    if not (0 < width <= MAX_SIDE and 0 < height <= MAX_SIDE):
-        raise SuiteError(f"world extent out of range: {width}x{height}")
-    if not 0.0 <= density <= MAX_DENSITY:
-        raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {density}")
-    if not (0.0 < cell_size < math.inf and max_run >= 1):  # nDTW's costs need a finite cell
-        raise SuiteError(f"need a finite cell_size > 0 and max_run >= 1: {cell_size}, {max_run}")
-    if cell_size > MAX_CELL_SIZE:
-        raise SuiteError(f"cell_size out of range (0, {MAX_CELL_SIZE:g}]: {cell_size}")
-    if not goal_radius > 0.0:  # nDTW divides by it
-        raise SuiteError(f"goal_radius must be > 0, got {goal_radius}")
+def generate_world(
+    seed: int,
+    width: int,
+    height: int,
+    density: float,
+    cell_size: float = 1.0,
+) -> GridWorld:
+    """Sample a connected world with roughly `density` blocked cells.
+
+    Candidate obstacle sets are drawn from the seed's stream and
+    resampled until oracle.bfs_steps (the BFS over transitions) from the
+    first free cell reaches every free cell; it counts steps, not meters.
+    Raises GenerationFailed after MAX_TRIES disconnected candidates.
+    """
+    if not (0.0 <= density <= MAX_DENSITY):
+        raise ValueError(f"density out of range [0, {MAX_DENSITY}]: {density}")
+    rng = stream("world", seed, width, height)
+    n_cells = width * height
+    n_blocked = int(round(density * n_cells))  # < n_cells, so a free cell exists
+    for _ in range(MAX_TRIES):
+        picks = rng.choice(n_cells, size=n_blocked, replace=False)
+        blocked = frozenset((int(i) % width, int(i) // width) for i in picks)
+        world = GridWorld(width, height, blocked, cell_size, seed)
+        x, y = world.free_cells()[0]
+        if oracle.bfs_steps(world, y * width + x).count(math.inf) == n_blocked:
+            return world
+    raise GenerationFailed(
+        f"no connected world after {MAX_TRIES} tries (seed={seed}, density={density})"
+    )
+
+
+def generate_episode(
+    world: GridWorld,
+    seed: int,
+    goal_radius: float = 3.0,
+    min_length: float = 6.0,
+    max_run: int = DEFAULT_MAX_RUN,
+) -> Episode:
+    """Sample an episode whose start-goal geodesic is at least min_length.
+
+    Draws goal and start from the (world.seed, seed) stream, plans with
+    the oracle, and compiles the instruction from the plan.  Raises
+    GenerationFailed when none of MAX_TRIES goals drawn has a free cell
+    that far from it.
+    """
+    rng = stream("episode", world.seed, seed)
+    free = world.free_cells()
+    for _ in range(MAX_TRIES):
+        goal = free[int(rng.integers(len(free)))]
+        d = oracle.geodesic_field(world, goal).dist.ravel()
+        # Row-major cell indices, in the order of free_cells().
+        candidates = np.flatnonzero((d >= min_length) & (d < math.inf))
+        if not candidates.size:
+            continue
+        cell = int(candidates[int(rng.integers(candidates.size))])
+        heading = int(rng.integers(4))
+        start = Pose(cell % world.width, cell // world.width, heading)
+        plan = oracle.plan(world, start, goal, goal_radius)
+        return Episode(
+            id=seed,
+            world=world,
+            start=start,
+            goal=goal,
+            reference_path=tuple(plan.poses),
+            instruction=compile_instruction(plan.actions, max_run),
+            goal_radius=goal_radius,
+            max_run=max_run,
+        )
+    raise GenerationFailed(
+        f"no start/goal pair with geodesic >= {min_length} after {MAX_TRIES} tries"
+    )
 
 
 @dataclass(frozen=True)
 class Suite:
+    """A suite's generation parameters and its seeds.  SuiteError unless
+    worlds and episodes can be drawn with the parameters, no train-world
+    seed or held pair appears twice, and no held world is a train world."""
+
     name: str
     width: int
     height: int
@@ -63,12 +138,23 @@ class Suite:
     held_pairs: tuple  # of (world_seed, episode_seed)
 
     def __post_init__(self):
-        check_generation_params(
-            self.width, self.height, self.density, self.cell_size, self.goal_radius, self.max_run
-        )
-        train = set(self.train_world_seeds)
-        held = {ws for ws, _ in self.held_pairs}
-        overlap = train & held
+        if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE):
+            raise SuiteError(f"world extent out of range: {self.width}x{self.height}")
+        if not 0.0 <= self.density <= MAX_DENSITY:
+            raise SuiteError(f"density out of range [0, {MAX_DENSITY}]: {self.density}")
+        cell, max_run = self.cell_size, self.max_run
+        if not (0.0 < cell < math.inf and max_run >= 1):  # nDTW's costs need a finite cell
+            raise SuiteError(f"need a finite cell_size > 0 and max_run >= 1: {cell}, {max_run}")
+        if cell > MAX_CELL_SIZE:
+            raise SuiteError(f"cell_size out of range (0, {MAX_CELL_SIZE:g}]: {cell}")
+        if not self.goal_radius > 0.0:  # nDTW divides by it
+            raise SuiteError(f"goal_radius must be > 0, got {self.goal_radius}")
+        seeds, pairs = self.train_world_seeds, self.held_pairs
+        for what, records in (("train-world seed", seeds), ("held pair", pairs)):
+            repeated = [record for record, n in Counter(records).items() if n > 1]
+            if repeated:
+                raise SuiteError(f"{what} appears twice: {repeated[0]}")
+        overlap = set(seeds) & {ws for ws, _ in pairs}
         if overlap:
             raise SuiteError(f"train/held world seeds overlap: {sorted(overlap)[:5]}")
 
@@ -129,70 +215,65 @@ def generate_suite(
     """Draw validated, disjoint train/held splits from the suite seed.
 
     Every world and held episode seed comes from one rejection loop,
-    draw.  Raises SuiteError on counts it cannot meet, before any draw,
-    and after MAX_REJECTED_DRAWS rejected world or episode draws in a row.
+    draw, through suite_world and suite_episode, so each world is built
+    once and stays cached for training.  Raises SuiteError on parameters
+    or counts it cannot meet, before any draw, and after MAX_TRIES
+    rejected world or episode draws in a row.
     """
-    check_generation_params(width, height, density, cell_size, goal_radius, max_run)
+    spec = Suite(
+        name, width, height, density, cell_size, goal_radius, min_episode_length, max_run, (), (),
+    )
     if not (n_train_worlds >= 0 and n_held >= 0 and held_per_world >= 1):
         raise SuiteError(
             "need n_train_worlds >= 0, n_held >= 0 and held_per_world >= 1:"
             f" {n_train_worlds}, {n_held}, {held_per_world}"
         )
 
-    def draw(rng, build, what):
-        """(seed, build(seed)) for the first seed drawn from rng that
-        build accepts; build rejects a seed by raising GenerationFailed
-        or by returning None."""
-        for _ in range(MAX_REJECTED_DRAWS):
+    def draw(rng, accepts, what) -> int:
+        """The first seed drawn from rng that accepts(seed) takes; it
+        rejects one by returning False or raising GenerationFailed."""
+        for _ in range(MAX_TRIES):
             candidate = int(rng.integers(1, 2**31))
             try:
-                value = build(candidate)
+                if accepts(candidate):
+                    return candidate
             except GenerationFailed:
-                continue  # a world too small or choppy, or an episode seed that fails
-            if value is not None:
-                return candidate, value
+                pass  # a world too small or choppy, or an episode seed that fails
         raise SuiteError(
             f"no {what} with an episode of geodesic >= {min_episode_length} after"
-            f" {MAX_REJECTED_DRAWS} draws in a row ({width}x{height}, density={density})"
+            f" {MAX_TRIES} draws in a row ({width}x{height}, density={density})"
         )
 
-    episode_params = dict(goal_radius=goal_radius, min_length=min_episode_length, max_run=max_run)
-
-    def new_world(world_seed):
-        """The world of an unused seed that holds an episode, else None."""
+    def new_world(world_seed) -> bool:
+        """Whether the seed is unused and its world holds an episode."""
         if world_seed in taken:
-            return None
-        world = generate_world(world_seed, width, height, density, cell_size)
-        generate_episode(world, 0, **episode_params)
+            return False
+        suite_episode(spec, world_seed, 0)
         taken.add(world_seed)
-        return world
+        return True
+
+    def new_episode(world_seed, episode_seed) -> bool:
+        """Whether the seed is not yet held in the world and generates."""
+        if (world_seed, episode_seed) in held_pairs:
+            return False
+        suite_episode(spec, world_seed, episode_seed)
+        return True
 
     taken: set = set()
     train_rng = stream(seed, "suite-train-worlds")
-    train_seeds = [draw(train_rng, new_world, "world")[0] for _ in range(n_train_worlds)]
+    train_seeds = tuple(draw(train_rng, new_world, "world") for _ in range(n_train_worlds))
 
     held_rng = stream(seed, "suite-held")
     held_pairs = []
     while len(held_pairs) < n_held:
-        world_seed, world = draw(held_rng, new_world, "world")
+        world_seed = draw(held_rng, new_world, "world")
         for _ in range(min(held_per_world, n_held - len(held_pairs))):
             episode_seed = draw(
-                held_rng, lambda es: generate_episode(world, es, **episode_params),
+                held_rng, lambda es: new_episode(world_seed, es),
                 f"held episode in world {world_seed}",
-            )[0]
+            )
             held_pairs.append((world_seed, episode_seed))
-    return Suite(
-        name=name,
-        width=width,
-        height=height,
-        density=density,
-        cell_size=cell_size,
-        goal_radius=goal_radius,
-        min_episode_length=min_episode_length,
-        max_run=max_run,
-        train_world_seeds=tuple(train_seeds),
-        held_pairs=tuple(held_pairs),
-    )
+    return dataclasses.replace(spec, train_world_seeds=train_seeds, held_pairs=tuple(held_pairs))
 
 
 def serialize_suite(suite: Suite) -> str:
@@ -213,22 +294,22 @@ def parse_suite(text: str) -> Suite:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != SUITE_MAGIC:
         raise SuiteError(f"bad suite magic: {lines[:1]}")
-    name = None
-    world = None
-    episode = None
+    header = {}  # name, world and episode: one record each
     train_seeds = []
     held_pairs = []
     try:
         for line in lines[1:]:
             key, _, rest = line.partition(" ")
+            if key in header:
+                raise SuiteError(f"repeated suite record: {line!r}")
             if key == "name":
-                name = rest
+                header[key] = rest
             elif key == "world":
                 w, h, d, c = rest.split()
-                world = (int(w), int(h), float(d), float(c))
+                header[key] = (int(w), int(h), float(d), float(c))
             elif key == "episode":
                 r, m, mr = rest.split()
-                episode = (float(r), float(m), int(mr))
+                header[key] = (float(r), float(m), int(mr))
             elif key == "train-world":
                 train_seeds.append(int(rest))
             elif key == "held":
@@ -236,14 +317,10 @@ def parse_suite(text: str) -> Suite:
                 held_pairs.append((int(ws), int(es)))
             else:
                 raise SuiteError(f"unknown suite record: {line!r}")
-        if name is None or world is None or episode is None:
+        if len(header) < 3:
             raise SuiteError("suite header incomplete")
     except ValueError as e:
         raise SuiteError(f"malformed suite line: {e}") from e
     return Suite(
-        name=name,
-        width=world[0], height=world[1], density=world[2], cell_size=world[3],
-        goal_radius=episode[0], min_episode_length=episode[1], max_run=episode[2],
-        train_world_seeds=tuple(train_seeds),
-        held_pairs=tuple(held_pairs),
+        header["name"], *header["world"], *header["episode"], tuple(train_seeds), tuple(held_pairs),
     )

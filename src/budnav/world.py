@@ -15,9 +15,10 @@ southward, so heading N decreases y.  State s = (y * width + x) * 4 +
 heading numbers every pose (pose_state), and transitions(world) holds
 the one move rule: the successor of every state under every action.
 step, the rollouts, the planner, the BFS distance field and world
-generation's connectivity test all read that table.  All dynamics are
-pure functions of (world, pose, action); the only randomness lives in
-the generators, which are fully determined by their seeds.
+generation's connectivity test (oracle.bfs_steps) all read that table.
+All dynamics are pure functions of (world, pose, action), and the module
+holds no randomness: the generators that draw worlds and episodes from
+their seeds live in suite.py.
 
 Episodes bundle a world with a start pose, a goal cell, the oracle
 reference path, and a compiled instruction.  Instructions are token
@@ -35,8 +36,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import GenerationFailed, MalformedPlan, UnknownToken
-from .rng import stream
+from .errors import MalformedPlan, UnknownToken
 
 
 class Action(IntEnum):
@@ -51,10 +51,7 @@ HEADINGS = "NESW"
 HEADING_VECS = ((0, -1), (1, 0), (0, 1), (-1, 0))  # N, E, S, W
 
 MAX_SIDE = 64
-MAX_DENSITY = 0.35
-MAX_CELL_SIZE = 1e6  # metres; far larger cells overflow distances to inf
 DEFAULT_MAX_RUN = 8
-MAX_TRIES = 200  # candidates generate_world and generate_episode draw before giving up
 
 
 @dataclass(frozen=True)
@@ -267,39 +264,6 @@ def _padded_occupancy(world: GridWorld, pad: int) -> np.ndarray:
     return grid
 
 
-def generate_world(
-    seed: int,
-    width: int,
-    height: int,
-    density: float,
-    cell_size: float = 1.0,
-) -> GridWorld:
-    """Sample a connected world with roughly `density` blocked cells.
-
-    Candidate obstacle sets are drawn from the seed's stream and
-    resampled until oracle.bfs_steps (the BFS over transitions) from the
-    first free cell reaches every free cell; it counts steps, not meters.
-    Raises GenerationFailed after MAX_TRIES disconnected candidates.
-    """
-    from . import oracle  # deferred: oracle depends on this module's types
-
-    if not (0.0 <= density <= MAX_DENSITY):
-        raise ValueError(f"density out of range [0, {MAX_DENSITY}]: {density}")
-    rng = stream("world", seed, width, height)
-    n_cells = width * height
-    n_blocked = int(round(density * n_cells))  # < n_cells, so a free cell exists
-    for _ in range(MAX_TRIES):
-        picks = rng.choice(n_cells, size=n_blocked, replace=False)
-        blocked = frozenset((int(i) % width, int(i) // width) for i in picks)
-        world = GridWorld(width, height, blocked, cell_size, seed)
-        x, y = world.free_cells()[0]
-        if oracle.bfs_steps(world, y * width + x).count(math.inf) == n_blocked:
-            return world
-    raise GenerationFailed(
-        f"no connected world after {MAX_TRIES} tries (seed={seed}, density={density})"
-    )
-
-
 # --------------------------------------------------------------------------
 # Instruction tokens.
 #
@@ -437,50 +401,6 @@ def dedup_positions(poses) -> tuple:
         if not out or out[-1] != pos:
             out.append(pos)
     return tuple(out)
-
-
-def generate_episode(
-    world: GridWorld,
-    seed: int,
-    goal_radius: float = 3.0,
-    min_length: float = 6.0,
-    max_run: int = DEFAULT_MAX_RUN,
-) -> Episode:
-    """Sample an episode whose start-goal geodesic is at least min_length.
-
-    Draws goal and start from the (world.seed, seed) stream, plans with
-    the oracle, and compiles the instruction from the plan.  Raises
-    GenerationFailed when none of MAX_TRIES goals drawn has a free cell
-    that far from it.
-    """
-    from . import oracle  # deferred: oracle depends on this module's types
-
-    rng = stream("episode", world.seed, seed)
-    free = world.free_cells()
-    for _ in range(MAX_TRIES):
-        goal = free[int(rng.integers(len(free)))]
-        d = oracle.geodesic_field(world, goal).dist.ravel()
-        # Row-major cell indices, in the order of free_cells().
-        candidates = np.flatnonzero((d >= min_length) & (d < math.inf))
-        if not candidates.size:
-            continue
-        cell = int(candidates[int(rng.integers(candidates.size))])
-        heading = int(rng.integers(4))
-        start = Pose(cell % world.width, cell // world.width, heading)
-        plan = oracle.plan(world, start, goal, goal_radius)
-        return Episode(
-            id=seed,
-            world=world,
-            start=start,
-            goal=goal,
-            reference_path=tuple(plan.poses),
-            instruction=compile_instruction(plan.actions, max_run),
-            goal_radius=goal_radius,
-            max_run=max_run,
-        )
-    raise GenerationFailed(
-        f"no start/goal pair with geodesic >= {min_length} after {MAX_TRIES} tries"
-    )
 
 
 # --------------------------------------------------------------------------

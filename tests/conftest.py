@@ -6,7 +6,8 @@ import pytest
 
 from budnav.oracle import advance_progress
 from budnav.policy import PolicyConfig, init_params, snapshot
-from budnav.world import HEADING_VECS, Action, GridWorld, Pose, generate_episode, generate_world
+from budnav.suite import generate_episode, generate_world
+from budnav.world import HEADING_VECS, Action, GridWorld, Pose
 
 
 def open_world(width=8, height=8, cell_size=1.0):

@@ -37,7 +37,7 @@ from budnav.rollout import (
     run_greedy,
     run_sampled,
 )
-from budnav.suite import build_held_episodes
+from budnav.suite import build_held_episodes, generate_episode, generate_world
 from budnav.trainer import (
     OptimizerState,
     adamw_update,
@@ -55,8 +55,6 @@ from budnav.world import (
     Pose,
     compile_instruction,
     euclid_m,
-    generate_episode,
-    generate_world,
     pose_state,
     step,
 )

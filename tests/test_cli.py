@@ -22,7 +22,7 @@ from budnav.policy import PolicyConfig, init_params, load_checkpoint, save_check
 from budnav.rectify import synthesize_demo
 from budnav.rollout import RolloutJob, parse_trace, run_lockstep, serialize_trace, verify_trace
 from budnav.suite import generate_suite, parse_suite, serialize_suite
-from budnav.world import Action
+from budnav.world import HEADINGS, Action
 
 from test_rollout import corridor_episode, edit_record, run_script
 
@@ -491,16 +491,17 @@ def sampled_trace_lines():
 
 
 @pytest.mark.parametrize("case", [
-    "stream", "final", "action", "step_index", "off_grid", "trigger_step", "trigger_column",
-    "success", "path_length",
+    "stream", "mode", "mode_keys", "episode_key", "final", "action", "step_index", "off_grid",
+    "trigger_step", "trigger_column", "success", "path_length", "stopped", "no_steps",
 ])
 def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
-    # A non-numeric stream id, a non-numeric final field, a sampled
-    # trace's step taking an action that does not exist, and records
-    # that disagree: a step numbered out of place, a step pose off the
-    # grid, a trigger at none of the steps, a trigger column naming a
-    # trigger the final record does not, and a success flag or path
-    # length the replay does not reproduce.
+    # A non-numeric stream id, a mode or episode record of another
+    # shape, a non-numeric final field, a sampled trace's step taking an
+    # action that does not exist, and records that disagree: a step
+    # numbered out of place, a step pose off the grid, a trigger at none
+    # of the steps, a trigger column naming a trigger the final record
+    # does not, a success flag, path length or stopped flag the replay
+    # does not reproduce, and a trace without steps.
     lines = sampled_trace_lines()
     assert lines[1].startswith("mode sampled ") and lines[-1].split()[6] == "-"
     if case == "success":
@@ -509,6 +510,19 @@ def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
         lines = edit_record(lines, "final ", 7, "12345.0")
     elif case == "stream":
         lines[1] = "mode greedy stream abc"
+    elif case == "mode":
+        lines[1] = "mode bogus stream 0"
+    elif case == "mode_keys":
+        lines[1] = lines[1].replace("mode ", "foo ").replace(" stream ", " bar ")
+    elif case == "episode_key":
+        lines[2] = lines[2].replace("episode ", "episodes ")
+    elif case == "stopped":  # a trigger-free rollout ends on STOP or the step cap
+        assert lines[-1].split()[4] == "1"
+        lines = edit_record(lines, "final ", 4, "0")
+    elif case == "no_steps":
+        start = corridor_episode().start
+        lines = [ln for ln in lines[:-1] if not ln.startswith("step ")]
+        lines.append(f"final {start.x} {start.y} {HEADINGS[start.heading]} 1 0 - 0.0")
     elif case == "final":
         lines = edit_record(lines, "final ", 4, "yes")  # stopped
     elif case == "action":

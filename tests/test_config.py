@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from budnav.config import (
     DEFAULTS,
     MANIFEST_MAGIC,
+    blas_kernel,
     build_suite,
     build_train_config,
     load_config,
@@ -350,6 +351,8 @@ def test_manifest_records_everything(tmp_path):
     assert lines[0] == MANIFEST_MAGIC
     assert lines[1] == "version=0.1.0"
     assert lines[2].startswith("started_at=")
+    assert lines[3] == f"out_dir={tmp_path / 'run'}"
+    assert lines[4] == f"blas_kernel={blas_kernel()}" and blas_kernel()
     assert f"world_params_hash={world_params_hash(suite)}" in lines
     assert "override.trainer.run_seed=5" in lines
     assert "override.trainer.variant=dagger" in lines

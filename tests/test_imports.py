@@ -1,12 +1,17 @@
-"""No budnav module imports a name it does not use.
+"""No budnav module imports a name it does not use, and no import cycles.
 
 No linter is installed, so this test looks for unused imports with ast.
 perfbench's tracer wraps functions by module attribute (setting, say,
 rollout.observe), so a module may import a name only for the tracer to
 patch.  Such an import is allowed while the tracer patches it, and only
 then: once the tracer stops patching a name, the import has to go.
+
+The package's modules import each other without a cycle, deferred
+imports included, and world (the grid and its dynamics) imports only
+errors.
 """
 import ast
+import graphlib
 import json
 import subprocess
 import sys
@@ -66,3 +71,41 @@ def test_every_unused_import_is_one_the_tracer_patches():
         for name in unused_imports(path.read_text())
     }
     assert unused - patched == set()
+
+
+def budnav_imports() -> dict:
+    """{module: the budnav modules it imports}, from every `from .x import`
+    and `from . import x` at any depth, deferred imports included."""
+    graph = {}
+    for path in sorted((ROOT / "src" / "budnav").glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[path.stem] = deps
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle in graph as [a, b, ..., a], or [] when it has none."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as e:
+        return e.args[1]
+    return []
+
+
+def test_import_cycle_finds_a_cycle():
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    cycle = import_cycle({"oracle": {"world"}, "world": {"errors", "oracle"}})
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["oracle", "world"]
+
+
+def test_budnav_imports_have_no_cycle_and_world_imports_only_errors():
+    graph = budnav_imports()
+    assert "world" in graph["oracle"]
+    assert import_cycle(graph) == []
+    assert graph["world"] == {"errors"}

@@ -37,11 +37,9 @@ from budnav.rollout import (
     run_sampled,
     sample_action,
 )
-from budnav.suite import build_held_episodes, parse_suite
+from budnav.suite import build_held_episodes, generate_episode, generate_world, parse_suite
 from budnav.trainer import pretrain_bc, training_episode
-from budnav.world import (
-    Action, euclid_m, generate_episode, generate_world, observe, observe_states, pose_state,
-)
+from budnav.world import Action, euclid_m, observe, observe_states, pose_state
 
 from conftest import reference_step
 from test_rectify import ordered_anchor_reference

@@ -24,10 +24,8 @@ from budnav.metrics import (
 from budnav.oracle import geodesic_field
 from budnav.policy import PolicyConfig, init_params, snapshot
 from budnav.rollout import RolloutJob, Steps, Trajectory, run_lockstep
-from budnav.suite import build_held_episodes, parse_suite
-from budnav.world import (
-    MAX_SIDE, Action, Pose, dedup_positions, euclid_m, generate_episode, generate_world,
-)
+from budnav.suite import build_held_episodes, generate_episode, generate_world, parse_suite
+from budnav.world import MAX_SIDE, Action, Pose, dedup_positions, euclid_m
 
 from conftest import walled_world
 from test_oracle import bfs_distance_oracle

@@ -15,10 +15,9 @@ from budnav.oracle import (
     path_deviation,
     plan,
 )
-from budnav.suite import parse_suite, suite_world
+from budnav.suite import generate_world, parse_suite, suite_world
 from budnav.world import (
-    Action, HEADING_VECS, GridWorld, Pose, euclid_m, generate_world, pose_state, state_pose, step,
-    transitions,
+    Action, HEADING_VECS, GridWorld, Pose, euclid_m, pose_state, state_pose, step, transitions,
 )
 
 from conftest import corridor_world, open_world, prefix_progress, reference_step, walled_world

@@ -99,7 +99,7 @@ def test_generate_suite_gives_up_on_a_world_without_held_episodes(monkeypatch):
     monkeypatch.setattr(budnav.suite, "generate_episode", only_seed_zero)
     with pytest.raises(SuiteError, match="no held episode in world"):
         generate_suite("choppy", seed=0, n_train_worlds=1, n_held=1)
-    assert len(calls) == 2 + budnav.suite.MAX_REJECTED_DRAWS
+    assert len(calls) == 2 + budnav.suite.MAX_TRIES
 
 
 def test_build_held_episodes_names_a_pair_that_cannot_generate(suite):
@@ -133,6 +133,7 @@ def test_generate_suite_builds_each_world_once(monkeypatch):
         return real(seed, *args, **kwargs)
 
     monkeypatch.setattr(budnav.suite, "generate_world", counted)
+    monkeypatch.setattr(budnav.suite, "_WORLD_CACHE", {})  # no world built by an earlier test
     suite = generate_suite("once", seed=0, n_train_worlds=2, n_held=2, held_per_world=1)
     held_worlds = tuple(ws for ws, _ in suite.held_pairs)
     assert sorted(built) == sorted(suite.train_world_seeds + held_worlds)
@@ -174,3 +175,33 @@ def test_parse_rejects_malformed_documents():
     for cell in ("0.0", "inf", "nan"):  # nDTW's costs are offsets times the cell size
         with pytest.raises(SuiteError, match="need a finite cell_size > 0"):
             parse_suite(good.replace("world 8 8 0.1 1.0", f"world 8 8 0.1 {cell}"))
+    lines = good.splitlines()
+    for key in ("name", "world", "episode"):  # a second record would replace the first
+        record = next(ln for ln in lines if ln.startswith(key + " "))
+        with pytest.raises(SuiteError, match="repeated suite record"):
+            parse_suite(good + record + "\n")
+    for key, what in (("train-world", "train-world seed"), ("held", "held pair")):
+        record = next(ln for ln in lines if ln.startswith(key + " "))
+        with pytest.raises(SuiteError, match=f"{what} appears twice"):
+            parse_suite(good + record + "\n")
+
+
+def test_generate_suite_never_holds_an_episode_seed_twice(monkeypatch):
+    # The held stream draws world seed 11, then episode seed 5 twice: the
+    # repeat is a rejected draw, and the next seed is held instead.
+    class Scripted:
+        def __init__(self, seeds):
+            self.seeds = iter(seeds)
+
+        def integers(self, low, high):
+            return next(self.seeds)
+
+    real = budnav.suite.stream
+
+    def scripted(*key):
+        return Scripted([11, 5, 5, 6]) if key[1:] == ("suite-held",) else real(*key)
+
+    monkeypatch.setattr(budnav.suite, "stream", scripted)
+    suite = generate_suite("twice", seed=0, n_train_worlds=0, n_held=2, width=8, height=8,
+                           density=0.1, min_episode_length=4.0)
+    assert suite.held_pairs == ((11, 5), (11, 6))

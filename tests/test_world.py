@@ -4,6 +4,7 @@ import pytest
 
 from budnav.errors import GenerationFailed, MalformedPlan, UnknownToken
 from budnav.rng import stream
+from budnav.suite import generate_episode, generate_world
 from budnav.world import (
     Action,
     GridWorld,
@@ -14,8 +15,6 @@ from budnav.world import (
     euclid_m,
     expand_instruction,
     fwd_token,
-    generate_episode,
-    generate_world,
     left_token,
     observe,
     observe_states,

@@ -48,6 +48,10 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from budnav.config import blas_kernel  # noqa: E402
+
 WORKLOADS = ("train_full", "train_bc", "eval_desk")
 DESK_RUNS = 3  # desk_full seed 0 runs per side
 SECONDS = 20  # perfbench/run.py --seconds
@@ -162,25 +166,6 @@ def compare_layers(pairs: list) -> dict:
                 sign * (a - b) > 0 for a, b in zip(values["parent"], values["change"])
             )
     return out
-
-
-def blas_kernel() -> str:
-    """The kernel numpy's bundled OpenBLAS picked for this CPU, as its
-    scipy_openblas_get_corename64_ reports it (for example "SkylakeX"),
-    or "unknown" when that library or symbol is missing."""
-    import ctypes
-
-    import numpy
-
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def alternating(sides: dict, i: int) -> list:
