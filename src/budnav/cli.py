@@ -38,7 +38,7 @@ from .errors import (
 )
 from .metrics import METRICS_HEADER, evaluate, format_metrics_row, write_eval_artifacts
 from .policy import load_checkpoint, snapshot
-from .rollout import RolloutConfig, parse_trace, verify_trace
+from .rollout import RolloutConfig, parse_trace, trigger_mark, verify_trace
 from .suite import generate_suite, serialize_suite
 from .trainer import VARIANTS, train
 
@@ -199,7 +199,8 @@ def cmd_eval(args) -> int:
 
     episodes = build_held_episodes(suite, args.limit)
     out = _out_dir(args.out, "traces") if args.out else None
-    outcome = evaluate(snapshot(params, "eval"), episodes, RolloutConfig())
+    cfg = RolloutConfig()
+    outcome = evaluate(snapshot(params, "eval"), episodes, cfg)
     r = outcome.report
     if args.json:
         print(json.dumps({
@@ -212,7 +213,7 @@ def cmd_eval(args) -> int:
     if out is not None:
         rows = [METRICS_HEADER, format_metrics_row(0, r, 0.0, 0)]
         with _run_files(out):
-            write_eval_artifacts(out, rows, episodes, outcome)
+            write_eval_artifacts(out, rows, episodes, outcome, cfg)
     return 0
 
 
@@ -288,10 +289,9 @@ def cmd_replay(args) -> int:
         text = Path(args.trace).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise TraceError(f"cannot read trace {args.trace}: {e}") from e
-    episode, traj, rect = parse_trace(text)
-    n = verify_trace(episode, traj)
-    trigger = f"{traj.trigger[0].value}@{traj.trigger[1]}" if traj.trigger else "-"
-    print(f"trace verified: {n} steps, success={traj.success}, trigger={trigger}")
+    episode, traj, cfg, triggers, rect = parse_trace(text)
+    n = verify_trace(episode, traj, cfg, triggers)
+    print(f"trace verified: {n} steps, success={traj.success}, trigger={trigger_mark(traj.trigger)}")
     print(render_map(episode, traj, None if rect is None else rect["anchor_pose"]))
     return 0
 

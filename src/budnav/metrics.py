@@ -366,9 +366,11 @@ def format_metrics_row(step: int, report: MetricsReport, route_grpo_frac: float,
     )
 
 
-def write_eval_artifacts(out, rows, episodes, outcome: EvalOutcome) -> None:
-    """Into the Path out: metrics.csv (rows) and the first three traces."""
+def write_eval_artifacts(out, rows, episodes, outcome: EvalOutcome, cfg: RolloutConfig) -> None:
+    """Into the Path out: metrics.csv (rows) and the first three traces
+    of the evaluation (trigger-free) that ran under cfg."""
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text("\n".join(rows) + "\n")
     for episode, traj in list(zip(episodes, outcome.trajectories))[:3]:
-        (out / "traces" / f"episode_{episode.id}.trace").write_text(serialize_trace(traj, episode))
+        trace = serialize_trace(traj, episode, cfg, False)
+        (out / "traces" / f"episode_{episode.id}.trace").write_text(trace)

@@ -33,7 +33,8 @@ without triggers only the cap can end it.  The premise is that the
 scorer is a function of the feature row.  A scorer swapped in for one
 that replays a script breaks it: a trigger-free script that bumps a
 wall more than history_k + 1 times in a row would be cut short there.
-Sampled rows and rows with triggers are scored on every step.
+Sampled rows and rows with triggers are scored, and replayed rows
+stepped, on every step.
 
 Four triggers are evaluated in a fixed order after every executed
 action:
@@ -66,27 +67,31 @@ observation and the previous step's action (NO_ACTION at t = 0) to the
 policy's history, so a loss can rebuild every step's context from the
 steps alone and is recomputable after the fact.
 
-A trace ("budnav-trace v1", serialize_trace) is a trajectory as text:
-the episode, one record per step (its number, pose, action, logits and
-a trigger column: the trigger's kind at its step, '-' at every other),
-the final record and, for a failed probe, the rect record of its demo.
-parse_trace reads a trace back into the Trajectory that wrote it, which
-serializes to the same bytes; a trace does not record anchor_step, which
-reads 0.  A mode record other than "mode <greedy|sampled> stream <int>",
-an episode record other than "episode <n>", steps numbered out of place,
-a step pose off the grid (its state would name another cell), an action
-outside Action, a trigger at none of the steps or a trigger column that
-does not name it is a TraceError.  verify_trace replays the states
-through world.transitions, recomputes the final record's success and
-path length, and checks its stopped flag wherever the trace decides it.
+A trace ("budnav-trace v2", serialize_trace) is a trajectory as text:
+its mode, a rollout record (triggers=0|1, then each RolloutConfig field
+as key=value in field order), the episode, one record per step (its
+number, pose, action, logits and a trigger column: the trigger's kind at
+its step, '-' at every other), the final record and, for a failed probe,
+the rect record of its demo.  parse_trace reads a trace back into the
+Trajectory that wrote it, which serializes to the same bytes, and the
+config and flag it ran under; anchor_step is not recorded and reads 0.
+Another magic line (v1 among them), a mode record other than "mode
+<greedy|sampled> stream <int>", a rollout record with other keys or
+values, an episode record other than "episode <n>", steps numbered out
+of place, a step pose off the grid (its state would name another cell),
+an action outside Action, a trigger at none of the steps or a trigger
+column that does not name it is a TraceError.  verify_trace re-plans the
+episode and steps a row (_Row.act) through the recorded actions, so each
+recorded field is checked by the code that derived it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
+from . import oracle
 from .oracle import advance_progress, goal_zone, path_deviation
 from .policy import (
     NO_ACTION,
@@ -100,12 +105,12 @@ from .policy import (
 )
 from .rng import stream_id
 from .world import (
-    Action, HEADINGS, Episode, Pose, parse_episode, parse_pose, patch_layout, pose_state,
-    serialize_episode, state_pose, transitions,
+    Action, HEADINGS, Episode, Pose, compile_instruction, parse_episode, parse_pose, patch_layout,
+    pose_state, serialize_episode, state_pose, transitions,
 )
 # Unused here: perfbench's tracer patches rollout.observe when it installs.
 from .world import observe  # noqa: F401
-from .errors import TraceError
+from .errors import BudnavError, TraceError
 
 
 class TriggerKind(str, Enum):
@@ -236,10 +241,10 @@ class _Row:
     batch's flat occupancy array (world.patch_layout).  at[t] is where
     step t's logits row lies in the call's stacked tick logits.  loop
     counts the trailing steps that took one action from one state and
-    stayed there; a greedy, trigger-free row ends when loop reaches hold
-    (history_k + 1, the fixed point; see run_lockstep), any other row
-    has hold None.  end is (final state, stopped, success, trigger) once
-    the episode has ended.
+    stayed there; a row ends when loop reaches hold, which run_lockstep
+    sets to history_k + 1 (the fixed point) for a greedy, trigger-free
+    job and to None for every other job, as replay does.  end is (final
+    state, stopped, success, trigger) once the episode has ended.
     """
 
     __slots__ = (
@@ -249,7 +254,7 @@ class _Row:
     )
 
     def __init__(
-        self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, history_k: int,
+        self, job: RolloutJob, cfg: RolloutConfig, stride: int, base: int, hold: int | None,
     ):
         episode = job.episode
         world, start = episode.world, episode.start
@@ -261,8 +266,7 @@ class _Row:
         self.width = world.width
         self.zone = goal_zone(world, episode.goal, episode.goal_radius)
         self.max_steps = cfg.max_steps(episode)
-        self.base, self.stride = base, stride
-        self.hold = history_k + 1 if self.rng is None and not job.triggers else None
+        self.base, self.stride, self.hold = base, stride, hold
         self.s = pose_state(start, world.width)
         self.corner = base + start.y * stride + start.x
         self.prev_action = NO_ACTION
@@ -388,7 +392,8 @@ def run_lockstep(snapshot: PolicySnapshot, jobs, cfg: RolloutConfig = RolloutCon
     flat, stride, offsets, bases = patch_layout(worlds, params.cfg.obs_k)
     base_of = {id(world): base for world, base in zip(worlds, bases)}
     every = [
-        _Row(job, cfg, stride, base_of[id(job.episode.world)], params.cfg.history_k)
+        _Row(job, cfg, stride, base_of[id(job.episode.world)],
+             params.cfg.history_k + 1 if job.temperature is None and not job.triggers else None)
         for job in jobs
     ]
     running = list(every)
@@ -465,18 +470,28 @@ def rollout_stream(run_seed: int, episode_id: int, rollout_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Trace format "budnav-trace v1": a Trajectory as line-delimited step
-# records with the episode document embedded, plus an optional
-# rectification record (see the module docstring).
+# Trace format "budnav-trace v2": a Trajectory and its rollout settings as
+# line-delimited records with the episode document embedded, plus an
+# optional rectification record (see the module docstring).
 # --------------------------------------------------------------------------
 
-TRACE_MAGIC = "budnav-trace v1"
+TRACE_MAGIC = "budnav-trace v2"
+ROLLOUT_KEYS = ("triggers", *(f.name for f in fields(RolloutConfig)))
 
 
-def serialize_trace(traj: Trajectory, episode: Episode, demo=None) -> str:
+def trigger_mark(trigger) -> str:
+    """A trajectory's trigger as the final record writes it: <kind>@<step>, or '-'."""
+    return f"{trigger[0].value}@{trigger[1]}" if trigger else "-"
+
+
+def serialize_trace(
+    traj: Trajectory, episode: Episode, cfg: RolloutConfig, triggers: bool, demo=None,
+) -> str:
     ep_lines = serialize_episode(episode).splitlines()
     lines = [TRACE_MAGIC]
     lines.append(f"mode {traj.mode} stream {traj.rng_stream_id}")
+    settings = zip(ROLLOUT_KEYS, (int(triggers), *astuple(cfg)))
+    lines.append("rollout " + " ".join(f"{k}={v!r}" for k, v in settings))
     lines.append(f"episode {len(ep_lines)}")
     lines.extend(ep_lines)
     trig_at = {traj.trigger[1]: traj.trigger[0].value} if traj.trigger else {}
@@ -489,10 +504,10 @@ def serialize_trace(traj: Trajectory, episode: Episode, demo=None) -> str:
         lines.append(
             f"step {t} {pose.x} {pose.y} {HEADINGS[pose.heading]} {action} {logit_s} {trig}"
         )
-    trig = f"{traj.trigger[0].value}@{traj.trigger[1]}" if traj.trigger else "-"
     lines.append(
         f"final {traj.final_pose.x} {traj.final_pose.y} {HEADINGS[traj.final_pose.heading]}"
-        f" {int(traj.stopped)} {int(traj.success)} {trig} {traj.path_length!r}"
+        f" {int(traj.stopped)} {int(traj.success)} {trigger_mark(traj.trigger)}"
+        f" {traj.path_length!r}"
     )
     if demo is not None:
         acts = " ".join(str(int(a)) for a in demo.oracle_actions)
@@ -505,28 +520,35 @@ def serialize_trace(traj: Trajectory, episode: Episode, demo=None) -> str:
 
 
 def parse_trace(text: str) -> tuple:
-    """(episode, trajectory, rect): the Trajectory that wrote the trace
-    (see the module docstring) and its rect record as a dict, or None.
+    """(episode, trajectory, cfg, triggers, rect): the Trajectory that
+    wrote the trace (see the module docstring), the RolloutConfig and
+    triggers flag it ran under, and its rect record as a dict, or None.
     TraceError unless every record is well formed and the records agree:
     the start on a free cell, every pose, the goal and the anchor on the
-    grid, and the steps, actions and triggers as the module docstring
-    lists them."""
+    grid, and the steps, actions and triggers as the docstring lists them."""
     lines = text.splitlines()
     if not lines or lines[0] != TRACE_MAGIC:
-        raise TraceError(f"bad trace magic: {lines[:1]}")
+        raise TraceError(f"bad trace magic {lines[:1]}: replay reads {TRACE_MAGIC!r}")
     try:
         head, mode, stream_key, stream_s = lines[1].split()
         if head != "mode" or mode not in ("greedy", "sampled") or stream_key != "stream":
             raise ValueError(f"not 'mode <greedy|sampled> stream <int>': {lines[1]!r}")
-        ep_key, n_ep = lines[2].split()
+        head, *pairs = lines[2].split()
+        if head != "rollout" or [kv.partition("=")[0] for kv in pairs] != list(ROLLOUT_KEYS):
+            raise ValueError(f"not 'rollout' with the keys {' '.join(ROLLOUT_KEYS)}: {lines[2]!r}")
+        flag, *values = (kv.partition("=")[2] for kv in pairs)
+        if flag not in ("0", "1"):
+            raise ValueError(f"triggers={flag}, not 0 or 1")
+        cfg = RolloutConfig(*(type(f.default)(v) for f, v in zip(fields(RolloutConfig), values)))
+        ep_key, n_ep = lines[3].split()
         if ep_key != "episode":
-            raise ValueError(f"not 'episode <n>': {lines[2]!r}")
+            raise ValueError(f"not 'episode <n>': {lines[3]!r}")
         n_ep = int(n_ep)
-        episode = parse_episode("\n".join(lines[3 : 3 + n_ep]) + "\n")
+        episode = parse_episode("\n".join(lines[4 : 4 + n_ep]) + "\n")
         world = episode.world
         states, actions, logits, marks = [], [], [], []
         final = rect = None
-        for line in lines[3 + n_ep :]:
+        for line in lines[4 + n_ep :]:
             parts = line.split()
             if parts[0] == "step":
                 t, pose, action = int(parts[1]), parse_pose(parts[2:5]), int(parts[5])
@@ -572,8 +594,6 @@ def parse_trace(text: str) -> tuple:
             stopped=bool(int(final[4])), success=bool(int(final[5])), trigger=trigger,
             path_length=float(final[7]),
         )
-    except KeyError as e:
-        raise TraceError(f"malformed trace: episode header lacks {e}") from e
     except (IndexError, ValueError) as e:
         raise TraceError(f"malformed trace: {e}") from e
     start = episode.start
@@ -582,64 +602,53 @@ def parse_trace(text: str) -> tuple:
         cells.append(rect["anchor_pose"].position)
     if not (world.is_free(start.x, start.y) and all(world.in_bounds(x, y) for x, y in cells)):
         raise TraceError("malformed trace: start, goal, path, final pose or anchor off the grid")
-    return episode, traj, rect
+    return episode, traj, cfg, flag == "1", rect
 
 
-def verify_trace(episode: Episode, traj: Trajectory) -> int:
-    """Re-execute the trajectory from the episode's start through the pose
-    graph (world.transitions); return its step count or raise TraceError
-    naming the first divergent step.  Poses are checked in every
-    trajectory, and in a greedy one each action against the argmax of its
-    stored logits (a sampled trace stores no temperature).  The recorded
-    success and path_length must be the replay's: success is a last action
-    STOP in the goal zone, and path_length adds the cell size once per step
-    that changes cell, in step order, as the rollout does.
+def verify_trace(episode: Episode, traj: Trajectory, cfg: RolloutConfig, triggers: bool) -> int:
+    """Replay the trajectory through the rollout's own step, _Row.act,
+    under cfg and the triggers flag; return its step count or raise
+    TraceError naming the first divergence.
 
-    Every rollout takes a step (RolloutConfig.max_steps_floor >= 1), so a
-    trace without one is a TraceError.  The recorded stopped flag must be 1
-    after a last action STOP, without a trigger (only the step cap ends a
-    trigger-free rollout on a move) and after a ForcedStop outside the goal
-    zone (the grace period fires only inside it, so that was the cap); it
-    must be 0 after an OffTrack or ProgressStall on a move.  A ForcedStop on
-    a move inside the zone is the grace period or the cap, and a trace
-    records neither the cap nor the config, so its flag is not checked."""
-    if not len(traj.steps):
-        raise TraceError("trace has no steps: every rollout takes at least one")
-    world = episode.world
-    table, width = transitions(world), world.width
-    s = pose_state(episode.start, width)
-    path_length = 0.0
+    The episode must re-plan (oracle.plan) to its reference path and
+    instruction.  The row never takes the fixed-point shortcut (hold
+    None), so recorded copies replay as real steps.  Before each step it
+    must still run and stand at the recorded pose, and a greedy step's
+    action must be the argmax of its logits (a sampled trace stores no
+    temperature).  After the last step it must have ended as the final
+    record says."""
+    width = episode.world.width
+    try:
+        plan = oracle.plan(episode.world, episode.start, episode.goal, episode.goal_radius)
+        instr = compile_instruction(plan.actions, episode.max_run)
+    except (BudnavError, ValueError) as e:
+        raise TraceError(f"episode does not re-plan: {e}") from e
+    if episode.reference_path != plan.poses:
+        raise TraceError("divergence at reference path: the episode's is not its plan's")
+    if episode.instruction != instr:
+        raise TraceError(f"divergence at instruction: trace {episode.instruction}, plan {instr}")
+    row = _Row(RolloutJob(episode, triggers=triggers), cfg, 0, 0, None)
     steps = traj.steps
     for t, (state, action) in enumerate(zip(steps.states.tolist(), steps.actions.tolist())):
-        if state != s:
+        if row.end is not None or state != row.s:
+            replay = "ended" if row.end else f"pose {state_pose(row.s, width)}"
             raise TraceError(
-                f"divergence at step {t}: trace pose {state_pose(state, width)},"
-                f" replay pose {state_pose(s, width)}"
+                f"divergence at step {t}: trace pose {state_pose(state, width)}, replay {replay}"
             )
-        if traj.mode == "greedy" and greedy_action(steps.logits[t]) != action:
-            best = greedy_action(steps.logits[t])
+        best = greedy_action(steps.logits[t])
+        if traj.mode == "greedy" and best != action:
             raise TraceError(f"divergence at step {t}: action {action}, logits argmax {best}")
-        s = table[4 * s + action]
-        if s >> 2 != state >> 2:
-            path_length += world.cell_size
-    pose = state_pose(s, width)
-    if pose != traj.final_pose:
-        raise TraceError(f"divergence at final pose: trace {traj.final_pose}, replay {pose}")
-    in_zone = goal_zone(world, episode.goal, episode.goal_radius)[s >> 2]
-    last_stop = steps.actions[-1] == Action.STOP
-    success = bool(last_stop and in_zone)
-    if success != traj.success:
-        raise TraceError(f"divergence at success: trace {traj.success}, replay {success}")
-    kind = traj.trigger[0] if traj.trigger else None
-    stopped = traj.stopped  # any other trigger's flag on a move is not checked
-    if last_stop or kind is None or (kind == TriggerKind.FORCED_STOP and not in_zone):
-        stopped = True
-    elif kind in (TriggerKind.OFF_TRACK, TriggerKind.PROGRESS_STALL):
-        stopped = False
-    if stopped != traj.stopped:
-        raise TraceError(f"divergence at stopped: trace {traj.stopped}, replay {stopped}")
-    if path_length != traj.path_length:
-        raise TraceError(
-            f"divergence at path_length: trace {traj.path_length!r}, replay {path_length!r}"
-        )
+        row.act(t, t, action)
+    if row.end is None:
+        raise TraceError(f"divergence at final record: the replay runs on after {len(steps)} steps")
+    final_s, stopped, success, trigger = row.end
+    for name, recorded, replayed in (
+        ("final pose", traj.final_pose, state_pose(final_s, width)),
+        ("stopped", traj.stopped, stopped),
+        ("success", traj.success, success),
+        ("trigger", trigger_mark(traj.trigger), trigger_mark(trigger)),
+        ("path_length", traj.path_length, row.path_length),
+    ):
+        if recorded != replayed:
+            raise TraceError(f"divergence at {name}: trace {recorded!r}, replay {replayed!r}")
     return len(steps)

@@ -12,8 +12,9 @@ World and episode generation lives here too: generate_world and
 generate_episode draw from their seeds' streams and reach the oracle
 through its module (oracle.bfs_steps, oracle.geodesic_field,
 oracle.plan), where perfbench's tracer patches it.  suite_world builds
-each world once per process, and suite_episode and generate_suite draw
-through it.  MAX_TRIES bounds every rejection loop.
+each world once per process, and suite_episode draws through it;
+generate_suite caches only the worlds it accepts.  MAX_TRIES bounds
+every rejection loop.
 
 File format "budnav-suite v1" is a plain text document:
 
@@ -162,8 +163,12 @@ class Suite:
 _WORLD_CACHE: dict = {}
 
 
+def _world_key(suite: Suite, world_seed: int) -> tuple:
+    return (world_seed, suite.width, suite.height, suite.density, suite.cell_size)
+
+
 def suite_world(suite: Suite, world_seed: int) -> GridWorld:
-    key = (world_seed, suite.width, suite.height, suite.density, suite.cell_size)
+    key = _world_key(suite, world_seed)
     if key not in _WORLD_CACHE:
         _WORLD_CACHE[key] = generate_world(
             world_seed, suite.width, suite.height, suite.density, suite.cell_size
@@ -215,8 +220,8 @@ def generate_suite(
     """Draw validated, disjoint train/held splits from the suite seed.
 
     Every world and held episode seed comes from one rejection loop,
-    draw, through suite_world and suite_episode, so each world is built
-    once and stays cached for training.  Raises SuiteError on parameters
+    draw.  A world is built once, and only the worlds the suite keeps
+    stay cached for training.  Raises SuiteError on parameters
     or counts it cannot meet, before any draw, and after MAX_TRIES
     rejected world or episode draws in a row.
     """
@@ -245,10 +250,18 @@ def generate_suite(
         )
 
     def new_world(world_seed) -> bool:
-        """Whether the seed is unused and its world holds an episode."""
+        """Whether the seed is unused and its world holds an episode; a
+        world joins the cache only once it is accepted."""
         if world_seed in taken:
             return False
-        suite_episode(spec, world_seed, 0)
+        key = _world_key(spec, world_seed)
+        world = _WORLD_CACHE.get(key)
+        if world is None:
+            world = generate_world(world_seed, width, height, density, cell_size)
+        generate_episode(
+            world, 0, goal_radius=goal_radius, min_length=min_episode_length, max_run=max_run,
+        )
+        _WORLD_CACHE[key] = world
         taken.add(world_seed)
         return True
 

@@ -335,7 +335,7 @@ def train(cfg: TrainConfig, out_dir=None) -> TrainResult:
         (out / "checkpoints").mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoints" / "pretrain.ckpt", ref.params)
         save_checkpoint(out / "checkpoints" / "final.ckpt", params)
-        write_eval_artifacts(out, rows, held, final_outcome)
+        write_eval_artifacts(out, rows, held, final_outcome, cfg.rollout)
     return TrainResult(params=params, ref=ref, csv_rows=rows, reports=reports, evals=evals)
 
 

@@ -409,6 +409,7 @@ def dedup_positions(poses) -> tuple:
 # --------------------------------------------------------------------------
 
 EPISODE_MAGIC = "budnav-episode v1"
+EPISODE_KEYS = ("id", "width", "height", "world_seed", "cell_size", "goal_radius", "max_run")
 
 
 def serialize_episode(episode: Episode) -> str:
@@ -443,33 +444,45 @@ def parse_pose(fields) -> Pose:
 
 
 def parse_episode(text: str) -> Episode:
+    """The Episode that serialize_episode wrote; ValueError unless the
+    header holds each of EPISODE_KEYS once and nothing else, each grid row
+    is width cells of '#' or '.', and the rows are followed by exactly
+    the start, goal, path and instr records."""
     lines = text.splitlines()
     if not lines or lines[0] != EPISODE_MAGIC:
         raise ValueError(f"bad episode magic: {lines[:1]}")
-    fields = dict(kv.split("=", 1) for kv in lines[1].removeprefix("header ").split())
+    head, *pairs = lines[1].split()
+    keys = [kv.partition("=")[0] for kv in pairs]
+    missing = [key for key in EPISODE_KEYS if key not in keys]
+    if missing:
+        raise ValueError(f"episode header lacks {missing[0]!r}")
+    if head != "header" or len(keys) != len(EPISODE_KEYS):  # none missing: any more is extra
+        raise ValueError(f"episode header with a repeated or unknown key: {lines[1]!r}")
+    fields = dict(kv.split("=", 1) for kv in pairs)
     width = int(fields["width"])
     height = int(fields["height"])
     rows = lines[2 : 2 + height]
+    if any(len(row) != width or not set(row) <= {"#", "."} for row in rows):
+        raise ValueError(f"episode grid rows are not {width} cells of '#' or '.' each")
     blocked = frozenset(
         (x, y) for y, row in enumerate(rows) for x, c in enumerate(row) if c == "#"
     )
     world = GridWorld(
         width, height, blocked, float(fields["cell_size"]), int(fields["world_seed"])
     )
-    rest = lines[2 + height :]
-    start = parse_pose(rest[0].removeprefix("start ").split())
-    gx, gy = rest[1].removeprefix("goal ").split()
-    path = []
-    for triple in rest[2].removeprefix("path ").split():
-        path.append(parse_pose(triple.split(",")))
-    instruction = tuple(int(t) for t in rest[3].removeprefix("instr ").split())
+    records = [line.partition(" ") for line in lines[2 + height :]]
+    keys = [key for key, _, _ in records]
+    if keys != ["start", "goal", "path", "instr"]:
+        raise ValueError(f"episode records {keys}, not start, goal, path and instr")
+    start, goal, path, instr = (rest.split() for _, _, rest in records)
+    gx, gy = goal
     return Episode(
         id=int(fields["id"]),
         world=world,
-        start=start,
+        start=parse_pose(start),
         goal=(int(gx), int(gy)),
-        reference_path=tuple(path),
-        instruction=instruction,
+        reference_path=tuple(parse_pose(triple.split(",")) for triple in path),
+        instruction=tuple(int(t) for t in instr),
         goal_radius=float(fields["goal_radius"]),
         max_run=int(fields["max_run"]),
     )

@@ -20,7 +20,9 @@ from budnav.cli import main, render_map
 from budnav.errors import CheckpointError, ConfigError, TraceError, Unreachable
 from budnav.policy import PolicyConfig, init_params, load_checkpoint, save_checkpoint, snapshot
 from budnav.rectify import synthesize_demo
-from budnav.rollout import RolloutJob, parse_trace, run_lockstep, serialize_trace, verify_trace
+from budnav.rollout import (
+    RolloutConfig, RolloutJob, parse_trace, run_lockstep, serialize_trace, verify_trace,
+)
 from budnav.suite import generate_suite, parse_suite, serialize_suite
 from budnav.world import HEADINGS, Action
 
@@ -432,7 +434,7 @@ def test_replay_verifies_and_draws(train_run, capsys):
 def test_replay_tampered_trace_exits_5(tmp_path, capsys):
     ep = corridor_episode()
     traj = run_script(ep, [F, F, L, F, S], triggers=False)
-    text = serialize_trace(traj, ep)
+    text = serialize_trace(traj, ep, RolloutConfig(), False)
     tampered = text.replace("step 2 2 0 E", "step 2 3 0 E")
     assert tampered != text
     path = tmp_path / "bad.trace"
@@ -466,7 +468,7 @@ def test_replay_greedy_trace_with_edited_logits_exits_5(train_run, tmp_path, cap
 
 def test_replay_trace_without_episode_width_exits_5(tmp_path, capsys):
     ep = corridor_episode()
-    text = serialize_trace(run_script(ep, [F, F, S], triggers=False), ep)
+    text = serialize_trace(run_script(ep, [F, F, S], triggers=False), ep, RolloutConfig(), False)
     assert " width=12 " in text
     path = tmp_path / "no_width.trace"
     path.write_text(text.replace(" width=12", "", 1))
@@ -487,21 +489,88 @@ def sampled_trace_lines():
     snap = snapshot(init_params(PolicyConfig(), 0))
     traj = run_lockstep(snap, [RolloutJob(ep, 1.0, 7, triggers=False)])[0]
     assert len(traj.steps) >= 2
-    return serialize_trace(traj, ep).splitlines()
+    return serialize_trace(traj, ep, RolloutConfig(), False).splitlines()
+
+
+def script_trace_lines(actions, triggers):
+    """A scripted greedy rollout's trace in the 12 x 1 corridor (goal
+    (8, 0), radius 3, step cap 50) under the default RolloutConfig."""
+    ep = corridor_episode()
+    traj = run_script(ep, actions, triggers=triggers)
+    return serialize_trace(traj, ep, RolloutConfig(), triggers).splitlines()
+
+
+def episode_trace_lines(episode, policy):
+    """An evaluation trace (greedy, no triggers) of the episode."""
+    traj = run_lockstep(snapshot(policy), [RolloutJob(episode, triggers=False)])[0]
+    return serialize_trace(traj, episode, RolloutConfig(), False).splitlines()
+
+
+def edit_line(lines, prefix, edit):
+    """lines with the first line starting with prefix replaced by edit(line)."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    return [*lines[:i], edit(lines[i]), *lines[i + 1 :]]
+
+
+def edit_first_row(lines, edit):
+    """lines with the embedded episode's first grid row replaced by edit(row)."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("header ")) + 1
+    return [*lines[:i], edit(lines[i]), *lines[i + 1 :]]
+
+
+ROLLOUT_EDITS = {
+    "rollout_missing_key": lambda line: line.replace(" grace_period=10", ""),
+    "rollout_repeated_key": lambda line: line + " stall_limit=60",
+    "rollout_unknown_key": lambda line: line.replace("stall_limit=", "stall=", 1),
+    "rollout_reordered_keys": lambda line: line.replace(
+        "stall_limit=60 grace_period=10", "grace_period=10 stall_limit=60"
+    ),
+    "max_steps_floor": lambda line: line.replace("max_steps_floor=50", "max_steps_floor=0"),
+}
+# Edits of an evaluation trace's embedded episode that leave it well
+# formed: its instruction, reference path and max_run no longer re-plan,
+# a record or header key is missing, unknown or repeated, or a grid row
+# is cut short or holds a cell other than '#' and '.'.
+EPISODE_EDITS = {
+    "episode_instr": lambda lines: edit_line(lines, "instr ", lambda _: "instr 3 3 3"),
+    "episode_path": lambda lines: edit_line(lines, "path ", lambda _: "path 5,5,N 7,0,E"),
+    "episode_goal_key": lambda lines: edit_line(lines, "goal ", lambda ln: ln.split(" ", 1)[1]),
+    "episode_unknown_key": lambda lines: edit_line(
+        lines, "header ", lambda ln: f"{ln} colour=blue"
+    ),
+    "episode_max_run": lambda lines: edit_line(
+        lines, "header ", lambda ln: ln.replace(" max_run=8", " max_run=2")
+    ),
+    "episode_repeated_key": lambda lines: edit_line(
+        lines, "header ", lambda ln: ln + " " + ln.split()[2]  # width again
+    ),
+    "episode_short_row": lambda lines: edit_first_row(lines, lambda row: row[:3]),
+    "episode_grid_cell": lambda lines: edit_first_row(lines, lambda row: "x" + row[1:]),
+}
 
 
 @pytest.mark.parametrize("case", [
     "stream", "mode", "mode_keys", "episode_key", "final", "action", "step_index", "off_grid",
     "trigger_step", "trigger_column", "success", "path_length", "stopped", "no_steps",
+    "renamed_trigger", "extended_cap", "forced_stop_stopped", "triggers_flipped", "v1_magic",
+    *ROLLOUT_EDITS, *EPISODE_EDITS,
 ])
-def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
+def test_replay_malformed_field_exits_5_with_one_error_line(
+    tmp_path, sample_episode, default_policy, case,
+):
     # A non-numeric stream id, a mode or episode record of another
     # shape, a non-numeric final field, a sampled trace's step taking an
     # action that does not exist, and records that disagree: a step
     # numbered out of place, a step pose off the grid, a trigger at none
     # of the steps, a trigger column naming a trigger the final record
     # does not, a success flag, path length or stopped flag the replay
-    # does not reproduce, and a trace without steps.
+    # does not reproduce, and a trace without steps.  Then traces the
+    # rollout's own step does not reproduce: a PrematureStop renamed
+    # OffTrack, steps past the step cap, a grace-period ForcedStop (on a
+    # move, so not stopped) flagged stopped, and a trigger-free trace
+    # replayed with triggers, which fire ForcedStop at the cap.  Then a
+    # v1 trace, rollout records of another shape or an invalid config,
+    # and episodes that do not re-plan or parse.
     lines = sampled_trace_lines()
     assert lines[1].startswith("mode sampled ") and lines[-1].split()[6] == "-"
     if case == "success":
@@ -515,7 +584,7 @@ def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
     elif case == "mode_keys":
         lines[1] = lines[1].replace("mode ", "foo ").replace(" stream ", " bar ")
     elif case == "episode_key":
-        lines[2] = lines[2].replace("episode ", "episodes ")
+        lines[3] = lines[3].replace("episode ", "episodes ")
     elif case == "stopped":  # a trigger-free rollout ends on STOP or the step cap
         assert lines[-1].split()[4] == "1"
         lines = edit_record(lines, "final ", 4, "0")
@@ -534,8 +603,33 @@ def test_replay_malformed_field_exits_5_with_one_error_line(tmp_path, case):
     elif case == "trigger_step":
         n_steps = sum(ln.startswith("step ") for ln in lines)
         lines = edit_record(lines, "final ", 6, f"OffTrack@{n_steps}")
-    else:
+    elif case == "trigger_column":
         lines = edit_record(lines, "step 0 ", 10, "OffTrack")
+    elif case == "renamed_trigger":
+        lines = script_trace_lines([F, F, S], triggers=True)
+        assert lines[-1].split()[6] == "PrematureStop@2"
+        lines = edit_record(lines, "final ", 6, "OffTrack@2")
+        lines = edit_record(lines, "step 2 ", 10, "OffTrack")
+    elif case in ("extended_cap", "triggers_flipped"):
+        lines = script_trace_lines([L, R] * 50, triggers=False)
+        assert lines[-2].startswith("step 49 ") and lines[-1].split()[4:7] == ["1", "0", "-"]
+        if case == "triggers_flipped":
+            lines[2] = lines[2].replace("triggers=0", "triggers=1")
+        else:  # ten more turns in place, numbered on from the cap
+            turns = [lines[-3].split(), lines[-2].split()]  # steps 48 and 49
+            extra = [" ".join([p[0], str(t), *p[2:]]) for t, p in zip(range(50, 60), turns * 5)]
+            lines = lines[:-1] + extra + lines[-1:]
+    elif case == "forced_stop_stopped":
+        lines = script_trace_lines([F] * 5 + [L, R] * 5, triggers=True)
+        assert lines[-1].split()[4:7] == ["0", "0", "ForcedStop@14"]
+        lines = edit_record(lines, "final ", 4, "1")
+    elif case == "v1_magic":
+        lines[0] = "budnav-trace v1"
+    elif case in ROLLOUT_EDITS:
+        assert lines[2].startswith("rollout triggers=0 ")
+        lines[2] = ROLLOUT_EDITS[case](lines[2])
+    else:
+        lines = EPISODE_EDITS[case](episode_trace_lines(sample_episode, default_policy))
     path = tmp_path / "bad.trace"
     path.write_text("\n".join(lines) + "\n")
     code, err = replay_outcome(path)
@@ -551,7 +645,9 @@ def trace_corpus(train_run):
     corpus = [path.read_bytes() for path in sorted((out / "traces").glob("*.trace"))]
     ep = corridor_episode()
     probe = run_script(ep, [F, F, S])
-    corpus.append(serialize_trace(probe, ep, synthesize_demo(probe, ep)).encode())
+    corpus.append(
+        serialize_trace(probe, ep, RolloutConfig(), True, synthesize_demo(probe, ep)).encode()
+    )
     corpus.append(("\n".join(sampled_trace_lines()) + "\n").encode())
     return corpus
 
@@ -575,9 +671,10 @@ def test_trace_corpus_parses_back_into_its_trajectory(trace_corpus):
     probe = run_script(ep, [F, F, S])
     demo = synthesize_demo(probe, ep)
     for data in trace_corpus:
-        episode, traj, rect = parse_trace(data.decode())
-        assert serialize_trace(traj, episode, demo if rect else None).encode() == data
-    assert serialize_trace(probe, ep, demo).encode() in trace_corpus
+        episode, traj, cfg, triggers, rect = parse_trace(data.decode())
+        written = serialize_trace(traj, episode, cfg, triggers, demo if rect else None)
+        assert written.encode() == data
+    assert serialize_trace(probe, ep, RolloutConfig(), True, demo).encode() in trace_corpus
 
 
 EDIT = st.tuples(
@@ -604,8 +701,8 @@ def test_mutated_traces_raise_only_trace_errors(trace_corpus, fuzz_path, which, 
     fuzz_path.write_bytes(bytes(data))
     want = 0
     try:
-        episode, traj, rect = parse_trace(bytes(data).decode())
-        verify_trace(episode, traj)
+        episode, traj, cfg, triggers, rect = parse_trace(bytes(data).decode())
+        verify_trace(episode, traj, cfg, triggers)
         render_map(episode, traj, None if rect is None else rect["anchor_pose"])
     except (TraceError, UnicodeDecodeError):
         want = 5
@@ -623,7 +720,7 @@ def test_render_map_marks_anchor_and_trigger():
     assert "A" in art and "X" in art and "S" in art and "G" in art
     assert "A anchor" in art
     # The parsed trace draws the same map.
-    episode, traj, rect = parse_trace(serialize_trace(probe, ep, demo))
+    episode, traj, _, _, rect = parse_trace(serialize_trace(probe, ep, RolloutConfig(), True, demo))
     assert render_map(episode, traj, rect["anchor_pose"]) == art
 
 

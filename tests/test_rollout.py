@@ -185,10 +185,11 @@ def test_step_cap_is_at_least_one_step():
     with pytest.raises(ValueError, match="max_steps_floor must be >= 1"):
         RolloutConfig(max_steps_floor=0, max_steps_factor=0)
     ep = corridor_episode()
-    traj = run_script(ep, [L], RolloutConfig(max_steps_floor=1, max_steps_factor=0))
+    cfg = RolloutConfig(max_steps_floor=1, max_steps_factor=0)
+    traj = run_script(ep, [L], cfg)
     assert len(traj.steps) == 1
     assert traj.trigger == (TriggerKind.FORCED_STOP, 0)
-    _, parsed, _ = parse_trace(serialize_trace(traj, ep))
+    _, parsed, *_ = parse_trace(serialize_trace(traj, ep, cfg, True))
     assert parsed.trigger == traj.trigger
 
 
@@ -306,13 +307,37 @@ def test_is_success_requires_agent_stop():
 
 # ------------------------------------------------------------------ traces
 
-def test_trace_round_trip_bytes(sample_episode, default_policy):
-    snap = snapshot(default_policy, "t")
-    traj = run_greedy(snap, sample_episode)
-    text = serialize_trace(traj, sample_episode)
-    episode, parsed, rect = parse_trace(text)
-    assert episode == sample_episode and rect is None
-    assert verify_trace(episode, parsed) == len(traj.steps)
+TIGHT = RolloutConfig(stall_limit=7, grace_period=2, max_steps_factor=1, max_steps_floor=5)
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    *(
+        pytest.param(kind, cfg, id=f"{kind}-{name}")
+        for kind in ("greedy", "greedy_no_triggers", "sampled")
+        for name, cfg in (("default", RolloutConfig()), ("tight", TIGHT))
+    ),
+    pytest.param("fixed_point", RolloutConfig(), id="fixed_point"),
+])
+def test_trace_round_trip_bytes(sample_episode, default_policy, kind, cfg):
+    # Each job kind under two configs, and a greedy trigger-free rollout
+    # that ends at its fixed point: it bumps the corridor's end wall, and
+    # the row fills its steps to the cap with copies, which replay
+    # re-steps as real steps.
+    triggers = kind in ("greedy", "sampled")
+    if kind == "fixed_point":
+        rolled = corridor_episode()
+        traj = run_script(rolled, [F] * 20, cfg, triggers=False)
+        # Without the shortcut the script would STOP in the zone at step 20.
+        assert len(traj.steps) == cfg.max_steps(rolled) > 21 and not traj.success
+    else:
+        rolled = sample_episode
+        job = RolloutJob(rolled, *((1.0, 7) if kind == "sampled" else ()), triggers=triggers)
+        traj = run_lockstep(snapshot(default_policy, "t"), [job], cfg)[0]
+    text = serialize_trace(traj, rolled, cfg, triggers)
+    episode, parsed, parsed_cfg, parsed_triggers, rect = parse_trace(text)
+    assert episode == rolled and rect is None
+    assert (parsed_cfg, parsed_triggers) == (cfg, triggers)
+    assert verify_trace(episode, parsed, cfg, triggers) == len(traj.steps)
     # The trace parses back into the Trajectory that wrote it, all but
     # the anchor step, which a trace does not record.
     for name in ("states", "actions", "logits"):
@@ -322,27 +347,27 @@ def test_trace_round_trip_bytes(sample_episode, default_policy):
     assert parsed.steps.width == traj.steps.width
     assert replace(parsed, steps=traj.steps, anchor_step=traj.anchor_step) == traj
     assert parsed.anchor_step == 0
-    assert serialize_trace(parsed, episode) == text
+    assert serialize_trace(parsed, episode, cfg, triggers) == text
 
 
 def test_trace_detects_edited_action():
     ep = corridor_episode()
     traj = run_script(ep, [F, F, L, F, S])
-    text = serialize_trace(traj, ep)
+    text = serialize_trace(traj, ep, RolloutConfig(), True)
     lines = text.splitlines()
     idx = next(i for i, ln in enumerate(lines) if ln.startswith("step 1 "))
     parts = lines[idx].split()
     parts[5] = str(Action.TURN_RIGHT.value)  # was FORWARD
     lines[idx] = " ".join(parts)
-    episode, traj, _ = parse_trace("\n".join(lines) + "\n")
+    episode, traj, cfg, triggers, _ = parse_trace("\n".join(lines) + "\n")
     # The greedy check sees the edit at once; the poses would diverge at step 2.
     with pytest.raises(TraceError, match="step 1"):
-        verify_trace(episode, traj)
+        verify_trace(episode, traj, cfg, triggers)
 
 
 def test_trace_checks_logits_of_greedy_traces_only():
     ep = corridor_episode()
-    text = serialize_trace(run_script(ep, [F, F, S]), ep)
+    text = serialize_trace(run_script(ep, [F, F, S]), ep, RolloutConfig(), True)
     lines = text.splitlines()
     idx = next(i for i, ln in enumerate(lines) if ln.startswith("step 1 "))
     parts = lines[idx].split()
@@ -350,11 +375,11 @@ def test_trace_checks_logits_of_greedy_traces_only():
     lines[idx] = " ".join(parts)
     edited = "\n".join(lines) + "\n"
     with pytest.raises(TraceError, match="step 1: action 0, logits argmax 1"):
-        verify_trace(*parse_trace(edited)[:2])
+        verify_trace(*parse_trace(edited)[:4])
     # A sampled trace stores no temperature: its poses are all replay checks.
     assert lines[1].startswith("mode greedy ")
     sampled = edited.replace("mode greedy ", "mode sampled ", 1)
-    assert verify_trace(*parse_trace(sampled)[:2]) == 3
+    assert verify_trace(*parse_trace(sampled)[:4]) == 3
 
 
 def edit_record(lines, prefix, field, value):
@@ -386,9 +411,9 @@ TRACE_EDITS = {
 
 def test_trace_rejects_garbage():
     ep = corridor_episode()
-    lines = serialize_trace(run_script(ep, [F, F, S]), ep).splitlines()
+    lines = serialize_trace(run_script(ep, [F, F, S]), ep, RolloutConfig(), True).splitlines()
     assert lines[-1] == "final 2 0 E 1 0 PrematureStop@2 2.0"
-    verify_trace(*parse_trace("\n".join(lines) + "\n")[:2])
+    verify_trace(*parse_trace("\n".join(lines) + "\n")[:4])
     for name, edit in TRACE_EDITS.items():
         with pytest.raises(TraceError):
             parse_trace("\n".join(edit(lines)) + "\n")
@@ -398,7 +423,7 @@ def test_trace_rejects_garbage():
 @pytest.mark.parametrize("field", ["id", "width", "height", "world_seed", "cell_size"])
 def test_trace_missing_episode_header_field_is_a_trace_error(field):
     ep = corridor_episode()
-    text = serialize_trace(run_script(ep, [F, F, S]), ep)
+    text = serialize_trace(run_script(ep, [F, F, S]), ep, RolloutConfig(), True)
     lines = text.splitlines()
     header = next(i for i, ln in enumerate(lines) if ln.startswith("header "))
     lines[header] = " ".join(

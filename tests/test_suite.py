@@ -85,6 +85,24 @@ def test_generate_suite_gives_up_when_no_world_holds_the_length():
         generate_suite("long", seed=0, n_train_worlds=1, n_held=1, min_episode_length=600.0)
 
 
+def test_failed_generate_suite_caches_no_world(monkeypatch):
+    # Every world the call builds holds no episode that long, so it keeps
+    # none, and none stays cached.
+    real = budnav.suite.generate_world
+    built = []
+
+    def counted(seed, *args, **kwargs):
+        built.append(seed)
+        return real(seed, *args, **kwargs)
+
+    monkeypatch.setattr(budnav.suite, "generate_world", counted)
+    monkeypatch.setattr(budnav.suite, "_WORLD_CACHE", {})
+    with pytest.raises(SuiteError, match="no world with an episode"):
+        generate_suite("long", seed=0, n_train_worlds=1, n_held=1, min_episode_length=600.0)
+    assert len(built) == budnav.suite.MAX_TRIES
+    assert budnav.suite._WORLD_CACHE == {}
+
+
 def test_generate_suite_gives_up_on_a_world_without_held_episodes(monkeypatch):
     # Only episode seed 0, which validates a world, ever generates.
     real = budnav.suite.generate_episode
